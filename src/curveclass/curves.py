@@ -351,7 +351,7 @@ class PlaneCurve:
     def __init__(self, F: MPoly):
         self.F = F
         self._singular = None
-        self._realness = None
+        self._realness = {}  # budget -> RealnessReport
 
     def singular_locus(self):
         if self._singular is None:
@@ -359,9 +359,9 @@ class PlaneCurve:
         return self._singular
 
     def realness(self, budget=64):
-        if self._realness is None:
-            self._realness = certify_realness(self, budget)
-        return self._realness
+        if budget not in self._realness:
+            self._realness[budget] = certify_realness(self, budget)
+        return self._realness[budget]
 
     def __repr__(self):
         return f"PlaneCurve({self.F!r})"

@@ -57,3 +57,9 @@ class JobError(CurveClassError):
     """Malformed job file or options."""
 
     code = 9
+
+
+class InternalError(CurveClassError):
+    """An invariant of the engine failed: a bug, never a verdict."""
+
+    code = 10

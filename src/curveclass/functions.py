@@ -18,6 +18,7 @@ from fractions import Fraction
 from .curves import BadPoint, PlaneCurve, bad_locus, run_with_splits
 from .errors import (
     AssignmentError,
+    InternalError,
     NotIntegralError,
     PreconditionError,
 )
@@ -142,9 +143,7 @@ def graph_ideal(f: CurveFunction) -> GraphIdeal:
     """J = <F, q t - p> : q^infinity with its cached lex basis; J cuts out
     the Zariski closure of the graph of p/q in X x A^1."""
     t = MPoly.var("t")
-    base = PolyIdeal([f.curve.F, f.q * t - f.p])
-    pre = buchberger(base, LEX)
-    gb = saturate_gb(PolyIdeal(pre.basis), f.q)
+    gb = saturate_gb(PolyIdeal([f.curve.F, f.q * t - f.p]), f.q)
     return GraphIdeal(PolyIdeal(gb.basis), gb)
 
 
@@ -398,8 +397,9 @@ class ClassificationReport:
 
 
 def classify(f: CurveFunction, realness_budget=64) -> ClassificationReport:
-    """Run all four membership tests, assert the hierarchy chain, attach a
-    caveat when the curve's realness hypothesis is unverified."""
+    """Run all four membership tests, check the hierarchy chain (raising
+    InternalError when it breaks), attach a caveat when the curve's realness
+    hypothesis is unverified."""
     table = fiber_table(f)
     reg, reg_detail = is_regular(f)
     kp, kp_detail = in_Kplus(f, table)
@@ -407,7 +407,8 @@ def classify(f: CurveFunction, realness_budget=64) -> ClassificationReport:
     integ, wit = is_integral(f)
     chain = [("regular", reg), ("k_plus", kp), ("k_r_plus", kr), ("integral", integ)]
     consistent = all(not a or b for (_, a), (_, b) in zip(chain, chain[1:]))
-    assert consistent, f"hierarchy violated: {chain}"
+    if not consistent:
+        raise InternalError(f"hierarchy violated: {chain}")
     caveats = []
     realness = f.curve.realness(realness_budget)
     if not realness.certified:

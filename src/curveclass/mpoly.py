@@ -3,14 +3,20 @@ monomial orders, Buchberger's algorithm, normal forms, elimination and
 saturation.
 
 s is reserved for the 1 - s*q saturation trick; t carries graph/fiber
-variables; x, y are the plane coordinates.  Coefficients stay in Q the
-whole way (no modular shortcuts): exactness is the product.  Everything is
-deterministic: term order, pair selection and tie-breaking are all fixed,
-so certificates reproduce byte-for-byte.
+variables; x, y are the plane coordinates.  MPoly coefficients are in Q.
+Buchberger and normal forms run on one fraction-free kernel: polynomials
+are scaled to primitive integer polynomials over packed monomials, reduced
+by lc(g)*r - c*m*g with contents removed, and turned back into Q only where
+a basis, remainder or quotient is returned.  Every step is exact (no
+modular shortcuts, no floating point): exactness is the product.
+Everything is deterministic: term order, pair selection and tie-breaking
+are all fixed, and reduced bases are unique, so certificates reproduce
+byte-for-byte.
 """
 
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import PreconditionError
 
@@ -77,9 +83,6 @@ class MPoly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
 
     def degree_in(self, name):
         i = var_index(name)
@@ -202,22 +205,63 @@ class MPoly:
 # monomial orders
 # ---------------------------------------------------------------------------
 
-class MonomialOrder:
-    """Total order on exponent tuples; bigger key = bigger monomial."""
+# Inside the Groebner kernel a monomial is one int holding NVARS exponent
+# fields of _FIELD_BITS bits; the top bit of each field is a guard that stays
+# clear.  Exponents entering the kernel are below _EXP_LIMIT, so the sums
+# that reduction forms stay far from the guards.
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_EXP_LIMIT = 1 << 16
+_DEG_SHIFT = _FIELD_BITS * NVARS
+_LOW = (1 << _DEG_SHIFT) - 1
+_GUARDS = sum(1 << (_FIELD_BITS * (i + 1) - 1) for i in range(NVARS))
 
-    __slots__ = ("name",)
+
+class MonomialOrder:
+    """Total order on exponent tuples; bigger key = bigger monomial.
+
+    pack() is the kernel's encoding: int comparison of packed monomials is
+    this order, and pack(a + b) == pack(a) + pack(b), so multiplying
+    monomials is adding ints.  lex puts s in the top field; grevlex puts the
+    degree above negated fields with y on top (smaller last exponents win
+    degree ties); grlex puts the degree above the lex fields."""
+
+    __slots__ = ("name", "_shifts", "_graded", "_negated")
 
     def __init__(self, name):
+        if name not in ("lex", "grevlex", "grlex"):
+            raise ValueError(name)
         self.name = name
+        self._graded = name != "lex"
+        self._negated = name == "grevlex"
+        self._shifts = tuple(
+            _FIELD_BITS * (i if self._negated else NVARS - 1 - i) for i in range(NVARS)
+        )
 
     def key(self, exps):
         if self.name == "lex":
             return exps
         if self.name == "grevlex":
             return (sum(exps), tuple(-e for e in reversed(exps)))
-        if self.name == "grlex":
-            return (sum(exps), exps)
-        raise ValueError(self.name)
+        return (sum(exps), exps)
+
+    def pack(self, exps):
+        k = 0
+        for e, shift in zip(exps, self._shifts):
+            k |= e << shift
+        if self._negated:
+            k = -k
+        if self._graded:
+            k += sum(exps) << _DEG_SHIFT
+        return k
+
+    def fields(self, k):
+        """The exponent fields of a packed monomial as a nonnegative int."""
+        return (-k if self._negated else k) & _LOW
+
+    def unpack(self, k):
+        f = self.fields(k)
+        return tuple((f >> shift) & _FIELD_MASK for shift in self._shifts)
 
     def __repr__(self):
         return f"MonomialOrder({self.name})"
@@ -239,10 +283,6 @@ def leading_term(p: MPoly, order: MonomialOrder):
     return e, p.terms[e]
 
 
-def _divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
-
-
 def _ediv(e1, e2):
     return tuple(a - b for a, b in zip(e1, e2))
 
@@ -257,6 +297,162 @@ def _mono_mul(p: MPoly, exps, coeff):
     return MPoly._raw(
         {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in p.terms.items()}
     )
+
+
+def _field_divides(fa, fb):
+    """Monomial with exponent fields fa divides the one with fields fb."""
+    return ((fb | _GUARDS) - fa) & _GUARDS == _GUARDS
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel
+# ---------------------------------------------------------------------------
+
+# A reduction without quotients divides out its content once its scale has
+# grown by this many bits: pseudo-division otherwise swells coefficients
+# (past 20,000 bits on one hard lex input, 73 once the content was gone).
+_SWELL_BITS = 256
+
+def _to_kernel(p: MPoly, order):
+    """(terms, scale): terms maps packed monomials to the integer
+    coefficients of scale * p, primitive with a positive leading
+    coefficient; scale is a Fraction."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    pack = order.pack
+    terms = {}
+    for e, c in p.terms.items():
+        if max(e) >= _EXP_LIMIT:
+            raise PreconditionError(f"exponent {max(e)} is too large for a Groebner basis")
+        terms[pack(e)] = c.numerator * (den // c.denominator)
+    terms, content = _primitive(terms)
+    return terms, Fraction(den, content)
+
+
+def _to_mpoly(terms, order, factor=1):
+    """factor * (packed integer terms) as an MPoly over Q."""
+    unpack = order.unpack
+    return MPoly._raw({unpack(k): Fraction(c) * factor for k, c in terms.items()})
+
+
+def _primitive(terms):
+    """terms divided by their content, leading coefficient made positive;
+    returns (primitive terms, content)."""
+    content = math.gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        content = -content
+    return {k: c // content for k, c in terms.items()}, content
+
+
+class _Kernel:
+    """Primitive integer polynomials in packed monomials, each with its
+    leading monomial, exponent fields, leading coefficient and tail stored
+    once, and full reduction by them."""
+
+    __slots__ = ("order", "leads", "fields", "lcs", "tails")
+
+    def __init__(self, order):
+        self.order = order
+        self.leads, self.fields, self.lcs, self.tails = [], [], [], []
+
+    def __len__(self):
+        return len(self.leads)
+
+    def add(self, terms, i=None):
+        """Append terms (packed monomial -> int), or replace element i."""
+        lead = max(terms)
+        row = (lead, self.order.fields(lead), terms[lead],
+               [(k, c) for k, c in terms.items() if k != lead])
+        if i is None:
+            i = len(self.leads)
+            for column in (self.leads, self.fields, self.lcs, self.tails):
+                column.append(None)
+        self.leads[i], self.fields[i], self.lcs[i], self.tails[i] = row
+
+    def terms(self, i):
+        return {self.leads[i]: self.lcs[i], **dict(self.tails[i])}
+
+    def reduce(self, cur, steps=None):
+        """Fully reduce cur (packed monomial -> int; consumed) and return
+        (scale, rem) with scale * cur = sum(q_i * element_i) + rem and no
+        term of rem divisible by a leading monomial.
+
+        The largest term is taken from a heap; its divisor is the first
+        element whose leading monomial divides it, and with d = gcd(c, lc)
+        the step is cur := (lc/d) * cur - (c/d) * m * element.  When steps
+        is a list, each step appends (i, m, c/d, scale after the step), from
+        which quotients() rebuilds the q_i."""
+        leads, fields, lcs, tails = self.leads, self.fields, self.lcs, self.tails
+        negated = self.order._negated
+        heap = [-k for k in cur]
+        heapify(heap)
+        rem = {}
+        scale = grown = 1
+        while heap:
+            k = -heappop(heap)
+            c = cur.pop(k, 0)
+            if not c:  # cancelled after it was pushed
+                continue
+            f = (-k if negated else k) & _LOW
+            for i, lf in enumerate(fields):
+                if ((f | _GUARDS) - lf) & _GUARDS == _GUARDS:
+                    break
+            else:
+                rem[k] = c
+                continue
+            lc = lcs[i]
+            d = math.gcd(c, lc)
+            a, b = lc // d, c // d
+            if a != 1:
+                scale *= a
+                grown *= a
+                for m in cur:
+                    cur[m] *= a
+                for m in rem:
+                    rem[m] *= a
+            shift = k - leads[i]
+            for t, tc in tails[i]:
+                m = t + shift
+                v = cur.get(m)
+                if v is None:
+                    cur[m] = -b * tc
+                    heappush(heap, -m)
+                else:
+                    v -= b * tc
+                    if v:
+                        cur[m] = v
+                    else:
+                        del cur[m]
+            if steps is not None:
+                steps.append((i, shift, b, scale))
+            elif grown >> _SWELL_BITS:
+                d = math.gcd(*cur.values(), *rem.values())
+                if d > 1:
+                    for m in cur:
+                        cur[m] //= d
+                    for m in rem:
+                        rem[m] //= d
+                    scale = Fraction(scale, d)
+                grown = 1
+        return scale, rem
+
+    def quotients(self, steps, scale):
+        """The q_i of reduce() as packed integer terms, one dict per element."""
+        quots = [{} for _ in self.leads]
+        for i, m, b, s in steps:
+            quots[i][m] = quots[i].get(m, 0) + b * (scale // s)
+        return quots
+
+
+def _combine_reps(kb, reps, scale, rep, steps):
+    """scale * rep - sum(q_i * reps[i]): the representation of a remainder
+    from kb.reduce(), given the representation rep of its input."""
+    order = kb.order
+    out = [r * scale for r in rep]
+    for i, q in enumerate(kb.quotients(steps, scale)):
+        if q:
+            qp = _to_mpoly(q, order)
+            out = [o - qp * r for o, r in zip(out, reps[i])]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +489,6 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.basis)
 
-    def leading_exps(self):
-        return [leading_term(g, self.order)[0] for g in self.basis]
-
     def __repr__(self):
         return f"GroebnerBasis({self.order.name}, {len(self.basis)} elements)"
 
@@ -304,39 +497,27 @@ def normal_form(p: MPoly, gb: GroebnerBasis, with_quotients=False):
     """Full remainder of multivariate division by the basis; zero iff p is
     in the ideal.  Divisor choice is the first basis element (fixed basis
     order) whose leading monomial divides, so the result is deterministic;
-    on a reduced basis it is canonical regardless."""
+    on a reduced basis it is canonical regardless.  The division runs over
+    Z; remainder and quotients are returned exactly over Q."""
+    if not p:
+        return (MPoly(), [MPoly() for _ in gb.basis]) if with_quotients else MPoly()
     order = gb.order
-    key = order.key
-    lead = [leading_term(g, order) for g in gb.basis]
-    tails = [
-        [(e, c) for e, c in g.terms.items() if e != le]
-        for g, (le, _) in zip(gb.basis, lead)
-    ]
-    quots = [{} for _ in gb.basis] if with_quotients else None
-    rem = {}
-    cur = dict(p.terms)
-    while cur:
-        e = max(cur, key=key)
-        c = cur.pop(e)
-        for i, (le, lc) in enumerate(lead):
-            if all(a <= b for a, b in zip(le, e)):
-                fe = tuple(a - b for a, b in zip(e, le))
-                fc = c / lc
-                for ge, gc in tails[i]:
-                    ne = tuple(a + b for a, b in zip(ge, fe))
-                    v = cur.get(ne, 0) - gc * fc
-                    if v:
-                        cur[ne] = v
-                    else:
-                        cur.pop(ne, None)
-                if with_quotients:
-                    quots[i][fe] = quots[i].get(fe, 0) + fc
-                break
-        else:
-            rem[e] = c
-    rem_poly = MPoly._raw(rem)
+    kb = _Kernel(order)
+    scales = []
+    for g in gb.basis:
+        terms, s = _to_kernel(g, order)
+        kb.add(terms)
+        scales.append(s)
+    cur, ps = _to_kernel(p, order)
+    steps = [] if with_quotients else None
+    scale, rem = kb.reduce(cur, steps)
+    # scale * ps * p = sum(q_i * scales_i * g_i) + rem
+    inv = 1 / (scale * ps)
+    rem_poly = _to_mpoly(rem, order, inv)
     if with_quotients:
-        return rem_poly, [MPoly(qd) for qd in quots]
+        return rem_poly, [
+            _to_mpoly(q, order, s * inv) for q, s in zip(kb.quotients(steps, scale), scales)
+        ]
     return rem_poly
 
 
@@ -353,152 +534,121 @@ def buchberger(ideal, order: MonomialOrder, with_reps=False) -> GroebnerBasis:
     with_reps additionally tracks each basis element as a combination of
     the input generators, enabling membership certificates.
     """
-    import heapq
-
     gens = list(ideal.generators if isinstance(ideal, PolyIdeal) else ideal)
     gens = [g for g in gens if g]
     if not gens:
         raise PreconditionError("no nonzero generators")
 
-    key = order.key
-    basis = []
-    leads = []  # (exps, coeff) cached per basis element
-    reps = []  # reps[i][j] = coefficient of gens[j] in basis[i]
+    kb = _Kernel(order)
+    exps = []  # leading exponent tuple per element
+    reps = []  # reps[i][j] = coefficient of gens[j] in element i
 
-    def push(p, rep):
-        p_prim = p.primitive()
-        e = max(p_prim.terms, key=key)
-        if with_reps:
-            scale = p_prim.terms[e] / p.terms[e]
-            reps.append(tuple(r * scale for r in rep))
-        basis.append(p_prim)
-        leads.append((e, p_prim.terms[e]))
+    def push(terms, rep):
+        kb.add(terms)
+        exps.append(order.unpack(kb.leads[-1]))
+        reps.append(rep)
 
     for j, g in enumerate(gens):
-        rep = [MPoly.const(1) if i == j else MPoly() for i in range(len(gens))] if with_reps else None
-        push(g, rep)
+        terms, s = _to_kernel(g, order)
+        rep = tuple(MPoly.const(s) if i == j else MPoly() for i in range(len(gens))) if with_reps else None
+        push(terms, rep)
 
     heap = []
-    pending = set()
 
     def add_pair(i, j):
-        l = _elcm(leads[i][0], leads[j][0])
-        heapq.heappush(heap, (key(l), i, j))
-        pending.add((i, j))
+        heappush(heap, (order.pack(_elcm(exps[i], exps[j])), i, j))
 
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
+    for i in range(len(kb)):
+        for j in range(i + 1, len(kb)):
             add_pair(i, j)
     done = set()
 
     while heap:
-        _, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
+        l, i, j = heappop(heap)
         done.add((i, j))
-        li, lj = leads[i][0], leads[j][0]
-        l = _elcm(li, lj)
         # product criterion
-        if all(a + b == c for a, b, c in zip(li, lj, l)):
+        if all(not (a and b) for a, b in zip(exps[i], exps[j])):
             continue
         # chain criterion
+        lf = order.fields(l)
         skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if _divides(leads[k][0], l):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
+        for k, kf in enumerate(kb.fields):
+            if k != i and k != j and _field_divides(kf, lf):
+                if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
                     skip = True
                     break
         if skip:
             continue
-        s = spoly(basis[i], basis[j], order)
-        gb_now = GroebnerBasis(order, basis)
-        if with_reps:
-            ef, cf = leads[i]
-            eg, cg = leads[j]
-            rep_s = tuple(
-                _mono_mul(a, _ediv(l, ef), 1 / cf) - _mono_mul(b, _ediv(l, eg), 1 / cg)
-                for a, b in zip(reps[i], reps[j])
-            )
-            rem, quots = normal_form(s, gb_now, with_quotients=True)
-            rep_rem = tuple(
-                rs - sum((q * rb for q, rb in zip(quots, col)), MPoly())
-                for rs, col in zip(rep_s, zip(*reps))
-            )
-        else:
-            rem = normal_form(s, gb_now)
-            rep_rem = None
-        if rem:
-            n = len(basis)
-            push(rem, rep_rem)
-            for k in range(n):
-                add_pair(k, n)
-    return _reduce_basis(basis, reps if with_reps else None, order)
-
-
-def _reduce_basis(basis, reps, order):
-    """Inter-reduce to the unique reduced basis (sorted by leading term)."""
-    items = list(range(len(basis)))
-    # drop elements whose leading monomial is divisible by another's
-    keep = []
-    for i in items:
-        li = leading_term(basis[i], order)[0]
-        dominated = False
-        for j in items:
-            if i == j:
-                continue
-            lj = leading_term(basis[j], order)[0]
-            if _divides(lj, li) and (lj != li or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    kept = [basis[i] for i in keep]
-    kept_reps = [reps[i] for i in keep] if reps is not None else None
-    # reduce tails and normalize monic
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = GroebnerBasis(order, [kept[j] for j in range(len(kept)) if j != i])
-            if not others.basis:
-                continue
-            if kept_reps is not None:
-                rem, quots = normal_form(kept[i], others, with_quotients=True)
-                other_reps = [kept_reps[j] for j in range(len(kept)) if j != i]
-                new_rep = tuple(
-                    rs - sum((q * rb for q, rb in zip(quots, col)), MPoly())
-                    for rs, col in zip(kept_reps[i], zip(*other_reps))
-                )
+        lci, lcj = kb.lcs[i], kb.lcs[j]
+        d = math.gcd(lci, lcj)
+        ai, aj = lcj // d, lci // d
+        si, sj = l - kb.leads[i], l - kb.leads[j]
+        cur = {t + si: ai * c for t, c in kb.tails[i]}
+        for t, c in kb.tails[j]:
+            m = t + sj
+            v = cur.get(m, 0) - aj * c
+            if v:
+                cur[m] = v
             else:
-                rem = normal_form(kept[i], others)
-                new_rep = None
-            if rem != kept[i]:
-                changed = True
-            if not rem:
-                kept.pop(i)
-                if kept_reps is not None:
-                    kept_reps.pop(i)
-                break
-            kept[i] = rem
-            if kept_reps is not None:
-                kept_reps[i] = new_rep
-        else:
+                cur.pop(m, None)
+        steps = [] if with_reps else None
+        scale, rem = kb.reduce(cur, steps)
+        if not rem:
             continue
-    final = []
-    final_reps = []
-    for idx, g in enumerate(kept):
-        e, c = leading_term(g, order)
-        final.append(g * (1 / c))
-        if kept_reps is not None:
-            final_reps.append(tuple(r * (1 / c) for r in kept_reps[idx]))
-    orderkey = lambda t: order.key(leading_term(t[0], order)[0])  # noqa: E731
-    packed = sorted(zip(final, final_reps if kept_reps is not None else [None] * len(final)), key=orderkey)
-    basis_sorted = [p for p, _ in packed]
-    reps_sorted = tuple(r for _, r in packed) if kept_reps is not None else None
-    return GroebnerBasis(order, basis_sorted, reps_sorted)
+        rem, content = _primitive(rem)
+        rep = None
+        if with_reps:
+            ei, ej = order.unpack(si), order.unpack(sj)
+            rep_s = [
+                _mono_mul(a, ei, ai) - _mono_mul(b, ej, aj) for a, b in zip(reps[i], reps[j])
+            ]
+            rep = tuple(r * Fraction(1, content) for r in _combine_reps(kb, reps, scale, rep_s, steps))
+        n = len(kb)
+        push(rem, rep)
+        for k in range(n):
+            add_pair(k, n)
+    return _reduced_basis(kb, reps if with_reps else None)
+
+
+def _reduced_basis(kb, reps):
+    """The unique reduced basis, monic over Q and sorted by leading term,
+    from a Groebner basis held in the kernel."""
+    order, fields, leads = kb.order, kb.fields, kb.leads
+    # drop elements whose leading monomial is divisible by another's
+    keep = [
+        i for i in range(len(kb))
+        if not any(
+            j != i and _field_divides(fields[j], fields[i]) and (leads[j] != leads[i] or j < i)
+            for j in range(len(kb))
+        )
+    ]
+    red = _Kernel(order)
+    for i in keep:
+        red.add(kb.terms(i))
+    red_reps = [reps[i] for i in keep] if reps is not None else None
+    # reduce each tail by the others; a leading monomial divides no smaller
+    # monomial, so no element ever acts on its own tail
+    for i in range(len(red)):
+        steps = [] if reps is not None else None
+        scale, rem = red.reduce(dict(red.tails[i]), steps)
+        num, den = scale.as_integer_ratio()
+        if den != 1:
+            rem = {k: c * den for k, c in rem.items()}
+        rem[red.leads[i]] = num * red.lcs[i]
+        rem, content = _primitive(rem)
+        if reps is not None:
+            red_reps[i] = tuple(
+                r * Fraction(1, content)
+                for r in _combine_reps(red, red_reps, scale, red_reps[i], steps)
+            )
+        red.add(rem, i)
+    rows = sorted(range(len(red)), key=red.leads.__getitem__)
+    basis = [_to_mpoly(red.terms(i), order, Fraction(1, red.lcs[i])) for i in rows]
+    final_reps = (
+        tuple(tuple(r * Fraction(1, red.lcs[i]) for r in red_reps[i]) for i in rows)
+        if reps is not None else None
+    )
+    return GroebnerBasis(order, basis, final_reps)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,13 @@ def test_certify_realness_cusp():
     assert rep.certified
 
 
+def test_realness_cache_is_keyed_on_budget():
+    curve = cusp()
+    assert not curve.realness(0).certified
+    assert curve.realness(64).certified
+    assert not curve.realness(0).certified
+
+
 def test_certify_realness_empty_real_locus_unverified():
     rep = certify_realness(make_curve(Y**2 + X**2 + 1), budget=40)
     assert not rep.certified

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveclass.errors import PreconditionError
 from curveclass.mpoly import (
@@ -20,6 +23,7 @@ from curveclass.mpoly import (
     saturate,
     saturate_gb,
     specialize_to_t,
+    spoly,
     to_upoly_in,
 )
 
@@ -201,3 +205,55 @@ def test_specialize_and_eval():
     assert eval_at(X**2 + Y, Fraction(2), Fraction(5)) == 9
     up = to_upoly_in(X**3 - X, "x")
     assert up.degree == 3
+
+
+# -- property tests of the kernel --------------------------------------------
+
+# random small ideals in s, t, x, y: up to three generators of up to three
+# terms of degree <= 2 (higher degrees make some lex bases take minutes)
+_monos = [e for e in itertools.product(range(3), repeat=4) if sum(e) <= 2]
+_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+_polys = st.dictionaries(st.sampled_from(_monos), _coeffs, min_size=1, max_size=3).map(MPoly)
+_ideals = st.lists(_polys, min_size=1, max_size=3)
+_orders = st.sampled_from([LEX, GREVLEX])
+
+
+def _divides(e1, e2):
+    return all(a <= b for a, b in zip(e1, e2))
+
+
+@settings(deadline=None)
+@given(_ideals, _orders)
+def test_kernel_basis_is_reduced_and_complete(gens, order):
+    gb = buchberger(PolyIdeal(gens), order)
+    leads = [leading_term(g, order) for g in gb.basis]
+    assert all(c == 1 for _, c in leads)
+    for i, (ei, _) in enumerate(leads):
+        for j, (ej, _) in enumerate(leads):
+            assert i == j or not _divides(ej, ei)
+    for g, (e, _) in zip(gb.basis, leads):
+        for t in g.terms:
+            assert t == e or not any(_divides(le, t) for le, _ in leads)
+    for g in gens:
+        assert not normal_form(g, gb)
+    for i, f in enumerate(gb.basis):
+        for g in gb.basis[i + 1:]:
+            assert not normal_form(spoly(f, g, order), gb)
+
+
+@settings(deadline=None)
+@given(_ideals, _orders)
+def test_kernel_reps_rebuild_the_basis(gens, order):
+    gb = buchberger(PolyIdeal(gens), order, with_reps=True)
+    assert gb.basis == buchberger(PolyIdeal(gens), order).basis
+    for g, rep in zip(gb.basis, gb.reps):
+        assert sum((r * h for r, h in zip(rep, gens)), MPoly()) == g
+
+
+@settings(deadline=None)
+@given(_ideals, _orders, _polys)
+def test_kernel_normal_form_quotients_are_exact(gens, order, p):
+    gb = buchberger(PolyIdeal(gens), order)
+    rem, quots = normal_form(p, gb, with_quotients=True)
+    assert rem == normal_form(p, gb)
+    assert sum((q * g for q, g in zip(quots, gb.basis)), rem) == p
