@@ -14,7 +14,7 @@ pseudo-remainders so sign sequences are preserved.
 """
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import floor, gcd as int_gcd
 
 _KRONECKER_CUTOFF = 24  # schoolbook below this many coefficient products
 
@@ -29,15 +29,6 @@ def ztrim(a):
 
 def zdeg(a):
     return len(a) - 1
-
-
-def zadd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return ztrim(out)
 
 
 def zsub(a, b):
@@ -197,13 +188,6 @@ def zeval_int(a, x):
     return acc
 
 
-def zeval_frac(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def zsign_at(a, x):
     """Sign of a at the rational point x (x a Fraction or int)."""
     if not a:
@@ -337,26 +321,29 @@ def zyun(a):
     return out
 
 
-def zrational_roots(a, max_den_bits=24):
-    """Rational roots of a (no multiplicity), ascending.
+def zrational_roots(a):
+    """Rational roots of a (no multiplicity), ascending; complete, with no
+    limit on denominators.
 
-    Roots are recognised from tightly refined isolating intervals and
-    verified exactly, so coefficient size never hurts; denominators above
-    2**max_den_bits are out of recognition range (desk-scale roots are
-    small rationals).
+    By Gauss's lemma a root n/d in lowest terms of the primitive squarefree
+    part sf has d | lc(sf), so lc(sf) * n/d is an integer.  Each isolating
+    interval is refined below width 1/(2 lc(sf)); the open interval
+    (lc * lo, lc * hi) then holds at most one integer k, and k / lc(sf) is
+    the only candidate, which is tested exactly.
     """
     if not a:
         raise ValueError("zero polynomial")
     sf = zsquarefree(a)
     if zdeg(sf) == 0:
         return []
-    width = Fraction(1, 1 << (2 * max_den_bits + 4))
+    lc = sf[-1]  # positive: sf is primitive
+    width = Fraction(1, 2 * lc)
     roots = []
     for lo, hi in zisolate(sf):
         lo, hi = zrefine(sf, lo, hi, width)
-        cand = ((lo + hi) / 2).limit_denominator(1 << max_den_bits)
-        if lo < cand < hi and zsign_at(sf, cand) == 0:
-            roots.append(cand)
+        k = floor(lo * lc) + 1
+        if k < hi * lc and zsign_at(sf, Fraction(k, lc)) == 0:
+            roots.append(Fraction(k, lc))
     return roots
 
 

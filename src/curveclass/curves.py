@@ -30,7 +30,6 @@ from .mpoly import (
     var_index,
 )
 from .numfield import (
-    NFElement,
     NumberField,
     RealEmbedding,
     SplitEvent,
@@ -136,9 +135,6 @@ class BadPoint:
                     embs.append(emb.clone_for(br))
             out.append(BadPoint(br, embs))
         return out
-
-    def transfer_value(self, value: NFElement, branch_point):
-        return self.field.transfer(value, branch_point.field)
 
     def __repr__(self):
         if self.is_rational():
@@ -436,53 +432,55 @@ def _divide_out_linear_y(F: MPoly, g: MPoly):
 def _linear_y_factors(F: MPoly):
     """Split off factors y - g(x) found by a bounded rational-root style
     search (divisor shapes come from the partial split of F(x, 0));
-    incomplete by design."""
+    incomplete by design.
+
+    A factor y - c * shape(x) has c * shape(3) among the rational roots of
+    F(3, y), so those candidates are found first; without a nonzero one no
+    division can be tried, and no shape is built.
+    """
     out = []
     rest = F
-    # y | F directly
+    x1 = Fraction(3)
     while rest.degree_in("y") >= 1:
         f0 = specialize_x_poly_y0(rest)
         if f0.is_zero():
-            q = _divide_out_linear_y(rest, MPoly())
+            # y | F directly
             out.append(MPoly.var("y"))
-            rest = q
+            rest = _divide_out_linear_y(rest, MPoly())
             continue
-        found = False
+        u = specialize_x(rest, x1)
+        cands = [r for r in rational_roots(u) if r] if u.degree >= 1 else []
+        if not cands:
+            break
+        dx = rest.degree_in("x")
         roots, chunks = _split_candidates(f0)
         pieces = [UPoly("x", [-r, Fraction(1)]) for r in roots] + chunks
-        shapes = [UPoly("x", [Fraction(1)])]
+        one = UPoly("x", [Fraction(1)])
+        shapes = [one]
         for piece in pieces[:4]:
-            shapes = [
-                s * piece**k
-                for s in shapes
-                for k in range(0, 3)
-                if (s * piece**k).degree <= rest.degree_in("x")
-            ]
-        x1 = Fraction(3)
-        u = specialize_x(rest, x1)
-        cands = rational_roots(u) if u.degree >= 1 else []
-        for shape in shapes:
-            if shape.degree > rest.degree_in("x"):
-                continue
-            mval = shape.eval(x1)
-            if not mval:
-                continue
-            for root in cands:
-                c = root / mval
-                if not c:
-                    continue
-                g_poly = _upoly_to_xpoly(shape.scale(c))
-                q = _divide_out_linear_y(rest, g_poly)
-                if q is not None:
-                    out.append(MPoly.var("y") - g_poly)
-                    rest = q
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+            powers = [one, piece, piece * piece]
+            shapes = [s * pk for s in shapes for pk in powers if s.degree + pk.degree <= dx]
+        factor = _first_linear_factor(rest, shapes, cands, x1)
+        if factor is None:
             break
+        g_poly, rest = factor
+        out.append(MPoly.var("y") - g_poly)
     return out, rest
+
+
+def _first_linear_factor(F: MPoly, shapes, cands, x1):
+    """The first (g, F / (y - g)) with g = (root / shape(x1)) * shape, in
+    shape-then-candidate order; None when no candidate divides."""
+    for shape in shapes:
+        mval = shape.eval(x1)
+        if not mval:
+            continue
+        for root in cands:
+            g_poly = _upoly_to_xpoly(shape.scale(root / mval))
+            q = _divide_out_linear_y(F, g_poly)
+            if q is not None:
+                return g_poly, q
+    return None
 
 
 def specialize_x_poly_y0(F: MPoly) -> UPoly:
@@ -644,9 +642,12 @@ def certify_realness(curve: PlaneCurve, budget=64) -> RealnessReport:
 
 
 def _certify_block(B: MPoly, budget):
+    """Certify B from the first sample x0 whose fiber B(x0, y) is squarefree
+    of full degree and either has all its roots real, or has a real root
+    while B is certified irreducible (that root is a nonsingular real point
+    on the only component)."""
     dy = B.degree_in("y")
     irreducible = _irreducible_lite(B)
-    smooth_real = None
     for x0 in _SAMPLE_SEQUENCE[:budget]:
         u = specialize_x(B, x0)
         if u.degree != dy or u.degree <= 0:
@@ -657,11 +658,9 @@ def _certify_block(B: MPoly, budget):
         n_real = sturm_count(u)
         if n_real == dy:
             return (B, "certified", f"all {dy} branches real and simple over x = {x0}")
-        if n_real >= 1 and smooth_real is None:
-            smooth_real = x0
-    if irreducible and smooth_real is not None:
-        return (B, "certified",
-                f"irreducible with a nonsingular real point over x = {smooth_real}")
+        if n_real >= 1 and irreducible:
+            return (B, "certified",
+                    f"irreducible with a nonsingular real point over x = {x0}")
     return (B, "unverified", "no certificate within budget")
 
 

@@ -15,7 +15,7 @@ failure carries a witness.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import BadPoint, PlaneCurve, bad_locus, run_with_splits
+from .curves import BadPoint, PlaneCurve, bad_locus, run_with_splits, specialize_x
 from .errors import (
     AssignmentError,
     InternalError,
@@ -24,6 +24,7 @@ from .errors import (
 )
 from .mpoly import (
     LEX,
+    GroebnerBasis,
     MPoly,
     PolyIdeal,
     buchberger,
@@ -42,11 +43,18 @@ from .numfield import (
     isolate_tower_roots,
     tower_sturm_count,
 )
-from .unipoly import UPoly, rational_roots, squarefree_part, upoly_gcd
+from .unipoly import (
+    IsolatingInterval,
+    UPoly,
+    isolate_real_roots,
+    rational_roots,
+    refine_interval,
+    squarefree_part,
+    upoly_gcd,
+)
 
 from . import intervals as iv
 from . import _zpoly as zp
-from .unipoly import to_zpoly
 
 
 class CurveFunction:
@@ -246,8 +254,7 @@ def is_regular(f: CurveFunction):
         nf = normal_form(f.p, gb)
         return False, {"reason": "not in <F, q>", "normal_form": nf}
     h = cof[1]
-    gbF = buchberger(PolyIdeal([f.curve.F]), LEX)
-    h = normal_form(h, gbF)
+    h = normal_form(h, GroebnerBasis(LEX, [f.curve.F]))  # {F} is a basis of <F>
     for pt, val in zip(f.bad_points, f.assigned):
         if val is None:
             continue
@@ -547,16 +554,12 @@ def _probe_at_embedding(f, pt, assigned, emb, schedule):
         window_sq = 4 * delta
         for side in (-1, 1):
             xs = x0 + side * delta
-            u = _specialize_x_q(f.curve.F, xs)
+            u = specialize_x(f.curve.F, xs)
             if u.degree < 1:
                 continue
-            try:
-                ivals = _isolate_q(u)
-            except Exception:
-                continue
             kept = []
-            for lo, hi in ivals:
-                lo, hi = _refine_q(u, lo, hi, delta * delta)
+            for ival in isolate_real_roots(u):
+                lo, hi = refine_interval(u, ival, delta * delta)
                 mid = (lo + hi) / 2
                 if (mid - y0) * (mid - y0) <= window_sq:
                     kept.append((lo, hi))
@@ -588,26 +591,7 @@ def _probe_at_embedding(f, pt, assigned, emb, schedule):
     return {"outcome": "inconclusive", "detail": "no branch resolved at final step"}
 
 
-def _specialize_x_q(F: MPoly, xs: Fraction) -> UPoly:
-    from .curves import specialize_x
-
-    return specialize_x(F, Fraction(xs))
-
-
-def _isolate_q(u: UPoly):
-    z, _ = to_zpoly(u)
-    return zp.zisolate(z)
-
-
-def _refine_q(u: UPoly, lo, hi, width):
-    z, _ = to_zpoly(u)
-    z = zp.zsquarefree(z)
-    return zp.zrefine(z, lo, hi, width)
-
-
 def _enclose_ratio(p: MPoly, q: MPoly, xs, ylo, yhi, curve_spec):
-    from .curves import specialize_x
-
     ybox = iv.Interval(ylo, yhi)
     pu = specialize_x(p, Fraction(xs))
     qu = specialize_x(q, Fraction(xs))
@@ -616,9 +600,8 @@ def _enclose_ratio(p: MPoly, q: MPoly, xs, ylo, yhi, curve_spec):
         if not qenc.contains_zero():
             penc = iv.eval_poly([iv.Interval(c) for c in pu.coeffs], ybox)
             return penc / qenc
-        z, _ = to_zpoly(curve_spec)
-        z = zp.zsquarefree(z)
-        lo, hi = zp.zrefine(z, ybox.lo, ybox.hi, ybox.width() / 4)
+        lo, hi = refine_interval(curve_spec, IsolatingInterval(ybox.lo, ybox.hi),
+                                 ybox.width() / 4)
         ybox = iv.Interval(lo, hi)
     return None
 

@@ -493,17 +493,6 @@ class RealEmbedding:
         else:
             self.intervals[1] = Interval(iv.lo, mid)
 
-    def approx(self, digits=6):
-        """Decimal point approximation (refined to the needed width)."""
-        out = []
-        width = Fraction(1, 10 ** digits)
-        for k, iv in enumerate(self.intervals):
-            while iv.width() > width:
-                self.refine(k)
-                iv = self.intervals[k]
-            out.append(float(iv.mid()))
-        return tuple(out)
-
 
 def _const_at(field, c, depth_below):
     """Fraction c as an element of the sub-tower below the given level."""
@@ -550,11 +539,6 @@ def nf_sign(e: NFElement, emb: RealEmbedding) -> int:
     raise ArithmeticError("sign refinement failed to converge")
 
 
-def real_embedding_sign(e: NFElement, emb: RealEmbedding) -> int:
-    """Spec surface name for nf_sign."""
-    return nf_sign(e, emb)
-
-
 def level0_real_embeddings(field):
     """Embeddings of a depth-1 tower (one per real root of the level-0
     polynomial), ascending."""
@@ -565,11 +549,6 @@ def level0_real_embeddings(field):
 # ---------------------------------------------------------------------------
 # polynomials with tower coefficients
 # ---------------------------------------------------------------------------
-
-def tower_poly_from_q(field, p: UPoly):
-    """Lift a rational polynomial coefficientwise into the tower."""
-    return UPoly(p.var, [field.from_fraction(c) for c in p.coeffs])
-
 
 def tower_sturm_chain(p: UPoly):
     """Signed remainder chain over the tower field (true remainders;

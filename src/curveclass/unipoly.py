@@ -103,12 +103,6 @@ class UPoly:
     def scale(self, k):
         return UPoly(self.var, [c * k for c in self.coeffs])
 
-    def shift(self, n):
-        if not self.coeffs:
-            return self
-        zero = self.coeffs[0] - self.coeffs[0]
-        return UPoly(self.var, (zero,) * n + self.coeffs)
-
     def derivative(self):
         return UPoly(self.var, [i * c for i, c in enumerate(self.coeffs)][1:])
 

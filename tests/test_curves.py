@@ -88,6 +88,37 @@ def test_certify_realness_cubic_splits_components():
     rep = certify_realness(cubic_curve(), budget=16)
     assert rep.certified
     assert len(rep.factors) == 2  # parabola y - x^2 and the conic-like part
+    assert rep.factors[0][0] == Y - X**2
+
+
+def test_certify_realness_biquadratic_certified_by_first_real_sample():
+    # x = 0 gives y^4 (not squarefree); x = 1 gives a real root of the
+    # irreducible block, which certifies it whatever the larger budget
+    for budget in (2, 64):
+        rep = certify_realness(example3_curve(), budget=budget)
+        assert rep.factors[0][2] == "irreducible with a nonsingular real point over x = 1"
+
+
+# certified flags at budgets 0, 1, 2, 16 and 64
+_REALNESS_FLAGS = [
+    (cusp, (False, False, True, True, True)),
+    (example2_curve, (False, False, True, True, True)),
+    (example3_curve, (False, False, True, True, True)),
+    (cubic_curve, (False, False, False, True, True)),
+    (node, (False, False, True, True, True)),
+    # the two shapes of the singular-stress benchmark workload
+    (lambda: make_curve(Y**2 - (X - 1) * (X**2 + 1) ** 2 * (X**2 - 2)),
+     (False, True, True, True, True)),
+    (lambda: make_curve((Y**4 + X**3) * (Y**2 - (X - 2) * (X**2 + X + 1))),
+     (False, False, False, False, False)),
+]
+
+
+@pytest.mark.parametrize("make, flags", _REALNESS_FLAGS)
+def test_certify_realness_flags_by_budget(make, flags):
+    curve = make()
+    got = tuple(certify_realness(curve, budget=b).certified for b in (0, 1, 2, 16, 64))
+    assert got == flags
 
 
 def test_singular_locus_cusp():
@@ -113,6 +144,16 @@ def test_singular_locus_example2():
 def test_singular_locus_node_origin_only():
     pts = singular_locus(node())
     assert len(pts) == 1 and pts[0].coords() == (0, 0)
+
+
+def test_rational_points_with_denominators_beyond_two_to_the_24():
+    a, b = 33554433, 33554435  # 2**25 + 1 and 2**25 + 3
+    pts = solve_xy_system([Y - X, (a * X - 1) * (b * X - 1)])
+    assert [p.coords() for p in pts if p.is_rational()] == [
+        (Fraction(1, b), Fraction(1, b)),
+        (Fraction(1, a), Fraction(1, a)),
+    ]
+    assert len(pts) == 2
 
 
 def test_points_satisfy_the_system_exactly():

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from curveclass._zpoly import (
     sturm_chain,
     sturm_count,
@@ -143,3 +146,18 @@ def test_rational_roots_found_and_verified():
     p = zmul(zmul(zmul([0, 1], [-3, 2]), [5, 1]), [7, 0, 1])
     assert zrational_roots(p) == [Fraction(-5), Fraction(0), Fraction(3, 2)]
     assert zrational_roots([1, 0, 1]) == []
+
+
+_BIG = 2**40
+_linear = st.tuples(st.integers(-_BIG, _BIG), st.integers(1, _BIG))  # (n, d): d*x - n
+_irrational = st.one_of(st.integers(1, 50).map(lambda c: [c, 0, 1]), st.just([-2, 0, 1]))
+
+
+@settings(deadline=None)
+@given(st.lists(_linear, min_size=1, max_size=4), _irrational)
+def test_rational_roots_are_complete_for_large_denominators(linears, quadratic):
+    # Gauss's lemma: every rational root n/d has d | lc, whatever the size of d
+    p = quadratic
+    for n, d in linears:
+        p = zmul(p, [-n, d])
+    assert zrational_roots(p) == sorted({Fraction(n, d) for n, d in linears})
