@@ -339,7 +339,7 @@ def zrational_roots(a):
     lc = sf[-1]  # positive: sf is primitive
     width = Fraction(1, 2 * lc)
     roots = []
-    for lo, hi in zisolate(sf):
+    for lo, hi in _isolate_squarefree(sf):
         lo, hi = zrefine(sf, lo, hi, width)
         k = floor(lo * lc) + 1
         if k < hi * lc and zsign_at(sf, Fraction(k, lc)) == 0:
@@ -428,6 +428,12 @@ def zisolate(a):
     sf = zsquarefree(a)
     if zdeg(sf) == 0:
         return []
+    return _isolate_squarefree(sf)
+
+
+def _isolate_squarefree(sf):
+    """zisolate for an input that is already primitive, squarefree and
+    nonconstant."""
     chain = sturm_chain(sf)
     total = sturm_count(chain)
     if total == 0:

@@ -37,7 +37,8 @@ from .numfield import (
     field_from_qpoly,
     isolate_tower_roots,
     nf_sign,
-    tower_sturm_count,
+    tower_chain_count,
+    tower_sturm_chain,
 )
 from .unipoly import (
     UPoly,
@@ -129,10 +130,8 @@ class BadPoint:
         branches = self.field.split_level(level, factor_rep)
         out = []
         for br in branches:
-            embs = []
-            for emb in self.embeddings:
-                if _embedding_belongs(br, emb, level):
-                    embs.append(emb.clone_for(br))
+            owns = _owner_test(br, level) if self.embeddings else None
+            embs = [emb.clone_for(br) for emb in self.embeddings if owns(emb)]
             out.append(BadPoint(br, embs))
         return out
 
@@ -143,17 +142,25 @@ class BadPoint:
         return f"BadPoint(deg {self.class_size}, {len(self.embeddings)} real)"
 
 
-def _embedding_belongs(branch_field, emb, level):
+def _owner_test(branch_field, level):
+    """emb -> does the branch's level polynomial own the root that emb
+    isolates at that level; the Sturm chain is built once per branch."""
     if level == 0:
         m1, _ = to_zpoly(branch_field.minpoly(0))
-        iv = emb.interval(0)
         chain = zp.sturm_chain(zp.zsquarefree(m1))
-        return zp.sturm_count(chain, iv.lo, iv.hi) == 1
-    # level 1: does the branch's m2 own the isolated y-root at this embedding
-    m2 = branch_field.minpoly(1)
-    iv = emb.interval(1)
-    probe = emb.clone_for(branch_field)
-    return tower_sturm_count(m2, probe, iv.lo, iv.hi) == 1
+
+        def owns(emb):
+            iv = emb.interval(0)
+            return zp.sturm_count(chain, iv.lo, iv.hi) == 1
+
+        return owns
+    chain = tower_sturm_chain(branch_field.minpoly(1))
+
+    def owns(emb):
+        iv = emb.interval(1)
+        return tower_chain_count(chain, emb.clone_for(branch_field), iv.lo, iv.hi) == 1
+
+    return owns
 
 
 def run_with_splits(point: BadPoint, fn):
@@ -652,10 +659,10 @@ def _certify_block(B: MPoly, budget):
         u = specialize_x(B, x0)
         if u.degree != dy or u.degree <= 0:
             continue
-        g = upoly_gcd(u, u.derivative())
-        if g.degree != 0:
+        z = zp.zprimitive(to_zpoly(u)[0])
+        if zp.zdeg(zp.zgcd(z, zp.zderiv(z))) != 0:
             continue  # non-squarefree sample: skip
-        n_real = sturm_count(u)
+        n_real = zp.sturm_count(zp.sturm_chain(z))
         if n_real == dy:
             return (B, "certified", f"all {dy} branches real and simple over x = {x0}")
         if n_real >= 1 and irreducible:

@@ -41,7 +41,8 @@ from .numfield import (
     NFElement,
     is_zero_or_split,
     isolate_tower_roots,
-    tower_sturm_count,
+    tower_chain_count,
+    tower_sturm_chain,
 )
 from .unipoly import (
     IsolatingInterval,
@@ -198,7 +199,8 @@ def fiber_report(gb_lex, pt: BadPoint, assigned=None) -> FiberReport:
     else:
         sf = squarefree_part(fiber)
         distinct = sf.degree
-    counts = tuple(tower_sturm_count(sf, emb) if distinct else 0 for emb in pt.embeddings)
+    chain = tower_sturm_chain(sf) if distinct and pt.embeddings else None
+    counts = tuple(tower_chain_count(chain, emb) if chain else 0 for emb in pt.embeddings)
     singleton = None
     if distinct == 1:
         singleton = -sf.coeffs[0]

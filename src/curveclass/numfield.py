@@ -563,39 +563,52 @@ def tower_sturm_chain(p: UPoly):
 
 
 def tower_sturm_count(p: UPoly, emb: RealEmbedding, lo=None, hi=None) -> int:
-    """Distinct real roots of squarefree p (tower coefficients) at the
-    embedding, in the open interval (lo, hi); None = infinity.  Finite
-    endpoints must not be roots."""
-    chain = tower_sturm_chain(p)
+    """tower_chain_count on a chain built for this one count."""
+    return tower_chain_count(tower_sturm_chain(p), emb, lo, hi)
 
-    def var_at(point, positive=None):
-        signs = []
-        for q in chain:
-            if not q:
-                signs.append(0)
-                continue
-            if point is None:
-                s = nf_sign(q.lc(), emb)
-                if positive is False and q.degree % 2 == 1:
-                    s = -s
-            else:
-                s = nf_sign(q.eval(_elem_const(q, point)), emb)
-            signs.append(s)
-        prev = 0
-        count = 0
-        for s in signs:
-            if s == 0:
-                continue
-            if prev and s != prev:
-                count += 1
-            prev = s
-        return count
 
-    if lo is not None and nf_sign(p.eval(_elem_const(p, lo)), emb) == 0:
-        raise ValueError("endpoint is a root")
-    if hi is not None and nf_sign(p.eval(_elem_const(p, hi)), emb) == 0:
-        raise ValueError("endpoint is a root")
-    return var_at(lo, positive=False) - var_at(hi, positive=True)
+def tower_chain_count(chain, emb: RealEmbedding, lo=None, hi=None) -> int:
+    """Distinct real roots of squarefree p = chain[0] (tower coefficients)
+    at the embedding, in the open interval (lo, hi); None = infinity.
+    chain is tower_sturm_chain(p), so one chain serves every count on p.
+    Finite endpoints must not be roots."""
+    rows = {}
+    for x in (lo, hi):
+        if x is not None and _chain_signs(chain, emb, x, 1, rows)[0] == 0:
+            raise ValueError("endpoint is a root")
+    return _sign_changes(chain, emb, lo, rows, minus_inf=True) - _sign_changes(
+        chain, emb, hi, rows
+    )
+
+
+def _chain_signs(chain, emb, x, n, rows):
+    """Signs of chain[:n] at x (x = None: of the leading coefficients),
+    each computed once per rows dict, which maps x to its signs so far."""
+    row = rows.setdefault(x, [])
+    for q in chain[len(row):n]:
+        if not q:
+            row.append(0)
+        elif x is None:
+            row.append(nf_sign(q.lc(), emb))
+        else:
+            row.append(nf_sign(q.eval(_elem_const(q, x)), emb))
+    return row
+
+
+def _sign_changes(chain, emb, x, rows, minus_inf=False) -> int:
+    """Sign variations of the chain at x; x = None is +infinity, or
+    -infinity with minus_inf (odd degrees flip the leading sign)."""
+    signs = _chain_signs(chain, emb, x, len(chain), rows)
+    if x is None and minus_inf:
+        signs = [-s if q and q.degree % 2 == 1 else s for q, s in zip(chain, signs)]
+    count, prev = 0, 0
+    for s in signs:
+        if s == 0:
+            continue
+        if prev and s != prev:
+            count += 1
+        prev = s
+    return count
 
 
 def _elem_const(p: UPoly, c):
@@ -630,13 +643,15 @@ def isolate_tower_roots(p: UPoly, emb: RealEmbedding):
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
-    total = tower_sturm_count(p, emb)
+    chain = tower_sturm_chain(p)
+    total = tower_chain_count(chain, emb)
     if total == 0:
         return []
     bound = tower_root_bound(p, emb)
+    rows = {}  # point -> chain signs there: each is computed once
 
     def sign_at(x):
-        return nf_sign(p.eval(_elem_const(p, x)), emb)
+        return _chain_signs(chain, emb, x, 1, rows)[0]
 
     def endpoint(x):
         step = Fraction(1, 64)
@@ -655,7 +670,7 @@ def isolate_tower_roots(p: UPoly, emb: RealEmbedding):
             out.append((lo, hi))
             continue
         mid = endpoint((lo + hi) / 2)
-        left = tower_sturm_count(p, emb, lo, mid)
+        left = _sign_changes(chain, emb, lo, rows) - _sign_changes(chain, emb, mid, rows)
         stack.append((mid, hi, count - left))
         stack.append((lo, mid, left))
     out.sort()

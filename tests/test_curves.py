@@ -194,6 +194,70 @@ def test_bad_locus_constant_denominator_is_empty():
     assert bad_locus(cusp(), MPoly.const(7)) == []
 
 
+def _intervals(pts):
+    return [[[(iv.lo, iv.hi) for iv in emb.intervals] for emb in pt.embeddings] for pt in pts]
+
+
+def _split_prone_point(m1_ints, m2_coeffs):
+    """A bad point over the tower Q[x]/(m1), y-level m2 (coefficients as
+    functions of the x generator), with its certified embeddings."""
+    from curveclass.curves import BadPoint, _embeddings_for
+    from curveclass.numfield import extend_field, field_from_qpoly
+
+    base = field_from_qpoly("x", UPoly.from_ints("x", m1_ints))
+    fld = extend_field(base, "y", [c(base.gen(0)) for c in m2_coeffs])
+    return BadPoint(fld, _embeddings_for(fld))
+
+
+def _reference_owners(pt, level):
+    """Per-embedding owner assignment, one Sturm count per (branch,
+    embedding) as the split used to compute it."""
+    from curveclass.numfield import tower_sturm_count
+    from curveclass.unipoly import sturm_count
+
+    def owns(br, emb):
+        iv = emb.interval(level)
+        if level == 0:
+            return sturm_count(br.minpoly(0), iv.lo, iv.hi) == 1
+        return tower_sturm_count(br.minpoly(1), emb.clone_for(br), iv.lo, iv.hi) == 1
+
+    return lambda br: [
+        [(iv.lo, iv.hi) for iv in emb.intervals] for emb in pt.embeddings if owns(br, emb)
+    ]
+
+
+def test_split_assigns_embeddings_like_per_embedding_sturm_counts(monkeypatch):
+    from curveclass import curves
+    from curveclass.curves import BadPoint
+
+    # level 1: m2 = (y^2 - x)(y - 1) over Q(sqrt 2), split off y - 1
+    pt = _split_prone_point([-2, 0, 1], [lambda a: a, lambda a: -a, lambda a: -1, lambda a: 1])
+    assert len(pt.embeddings) == 4
+    sub = pt.field.sub_field(1)
+    factor = (sub.from_fraction(-1).rep, sub.one().rep)
+    chains = []
+    build = curves.tower_sturm_chain
+    monkeypatch.setattr(curves, "tower_sturm_chain", lambda p: chains.append(p) or build(p))
+    branches = pt.split(1, factor)
+    assert len(chains) == len(branches) == 2  # one chain per branch, not per embedding
+    ref = _reference_owners(pt, 1)
+    assert [_intervals([b])[0] for b in branches] == [ref(b.field) for b in branches]
+    assert [len(b.embeddings) for b in branches] == [2, 2]
+
+    # level 0: m1 = (x^2 - 2)(x - 3), m2 = y^2 - x, split off x - 3
+    pt0 = _split_prone_point([6, -2, -3, 1], [lambda a: -a, lambda a: 0, lambda a: 1])
+    assert len(pt0.embeddings) == 4
+    branches0 = pt0.split(0, (Fraction(-3), Fraction(1)))
+    ref0 = _reference_owners(pt0, 0)
+    assert [_intervals([b])[0] for b in branches0] == [ref0(b.field) for b in branches0]
+    assert [len(b.embeddings) for b in branches0] == [2, 2]
+
+    # a class with no real embeddings builds no chain
+    chains.clear()
+    assert [b.embeddings for b in BadPoint(pt.field, []).split(1, factor)] == [[], []]
+    assert chains == []
+
+
 def test_conjugation_symmetry_of_classes():
     pts = singular_locus(example2_curve()) + bad_locus(example2_curve(), X * (X**2 + 1))
     total = sum(p.class_size - len(p.embeddings) for p in pts)

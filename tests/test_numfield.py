@@ -175,3 +175,53 @@ def test_count_distinct_complex_roots_over_towers():
     # t^2 at a rational fiber collapses to one point
     assert count_distinct_complex_roots(UPoly.from_ints("t", [0, 0, 1])) == 1
     assert count_distinct_complex_roots(UPoly.from_ints("t", [0, 1, 0, 1])) == 3
+
+
+def test_isolated_tower_roots_each_hold_one_root_on_a_split_prone_tower():
+    # m1 = (a^2 - 2)(a^2 - 3) is reducible, so a^2 - 2 is a zero divisor;
+    # y^2 - 5 a^2 has the two roots +-a sqrt 5 at every real embedding,
+    # y^2 - a two roots at the positive embeddings and none at the others
+    F = field_from_qpoly("a", UPoly.from_ints("a", [6, 0, -5, 0, 1]))
+    a = F.gen(0)
+    embs = level0_real_embeddings(F)
+    assert len(embs) == 4
+    for p, counts in (
+        (UPoly("y", [-5 * a * a, F.zero(), F.one()]), [2, 2, 2, 2]),
+        (UPoly("y", [-a, F.zero(), F.one()]), [0, 0, 2, 2]),
+        # (y - 2a)(y^2 - 5a^2): three roots, not symmetric about 0
+        (UPoly("y", [10 * a * a * a, -5 * a * a, -2 * a, F.one()]), [3, 3, 3, 3]),
+    ):
+        for emb, want in zip(embs, counts):
+            roots = isolate_tower_roots(p, emb)
+            assert len(roots) == want == tower_sturm_count(p, emb)
+            assert all(tower_sturm_count(p, emb, lo, hi) == 1 for lo, hi in roots)
+            assert all(r[1] <= s[0] for r, s in zip(roots, roots[1:]))
+
+
+def test_isolation_evaluates_each_chain_polynomial_once_per_point(monkeypatch):
+    # (y - 2a)(y^2 - 5a^2) over Q(sqrt 2): three roots need bisections, and
+    # each bisection's left endpoint was an earlier midpoint or the bound
+    from curveclass import numfield
+
+    F = sqrt2_field()
+    a = F.gen(0)
+    p = UPoly("y", [10 * a * a * a, -5 * a * a, -2 * a, F.one()])
+    seen = []
+    elem_const = numfield._elem_const
+
+    def recording(q, c):
+        seen.append((id(q), c))
+        return elem_const(q, c)
+
+    monkeypatch.setattr(numfield, "_elem_const", recording)
+    for emb in level0_real_embeddings(F):
+        seen.clear()
+        roots = isolate_tower_roots(p, emb)
+        assert len(roots) == 3
+        assert seen and len(seen) == len(set(seen))
+    chain = numfield.tower_sturm_chain(p)
+    for emb in level0_real_embeddings(F):
+        for lo, hi in roots:
+            assert numfield.tower_chain_count(chain, emb, lo, hi) == tower_sturm_count(
+                p, emb, lo, hi
+            )
