@@ -11,6 +11,11 @@ unpack balanced digits) once operands are large enough; big-degree gcds go
 through a verified evaluation bound (divide-and-check) with a subresultant
 remainder sequence as the fallback.  Sturm chains stay on primitive-part
 pseudo-remainders so sign sequences are preserved.
+
+SturmSigns is the one implementation of Sturm root counting, bisection
+isolation and interval refinement, for integer chains here and for chains
+over number-field towers at a real embedding (numfield): it keeps the
+signs of a chain per point, so each is computed once.
 """
 
 from fractions import Fraction
@@ -203,17 +208,6 @@ def zsign_at(a, x):
     return (acc > 0) - (acc < 0)
 
 
-def zsign_inf(a, positive):
-    """Sign of a at +infinity (positive=True) or -infinity."""
-    if not a:
-        return 0
-    lc = a[-1]
-    s = 1 if lc > 0 else -1
-    if not positive and zdeg(a) % 2 == 1:
-        s = -s
-    return s
-
-
 # ---------------------------------------------------------------------------
 # gcd: verified evaluation for large inputs, subresultant PRS fallback
 # ---------------------------------------------------------------------------
@@ -338,9 +332,10 @@ def zrational_roots(a):
         return []
     lc = sf[-1]  # positive: sf is primitive
     width = Fraction(1, 2 * lc)
+    signs = _zsigns(sturm_chain(sf))  # not zisolate: sf is squarefree already
     roots = []
-    for lo, hi in _isolate_squarefree(sf):
-        lo, hi = zrefine(sf, lo, hi, width)
+    for lo, hi in signs.isolate(zroot_bound(sf)):
+        lo, hi = signs.refine(lo, hi, width)
         k = floor(lo * lc) + 1
         if k < hi * lc and zsign_at(sf, Fraction(k, lc)) == 0:
             roots.append(Fraction(k, lc))
@@ -379,37 +374,131 @@ def sturm_chain(a):
     return chain
 
 
-def _variations(signs):
-    prev = 0
-    count = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
+class SturmSigns:
+    """Signs of a Sturm chain at rational points, and the root counting,
+    isolation and refinement built on them.
+
+    sign(q, x) is the sign of the chain polynomial q at the rational x,
+    lead(q) the sign of its leading coefficient and deg(q) its degree:
+    integer chains pass zsign_at, tower chains their sign at one real
+    embedding.  For counting and isolation, signs are computed lazily,
+    chain prefix first, and kept per point, so each is computed once per
+    table; refinement only meets new points and keeps none.
+    """
+
+    __slots__ = ("chain", "_sign", "_lead", "_deg", "_rows")
+
+    def __init__(self, chain, sign, lead, deg):
+        self.chain = chain
+        self._sign = sign
+        self._lead = lead
+        self._deg = deg
+        self._rows = {}  # point (None: infinity) -> signs of a chain prefix
+
+    def signs(self, x, n):
+        """Signs of chain[:n] at x; x = None gives the leading signs."""
+        # keyed by (numerator, denominator): hashing a Fraction costs a
+        # modular inverse
+        key = None if x is None else (x.numerator, x.denominator)
+        row = self._rows.setdefault(key, [])
+        for q in self.chain[len(row):n]:
+            row.append(self._lead(q) if x is None else self._sign(q, x))
+        return row
+
+    def sign(self, x):
+        """Sign of chain[0] at x."""
+        return self.signs(x, 1)[0]
+
+    def variations(self, x, minus_inf=False):
+        """Sign variations of the chain at x; x = None is +infinity, or
+        -infinity with minus_inf (odd degrees flip the leading sign)."""
+        signs = self.signs(x, len(self.chain))
+        if minus_inf:
+            signs = [-s if self._deg(q) % 2 else s for q, s in zip(self.chain, signs)]
+        count, prev = 0, 0
+        for s in signs:
+            if s == 0:
+                continue
+            if prev and s != prev:
+                count += 1
+            prev = s
+        return count
+
+    def count(self, lo=None, hi=None):
+        """Distinct real roots of chain[0] in the open interval (lo, hi);
+        None = infinity.  Finite endpoints must not be roots; callers
+        deflate exact rational roots first (see unipoly.sturm_count)."""
+        for x in (lo, hi):
+            if x is not None and self.sign(x) == 0:
+                raise ValueError("endpoint is a root; deflate it first")
+        return self.variations(lo, minus_inf=lo is None) - self.variations(hi)
+
+    def isolate(self, bound):
+        """Disjoint isolating intervals, ascending, for the real roots of
+        chain[0], all inside (-bound, bound).  Bisection; an endpoint that
+        is a root moves right by 1/64, then 1/128, ... until it is not."""
+        total = self.count()
+        if total == 0:
+            return []
+
+        def endpoint(x):
+            step = Fraction(1, 64)
+            while self.sign(x) == 0:
+                x += step
+                step /= 2
+            return x
+
+        out = []
+        stack = [(endpoint(-bound), endpoint(bound), total)]
+        while stack:
+            lo, hi, count = stack.pop()
+            if count == 0:
+                continue
+            if count == 1:
+                out.append((lo, hi))
+                continue
+            mid = endpoint((lo + hi) / 2)
+            left = self.variations(lo) - self.variations(mid)
+            stack.append((mid, hi, count - left))
+            stack.append((lo, mid, left))
+        out.sort()
+        return out
+
+    def refine(self, lo, hi, width):
+        """Shrink the isolating interval (lo, hi) of a root of chain[0]
+        below the given width by bisection, the midpoint's sign first.
+        Every midpoint is a new point, so signs are not stored here; the
+        sign at lo is computed once, after the first midpoint's."""
+        sign, p, slo = self._sign, self.chain[0], None
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            sm = sign(p, mid)
+            if sm == 0:
+                # the root is exactly mid; box it well inside the old interval
+                eps = min(mid - lo, hi - mid, width) / 4
+                return mid - eps, mid + eps
+            if slo is None:
+                slo = sign(p, lo)
+            if sm == slo:
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+
+def _zlead(a):
+    return 1 if a[-1] > 0 else -1
+
+
+def _zsigns(chain):
+    """SturmSigns of an integer chain."""
+    return SturmSigns(chain, zsign_at, _zlead, zdeg)
 
 
 def sturm_count(chain, lo=None, hi=None):
-    """Distinct real roots in the open interval (lo, hi); None = infinity.
-
-    Finite endpoints must not be roots of chain[0]; callers deflate exact
-    rational roots first (see unipoly.sturm_count).
-    """
-    if lo is not None and zsign_at(chain[0], lo) == 0:
-        raise ValueError("endpoint is a root; deflate it first")
-    if hi is not None and zsign_at(chain[0], hi) == 0:
-        raise ValueError("endpoint is a root; deflate it first")
-    if lo is None:
-        va = _variations([zsign_inf(p, positive=False) for p in chain])
-    else:
-        va = _variations([zsign_at(p, lo) for p in chain])
-    if hi is None:
-        vb = _variations([zsign_inf(p, positive=True) for p in chain])
-    else:
-        vb = _variations([zsign_at(p, hi) for p in chain])
-    return va - vb
+    """Distinct real roots of chain[0] in the open interval (lo, hi); see
+    SturmSigns.count."""
+    return _zsigns(chain).count(lo, hi)
 
 
 def zroot_bound(a):
@@ -428,55 +517,9 @@ def zisolate(a):
     sf = zsquarefree(a)
     if zdeg(sf) == 0:
         return []
-    return _isolate_squarefree(sf)
-
-
-def _isolate_squarefree(sf):
-    """zisolate for an input that is already primitive, squarefree and
-    nonconstant."""
-    chain = sturm_chain(sf)
-    total = sturm_count(chain)
-    if total == 0:
-        return []
-    bound = zroot_bound(sf)
-
-    def endpoint(x):
-        # nudge until the endpoint is not a root (keeps intervals open/clean)
-        step = Fraction(1, 2)
-        while zsign_at(sf, x) == 0:
-            x += step / 64
-            step /= 2
-        return x
-
-    out = []
-    stack = [(endpoint(-bound), endpoint(bound), total)]
-    while stack:
-        lo, hi, count = stack.pop()
-        if count == 0:
-            continue
-        if count == 1:
-            out.append((lo, hi))
-            continue
-        mid = endpoint((lo + hi) / 2)
-        left = sturm_count(chain, lo, mid)
-        stack.append((mid, hi, count - left))
-        stack.append((lo, mid, left))
-    out.sort()
-    return out
+    return _zsigns(sturm_chain(sf)).isolate(zroot_bound(sf))
 
 
 def zrefine(a, lo, hi, width):
     """Shrink an isolating interval of squarefree a below the given width."""
-    slo = zsign_at(a, lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sm = zsign_at(a, mid)
-        if sm == 0:
-            # the root is exactly mid; box it well inside the old interval
-            eps = min(mid - lo, hi - mid, width) / 4
-            return mid - eps, mid + eps
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    return _zsigns([a]).refine(lo, hi, width)

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from . import _zpoly as zp
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .mpoly import MPoly, var_index
 from .unipoly import UPoly
 
@@ -223,13 +223,15 @@ def bivariate_divexact_y(p: MPoly, g: MPoly) -> MPoly:
         if not a or len(a) - 1 < db:
             break
         q, r = a[-1].divmod(b[-1])
-        assert r.is_zero(), "inexact bivariate division"
+        if r:
+            raise InternalError("inexact bivariate division")
         k = len(a) - 1 - db
         quot[k] = q
         for i in range(db + 1):
             a[k + i] = a[k + i] - q * b[i]
         a.pop()
-    assert all(c.is_zero() for c in a), "inexact bivariate division"
+    if any(a):
+        raise InternalError("inexact bivariate division")
     out = MPoly()
     for j, q in enumerate(quot):
         for i, c in enumerate(q.coeffs):

@@ -37,6 +37,7 @@ from .numfield import (
     field_from_qpoly,
     isolate_tower_roots,
     nf_sign,
+    rational_point_field,
     tower_chain_count,
     tower_sturm_chain,
 )
@@ -266,17 +267,12 @@ def _points_at_rational_x(x0, withy):
     out = []
     yroots, ychunks = _split_candidates(UPoly("x", m2.coeffs))
     for y0 in yroots:
-        out.extend(_finish_point_classes(_rational_tower(x0, y0)))
+        out.extend(_finish_point_classes(rational_point_field("x", "y", x0, y0)))
     base = field_from_qpoly("x", UPoly("x", [-Fraction(x0), Fraction(1)]))
     for ch in ychunks:
         fld = extend_field(base, "y", [base.from_fraction(c) for c in ch.coeffs])
         out.extend(_finish_point_classes(fld))
     return out
-
-
-def _rational_tower(x0, y0):
-    base = field_from_qpoly("x", UPoly("x", [-Fraction(x0), Fraction(1)]))
-    return extend_field(base, "y", [base.from_fraction(-y0), base.one()])
 
 
 def _points_at_chunk(chunk: UPoly, withy):
@@ -449,7 +445,7 @@ def _linear_y_factors(F: MPoly):
     rest = F
     x1 = Fraction(3)
     while rest.degree_in("y") >= 1:
-        f0 = specialize_x_poly_y0(rest)
+        f0 = _y_coeff(rest, 0)  # F(x, 0)
         if f0.is_zero():
             # y | F directly
             out.append(MPoly.var("y"))
@@ -488,20 +484,6 @@ def _first_linear_factor(F: MPoly, shapes, cands, x1):
             if q is not None:
                 return g_poly, q
     return None
-
-
-def specialize_x_poly_y0(F: MPoly) -> UPoly:
-    """F(x, 0) as a rational polynomial in x."""
-    coeffs = {}
-    for e, c in F.terms.items():
-        if e[_YI] == 0:
-            coeffs[e[_XI]] = coeffs.get(e[_XI], Fraction(0)) + c
-    if not coeffs:
-        return UPoly("x", ())
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for i, c in coeffs.items():
-        out[i] = c
-    return UPoly("x", out)
 
 
 def _upoly_to_xpoly(u: UPoly) -> MPoly:

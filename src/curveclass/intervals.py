@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from .errors import InternalError
+
 
 class Interval:
     __slots__ = ("lo", "hi")
@@ -11,7 +13,8 @@ class Interval:
             hi = lo
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        assert self.lo <= self.hi
+        if self.lo > self.hi:
+            raise InternalError(f"empty interval [{self.lo}, {self.hi}]")
 
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"

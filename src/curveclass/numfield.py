@@ -9,7 +9,10 @@ nontrivial zero divisor the offending factor is thrown as a SplitEvent
 
 Real embeddings pair the tower with isolating intervals, one per level,
 and narrow them on demand; sign queries combine interval refinement with
-exact zero tests, so they are certified, never numeric guesses.
+exact zero tests, so they are certified, never numeric guesses.  Root
+counting, isolation and level-1 refinement for tower polynomials feed
+these signs to the sign table of the integer kernel (_zpoly.SturmSigns),
+so over Z and over a tower they are one implementation.
 
 Element representations are nested tuples, trimmed of trailing zeros and
 reduced modulo every level: depth 0 is a Fraction, depth k >= 1 is a tuple
@@ -477,26 +480,10 @@ class RealEmbedding:
         if k == 0:
             m1, _ = to_zpoly(self.field.minpoly(0))
             lo, hi = zp.zrefine(m1, iv.lo, iv.hi, iv.width() / 2)
-            self.intervals[0] = Interval(lo, hi)
-            return
-        # level 1: bisect using the sign of m2(alpha, mid) at this embedding
-        m2 = self.field.minpoly(1)
-        mid = iv.mid()
-        sm = nf_sign(m2.eval(_const_at(self.field, mid, 1)), self)
-        if sm == 0:
-            eps = min(mid - iv.lo, iv.hi - mid) / 4
-            self.intervals[1] = Interval(mid - eps, mid + eps)
-            return
-        slo = nf_sign(m2.eval(_const_at(self.field, iv.lo, 1)), self)
-        if sm == slo:
-            self.intervals[1] = Interval(mid, iv.hi)
-        else:
-            self.intervals[1] = Interval(iv.lo, mid)
-
-
-def _const_at(field, c, depth_below):
-    """Fraction c as an element of the sub-tower below the given level."""
-    return field.sub_field(depth_below).from_fraction(c)
+        else:  # bisect on the sign of m2(alpha, x) at this embedding
+            signs = _tower_signs([self.field.minpoly(1)], self)
+            lo, hi = signs.refine(iv.lo, iv.hi, iv.width() / 2)
+        self.intervals[k] = Interval(lo, hi)
 
 
 def _rep_intervals(e: NFElement, emb: RealEmbedding) -> Interval:
@@ -572,43 +559,17 @@ def tower_chain_count(chain, emb: RealEmbedding, lo=None, hi=None) -> int:
     at the embedding, in the open interval (lo, hi); None = infinity.
     chain is tower_sturm_chain(p), so one chain serves every count on p.
     Finite endpoints must not be roots."""
-    rows = {}
-    for x in (lo, hi):
-        if x is not None and _chain_signs(chain, emb, x, 1, rows)[0] == 0:
-            raise ValueError("endpoint is a root")
-    return _sign_changes(chain, emb, lo, rows, minus_inf=True) - _sign_changes(
-        chain, emb, hi, rows
+    return _tower_signs(chain, emb).count(lo, hi)
+
+
+def _tower_signs(chain, emb: RealEmbedding):
+    """The _zpoly.SturmSigns table of a tower chain at one embedding."""
+    return zp.SturmSigns(
+        chain,
+        lambda q, x: nf_sign(q.eval(_elem_const(q, x)), emb),
+        lambda q: nf_sign(q.lc(), emb),
+        lambda q: q.degree,
     )
-
-
-def _chain_signs(chain, emb, x, n, rows):
-    """Signs of chain[:n] at x (x = None: of the leading coefficients),
-    each computed once per rows dict, which maps x to its signs so far."""
-    row = rows.setdefault(x, [])
-    for q in chain[len(row):n]:
-        if not q:
-            row.append(0)
-        elif x is None:
-            row.append(nf_sign(q.lc(), emb))
-        else:
-            row.append(nf_sign(q.eval(_elem_const(q, x)), emb))
-    return row
-
-
-def _sign_changes(chain, emb, x, rows, minus_inf=False) -> int:
-    """Sign variations of the chain at x; x = None is +infinity, or
-    -infinity with minus_inf (odd degrees flip the leading sign)."""
-    signs = _chain_signs(chain, emb, x, len(chain), rows)
-    if x is None and minus_inf:
-        signs = [-s if q and q.degree % 2 == 1 else s for q, s in zip(chain, signs)]
-    count, prev = 0, 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
 
 
 def _elem_const(p: UPoly, c):
@@ -643,38 +604,10 @@ def isolate_tower_roots(p: UPoly, emb: RealEmbedding):
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
-    chain = tower_sturm_chain(p)
-    total = tower_chain_count(chain, emb)
-    if total == 0:
+    signs = _tower_signs(tower_sturm_chain(p), emb)
+    if signs.count() == 0:  # the bound would refine the embedding for nothing
         return []
-    bound = tower_root_bound(p, emb)
-    rows = {}  # point -> chain signs there: each is computed once
-
-    def sign_at(x):
-        return _chain_signs(chain, emb, x, 1, rows)[0]
-
-    def endpoint(x):
-        step = Fraction(1, 64)
-        while sign_at(x) == 0:
-            x += step
-            step /= 2
-        return x
-
-    out = []
-    stack = [(endpoint(-bound), endpoint(bound), total)]
-    while stack:
-        lo, hi, count = stack.pop()
-        if count == 0:
-            continue
-        if count == 1:
-            out.append((lo, hi))
-            continue
-        mid = endpoint((lo + hi) / 2)
-        left = _sign_changes(chain, emb, lo, rows) - _sign_changes(chain, emb, mid, rows)
-        stack.append((mid, hi, count - left))
-        stack.append((lo, mid, left))
-    out.sort()
-    return out
+    return signs.isolate(tower_root_bound(p, emb))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import _zpoly as zp
-from .errors import DegenerateInputError, PreconditionError
+from .errors import DegenerateInputError, InternalError, PreconditionError
 
 
 class UPoly:
@@ -109,8 +109,8 @@ class UPoly:
     def monic(self):
         if not self.coeffs:
             return self
-        lc = self.coeffs[-1]
-        return UPoly(self.var, [c / lc for c in self.coeffs])
+        inv = Fraction(1) / self.coeffs[-1]
+        return UPoly(self.var, [c * inv for c in self.coeffs])
 
     def eval(self, x):
         """Horner evaluation; x may be any ring element compatible with the
@@ -128,10 +128,13 @@ class UPoly:
             raise ZeroDivisionError("division by zero polynomial")
         r = list(self.coeffs)
         db = other.degree
-        lb = other.lc()
+        top = len(r) - 1 - db
+        # invert only when a quotient term needs it: over a tower the
+        # inversion can raise SplitEvent
+        inv = Fraction(1) / other.lc() if top >= 0 else None
         q = []
-        for k in range(len(r) - 1 - db, -1, -1):
-            c = r[k + db] / lb
+        for k in range(top, -1, -1):
+            c = r[k + db] * inv
             q.append(c)
             if c:
                 for i, cb in enumerate(other.coeffs):
@@ -195,7 +198,8 @@ def squarefree_part(a: UPoly) -> UPoly:
     if g.degree == 0:
         return a.monic()
     q, r = a.divmod(g)
-    assert r.is_zero()
+    if r:
+        raise InternalError("squarefree_part: gcd does not divide the polynomial")
     return q.monic()
 
 
@@ -210,7 +214,8 @@ def _deflate_rational_root(zcoeffs, root):
     num, den = root.numerator, root.denominator
     # divide by (den*x - num), then the quotient keeps integer-primitivity
     q, r = zp.zdivmod(zcoeffs, [-num, den])
-    assert not r
+    if r:
+        raise InternalError(f"{root} is not a root of the polynomial")
     den_l = 1
     for c in q:
         den_l = den_l * c.denominator // math.gcd(den_l, c.denominator)

@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from curveclass._zpoly import zisolate, zmul, zsquarefree
 from curveclass.numfield import (
+    RealEmbedding,
     SplitEvent,
     extend_field,
     field_from_qpoly,
@@ -225,3 +229,70 @@ def test_isolation_evaluates_each_chain_polynomial_once_per_point(monkeypatch):
             assert numfield.tower_chain_count(chain, emb, lo, hi) == tower_sturm_count(
                 p, emb, lo, hi
             )
+
+
+def _rational_point_copy(z):
+    """z with coefficients in the degenerate tower of the point (1/2, -3),
+    and that tower's one real embedding."""
+    F = rational_point_field("x", "y", Fraction(1, 2), Fraction(-3))
+    p = UPoly("t", [F.from_fraction(c) for c in z])
+    return p, RealEmbedding(F, [(0, 1), (-4, -2)])
+
+
+def _assert_same_isolation(z):
+    p, emb = _rational_point_copy(z)
+    assert isolate_tower_roots(p, emb) == zisolate(z)
+
+
+def test_integer_and_tower_isolation_agree_where_a_midpoint_is_a_root():
+    # x^3 - x: the first midpoint 0 is a root, nudged to 1/64 in both
+    _assert_same_isolation([0, -1, 0, 1])
+    assert zisolate([0, -1, 0, 1])[2] == (Fraction(1, 64), 3)
+    _assert_same_isolation([0, 4, 0, -5, 0, 1])  # x^5 - 5x^3 + 4x, roots 0, +-1, +-2
+
+
+_root = st.tuples(st.integers(-8, 8), st.integers(1, 4))  # (n, d): d*x - n
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_root, min_size=1, max_size=5), st.integers(0, 3))
+def test_integer_and_tower_isolation_agree(roots, pairs):
+    z = [1]
+    for n, d in roots:
+        z = zmul(z, [-n, d])
+    for c in range(1, pairs + 1):
+        z = zmul(z, [c, 0, 1])  # no real roots
+    _assert_same_isolation(zsquarefree(z))
+
+
+def test_refine_keeps_its_intervals_at_levels_0_and_1():
+    # intervals pinned from the implementation before the shared sign table:
+    # level 0 bisects on m1, level 1 on the sign of m2(alpha, x), midpoint first
+    base = sqrt2_field()
+    a = base.gen(0)
+    F = extend_field(base, "b", [-a, base.from_fraction(0), base.one()])  # b = 2^(1/4)
+    emb = RealEmbedding(F, [(1, 2), (1, 2)])
+    steps = [
+        (1, (5, 4), (3, 2), (1, 1), (3, 2)),
+        (1, (5, 4), (3, 2), (1, 1), (5, 4)),
+        (0, (11, 8), (3, 2), (1, 1), (5, 4)),
+        (1, (11, 8), (3, 2), (9, 8), (5, 4)),
+        (0, (11, 8), (23, 16), (9, 8), (5, 4)),
+        (0, (45, 32), (23, 16), (9, 8), (5, 4)),
+        (1, (181, 128), (91, 64), (19, 16), (5, 4)),
+        (1, (181, 128), (91, 64), (19, 16), (39, 32)),
+    ]
+    for k, *want in steps:
+        emb.refine(k)
+        got = [emb.interval(0).lo, emb.interval(0).hi, emb.interval(1).lo, emb.interval(1).hi]
+        assert got == [Fraction(*w) for w in want]
+    # at the rational point (1/2, -3) every midpoint is the root: it is boxed
+    # at a quarter of the half-width; a level-1 step also narrows level 0 to
+    # 2^-131, because nf_sign refines 64 rounds before its exact zero test
+    half, y0 = Fraction(1, 2), Fraction(-3)
+    emb = RealEmbedding(rational_point_field("x", "y", half, y0), [(0, 1), (-4, -2)])
+    for k, e0, e1 in ((0, 3, 0), (1, 131, 2), (0, 133, 2), (1, 261, 4)):
+        emb.refine(k)
+        eps0, eps1 = Fraction(1, 2**e0), Fraction(1, 2**e1)
+        assert (emb.interval(0).lo, emb.interval(0).hi) == (half - eps0, half + eps0)
+        assert (emb.interval(1).lo, emb.interval(1).hi) == (y0 - eps1, y0 + eps1)

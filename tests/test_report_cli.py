@@ -263,3 +263,19 @@ def test_cli_broken_hierarchy_is_internal_error_under_optimize(tmp_path):
     r = _run_python(["-O", "-c", script, "classify", "--input", str(job)])
     assert r.returncode == 10
     assert "error[10]: hierarchy violated" in r.stderr
+
+
+def test_inexact_deflation_raises_internal_error_under_optimize():
+    # a failed invariant must not vanish with the asserts under python -O
+    script = (
+        "from fractions import Fraction\n"
+        "from curveclass import unipoly\n"
+        "from curveclass.errors import InternalError\n"
+        "try:\n"
+        "    unipoly._deflate_rational_root([1, 0, 1], Fraction(1))\n"
+        "except InternalError:\n"
+        "    print('InternalError')\n"
+    )
+    r = _run_python(["-O", "-c", script])
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "InternalError\n"

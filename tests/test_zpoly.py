@@ -133,6 +133,23 @@ def test_isolation_counts_and_certifies():
             assert b1 <= a2
 
 
+def test_isolation_evaluates_each_chain_polynomial_once_per_point(monkeypatch):
+    # roots -2, 0, 1, 3 need bisections, and the first midpoint 0 is a root;
+    # each bisection's left endpoint was an earlier midpoint or the bound
+    import curveclass._zpoly as zp
+
+    seen = []
+    sign_at = zp.zsign_at
+
+    def recording(a, x):
+        seen.append((tuple(a), x))
+        return sign_at(a, x)
+
+    monkeypatch.setattr(zp, "zsign_at", recording)
+    assert len(zisolate(zmul(poly_from_roots([-2, 0, 1, 3]), [1, 0, 1]))) == 4
+    assert seen and len(seen) == len(set(seen))
+
+
 def test_refine_shrinks_and_keeps_root():
     p = [-2, 0, 1]  # sqrt(2)
     (lo, hi) = [iv for iv in zisolate(p) if iv[1] > 0][-1]
