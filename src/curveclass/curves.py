@@ -147,8 +147,7 @@ def _owner_test(branch_field, level):
     """emb -> does the branch's level polynomial own the root that emb
     isolates at that level; the Sturm chain is built once per branch."""
     if level == 0:
-        m1, _ = to_zpoly(branch_field.minpoly(0))
-        chain = zp.sturm_chain(zp.zsquarefree(m1))
+        chain = zp.sturm_chain(zp.zsquarefree(branch_field.zminpoly0()))
 
         def owns(emb):
             iv = emb.interval(0)
@@ -328,11 +327,11 @@ def _finish_point_classes(fld2: NumberField):
 
 def _embeddings_for(field: NumberField):
     """Certified real embeddings of a depth-2 tower, sorted by position."""
-    m1, _ = to_zpoly(field.minpoly(0))
+    base = field.sub_field(1)
+    m2 = field.minpoly(1)
     embs = []
-    for lo, hi in zp.zisolate(m1):
-        base_emb = RealEmbedding(field.sub_field(1), [(lo, hi)])
-        m2 = field.minpoly(1)
+    for lo, hi in zp.zisolate(field.zminpoly0()):
+        base_emb = RealEmbedding(base, [(lo, hi)])
         for blo, bhi in isolate_tower_roots(m2, base_emb):
             embs.append(RealEmbedding(field, [(lo, hi), (blo, bhi)]))
     return embs

@@ -9,7 +9,11 @@ nontrivial zero divisor the offending factor is thrown as a SplitEvent
 
 Real embeddings pair the tower with isolating intervals, one per level,
 and narrow them on demand; sign queries combine interval refinement with
-exact zero tests, so they are certified, never numeric guesses.  Root
+exact zero tests, so they are certified, never numeric guesses.  A zero
+representation is signed 0 before any refinement.  Enclosures are computed
+by Horner over integer numerators on one denominator and are exactly the
+intervals that Fraction interval arithmetic gives, so how far a shared
+embedding gets refined does not depend on how they are computed.  Root
 counting, isolation and level-1 refinement for tower polynomials feed
 these signs to the sign table of the integer kernel (_zpoly.SturmSigns),
 so over Z and over a tower they are one implementation.
@@ -19,10 +23,12 @@ reduced modulo every level: depth 0 is a Fraction, depth k >= 1 is a tuple
 of depth-(k-1) reps.
 """
 
+import math
 from fractions import Fraction
 
 from . import _zpoly as zp
-from .intervals import Interval, eval_poly
+from .errors import InternalError
+from .intervals import Interval
 from .unipoly import UPoly, to_zpoly
 
 
@@ -165,7 +171,7 @@ def _rinv(mps, a, depth):
         if not r1:
             g = _rmonic(mps, r0, depth)
             if len(g) - 1 <= 0:
-                raise ArithmeticError("degenerate gcd in tower inversion")
+                raise InternalError("degenerate gcd in tower inversion")
             raise SplitEvent(depth - 1, g)
         if len(r1) == 1:
             c_inv = _rinv_scalar(sub, r1[0], depth - 1)
@@ -206,11 +212,12 @@ def _rmonic(mps, g, depth):
 class NumberField:
     """Tower of monic squarefree extensions over Q; depth 0, 1 or 2."""
 
-    __slots__ = ("levels", "_mp")
+    __slots__ = ("levels", "_mp", "_zm1")
 
     def __init__(self, levels=()):
         self.levels = tuple((str(v), tuple(m)) for v, m in levels)
         self._mp = tuple(m for _, m in self.levels)
+        self._zm1 = None  # zminpoly0(), built on first use; not part of ==
         for k, m in enumerate(self._mp):
             if len(m) < 2:
                 raise ValueError("level polynomial must be nonconstant")
@@ -241,6 +248,13 @@ class NumberField:
             return UPoly(self.var(0), [Fraction(c) for c in self._mp[0]])
         base = self.sub_field(k)
         return UPoly(self.var(k), [NFElement(base, c) for c in self._mp[k]])
+
+    def zminpoly0(self):
+        """The level-0 polynomial with denominators cleared (integer list,
+        low degree first), built once per field."""
+        if self._zm1 is None:
+            self._zm1, _ = to_zpoly(self.minpoly(0))
+        return self._zm1
 
     def zero(self):
         return NFElement(self, _rzero(self.depth))
@@ -478,8 +492,7 @@ class RealEmbedding:
         """Halve the level-k isolating interval."""
         iv = self.intervals[k]
         if k == 0:
-            m1, _ = to_zpoly(self.field.minpoly(0))
-            lo, hi = zp.zrefine(m1, iv.lo, iv.hi, iv.width() / 2)
+            lo, hi = zp.zrefine(self.field.zminpoly0(), iv.lo, iv.hi, iv.width() / 2)
         else:  # bisect on the sign of m2(alpha, x) at this embedding
             signs = _tower_signs([self.field.minpoly(1)], self)
             lo, hi = signs.refine(iv.lo, iv.hi, iv.width() / 2)
@@ -488,49 +501,79 @@ class RealEmbedding:
 
 def _rep_intervals(e: NFElement, emb: RealEmbedding) -> Interval:
     """Interval enclosure of the element's value at the embedding."""
-    return _rep_ival(e.rep, e.field.depth, emb)
+    lo, hi, den = _rep_zival(e.rep, e.field.depth, emb)
+    return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
-def _rep_ival(rep, depth, emb):
+def _rep_zival(rep, depth, emb):
+    """The enclosure as integers (lo, hi, den), den > 0: Horner over the
+    level interval put on one denominator, each step the min and max of the
+    four endpoint products.  Interval arithmetic on the same values, so the
+    result is exactly the Fraction interval Horner (intervals.eval_poly)
+    gives on the coefficient enclosures, without a gcd per operation."""
     if depth == 0:
-        return Interval(rep)
-    coeffs = [_rep_ival(c, depth - 1, emb) for c in rep]
-    if not coeffs:
-        return Interval(0)
-    return eval_poly(coeffs, emb.interval(depth - 1))
+        return rep.numerator, rep.numerator, rep.denominator
+    if not rep:
+        return 0, 0, 1
+    coeffs = [_rep_zival(c, depth - 1, emb) for c in rep]
+    cden = math.lcm(*(d for _, _, d in coeffs))
+    x = emb.interval(depth - 1)
+    xden = math.lcm(x.lo.denominator, x.hi.denominator)
+    xlo = x.lo.numerator * (xden // x.lo.denominator)
+    xhi = x.hi.numerator * (xden // x.hi.denominator)
+    clo, chi, d = coeffs[-1]
+    lo, hi = clo * (cden // d), chi * (cden // d)
+    scale = 1  # the accumulator's denominator is cden * scale
+    for clo, chi, d in reversed(coeffs[:-1]):
+        products = (lo * xlo, lo * xhi, hi * xlo, hi * xhi)
+        scale *= xden
+        shift = cden // d * scale
+        lo, hi = min(products) + clo * shift, max(products) + chi * shift
+    return lo, hi, cden * scale
 
 
 def nf_sign(e: NFElement, emb: RealEmbedding) -> int:
     """Exact sign of the element's value at the real embedding.
 
-    Interval refinement up to a bisection cap, then the exact zero test;
-    zero divisors surface as SplitEvents for the caller to branch on.
+    A zero representation is 0 at once: its enclosure is [0, 0] and no
+    refinement could decide it.  Otherwise the exact interval enclosure
+    (_rep_zival) is signed, refining the embedding up to a bisection cap,
+    then the exact zero test runs; zero divisors surface as SplitEvents for
+    the caller to branch on.
     """
     depth = e.field.depth
     if depth == 0:
         v = e.as_fraction()
         return (v > 0) - (v < 0)
+    if _is_rzero(e.rep, depth):
+        return 0
     for round_no in range(_BISECT_CAP):
-        iv = _rep_intervals(e, emb)
-        if not iv.contains_zero():
-            return iv.sign()
+        sign = _zival_sign(e, emb)
+        if sign:
+            return sign
         emb.refine(round_no % depth)
     if is_zero_or_split(e):
         return 0
     # nonzero on the whole tower: keep narrowing, termination guaranteed
     for round_no in range(4096):
-        iv = _rep_intervals(e, emb)
-        if not iv.contains_zero():
-            return iv.sign()
+        sign = _zival_sign(e, emb)
+        if sign:
+            return sign
         emb.refine(round_no % depth)
     raise ArithmeticError("sign refinement failed to converge")
+
+
+def _zival_sign(e: NFElement, emb: RealEmbedding) -> int:
+    """Sign of the element's enclosure at the embedding; 0 when it
+    contains zero."""
+    lo, hi, _ = _rep_zival(e.rep, e.field.depth, emb)
+    return (lo > 0) - (hi < 0)
 
 
 def level0_real_embeddings(field):
     """Embeddings of a depth-1 tower (one per real root of the level-0
     polynomial), ascending."""
-    m1, _ = to_zpoly(field.minpoly(0))
-    return [RealEmbedding(field, [(lo, hi)]) for lo, hi in zp.zisolate(m1)]
+    return [RealEmbedding(field, [(lo, hi)]) for lo, hi in zp.zisolate(field.zminpoly0())]
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +631,7 @@ def tower_root_bound(p: UPoly, emb: RealEmbedding):
         if not iv.contains_zero():
             break
         if nf_sign(lc, emb) == 0:  # splits or refines; sign 0 impossible: lc != 0
-            raise ArithmeticError("vanishing leading coefficient")
+            raise InternalError("vanishing leading coefficient")
     low = iv.abs_lower()
     top = Fraction(0)
     for c in p.coeffs[:-1]:

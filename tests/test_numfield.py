@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curveclass._zpoly import zisolate, zmul, zsquarefree
+from curveclass.errors import InternalError
+from curveclass.intervals import Interval, eval_poly
 from curveclass.numfield import (
+    NFElement,
     RealEmbedding,
     SplitEvent,
     extend_field,
@@ -286,13 +289,117 @@ def test_refine_keeps_its_intervals_at_levels_0_and_1():
         emb.refine(k)
         got = [emb.interval(0).lo, emb.interval(0).hi, emb.interval(1).lo, emb.interval(1).hi]
         assert got == [Fraction(*w) for w in want]
-    # at the rational point (1/2, -3) every midpoint is the root: it is boxed
-    # at a quarter of the half-width; a level-1 step also narrows level 0 to
-    # 2^-131, because nf_sign refines 64 rounds before its exact zero test
-    half, y0 = Fraction(1, 2), Fraction(-3)
-    emb = RealEmbedding(rational_point_field("x", "y", half, y0), [(0, 1), (-4, -2)])
-    for k, e0, e1 in ((0, 3, 0), (1, 131, 2), (0, 133, 2), (1, 261, 4)):
+    # at the rational point (1/2, -3) every midpoint is the root; a step
+    # halves its level and keeps the point, and a level-1 step signs
+    # m2(alpha, mid) without refining level 0, since at the root that
+    # element's representation is zero
+    point = (Fraction(1, 2), Fraction(-3))
+    emb = RealEmbedding(rational_point_field("x", "y", *point), [(0, 1), (-4, -2)])
+    for k in (0, 1, 0, 1, 1, 0):
+        before = [emb.interval(0), emb.interval(1)]
         emb.refine(k)
-        eps0, eps1 = Fraction(1, 2**e0), Fraction(1, 2**e1)
-        assert (emb.interval(0).lo, emb.interval(0).hi) == (half - eps0, half + eps0)
-        assert (emb.interval(1).lo, emb.interval(1).hi) == (y0 - eps1, y0 + eps1)
+        after = [emb.interval(0), emb.interval(1)]
+        for old, new, v in zip(before, after, point):
+            assert old.lo <= new.lo <= v <= new.hi <= old.hi
+        assert after[k].width() <= before[k].width() / 2
+        if k == 1:
+            assert (after[0].lo, after[0].hi) == (before[0].lo, before[0].hi)
+
+
+def _fraction_enclosure(rep, depth, emb):
+    """Reference enclosure: Horner over Fraction intervals."""
+    if depth == 0:
+        return Interval(rep)
+    if not rep:
+        return Interval(0)
+    coeffs = [_fraction_enclosure(c, depth - 1, emb) for c in rep]
+    return eval_poly(coeffs, emb.interval(depth - 1))
+
+
+def _trimmed(seq):
+    seq = list(seq)
+    while seq and not seq[-1]:
+        seq.pop()
+    return tuple(seq)
+
+
+_coeff = st.fractions(min_value=-20, max_value=20, max_denominator=50)
+_rep1 = st.lists(_coeff, max_size=4).map(_trimmed)
+_magnitude = st.fractions(min_value=Fraction(1, 1000), max_value=10, max_denominator=1000)
+
+
+@st.composite
+def _level_interval(draw):
+    """An interval below, above or straddling 0."""
+    u, v = sorted((draw(_magnitude), draw(_magnitude)))
+    return draw(st.sampled_from([(-v, -u), (u, v), (-u, v)]))
+
+
+_reps = {1: _rep1, 2: st.lists(_rep1, max_size=4).map(_trimmed)}
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_integer_enclosure_equals_the_fraction_interval_horner(depth, data):
+    # the arithmetic does not need the intervals to isolate roots of the
+    # level polynomials, so any interval at any level will do
+    from curveclass.numfield import _rep_intervals
+
+    base = sqrt2_field()
+    a = base.gen(0)
+    F = extend_field(base, "b", [-a, base.from_fraction(0), base.one()])
+    F = F.sub_field(depth)
+    rep = data.draw(_reps[depth])
+    emb = RealEmbedding(F, [data.draw(_level_interval()) for _ in range(depth)])
+    got = _rep_intervals(NFElement(F, rep), emb)
+    want = _fraction_enclosure(rep, depth, emb)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+def test_sign_of_a_zero_element_refines_no_embedding():
+    base = sqrt2_field()
+    a = base.gen(0)
+    F = extend_field(base, "b", [-a, base.from_fraction(0), base.one()])  # b = 2^(1/4)
+    b = F.gen(1)
+    for zero, emb in (
+        (a * a - 2, RealEmbedding(base, [(1, 2)])),
+        (b * b - F.gen(0), RealEmbedding(F, [(1, 2), (1, 2)])),
+        (F.zero(), RealEmbedding(F, [(1, 2), (1, 2)])),
+    ):
+        before = [(iv.lo, iv.hi) for iv in emb.intervals]
+        assert nf_sign(zero, emb) == 0
+        assert [(iv.lo, iv.hi) for iv in emb.intervals] == before
+
+
+def test_level0_refinement_builds_the_integer_m1_once_per_field(monkeypatch):
+    from curveclass import numfield
+
+    calls = []
+    to_zpoly = numfield.to_zpoly
+
+    def counting(p):
+        calls.append(p)
+        return to_zpoly(p)
+
+    monkeypatch.setattr(numfield, "to_zpoly", counting)
+    F = sqrt2_field()
+    emb = RealEmbedding(F, [(1, 2)])
+    for _ in range(6):
+        emb.refine(0)
+    assert emb.interval(0).width() == Fraction(1, 64)
+    assert len(calls) == 1
+    # the cached polynomial is not part of the field's identity
+    assert F == sqrt2_field() and hash(F) == hash(sqrt2_field())
+
+
+def test_a_vanishing_leading_coefficient_is_an_internal_error(monkeypatch):
+    from curveclass import numfield
+
+    F = sqrt2_field()
+    a = F.gen(0)
+    p = UPoly("y", [F.one(), a - 1])  # the enclosure of a - 1 on (1, 2) holds 0
+    monkeypatch.setattr(numfield, "nf_sign", lambda e, emb: 0)
+    with pytest.raises(InternalError) as exc:
+        numfield.tower_root_bound(p, RealEmbedding(F, [(1, 2)]))
+    assert exc.value.code == 10
