@@ -104,25 +104,6 @@ def zmul(a, b):
     return _unpack(prod, width, la + lb - 1)
 
 
-def zdivmod(a, b):
-    """Long division over Q, returned as Fraction lists (exact)."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    r = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lb = Fraction(b[-1])
-    db = len(b) - 1
-    while len(ztrim(r)) - 1 >= db and ztrim(r):
-        r = ztrim(r)
-        k = len(r) - 1 - db
-        c = r[-1] / lb
-        q[k] = c
-        for i, cb in enumerate(b):
-            r[k + i] -= c * cb
-        r = r[: len(r) - 1]
-    return q, [Fraction(c) for c in ztrim(r)]
-
-
 def zdivexact(a, b, quot_bits=None):
     """Exact quotient a // b in Z[x]; raises ValueError if not divisible.
 

@@ -4,7 +4,8 @@ Subcommands: classify, fibers, present, check-morphism, demo.  Jobs are
 JSON files; results are emitted as an aligned human table or as the
 canonical machine document (byte-stable across runs).  Verdict "no" is a
 result, not an error: the exit code is nonzero only for input errors,
-with stable codes per error class (see errors.py).
+with stable codes per error class (see errors.py); _run_jobs sets the
+policy for a failing job in a --batch run.
 """
 
 import argparse
@@ -29,30 +30,60 @@ def _read_input(path):
         raise JobError(f"input is not valid JSON: {exc}")
 
 
+def _error_line(exc):
+    return f"error[{exc.code}]: {exc}\n"
+
+
 def _emit_documents(docs, fmt, batch):
+    """Write documents; a CurveClassError among them (a failed batch job)
+    is written as an error entry in its place."""
     if batch and fmt == "machine":
-        payload = [d.data for d in docs]
+        payload = [
+            {"error": {"code": d.code, "message": str(d)}}
+            if isinstance(d, CurveClassError) else d.data
+            for d in docs
+        ]
         sys.stdout.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
         return
     sep = ""
     for d in docs:
         sys.stdout.write(sep)
-        sys.stdout.write(emit(d, fmt))
+        sys.stdout.write(_error_line(d) if isinstance(d, CurveClassError) else emit(d, fmt))
         sep = "-" * 64 + "\n" if fmt == "human" else ""
 
 
-def _job_runner(runner, args):
+def _run_jobs(run, args):
+    """Run run(item) on the input job, or on each job of a --batch array.
+    A batch job that raises CurveClassError is reported on stderr and in
+    its place in the output; the other jobs still run, and the process
+    exits with the first failing job's code once the output is written."""
     raw = _read_input(args.input)
     jobs = raw if args.batch else [raw]
     if not isinstance(jobs, list):
         raise JobError("--batch expects a JSON array of jobs")
     docs = []
     for item in jobs:
+        try:
+            docs.append(run(item))
+        except CurveClassError as exc:
+            if not args.batch:
+                raise
+            sys.stderr.write(_error_line(exc))
+            docs.append(exc)
+    _emit_documents(docs, args.format, args.batch)
+    failed = [d.code for d in docs if isinstance(d, CurveClassError)]
+    if failed:
+        sys.exit(failed[0])
+
+
+def _job_runner(runner, args):
+    def run(item):
         job = JobSpec.from_dict(item)
         job.realness_budget = args.realness_budget
         job.probe = args.probe
-        docs.append(runner(job))
-    _emit_documents(docs, args.format, args.batch)
+        return runner(job)
+
+    _run_jobs(run, args)
 
 
 def cmd_classify(args):
@@ -78,12 +109,7 @@ def cmd_present(args):
 
 
 def cmd_check_morphism(args):
-    raw = _read_input(args.input)
-    jobs = raw if args.batch else [raw]
-    if not isinstance(jobs, list):
-        raise JobError("--batch expects a JSON array of jobs")
-    docs = [run_check_morphism(MorphismJob.from_dict(item)) for item in jobs]
-    _emit_documents(docs, args.format, args.batch)
+    _run_jobs(lambda item: run_check_morphism(MorphismJob.from_dict(item)), args)
 
 
 def cmd_demo(args):
@@ -151,7 +177,7 @@ def main(argv=None):
     try:
         args.fn(args)
     except CurveClassError as exc:
-        sys.stderr.write(f"error[{exc.code}]: {exc}\n")
+        sys.stderr.write(_error_line(exc))
         sys.exit(exc.code)
     return 0
 

@@ -6,9 +6,11 @@ Zero-dimensional systems in (x, y) are decomposed into triangular classes
 chunks by squarefree multiplicity classes and rational-root extraction
 (never by factorization); m2 is a gcd over the resulting tower, computed
 with dynamic evaluation so reducible chunks split lazily when arithmetic
-forces them to.  Each class carries its certified real embeddings.
+forces them to (_on_branches retries on each branch).  Each class carries
+its certified real embeddings.
 """
 
+import math
 from fractions import Fraction
 
 from . import _zpoly as zp
@@ -25,7 +27,9 @@ from .mpoly import (
     PolyIdeal,
     buchberger,
     eliminate,
+    from_upoly,
     monic_in_t_witness,
+    specialize_to_t,
     to_upoly_in,
     var_index,
 )
@@ -44,6 +48,7 @@ from .numfield import (
 from .unipoly import (
     UPoly,
     from_zpoly,
+    nonzero_gcd,
     rational_roots,
     squarefree_part,
     sturm_count,
@@ -190,10 +195,8 @@ def _split_candidates(m: UPoly):
         fr = zp.zrational_roots(factor)
         roots.extend(fr)
         rest = factor
-        for r in fr:
-            num, den = r.numerator, r.denominator
-            rest = zp.zdivexact(rest, [-num, den])
-            rest = zp.zprimitive(rest)
+        for r in fr:  # exact in Z[x]: den*x - num is primitive (Gauss)
+            rest = zp.zdivexact(rest, [-r.numerator, r.denominator])
         if zp.zdeg(rest) >= 1:
             chunks.append(from_zpoly("x", rest).monic())
     return sorted(set(roots)), chunks
@@ -215,14 +218,12 @@ def solve_xy_system(polys):
     withy = [p for p in live if p.degree_in("y") >= 1]
     xonly = [to_upoly_in(p, "x") for p in live if p.degree_in("y") == 0]
 
-    cand = None
     if len(withy) >= 2:
         r = resultant_y(withy[0], withy[1])
         if r.is_zero():
             raise DegenerateInputError("polynomials share a component")
-        cand = r
-    for u in xonly:
-        cand = u if cand is None else _qgcd(cand, u)
+        xonly.insert(0, r)
+    cand = nonzero_gcd(xonly)
     if cand is None:
         raise DegenerateInputError("system is not zero-dimensional in x")
     if cand.degree == 0:
@@ -238,33 +239,17 @@ def solve_xy_system(polys):
     return out
 
 
-def _qgcd(a: UPoly, b: UPoly) -> UPoly:
-    za, _ = to_zpoly(a)
-    zb, _ = to_zpoly(b)
-    return from_zpoly("x", zp.zgcd(za, zb))
-
-
 def _points_at_rational_x(x0, withy):
     """Solutions over a rational x-coordinate: split the rational y-roots
     into their own degree-1 classes, keep the rest as one class."""
-    specs = []
-    for p in withy:
-        u = specialize_x(p, Fraction(x0))
-        if not u.is_zero():
-            specs.append(u)
-        # a zero specialization imposes no constraint at this x
-    if not specs:
+    # a zero specialization imposes no constraint at this x
+    g = nonzero_gcd(specialize_x(p, Fraction(x0)) for p in withy)
+    if g is None:
         raise DegenerateInputError(f"positive-dimensional fiber over x = {x0}")
-    g = specs[0]
-    for u in specs[1:]:
-        g = upoly_gcd(g, u)
-        if g.degree == 0:
-            return []
     if g.degree == 0:
         return []
-    m2 = squarefree_part(g)
     out = []
-    yroots, ychunks = _split_candidates(UPoly("x", m2.coeffs))
+    yroots, ychunks = _split_candidates(squarefree_part(g))
     for y0 in yroots:
         out.extend(_finish_point_classes(rational_point_field("x", "y", x0, y0)))
     base = field_from_qpoly("x", UPoly("x", [-Fraction(x0), Fraction(1)]))
@@ -277,52 +262,37 @@ def _points_at_rational_x(x0, withy):
 def _points_at_chunk(chunk: UPoly, withy):
     """Solutions over a coprime chunk of irrational x-coordinates; dynamic
     evaluation splits the chunk when the fiber structure varies."""
-    base = field_from_qpoly("x", chunk)
-    work = [base]
-    out = []
-    while work:
-        fld = work.pop()
-        try:
-            alpha = fld.gen(0)
-            specs = []
-            for p in withy:
-                u = specialize_x(p, alpha)
-                if u:
-                    specs.append(u)
-            if not specs:
-                continue
-            g = specs[0]
-            for u in specs[1:]:
-                g = upoly_gcd(g, u)
-                if g.degree == 0:
-                    break
-            if g.degree == 0:
-                continue
-            m2 = squarefree_part(g)
-            fld2 = extend_field(fld, "y", list(m2.coeffs))
-            out.extend(_finish_point_classes(fld2))
-        except SplitEvent as ev:
-            if ev.level != 0:
-                raise
-            f = ev.factor_rep
-            for branch in fld.split_level(0, f):
-                work.append(branch)
-    return out
+
+    def classes_over(fld):
+        alpha = fld.gen(0)
+        g = nonzero_gcd(specialize_x(p, alpha) for p in withy)
+        if g is None or g.degree == 0:
+            return []
+        m2 = squarefree_part(g)
+        return _finish_point_classes(extend_field(fld, "y", list(m2.coeffs)))
+
+    return _on_branches(field_from_qpoly("x", chunk), classes_over)
 
 
 def _finish_point_classes(fld2: NumberField):
     """Attach certified embeddings, branching on any split surfaced while
     isolating real roots."""
-    work = [fld2]
-    pts = []
+    return _on_branches(fld2, lambda f2: [BadPoint(f2, _embeddings_for(f2))])
+
+
+def _on_branches(fld: NumberField, fn):
+    """Concatenation of fn(branch) over the branches of fld: on SplitEvent
+    the branch is split at the event's level and fn retried on each piece,
+    last piece first.  fn returns a list."""
+    work = [fld]
+    out = []
     while work:
-        f2 = work.pop()
+        branch = work.pop()
         try:
-            pts.append(BadPoint(f2, _embeddings_for(f2)))
+            out.extend(fn(branch))
         except SplitEvent as ev:
-            for br in f2.split_level(ev.level, ev.factor_rep):
-                work.append(br)
-    return pts
+            work.extend(branch.split_level(ev.level, ev.factor_rep))
+    return out
 
 
 def _embeddings_for(field: NumberField):
@@ -478,21 +448,11 @@ def _first_linear_factor(F: MPoly, shapes, cands, x1):
         if not mval:
             continue
         for root in cands:
-            g_poly = _upoly_to_xpoly(shape.scale(root / mval))
+            g_poly = from_upoly(shape.scale(root / mval))
             q = _divide_out_linear_y(F, g_poly)
             if q is not None:
                 return g_poly, q
     return None
-
-
-def _upoly_to_xpoly(u: UPoly) -> MPoly:
-    terms = {}
-    for i, c in enumerate(u.coeffs):
-        if c:
-            e = [0, 0, 0, 0]
-            e[_XI] = i
-            terms[tuple(e)] = c
-    return MPoly(terms)
 
 
 def qpoly_sqrt(p: UPoly):
@@ -531,11 +491,9 @@ def qpoly_sqrt(p: UPoly):
 
 
 def _isqrt_exact(n):
-    import math as _m
-
     if n < 0:
         return None
-    s = _m.isqrt(n)
+    s = math.isqrt(n)
     return s if s * s == n else None
 
 
@@ -591,6 +549,10 @@ class RealnessReport:
         self.factors = list(factors)  # (MPoly factor, status, note)
         self.certified = all(st == "certified" for _, st, _ in factors)
 
+    def unverified_notes(self):
+        """The notes of the factors left without a certificate, in order."""
+        return [note for _, st, note in self.factors if st != "certified"]
+
     def __repr__(self):
         return f"RealnessReport(certified={self.certified})"
 
@@ -609,13 +571,13 @@ def certify_realness(curve: PlaneCurve, budget=64) -> RealnessReport:
         # vertical-line components x = root
         roots, chunks = _split_candidates(from_zpoly("x", content))
         for r in roots:
-            factors.append((_upoly_to_xpoly(UPoly("x", [-r, Fraction(1)])), "certified",
+            factors.append((from_upoly(UPoly("x", [-r, Fraction(1)])), "certified",
                             f"real vertical line x = {r}"))
         for ch in chunks:
             if sturm_count(ch) == ch.degree:
-                factors.append((_upoly_to_xpoly(ch), "certified", "all vertical lines real"))
+                factors.append((from_upoly(ch), "certified", "all vertical lines real"))
             else:
-                factors.append((_upoly_to_xpoly(ch), "unverified",
+                factors.append((from_upoly(ch), "unverified",
                                 "vertical chunk with non-real roots"))
         F = from_y_dense(y_primitive(rows))
     if F.degree_in("y") >= 1:
@@ -673,8 +635,6 @@ class PresentedMorphism:
 
 def make_parametrization(curve: PlaneCurve, u: UPoly, v: UPoly) -> PresentedMorphism:
     """Validate that the map lands in the curve: F(u(t), v(t)) == 0."""
-    from .mpoly import specialize_to_t
-
     img = specialize_to_t(curve.F, u, v)[0]
     if img and not img.is_zero():
         raise PreconditionError("map does not land in the target curve")
@@ -706,8 +666,6 @@ def fiber_constancy_check(pi: PresentedMorphism, p: UPoly):
     if u.degree <= 0 and v.degree <= 0:
         raise PreconditionError("morphism is not finite (constant map)")
     x, y, t = MPoly.var("x"), MPoly.var("y"), MPoly.var("t")
-    from .mpoly import from_upoly
-
     map_ideal = PolyIdeal([x - from_upoly(u), y - from_upoly(v)])
     gb = buchberger(map_ideal, LEX)
     wit = monic_in_t_witness(gb)

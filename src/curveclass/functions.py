@@ -48,10 +48,11 @@ from .unipoly import (
     IsolatingInterval,
     UPoly,
     isolate_real_roots,
+    nonzero_gcd,
     rational_roots,
     refine_interval,
     squarefree_part,
-    upoly_gcd,
+    upoly_gcd,  # not called here; bench/test_bench.py reads it from this module
 )
 
 from . import intervals as iv
@@ -182,15 +183,7 @@ def fiber_report(gb_lex, pt: BadPoint, assigned=None) -> FiberReport:
     May raise SplitEvent; drive it through run_with_splits (classify does).
     """
     xv, yv = pt.xgen(), pt.ygen()
-    fiber = None
-    for g in gb_lex.basis:
-        coeffs = specialize_to_t(g, xv, yv)
-        u = UPoly("t", coeffs)
-        if u.is_zero():
-            continue
-        fiber = u if fiber is None else upoly_gcd(fiber, u)
-        if fiber.degree == 0:
-            break
+    fiber = nonzero_gcd(UPoly("t", specialize_to_t(g, xv, yv)) for g in gb_lex.basis)
     if fiber is None:
         raise PreconditionError("graph fiber is not finite over a bad point")
     if fiber.degree <= 0:
@@ -207,7 +200,7 @@ def fiber_report(gb_lex, pt: BadPoint, assigned=None) -> FiberReport:
     matches = None
     is_root = None
     if assigned is not None and distinct:
-        val = _eval_tower_poly(sf, assigned)
+        val = sf.eval(assigned)
         is_root = is_zero_or_split(val)
         if singleton is not None:
             matches = is_zero_or_split(singleton - assigned)
@@ -215,15 +208,6 @@ def fiber_report(gb_lex, pt: BadPoint, assigned=None) -> FiberReport:
         is_root = False
         matches = False
     return FiberReport(pt, assigned, sf, distinct, counts, singleton, matches, is_root)
-
-
-def _eval_tower_poly(p: UPoly, x: NFElement):
-    acc = None
-    for c in reversed(p.coeffs):
-        acc = c if acc is None else acc * x + c
-    if acc is None:
-        return x - x
-    return acc
 
 
 def fiber_table(f: CurveFunction):
@@ -418,15 +402,11 @@ def classify(f: CurveFunction, realness_budget=64) -> ClassificationReport:
     consistent = all(not a or b for (_, a), (_, b) in zip(chain, chain[1:]))
     if not consistent:
         raise InternalError(f"hierarchy violated: {chain}")
-    caveats = []
-    realness = f.curve.realness(realness_budget)
-    if not realness.certified:
-        for factor, status, note in realness.factors:
-            if status != "certified":
-                caveats.append(
-                    "realness unverified for a curve factor"
-                    f" ({note}); closed-graph reasoning assumes real components"
-                )
+    caveats = [
+        f"realness unverified for a curve factor ({note});"
+        " closed-graph reasoning assumes real components"
+        for note in f.curve.realness(realness_budget).unverified_notes()
+    ]
     failure = {}
     if not reg:
         failure["regular"] = reg_detail

@@ -58,19 +58,21 @@ def _parse_rational(text):
 
 
 def _echo(job: JobSpec):
-    """Canonicalized echo of the job (stable across reruns)."""
+    """The parsed curve, numerator, denominator and (locator, value)
+    assignment pairs, with the canonicalized echo of the job (stable across
+    reruns)."""
     curve = parse_poly(job.curve_expr)
     p = parse_poly(job.num_expr)
     q = parse_poly(job.den_expr)
+    pairs = [_parse_locator_value(entry) for entry in job.assignments]
     assignments = []
-    for entry in job.assignments:
-        locator, value = _parse_locator_value(entry)
+    for locator, value in pairs:
         if isinstance(locator, int):
             point = f"#{locator}"
         else:
             point = f"({format_value(locator[0])}, {format_value(locator[1])})"
         assignments.append({"point": point, "value": format_poly(value)})
-    return curve, p, q, {
+    return curve, p, q, pairs, {
         "curve": format_poly(curve),
         "numerator": format_poly(p),
         "denominator": format_poly(q),
@@ -79,9 +81,8 @@ def _echo(job: JobSpec):
 
 
 def build_function(job: JobSpec):
-    curve_poly, p, q, echo = _echo(job)
+    curve_poly, p, q, pairs, echo = _echo(job)
     curve = make_curve(curve_poly)
-    pairs = [_parse_locator_value(e) for e in job.assignments]
     f = make_function(curve, p, q, pairs)
     return f, echo
 
@@ -117,12 +118,10 @@ def run_singular(curve_expr: str, realness_budget=64) -> ReportDocument:
     curve_poly = parse_poly(curve_expr)
     curve = make_curve(curve_poly)
     pts = curve.singular_locus()
-    realness = curve.realness(realness_budget)
-    caveats = []
-    if not realness.certified:
-        for factor, status, note in realness.factors:
-            if status != "certified":
-                caveats.append(f"realness unverified for a curve factor ({note})")
+    caveats = [
+        f"realness unverified for a curve factor ({note})"
+        for note in curve.realness(realness_budget).unverified_notes()
+    ]
     return singular_locus_document(
         format_poly(curve_poly), pts, caveats, timing=time.monotonic() - t0
     )

@@ -144,16 +144,6 @@ def _rdivmod(mps, a, b, depth):
     return _rtrim(q, depth), tuple(a)
 
 
-def _rinv_scalar(mps, c, depth):
-    """Inverse of a depth-`depth` coefficient rep (c lives one level below a
-    polynomial being inverted at depth+1)."""
-    if depth == 0:
-        if c == 0:
-            raise ZeroDivisionError("inverting zero")
-        return 1 / c
-    return _rinv(mps, c, depth)
-
-
 def _rinv(mps, a, depth):
     """Inverse of rep a modulo mps[depth-1]; SplitEvent on zero divisors."""
     if depth == 0:
@@ -168,41 +158,19 @@ def _rinv(mps, a, depth):
     r0, s0 = tuple(m), _rzero(depth)
     r1, s1 = _rtrim(a, depth), (_rone(depth - 1),)
     while True:
-        if not r1:
-            g = _rmonic(mps, r0, depth)
-            if len(g) - 1 <= 0:
+        if not r1:  # r0 is the gcd, monic (r1 was made monic before)
+            if len(r0) - 1 <= 0:
                 raise InternalError("degenerate gcd in tower inversion")
-            raise SplitEvent(depth - 1, g)
-        if len(r1) == 1:
-            c_inv = _rinv_scalar(sub, r1[0], depth - 1)
-            return _rmod(mps, _rscale(mps, s1, c_inv, depth), depth)
-        lc_inv = _rinv_scalar(sub, r1[-1], depth - 1)
+            raise SplitEvent(depth - 1, r0)
+        lc_inv = _rinv(sub, r1[-1], depth - 1)
+        if len(r1) == 1:  # s1 * a == r1, a unit; s1 is reduced, so is this
+            return _rscale(mps, s1, lc_inv, depth)
         r1m = _rscale(mps, r1, lc_inv, depth)
         s1m = _rscale(mps, s1, lc_inv, depth)
         q, rem = _rdivmod(mps, r0, r1m, depth)
-        s_next = _rmod(mps, _rsub(s0, _rmul_poly(mps, q, s1m, depth), depth), depth)
+        s_next = _rsub(s0, _rmul(mps, q, s1m, depth), depth)
         r0, s0 = r1m, s1m
         r1, s1 = _rtrim(rem, depth), s_next
-
-
-def _rmul_poly(mps, a, b, depth):
-    """Convolution of two depth-`depth` reps without top-level reduction
-    (coefficient products are still reduced)."""
-    if not a or not b:
-        return ()
-    out = [_rzero(depth - 1)] * (len(a) + len(b) - 1)
-    sub = mps[: depth - 1]
-    for i, ca in enumerate(a):
-        if _is_rzero(ca, depth - 1):
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = _radd(out[i + j], _rmul(sub, ca, cb, depth - 1), depth - 1)
-    return _rtrim(out, depth)
-
-
-def _rmonic(mps, g, depth):
-    lc_inv = _rinv_scalar(mps[: depth - 1], g[-1], depth - 1)
-    return _rscale(mps, g, lc_inv, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ variable.  Coefficients are Fractions in the rational case and tower
 elements (numfield.NFElement) otherwise; both support field arithmetic
 through operator overloading, so the generic gcd / squarefree routines
 below serve both.  Rational-only operations (Sturm counting, real root
-isolation) go through the primitive integer kernel in _zpoly.
+isolation, deflating a rational root) go through the integer kernel _zpoly.
 """
 
 import math
@@ -188,6 +188,21 @@ def upoly_gcd(a: UPoly, b: UPoly) -> UPoly:
     return a.monic()
 
 
+def nonzero_gcd(polys):
+    """gcd of the nonzero polynomials of an iterable, taken in order and
+    consumed only until the gcd is constant; None when all are zero.  A
+    single nonzero one comes back as is: making it monic would invert its
+    leading coefficient, which over a tower can split."""
+    g = None
+    for u in polys:
+        if not u:
+            continue
+        g = u if g is None else upoly_gcd(g, u)
+        if g.degree == 0:
+            break
+    return g
+
+
 def squarefree_part(a: UPoly) -> UPoly:
     """a / gcd(a, a'), monic: same distinct roots, all simple."""
     if a.is_zero():
@@ -210,16 +225,14 @@ def count_distinct_complex_roots(a: UPoly) -> int:
 
 
 def _deflate_rational_root(zcoeffs, root):
-    """Exact division by (x - root) for a rational root."""
-    num, den = root.numerator, root.denominator
-    # divide by (den*x - num), then the quotient keeps integer-primitivity
-    q, r = zp.zdivmod(zcoeffs, [-num, den])
-    if r:
-        raise InternalError(f"{root} is not a root of the polynomial")
-    den_l = 1
-    for c in q:
-        den_l = den_l * c.denominator // math.gcd(den_l, c.denominator)
-    return [int(c * den_l) for c in q]
+    """Exact division of a primitive integer polynomial by (x - root) for a
+    rational root, in Z[x]."""
+    # zcoeffs and den*x - num are primitive, so by Gauss's lemma the
+    # quotient lies in Z[x] (and is primitive)
+    try:
+        return zp.zdivexact(zcoeffs, [-root.numerator, root.denominator])
+    except ValueError:
+        raise InternalError(f"{root} is not a root of the polynomial") from None
 
 
 def sturm_count(a: UPoly, lo=None, hi=None) -> int:

@@ -279,3 +279,40 @@ def test_inexact_deflation_raises_internal_error_under_optimize():
     r = _run_python(["-O", "-c", script])
     assert r.returncode == 0, r.stderr
     assert r.stdout == "InternalError\n"
+
+
+def test_cli_batch_keeps_the_good_jobs_around_a_bad_one(tmp_path):
+    good = [
+        {
+            "curve": "y^2 - x^3",
+            "numerator": "y",
+            "denominator": "x",
+            "assignments": [{"point": ["0", "0"], "value": "0"}],
+        },
+        {
+            "curve": "y^2 - x^2*(x+1)",
+            "numerator": "y",
+            "denominator": "x",
+            "assignments": [{"point": ["0", "0"], "value": "1"}],
+        },
+    ]
+    bad = {"curve": "y^2 - x^3 +", "numerator": "y", "denominator": "x"}
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([good[0], bad, good[1]]))
+    r = _run_cli(["classify", "--input", str(path), "--batch", "--format", "machine"])
+    assert r.returncode == 2
+    docs = json.loads(r.stdout)
+    assert len(docs) == 3
+    assert docs[1]["error"]["code"] == 2
+    assert f"error[2]: {docs[1]['error']['message']}\n" in r.stderr
+    for doc, job in zip((docs[0], docs[2]), good):
+        single = tmp_path / "single.json"
+        single.write_text(json.dumps(job))
+        alone = _run_cli(["classify", "--input", str(single), "--format", "machine"])
+        assert alone.returncode == 0
+        assert json.loads(alone.stdout) == doc
+
+    human = _run_cli(["classify", "--input", str(path), "--batch"])
+    assert human.returncode == 2
+    assert f"error[2]: {docs[1]['error']['message']}\n" in human.stdout
+    assert human.stdout.count("-" * 64 + "\n") == 2  # three blocks

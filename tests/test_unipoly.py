@@ -8,6 +8,7 @@ from curveclass.unipoly import (
     UPoly,
     count_distinct_complex_roots,
     isolate_real_roots,
+    nonzero_gcd,
     rational_roots,
     refine_interval,
     sign_at,
@@ -154,3 +155,35 @@ def test_refine_and_sign():
     assert iv.width() <= Fraction(1, 10**9)
     assert Fraction(14, 10) < iv.mid() < Fraction(15, 10)
     assert sign_at(p, iv.low) < 0 < sign_at(p, iv.high)
+
+
+def test_nonzero_gcd_of_only_zeros_is_none():
+    assert nonzero_gcd([T(), T()]) is None
+    assert nonzero_gcd(iter(())) is None
+
+
+def test_nonzero_gcd_returns_a_single_nonzero_input_as_is():
+    p = T(2, 4)  # not monic: it must not be made monic
+    assert nonzero_gcd([T(), p, T()]) is p
+
+
+def test_nonzero_gcd_stops_consuming_at_the_first_constant_gcd():
+    yielded = []
+
+    def polys():
+        for p in (T(), T(-1, 0, 1), T(1, 1), T(-1, 1), T(0, 1)):
+            yielded.append(p)
+            yield p
+
+    g = nonzero_gcd(polys())
+    assert g.degree == 0
+    assert yielded == [T(), T(-1, 0, 1), T(1, 1), T(-1, 1)]  # t is never produced
+
+
+def test_sturm_count_deflates_an_endpoint_root_with_a_denominator():
+    # (2x - 1)(x^2 - 2): the endpoint 1/2 is a root and is divided out in Z[x]
+    p = X(2, -4, -1, 2)
+    half = Fraction(1, 2)
+    assert sturm_count(p, half, 2) == 1
+    assert sturm_count(p, Fraction(-3, 2), half) == 1
+    assert sturm_count(p, None, half) == 1
