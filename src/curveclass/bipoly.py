@@ -20,22 +20,35 @@ _XI = var_index("x")
 _YI = var_index("y")
 
 
-def to_y_dense(p: MPoly):
-    """MPoly in x, y  ->  dense list over y of Z[x] coefficient lists
-    (a common rational denominator is dropped; roots and ideals survive)."""
+def _y_grid(p: MPoly, zero):
+    """Dense rows over y of p's coefficients along x, gaps filled with zero."""
     if p.degree_in("s") > 0 or p.degree_in("t") > 0:
         raise PreconditionError("expected a polynomial in x, y only")
     if p.is_zero():
         return []
+    dy = max(e[_YI] for e in p.terms)
+    dx = max(e[_XI] for e in p.terms)
+    rows = [[zero] * (dx + 1) for _ in range(dy + 1)]
+    for e, c in p.terms.items():
+        rows[e[_YI]][e[_XI]] = c
+    return rows
+
+
+def to_y_dense(p: MPoly):
+    """MPoly in x, y  ->  dense list over y of Z[x] coefficient lists
+    (a common rational denominator is dropped; roots and ideals survive)."""
+    rows = _y_grid(p, 0)
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // math.gcd(den, c.denominator)
-    dy = max(e[_YI] for e in p.terms)
-    dx = max(e[_XI] for e in p.terms)
-    rows = [[0] * (dx + 1) for _ in range(dy + 1)]
-    for e, c in p.terms.items():
-        rows[e[_YI]][e[_XI]] = int(c * den)
-    return [zp.ztrim(r) for r in rows]
+    return [zp.ztrim([int(c * den) for c in r]) for r in rows]
+
+
+def y_rows(p: MPoly):
+    """MPoly in x, y  ->  dense list over y of UPolys in x over Q, exact
+    (the rational twin of to_y_dense); from_y_dense inverts it on the
+    rows' coefficients."""
+    return [UPoly("x", r) for r in _y_grid(p, Fraction(0))]
 
 
 def _trim_y(rows):
@@ -46,13 +59,15 @@ def _trim_y(rows):
 
 
 def from_y_dense(rows) -> MPoly:
+    """Rows over y of x-coefficient sequences (integers or rationals)  ->
+    MPoly in x, y."""
     terms = {}
     for j, row in enumerate(rows):
         for i, c in enumerate(row):
             if c:
                 e = [0, 0, 0, 0]
                 e[_XI], e[_YI] = i, j
-                terms[tuple(e)] = Fraction(c)
+                terms[tuple(e)] = c
     return MPoly(terms)
 
 
@@ -149,9 +164,9 @@ def resultant_y(p: MPoly, q: MPoly) -> UPoly:
     if m < 0 or n < 0:
         raise PreconditionError("resultant of the zero polynomial")
     if m == 0:
-        return UPoly("x", [Fraction(c) for c in _zpow(a[0], n)])
+        return UPoly.from_ints("x", _zpow(a[0], n))
     if n == 0:
-        return UPoly("x", [Fraction(c) for c in _zpow(b[0], m)])
+        return UPoly.from_ints("x", _zpow(b[0], m))
     size = m + n
     mat = []
     for i in range(n):  # rows of a-coefficients
@@ -165,7 +180,7 @@ def resultant_y(p: MPoly, q: MPoly) -> UPoly:
             row[i + j] = list(c)
         mat.append(row)
     det = _bareiss(mat)
-    return UPoly("x", [Fraction(c) for c in det])
+    return UPoly.from_ints("x", det)
 
 
 def _zpow(base, n):
@@ -208,13 +223,7 @@ def _bareiss(mat):
 def bivariate_divexact_y(p: MPoly, g: MPoly) -> MPoly:
     """Exact quotient p / g of polynomials in Q[x, y] (long division in y;
     each leading-coefficient division is exact in Q[x] by Gauss)."""
-    from .unipoly import UPoly
-
-    def rows_to_upolys(rows):
-        return [UPoly("x", [Fraction(c) for c in r]) for r in rows]
-
-    a = rows_to_upolys(to_y_dense(p))
-    b = rows_to_upolys(to_y_dense(g))
+    a, b = y_rows(p), y_rows(g)
     db = len(b) - 1
     quot = [UPoly("x", ()) for _ in range(len(a) - db)]
     while a and len(a) - 1 >= db:
@@ -232,14 +241,7 @@ def bivariate_divexact_y(p: MPoly, g: MPoly) -> MPoly:
         a.pop()
     if any(a):
         raise InternalError("inexact bivariate division")
-    out = MPoly()
-    for j, q in enumerate(quot):
-        for i, c in enumerate(q.coeffs):
-            if c:
-                e = [0, 0, 0, 0]
-                e[_XI], e[_YI] = i, j
-                out = out + MPoly({tuple(e): c})
-    return out
+    return from_y_dense([q.coeffs for q in quot])
 
 
 def squarefree_part_y(p: MPoly) -> MPoly:

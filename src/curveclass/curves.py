@@ -14,7 +14,8 @@ import math
 from fractions import Fraction
 
 from . import _zpoly as zp
-from .bipoly import bivariate_gcd, resultant_y, to_y_dense
+from .bipoly import (bivariate_gcd, from_y_dense, resultant_y, to_y_dense, y_content,
+                     y_primitive, y_rows)
 from .errors import (
     CurveError,
     DegenerateInputError,
@@ -29,6 +30,7 @@ from .mpoly import (
     eliminate,
     from_upoly,
     monic_in_t_witness,
+    powers,
     specialize_to_t,
     to_upoly_in,
     var_index,
@@ -47,7 +49,6 @@ from .numfield import (
 )
 from .unipoly import (
     UPoly,
-    from_zpoly,
     nonzero_gcd,
     rational_roots,
     squarefree_part,
@@ -66,17 +67,9 @@ def specialize_x(p: MPoly, xval) -> UPoly:
     zero = xval - xval
     dy = p.degree_in("y")
     coeffs = [zero] * (dy + 1 if dy >= 0 else 1)
-    cache = {0: None}
-
-    def xpow(k):
-        if k == 0:
-            return None
-        if k not in cache:
-            cache[k] = (xpow(k - 1) * xval) if k > 1 else xval
-        return cache[k]
-
+    xpow = powers(xval, p.degree_in("x"))
     for e, c in p.terms.items():
-        xp = xpow(e[_XI])
+        xp = xpow[e[_XI]]
         contrib = c if xp is None else xp * c
         coeffs[e[_YI]] = coeffs[e[_YI]] + contrib
     return UPoly("y", coeffs)
@@ -119,9 +112,6 @@ class BadPoint:
 
     def m1(self) -> UPoly:
         return self.field.minpoly(0)
-
-    def m2(self) -> UPoly:
-        return self.field.minpoly(1)
 
     def sort_key(self):
         if self.is_rational():
@@ -198,7 +188,7 @@ def _split_candidates(m: UPoly):
         for r in fr:  # exact in Z[x]: den*x - num is primitive (Gauss)
             rest = zp.zdivexact(rest, [-r.numerator, r.denominator])
         if zp.zdeg(rest) >= 1:
-            chunks.append(from_zpoly("x", rest).monic())
+            chunks.append(UPoly.from_ints("x", rest).monic())
     return sorted(set(roots)), chunks
 
 
@@ -381,24 +371,19 @@ def bad_locus(curve: PlaneCurve, q: MPoly):
 # realness certification (semi-decision)
 # ---------------------------------------------------------------------------
 
-def _divide_out_linear_y(F: MPoly, g: MPoly):
-    """Exact quotient F / (y - g(x)); None if not divisible."""
-    y = MPoly.var("y")
-    dy = F.degree_in("y")
-    # synthetic division in y: coefficients are polynomials in x
-    coeffs = [MPoly() for _ in range(dy + 1)]
-    for e, c in F.terms.items():
-        mono = [0, 0, 0, 0]
-        mono[_XI] = e[_XI]
-        coeffs[e[_YI]] = coeffs[e[_YI]] + MPoly({tuple(mono): c})
-    quot = [MPoly() for _ in range(dy)]
-    carry = MPoly()
+def _divide_out_linear_y(F: MPoly, g: UPoly):
+    """Exact quotient F / (y - g(x)) for g in Q[x]; None if not divisible."""
+    # synthetic division in y on the y-rows of F
+    rows = y_rows(F)
+    dy = len(rows) - 1
+    quot = [None] * dy
+    carry = UPoly("x", ())
     for k in range(dy, 0, -1):
-        quot[k - 1] = coeffs[k] + carry
+        quot[k - 1] = rows[k] + carry
         carry = quot[k - 1] * g
-    if coeffs[0] + carry:
+    if rows[0] + carry:
         return None
-    return sum((quot[k] * y**k for k in range(dy)), MPoly())
+    return from_y_dense([r.coeffs for r in quot])
 
 
 def _linear_y_factors(F: MPoly):
@@ -414,11 +399,11 @@ def _linear_y_factors(F: MPoly):
     rest = F
     x1 = Fraction(3)
     while rest.degree_in("y") >= 1:
-        f0 = _y_coeff(rest, 0)  # F(x, 0)
+        f0 = y_rows(rest)[0]  # F(x, 0)
         if f0.is_zero():
             # y | F directly
             out.append(MPoly.var("y"))
-            rest = _divide_out_linear_y(rest, MPoly())
+            rest = _divide_out_linear_y(rest, UPoly("x", ()))
             continue
         u = specialize_x(rest, x1)
         cands = [r for r in rational_roots(u) if r] if u.degree >= 1 else []
@@ -430,25 +415,25 @@ def _linear_y_factors(F: MPoly):
         one = UPoly("x", [Fraction(1)])
         shapes = [one]
         for piece in pieces[:4]:
-            powers = [one, piece, piece * piece]
-            shapes = [s * pk for s in shapes for pk in powers if s.degree + pk.degree <= dx]
+            squares = [one, piece, piece * piece]
+            shapes = [s * pk for s in shapes for pk in squares if s.degree + pk.degree <= dx]
         factor = _first_linear_factor(rest, shapes, cands, x1)
         if factor is None:
             break
         g_poly, rest = factor
-        out.append(MPoly.var("y") - g_poly)
+        out.append(MPoly.var("y") - from_upoly(g_poly))
     return out, rest
 
 
 def _first_linear_factor(F: MPoly, shapes, cands, x1):
-    """The first (g, F / (y - g)) with g = (root / shape(x1)) * shape, in
-    shape-then-candidate order; None when no candidate divides."""
+    """The first (g, F / (y - g)) with g = (root / shape(x1)) * shape in
+    Q[x], in shape-then-candidate order; None when no candidate divides."""
     for shape in shapes:
         mval = shape.eval(x1)
         if not mval:
             continue
         for root in cands:
-            g_poly = from_upoly(shape.scale(root / mval))
+            g_poly = shape.scale(root / mval)
             q = _divide_out_linear_y(F, g_poly)
             if q is not None:
                 return g_poly, q
@@ -497,33 +482,21 @@ def _isqrt_exact(n):
     return s if s * s == n else None
 
 
-def _y_coeff(F: MPoly, j) -> UPoly:
-    coeffs = {}
-    for e, c in F.terms.items():
-        if e[_YI] == j:
-            coeffs[e[_XI]] = coeffs.get(e[_XI], Fraction(0)) + c
-    if not coeffs:
-        return UPoly("x", ())
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for i, c in coeffs.items():
-        out[i] = c
-    return UPoly("x", out)
-
-
 def _irreducible_lite(B: MPoly):
     """True when a cheap certificate proves B irreducible over Q; None when
     undecided (never claims reducibility)."""
-    dy = B.degree_in("y")
+    rows = y_rows(B)
+    dy = len(rows) - 1
     if dy == 1:
         return True
     if dy == 2:
-        a, b, c = _y_coeff(B, 2), _y_coeff(B, 1), _y_coeff(B, 0)
+        c, b, a = rows
         disc = b * b - a * c.scale(4)
         return True if qpoly_sqrt(disc) is None else None
-    if dy == 4 and _y_coeff(B, 3).is_zero() and _y_coeff(B, 1).is_zero():
-        lead = _y_coeff(B, 4)
+    if dy == 4 and rows[3].is_zero() and rows[1].is_zero():
+        lead = rows[4]
         if lead.degree == 0 and lead.coeffs and lead.coeffs[0] == 1:
-            a, b = _y_coeff(B, 2), _y_coeff(B, 0)
+            a, b = rows[2], rows[0]
             if qpoly_sqrt(a * a - b.scale(4)) is not None:
                 return None  # splits through the quadratic in y^2
             s = qpoly_sqrt(b)
@@ -564,12 +537,10 @@ def certify_realness(curve: PlaneCurve, budget=64) -> RealnessReport:
     F = curve.F
     factors = []
     rows = to_y_dense(F)
-    from .bipoly import from_y_dense, y_content, y_primitive
-
     content = y_content(rows)
     if zp.zdeg(content) >= 1:
         # vertical-line components x = root
-        roots, chunks = _split_candidates(from_zpoly("x", content))
+        roots, chunks = _split_candidates(UPoly.from_ints("x", content))
         for r in roots:
             factors.append((from_upoly(UPoly("x", [-r, Fraction(1)])), "certified",
                             f"real vertical line x = {r}"))

@@ -15,6 +15,7 @@ failure carries a witness.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bipoly import from_y_dense, resultant_y, squarefree_part_y, y_primitive
 from .curves import BadPoint, PlaneCurve, bad_locus, run_with_splits, specialize_x
 from .errors import (
     AssignmentError,
@@ -145,7 +146,6 @@ def _coerce_value(pt: BadPoint, value):
 
 @dataclass
 class GraphIdeal:
-    ideal: PolyIdeal
     gb_lex: object  # GroebnerBasis, lex with t > x > y (s eliminated)
 
 
@@ -154,7 +154,7 @@ def graph_ideal(f: CurveFunction) -> GraphIdeal:
     the Zariski closure of the graph of p/q in X x A^1."""
     t = MPoly.var("t")
     gb = saturate_gb(PolyIdeal([f.curve.F, f.q * t - f.p]), f.q)
-    return GraphIdeal(PolyIdeal(gb.basis), gb)
+    return GraphIdeal(gb)
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +488,12 @@ def verify_r_subintegral(f: CurveFunction, table=None):
 # continuity probe (numeric falsifier, never a proof)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProbeSchedule:
-    initial_radius: Fraction = Fraction(1, 4)
-    shrink: Fraction = Fraction(1, 4)
-    steps: int = 6
+_PROBE_RADIUS = Fraction(1, 4)  # first sample offset from the point
+_PROBE_SHRINK = Fraction(1, 4)  # offset ratio between successive steps
+_PROBE_STEPS = 6
 
 
-def continuity_probe(f: CurveFunction, pt: BadPoint, assigned, schedule=None):
+def continuity_probe(f: CurveFunction, pt: BadPoint, assigned):
     """Sample real curve points approaching the bad point and compare
     interval enclosures of p/q against the assigned value.
 
@@ -503,10 +501,9 @@ def continuity_probe(f: CurveFunction, pt: BadPoint, assigned, schedule=None):
     by more than the enclosure width *and* the gap has not been shrinking;
     interval slack can therefore never produce a false violation.
     """
-    schedule = schedule or ProbeSchedule()
     outcomes = []
     for emb in pt.embeddings:
-        outcomes.append(_probe_at_embedding(f, pt, assigned, emb, schedule))
+        outcomes.append(_probe_at_embedding(f, pt, assigned, emb))
     if not outcomes:
         return {"outcome": "inconclusive", "detail": "point has no real embedding"}
     if any(o["outcome"] == "violated" for o in outcomes):
@@ -518,8 +515,8 @@ def continuity_probe(f: CurveFunction, pt: BadPoint, assigned, schedule=None):
     return {"outcome": merged, "per_embedding": outcomes}
 
 
-def _probe_at_embedding(f, pt, assigned, emb, schedule):
-    delta_final = schedule.initial_radius * schedule.shrink ** (schedule.steps - 1)
+def _probe_at_embedding(f, pt, assigned, emb):
+    delta_final = _PROBE_RADIUS * _PROBE_SHRINK ** (_PROBE_STEPS - 1)
     tiny = delta_final * delta_final
     # rational center approximations and an enclosure of the target value
     while emb.interval(0).width() > tiny or emb.interval(1).width() > tiny:
@@ -531,8 +528,8 @@ def _probe_at_embedding(f, pt, assigned, emb, schedule):
 
     v_iv = _rep_intervals(assigned, emb)
     branches = {}
-    for k in range(schedule.steps):
-        delta = schedule.initial_radius * schedule.shrink ** k
+    for k in range(_PROBE_STEPS):
+        delta = _PROBE_RADIUS * _PROBE_SHRINK ** k
         window_sq = 4 * delta
         for side in (-1, 1):
             xs = x0 + side * delta
@@ -554,7 +551,7 @@ def _probe_at_embedding(f, pt, assigned, emb, schedule):
                 branches.setdefault((side, rank), []).append((k, gap, width))
     if not branches:
         return {"outcome": "inconclusive", "detail": "no real branch found"}
-    last = schedule.steps - 1
+    last = _PROBE_STEPS - 1
     violated = []
     approaching = False
     for key, hist in branches.items():
@@ -588,13 +585,13 @@ def _enclose_ratio(p: MPoly, q: MPoly, xs, ylo, yhi, curve_spec):
     return None
 
 
-def probe_function(f: CurveFunction, schedule=None):
+def probe_function(f: CurveFunction):
     """Probe every real bad point; per-point outcomes plus the merged one."""
     results = []
     for pt, val in zip(f.bad_points, f.assigned):
         if not pt.is_real:
             continue
-        results.append((pt, continuity_probe(f, pt, val, schedule)))
+        results.append((pt, continuity_probe(f, pt, val)))
     if not results:
         return {"outcome": "consistent", "points": []}
     if any(r["outcome"] == "violated" for _, r in results):
@@ -612,8 +609,6 @@ def _resultant_certificate(f: CurveFunction):
     Its coefficients stay in Q[x], which reads better than a tail-reduced
     basis element.  (t is packed into x by a Kronecker substitution so the
     Z[x] resultant kernel applies.)"""
-    from .bipoly import resultant_y, squarefree_part_y, to_y_dense, y_content, y_primitive, from_y_dense
-
     F, p, q = f.curve.F, f.p, f.q
     t = MPoly.var("t")
     B = q * t - p
@@ -625,20 +620,12 @@ def _resultant_certificate(f: CurveFunction):
     R = resultant_y(F, packed)
     if R.is_zero():
         return None
-    # unpack x^(a + K b) -> t^b x^a, then strip the Q[x] content
-    terms = {}
-    for m, c in enumerate(R.coeffs):
-        if c:
-            b, a = divmod(m, K)
-            terms[(0, b, a, 0)] = c
-    P = MPoly(terms)
-    swapped = MPoly({(e[0], 0, e[2], e[1]): c for e, c in P.terms.items()})
-    rows = to_y_dense(swapped)
-    content = y_content(rows)
-    if zp.zdeg(content) >= 1 or (content and content != [1]):
-        swapped = from_y_dense(y_primitive(rows))
-    swapped = squarefree_part_y(swapped)
-    P = MPoly({(e[0], e[3], e[2], 0): c for e, c in swapped.terms.items()})
+    # unpack x^(a + K b) -> t^b x^a as rows over t, carried in y for the
+    # bivariate kernels; strip the Z[x] content and any repeated factor
+    ints = [c.numerator for c in R.coeffs]  # R comes from integer rows
+    rows = [zp.ztrim(ints[b:b + K]) for b in range(0, len(ints), K)]
+    sf = squarefree_part_y(from_y_dense(y_primitive(rows)))
+    P = MPoly({(e[0], e[3], e[2], 0): c for e, c in sf.terms.items()})
     dt = P.degree_in("t")
     lead = {e: c for e, c in P.terms.items() if e[1] == dt}
     if len(lead) != 1:

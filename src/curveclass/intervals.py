@@ -28,14 +28,6 @@ class Interval:
     def contains_zero(self):
         return self.lo <= 0 <= self.hi
 
-    def sign(self):
-        """-1, 0 (straddles or is zero), or +1."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        return 0
-
     def __add__(self, other):
         other = _coerce(other)
         return Interval(self.lo + other.lo, self.hi + other.hi)

@@ -27,27 +27,37 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise JobError("a job must be a JSON object")
         try:
-            return cls(
-                curve_expr=d["curve"],
-                num_expr=d["numerator"],
-                den_expr=d["denominator"],
-                assignments=list(d.get("assignments", [])),
-                realness_budget=int(d.get("realness_budget", 64)),
-                probe=bool(d.get("probe", False)),
-            )
+            exprs = [d[k] for k in ("curve", "numerator", "denominator")]
         except KeyError as missing:
             raise JobError(f"job is missing the {missing} field")
+        if not all(isinstance(e, str) for e in exprs):
+            raise JobError("curve, numerator and denominator must be strings")
+        assignments = d.get("assignments", [])
+        if not isinstance(assignments, list):
+            raise JobError("assignments must be a list")
+        try:
+            budget = int(d.get("realness_budget", 64))
+        except (TypeError, ValueError):
+            raise JobError("realness_budget must be an integer")
+        return cls(*exprs, assignments, budget, bool(d.get("probe", False)))
 
 
 def _parse_locator_value(entry):
-    if "index" in entry:
-        locator = int(entry["index"])
-    elif "point" in entry:
-        px, py = entry["point"]
-        locator = (_parse_rational(px), _parse_rational(py))
-    else:
-        raise JobError("assignment needs a 'point' or an 'index'")
+    if not isinstance(entry, dict) or "value" not in entry:
+        raise JobError("an assignment must be an object with a 'value'")
+    try:
+        if "index" in entry:
+            locator = int(entry["index"])
+        elif "point" in entry:
+            px, py = entry["point"]
+            locator = (_parse_rational(px), _parse_rational(py))
+        else:
+            raise JobError("assignment needs a 'point' or an 'index'")
+    except (TypeError, ValueError):
+        raise JobError("an assignment's point must be [x, y] and its index an integer")
     value = parse_poly(str(entry["value"]), ("x", "y"))
     return locator, value
 
@@ -138,10 +148,12 @@ class MorphismJob:
     def from_dict(cls, d):
         try:
             u, v = d["map"]
-            return cls(curve_expr=d["curve"], u_expr=u, v_expr=v,
-                       p_expr=d.get("function", "t"))
-        except (KeyError, ValueError):
-            raise JobError("morphism job needs 'curve' and 'map': [u, v]")
+            exprs = (d["curve"], u, v, d.get("function", "t"))
+        except (KeyError, TypeError, ValueError):
+            exprs = None
+        if exprs is None or not all(isinstance(e, str) for e in exprs):
+            raise JobError("morphism job needs 'curve' and 'map': [u, v], all strings")
+        return cls(*exprs)
 
 
 def run_check_morphism(job: MorphismJob) -> ReportDocument:

@@ -57,10 +57,6 @@ class MPoly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def const(cls, c):
         return cls({_ZERO_EXPS: Fraction(c)})
 
@@ -720,10 +716,10 @@ def monic_in_t_witness(gb: GroebnerBasis):
     return best
 
 
-def ideals_equal(a: PolyIdeal, b: PolyIdeal, order=LEX) -> bool:
-    """Mutual containment via normal forms."""
-    gba = buchberger(a, order)
-    gbb = buchberger(b, order)
+def ideals_equal(a: PolyIdeal, b: PolyIdeal) -> bool:
+    """Mutual containment via lex normal forms."""
+    gba = buchberger(a, LEX)
+    gbb = buchberger(b, LEX)
     return all(not normal_form(g, gba) for g in b.generators) and all(
         not normal_form(g, gbb) for g in a.generators
     )
@@ -758,6 +754,15 @@ def to_upoly_in(p: MPoly, name):
     return UPoly(name, coeffs)
 
 
+def powers(val, n):
+    """[None, val, val^2, ..., val^n], each power the previous one times
+    val: the power table of a substitution (None stands for 1)."""
+    table = [None, val][: n + 1]
+    for _ in range(n - 1):
+        table.append(table[-1] * val)
+    return table
+
+
 def specialize_to_t(p: MPoly, xval, yval):
     """Substitute x -> xval, y -> yval (ring elements with operators),
     returning the coefficient list of the result as a polynomial in t
@@ -768,22 +773,12 @@ def specialize_to_t(p: MPoly, xval, yval):
     dt = max((e[var_index("t")] for e in p.terms), default=0)
     coeffs = [zero] * (dt + 1)
     xi, yi, ti = var_index("x"), var_index("y"), var_index("t")
-    xpow = {0: None}
-    ypow = {0: None}
-
-    def power(val, cache, k):
-        if k == 0:
-            return None  # means "one", avoided below
-        if k not in cache:
-            cache[k] = power(val, cache, k - 1) * val if k > 1 else val
-        return cache[k]
-
+    xpow = powers(xval, p.degree_in("x"))
+    ypow = powers(yval, p.degree_in("y"))
     for e, c in p.terms.items():
-        term = None
-        if e[xi]:
-            term = power(xval, xpow, e[xi])
-        if e[yi]:
-            yp = power(yval, ypow, e[yi])
+        term = xpow[e[xi]]
+        yp = ypow[e[yi]]
+        if yp is not None:
             term = yp if term is None else term * yp
         contrib = c if term is None else term * c
         coeffs[e[ti]] = coeffs[e[ti]] + contrib

@@ -219,6 +219,13 @@ def format_value(v) -> str:
 def _nf_to_mpoly(v) -> MPoly:
     """Tower element as a polynomial in the tower variables x, y."""
     field = v.field
+    return _rep_to_mpoly(v.rep, [field.var(k) for k in range(field.depth)])
+
+
+def _rep_to_mpoly(rep, names) -> MPoly:
+    """Tower rep as a polynomial; names[k] is the variable of level k, the
+    outermost level last."""
+    slots = [VARS.index(name) for name in names]
     terms = {}
 
     def walk(rep, depth, exps):
@@ -226,14 +233,12 @@ def _nf_to_mpoly(v) -> MPoly:
             if rep:
                 terms[tuple(exps)] = Fraction(rep)
             return
-        name = field.var(depth - 1)
-        idx = VARS.index(name)
         for k, c in enumerate(rep):
             e2 = list(exps)
-            e2[idx] += k
+            e2[slots[depth - 1]] += k
             walk(c, depth - 1, e2)
 
-    walk(v.rep, field.depth, [0, 0, 0, 0])
+    walk(rep, len(names), [0, 0, 0, 0])
     return MPoly(terms)
 
 
@@ -244,11 +249,5 @@ def format_point(pt) -> str:
         x0, y0 = pt.coords()
         return f"({_coeff_str(x0)}, {_coeff_str(y0)})"
     m1 = format_upoly(pt.m1())
-    m2_terms = {}
-    fld = pt.field
-    for j, rep in enumerate(fld._mp[1]):
-        for i, c in enumerate(rep):
-            if c:
-                m2_terms[(0, 0, i, j)] = Fraction(c)
-    m2 = format_poly(MPoly(m2_terms))
+    m2 = format_poly(_rep_to_mpoly(pt.field._mp[1], ["x", "y"]))
     return f"{{{m1} = 0, {m2} = 0}}"

@@ -40,7 +40,7 @@ def fiber_rows(fibers):
     return rows
 
 
-def classification_document(job_echo, classification, probe=None, presentation=None,
+def classification_document(job_echo, classification, probe=None,
                             timing=None) -> ReportDocument:
     cert = {
         "integral_relation": _maybe_poly(classification.integral_relation),
@@ -66,8 +66,6 @@ def classification_document(job_echo, classification, probe=None, presentation=N
     }
     if probe is not None:
         data["probe"] = probe
-    if presentation is not None:
-        data["presentation"] = presentation
     return ReportDocument(data, timing)
 
 

@@ -30,10 +30,6 @@ class UPoly:
     def from_ints(cls, var, ints):
         return cls(var, [Fraction(c) for c in ints])
 
-    @classmethod
-    def zero(cls, var):
-        return cls(var, ())
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -161,10 +157,6 @@ def to_zpoly(p: UPoly):
     return [int(c * den) for c in p.coeffs], den
 
 
-def from_zpoly(var, zcoeffs):
-    return UPoly(var, [Fraction(c) for c in zcoeffs])
-
-
 # ---------------------------------------------------------------------------
 # Spec operations
 # ---------------------------------------------------------------------------
@@ -180,7 +172,7 @@ def upoly_gcd(a: UPoly, b: UPoly) -> UPoly:
     if is_rational_poly(a) and is_rational_poly(b):
         za, _ = to_zpoly(a)
         zb, _ = to_zpoly(b)
-        return from_zpoly(a.var, zp.zgcd(za, zb)).monic()
+        return UPoly.from_ints(a.var, zp.zgcd(za, zb)).monic()
     while b:
         b = b.monic()
         _, r = a.divmod(b)

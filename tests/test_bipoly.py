@@ -1,8 +1,18 @@
 import random
 from fractions import Fraction
 
-from curveclass.bipoly import bivariate_gcd, resultant_y
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curveclass.bipoly import (
+    bivariate_divexact_y,
+    bivariate_gcd,
+    from_y_dense,
+    resultant_y,
+    y_rows,
+)
 from curveclass.mpoly import MPoly
+from curveclass.parsing import parse_poly
 from curveclass.unipoly import rational_roots, squarefree_part
 
 X, Y = MPoly.var("x"), MPoly.var("y")
@@ -65,3 +75,27 @@ def test_bivariate_gcd_detects_vertical_component():
     f = X * (Y - 1)
     got = bivariate_gcd(f, X)
     assert got == X
+
+
+def test_bivariate_divexact_y_keeps_rational_factors():
+    # the quotient is exact in Q[x, y]: no content of p or g is dropped
+    got = bivariate_divexact_y(parse_poly("1/2*x*y + 1/2*x"), parse_poly("y + 1"))
+    assert got == parse_poly("1/2*x")
+    got = bivariate_divexact_y(parse_poly("y^2 - x^2"), parse_poly("1/3*y - 1/3*x"))
+    assert got == parse_poly("3*x + 3*y")
+
+
+_xy_monos = [(i, j) for i in range(4) for j in range(4)]
+_xy_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+_xy_polys = st.dictionaries(st.sampled_from(_xy_monos), _xy_coeffs, max_size=6).map(
+    lambda d: MPoly({(0, 0, i, j): c for (i, j), c in d.items()})
+)
+
+
+@settings(deadline=None)
+@given(_xy_polys)
+def test_y_rows_round_trip(p):
+    rows = y_rows(p)
+    assert from_y_dense([r.coeffs for r in rows]) == p
+    assert all(r.var == "x" for r in rows)
+    assert not rows or rows[-1]  # the top row is the leading y-coefficient

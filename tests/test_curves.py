@@ -3,16 +3,19 @@ from fractions import Fraction
 import pytest
 
 from curveclass.curves import (
+    _divide_out_linear_y,
     bad_locus,
     certify_realness,
     fiber_constancy_check,
     make_curve,
     make_parametrization,
+    qpoly_sqrt,
     singular_locus,
     solve_xy_system,
 )
 from curveclass.errors import CurveError, PreconditionError, ZeroDivisorDenominatorError
-from curveclass.mpoly import MPoly, eval_at
+from curveclass.mpoly import MPoly, eval_at, from_upoly
+from curveclass.parsing import format_poly, format_upoly, parse_poly, parse_upoly
 from curveclass.unipoly import UPoly
 
 X, Y = MPoly.var("x"), MPoly.var("y")
@@ -316,3 +319,39 @@ def test_certify_realness_never_certifies_empty_real_locus():
     for F in (Y**2 + X**2 + 1, Y**2 + X**4 + 2, Y**4 + X**6 + X**2 + 1):
         rep = certify_realness(make_curve(F), budget=48)
         assert not rep.certified
+
+
+def test_divide_out_linear_y_is_exact_or_none():
+    F = parse_poly("x*y^2 - 1/2*y + x^3 - 7")
+    for g in ("0", "x^2 - 1/3", "5"):
+        gx = parse_upoly(g, "x")
+        assert _divide_out_linear_y(F * (Y - from_upoly(gx)), gx) == F
+    # y - x does not divide F * (y - x^2)
+    assert _divide_out_linear_y(F * (Y - X**2), parse_upoly("x", "x")) is None
+
+
+@pytest.mark.parametrize(
+    "square, root",
+    [
+        ("(x^2 + 1/2)^2", "x^2 + 1/2"),
+        ("4*(x-1)^2", "2*x - 2"),
+        ("9/4", "3/2"),
+        ("(x^2+1)^2*(x-3)^4", "x^4 - 6*x^3 + 10*x^2 - 6*x + 9"),
+        ("2*(x-1)^2", None),
+        ("(x-1)^3", None),
+        ("-(x-1)^2", None),
+    ],
+)
+def test_qpoly_sqrt_past_the_sign_test(square, root):
+    got = qpoly_sqrt(parse_upoly(square, "x"))
+    assert (None if got is None else format_upoly(got)) == root
+
+
+def test_certify_realness_vertical_line_components():
+    rep = certify_realness(make_curve(parse_poly("(x-1)*(x^2+1)*(x^2-2)*(y^2-x)")))
+    assert [(format_poly(f), status, note) for f, status, note in rep.factors] == [
+        ("x - 1", "certified", "real vertical line x = 1"),
+        ("x^4 - x^2 - 2", "unverified", "vertical chunk with non-real roots"),
+        ("y^2 - x", "certified", "all 2 branches real and simple over x = 1"),
+    ]
+    assert rep.certified is False

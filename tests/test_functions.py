@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curveclass.curves import make_curve
-from curveclass.errors import AssignmentError, NotIntegralError
+from curveclass.curves import bad_locus, make_curve
+from curveclass.errors import AssignmentError, CurveClassError, NotIntegralError
 from curveclass.functions import (
     classify,
     continuity_probe,
@@ -20,6 +22,8 @@ from curveclass.functions import (
     verify_r_subintegral,
 )
 from curveclass.mpoly import MPoly, PolyIdeal, ideals_equal, normal_form
+from curveclass.parsing import format_poly, parse_poly
+from curveclass.report import fiber_rows
 
 X, Y, T = MPoly.var("x"), MPoly.var("y"), MPoly.var("t")
 
@@ -359,3 +363,44 @@ def test_fiber_real_counts_over_irrational_points():
     g = make_function(curve, p, q, [(0, 0)])
     v = classify(g).verdicts
     assert v["regular"] == "no" and v["k_r_plus"] == "no" and v["integral"] == "yes"
+
+
+# criterion-6 jobs: the five worked curves, p and q of up to three terms of
+# degree <= 3 with coefficients in [-3, 3]; multi-term degree-3 denominators
+# are left out, as in the benchmark, because one can take seconds
+_WORKED_CURVES = [
+    "y^2 - x^3",
+    "y^2 - x^3*(x^2+1)^2",
+    "y^4 - x*(x^2+y^2)",
+    "y^3 - x^2*y^2 + y*x^2*(x+1) - x^4*(x+1)",
+    "y^2 - x^2*(x+1)",
+]
+_c6_term = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3)).filter(
+    lambda t: t[0] + t[1] <= 3
+)
+_c6_poly = st.lists(_c6_term, min_size=1, max_size=3).map(
+    lambda ts: sum((c * X**i * Y**j for i, j, c in ts), MPoly())
+).filter(bool)
+_c6_den = _c6_poly.filter(lambda q: len(q.terms) == 1 or max(map(sum, q.terms)) <= 2)
+_units = st.sampled_from([Fraction(a, b) for a in (-3, -1, 2, 5) for b in (1, 2, 7)])
+
+
+def _classified_facts(curve_text, p, q):
+    """Verdicts, integral relation, regular witness and fiber rows of p/q
+    with the value 0 at every real bad point; the error class if rejected."""
+    try:
+        curve = make_curve(parse_poly(curve_text))
+        pts = bad_locus(curve, q)
+        f = make_function(curve, p, q, [(i, 0) for i, pt in enumerate(pts) if pt.is_real])
+        rep = classify(f)
+    except CurveClassError as exc:
+        return type(exc)
+    show = lambda w: None if w is None else format_poly(w)  # noqa: E731
+    return (rep.verdicts, show(rep.integral_relation), show(rep.regular_witness),
+            fiber_rows(rep.fibers))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(_WORKED_CURVES), _c6_poly, _c6_den, _units)
+def test_scaling_p_and_q_by_a_unit_changes_no_certified_fact(curve_text, p, q, c):
+    assert _classified_facts(curve_text, p * c, q * c) == _classified_facts(curve_text, p, q)

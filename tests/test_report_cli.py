@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from curveclass.demo import run_demo
 from curveclass.jobs import JobSpec, MorphismJob, run_check_morphism, run_classify, run_present
 from curveclass.report import emit, parse_machine
@@ -316,3 +318,49 @@ def test_cli_batch_keeps_the_good_jobs_around_a_bad_one(tmp_path):
     assert human.returncode == 2
     assert f"error[2]: {docs[1]['error']['message']}\n" in human.stdout
     assert human.stdout.count("-" * 64 + "\n") == 2  # three blocks
+
+
+_GOOD_JOB = {
+    "curve": "y^2 - x^3",
+    "numerator": "y",
+    "denominator": "x",
+    "assignments": [{"point": ["0", "0"], "value": "0"}],
+}
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        "oops",
+        {**_GOOD_JOB, "curve": 5},
+        {**_GOOD_JOB, "assignments": 5},
+        {**_GOOD_JOB, "assignments": ["point"]},
+        {**_GOOD_JOB, "assignments": [{"point": 5, "value": "0"}]},
+        {**_GOOD_JOB, "realness_budget": "abc"},
+    ],
+    ids=["non-object", "curve-number", "assignments-number", "assignment-string",
+         "point-number", "budget-text"],
+)
+def test_cli_malformed_job_field_is_a_job_error(tmp_path, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    r = _run_cli(["classify", "--input", str(path), "--format", "machine"])
+    assert r.returncode == 9
+    assert r.stderr.count("error[9]: ") == 1 and r.stderr.startswith("error[9]: ")
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_batch_reports_a_non_object_item_in_place(tmp_path):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([_GOOD_JOB, "oops", _GOOD_JOB]))
+    r = _run_cli(["classify", "--input", str(path), "--batch", "--format", "machine"])
+    assert r.returncode == 9
+    assert "Traceback" not in r.stderr
+    docs = json.loads(r.stdout)
+    assert len(docs) == 3
+    assert docs[1]["error"]["code"] == 9
+    single = tmp_path / "single.json"
+    single.write_text(json.dumps(_GOOD_JOB))
+    alone = _run_cli(["classify", "--input", str(single), "--format", "machine"])
+    assert alone.returncode == 0
+    assert docs[0] == docs[2] == json.loads(alone.stdout)
