@@ -36,6 +36,13 @@ def zdeg(a):
     return len(a) - 1
 
 
+def zadd(a, b):
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += c
+    return ztrim(out)
+
+
 def zsub(a, b):
     out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):

@@ -77,10 +77,14 @@ def _run_jobs(run, args):
 
 
 def _job_runner(runner, args):
+    """Run jobs from the input; --realness-budget and --probe, when given,
+    override the job file's fields."""
     def run(item):
         job = JobSpec.from_dict(item)
-        job.realness_budget = args.realness_budget
-        job.probe = args.probe
+        if args.realness_budget is not None:
+            job.realness_budget = args.realness_budget
+        if args.probe is not None:
+            job.probe = args.probe
         return runner(job)
 
     _run_jobs(run, args)
@@ -113,7 +117,7 @@ def cmd_check_morphism(args):
 
 
 def cmd_demo(args):
-    results = run_demo(probe=args.probe)
+    results = run_demo(probe=bool(args.probe))
     docs = []
     failures = 0
     for entry, doc, passed, problems in results:
@@ -131,6 +135,13 @@ def cmd_demo(args):
         sys.exit(1)
 
 
+def _budget(text):
+    """argparse type of --realness-budget: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, not {text!r}")
+    return int(text)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="curveclass",
@@ -143,11 +154,12 @@ def build_parser():
         if needs_input:
             p.add_argument("--input", required=True, help="job file (JSON), or - for stdin")
         p.add_argument("--format", choices=("human", "machine"), default="human")
-        p.add_argument("--realness-budget", type=int, default=64)
+        # unset unless given: a job's own fields (default 64 and off) apply
+        p.add_argument("--realness-budget", type=_budget, default=None)
         probe = p.add_mutually_exclusive_group()
         probe.add_argument("--probe", dest="probe", action="store_true")
         probe.add_argument("--no-probe", dest="probe", action="store_false")
-        p.set_defaults(probe=False)
+        p.set_defaults(probe=None)
         p.add_argument("--batch", action="store_true", help="input is a JSON array of jobs")
 
     p = sub.add_parser("classify", help="full verdict hierarchy with certificates")

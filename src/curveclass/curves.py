@@ -508,9 +508,9 @@ def _irreducible_lite(B: MPoly):
     return None
 
 
-_SAMPLE_SEQUENCE = [Fraction(0)]
+_SAMPLE_SEQUENCE = [0]
 for _k in range(1, 200):
-    _SAMPLE_SEQUENCE.extend([Fraction(_k), Fraction(-_k)])
+    _SAMPLE_SEQUENCE.extend([_k, -_k])
 
 
 class RealnessReport:
@@ -569,11 +569,12 @@ def _certify_block(B: MPoly, budget):
     on the only component)."""
     dy = B.degree_in("y")
     irreducible = _irreducible_lite(B)
+    rows = to_y_dense(B)  # a positive multiple of B, so each fiber keeps its roots
     for x0 in _SAMPLE_SEQUENCE[:budget]:
-        u = specialize_x(B, x0)
-        if u.degree != dy or u.degree <= 0:
+        z = zp.ztrim([zp.zeval_int(row, x0) for row in rows])
+        if zp.zdeg(z) != dy or dy <= 0:
             continue
-        z = zp.zprimitive(to_zpoly(u)[0])
+        z = zp.zprimitive(z)
         if zp.zdeg(zp.zgcd(z, zp.zderiv(z))) != 0:
             continue  # non-squarefree sample: skip
         n_real = zp.sturm_count(zp.sturm_chain(z))

@@ -42,6 +42,8 @@ class JobSpec:
             budget = int(d.get("realness_budget", 64))
         except (TypeError, ValueError):
             raise JobError("realness_budget must be an integer")
+        if budget < 0:
+            raise JobError("realness_budget must be nonnegative")
         return cls(*exprs, assignments, budget, bool(d.get("probe", False)))
 
 

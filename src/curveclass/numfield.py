@@ -20,7 +20,15 @@ so over Z and over a tower they are one implementation.
 
 Element representations are nested tuples, trimmed of trailing zeros and
 reduced modulo every level: depth 0 is a Fraction, depth k >= 1 is a tuple
-of depth-(k-1) reps.
+of depth-(k-1) reps.  These Fraction reps are the boundary: NFElement.rep,
+the level polynomials and SplitEvent.factor_rep keep them.  Inside, tower
+products and reductions run on an integer kernel: each operand is cleared
+to integer numerators over one denominator, multiplied by one integer
+convolution, pseudo-reduced by the integer forms c_k * m_k of the level
+polynomials (built once per field, NumberField.zlevels), and rebuilt as a
+Fraction rep once.  A rational scalar scales the coefficients instead of
+entering a product.  Inversion (extended Euclid) still runs on Fraction
+reps, with its products in the kernel.
 """
 
 import math
@@ -46,8 +54,9 @@ class SplitEvent(Exception):
 
 
 # ---------------------------------------------------------------------------
-# raw rep arithmetic; `mps` is the tuple of minpoly reps of the ambient tower
-# (mps[k] has depth-k coefficient reps), `depth` the rep's own depth
+# raw rep arithmetic; `F` is the ambient tower and `depth` the rep's own
+# depth: a depth-k rep lives in the first k levels of F, so one tower serves
+# the products of its elements and of their coefficients
 # ---------------------------------------------------------------------------
 
 def _rzero(depth):
@@ -88,72 +97,151 @@ def _rsub(a, b, depth):
     return _radd(a, _rneg(b, depth), depth)
 
 
-def _rmul(mps, a, b, depth):
-    """Fully reduced product of two depth-`depth` reps."""
+def _rscalar(a, k, depth):
+    """Rep a times the rational k, coefficient by coefficient."""
+    if not k:
+        return _rzero(depth)
+    if depth == 0:
+        return a * k
+    return tuple(_rscalar(c, k, depth - 1) for c in a)
+
+
+def _rmul(F, a, b, depth):
+    """Fully reduced product of two depth-`depth` reps, computed on integer
+    numerators: one convolution, one reduction, one rebuild."""
     if depth == 0:
         return a * b
     if not a or not b:
         return ()
-    out = [_rzero(depth - 1)] * (len(a) + len(b) - 1)
-    sub = mps[: depth - 1]
-    for i, ca in enumerate(a):
-        if _is_rzero(ca, depth - 1):
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = _radd(out[i + j], _rmul(sub, ca, cb, depth - 1), depth - 1)
-    return _rmod(mps, out, depth)
+    (za, da), (zb, db) = _zclear(a, depth), _zclear(b, depth)
+    if depth == 1:
+        prod = zp.zmul(za, zb)
+    else:
+        prod = [[] for _ in range(len(za) + len(zb) - 1)]
+        for i, ca in enumerate(za):
+            if ca:
+                for j, cb in enumerate(zb):
+                    if cb:
+                        prod[i + j] = zp.zadd(prod[i + j], zp.zmul(ca, cb))
+    nums, scale = _zreduce(F, prod, depth)
+    return _zrep(nums, da * db * scale, depth)
 
 
-def _rscale(mps, a, k, depth):
+def _rscale(F, a, k, depth):
     """Multiply a depth-`depth` rep by a depth-(depth-1) coefficient."""
-    sub = mps[: depth - 1]
-    return _rtrim([_rmul(sub, c, k, depth - 1) for c in a], depth)
+    return _rtrim([_rmul(F, c, k, depth - 1) for c in a], depth)
 
 
-def _rmod(mps, a, depth):
-    """Reduce the top variable of rep a modulo the monic mps[depth-1]."""
-    a = list(_rtrim(a, depth))
-    m = mps[depth - 1]
+def _rmod(F, a, depth):
+    """The reduced rep of a: every level of its depth reduced modulo the
+    level polynomials of F, whatever the degrees of a's coefficients."""
+    nums, den = _zclear(a, depth)
+    nums, scale = _zreduce(F, nums, depth)
+    return _zrep(nums, den * scale, depth)
+
+
+# -- the integer kernel under _rmul and _rmod --------------------------------
+# A depth-1 rep is cleared to a list of integer numerators over one positive
+# denominator, a depth-2 rep to a list (over the top variable) of such lists
+# over one denominator.  Level k is reduced by its integer form c_k * m_k
+# (NumberField.zlevels), whose leading entry is the positive integer c_k.
+
+def _zclear(rep, depth):
+    """(nums, den) with rep = nums / den, den > 0, nested like the rep."""
+    if depth == 1:
+        den = math.lcm(*(c.denominator for c in rep))
+        return [c.numerator * (den // c.denominator) for c in rep], den
+    den = math.lcm(*(c.denominator for row in rep for c in row))
+    return [[c.numerator * (den // c.denominator) for c in row] for row in rep], den
+
+
+def _zrep(nums, den, depth):
+    """The trimmed Fraction rep of nums / den; inverse of _zclear."""
+    if depth == 1:
+        return tuple(Fraction(n, den) for n in zp.ztrim(nums))
+    return _rtrim([_zrep(row, den, 1) for row in nums], 2)
+
+
+def _zrem(p, m, steps):
+    """(r, c**steps) with c**steps * p = q * m + r and deg r < deg m, where
+    c = m[-1] > 0 and steps >= deg p - deg m + 1.  Multiplying by c**steps
+    up front makes each quotient term t // c exact, so the steps share one
+    power of c; a count above the needed one serves a power shared by
+    several polynomials."""
+    c = m[-1]
     dm = len(m) - 1
-    sub = mps[: depth - 1]
-    while len(a) - 1 >= dm:
-        top = a[-1]
-        k = len(a) - 1 - dm
-        if not _is_rzero(top, depth - 1):
+    s = c**steps
+    p = [x * s for x in p] if s != 1 else list(p)
+    for k in range(len(p) - 1, dm - 1, -1):
+        t = p[k]
+        if t:
+            if c != 1:
+                t //= c
             for i in range(dm):
-                a[k + i] = _rsub(a[k + i], _rmul(sub, top, m[i], depth - 1), depth - 1)
-        a = list(_rtrim(a[:-1], depth))
-    return tuple(a)
+                p[k - dm + i] -= t * m[i]
+    return p[:dm], s
 
 
-def _rdivmod(mps, a, b, depth):
+def _zreduce(F, p, depth):
+    """(r, s): r the integer numerators of s * p reduced modulo the level
+    forms of F, s > 0.  At depth 2 the top variable is reduced first (its
+    form's leading entry is the constant c_2), then every coefficient by
+    the level-0 form with one shared power of c_1."""
+    forms = F.zlevels()
+    m1 = forms[0]
+    d1 = len(m1) - 1
+    if depth == 1:
+        return _zrem(p, m1, max(0, len(p) - d1))
+    m2 = forms[1]
+    d2 = len(m2) - 1
+    c2 = m2[-1][0]
+    s2 = c2 ** max(0, len(p) - d2)
+    p = [[x * s2 for x in row] for row in p] if s2 != 1 else list(p)
+    for k in range(len(p) - 1, d2 - 1, -1):
+        t = p[k]
+        if t:
+            if c2 != 1:
+                t = [x // c2 for x in t]
+            for i in range(d2):
+                if m2[i]:
+                    p[k - d2 + i] = zp.zsub(p[k - d2 + i], zp.zmul(t, m2[i]))
+    rows = p[:d2]
+    steps = max(0, max((len(row) for row in rows), default=0) - d1)
+    out = []
+    s1 = 1
+    for row in rows:
+        r, s1 = _zrem(row, m1, steps)
+        out.append(r)
+    return out, s1 * s2
+
+
+def _rdivmod(F, a, b, depth):
     """Division of depth-`depth` reps with monic b (no modular reduction of
     the quotient/remainder beyond coefficient arithmetic)."""
     a = list(_rtrim(a, depth))
     db = len(b) - 1
     q = [_rzero(depth - 1)] * max(0, len(a) - db)
-    sub = mps[: depth - 1]
     while a and len(a) - 1 >= db:
         top = a[-1]
         k = len(a) - 1 - db
         q[k] = top
         if not _is_rzero(top, depth - 1):
             for i in range(db):
-                a[k + i] = _rsub(a[k + i], _rmul(sub, top, b[i], depth - 1), depth - 1)
+                a[k + i] = _rsub(a[k + i], _rmul(F, top, b[i], depth - 1), depth - 1)
         a = list(_rtrim(a[:-1], depth))
     return _rtrim(q, depth), tuple(a)
 
 
-def _rinv(mps, a, depth):
-    """Inverse of rep a modulo mps[depth-1]; SplitEvent on zero divisors."""
+def _rinv(F, a, depth):
+    """Inverse of rep a modulo level depth-1 of F; SplitEvent on zero
+    divisors."""
     if depth == 0:
         if a == 0:
             raise ZeroDivisionError("inverting zero")
         return 1 / a
     if _is_rzero(a, depth):
         raise ZeroDivisionError("inverting zero tower element")
-    m = mps[depth - 1]
-    sub = mps[: depth - 1]
+    m = F._mp[depth - 1]
     # extended Euclid with the invariant  r_i == s_i * a  (mod m)
     r0, s0 = tuple(m), _rzero(depth)
     r1, s1 = _rtrim(a, depth), (_rone(depth - 1),)
@@ -162,13 +250,13 @@ def _rinv(mps, a, depth):
             if len(r0) - 1 <= 0:
                 raise InternalError("degenerate gcd in tower inversion")
             raise SplitEvent(depth - 1, r0)
-        lc_inv = _rinv(sub, r1[-1], depth - 1)
+        lc_inv = _rinv(F, r1[-1], depth - 1)
         if len(r1) == 1:  # s1 * a == r1, a unit; s1 is reduced, so is this
-            return _rscale(mps, s1, lc_inv, depth)
-        r1m = _rscale(mps, r1, lc_inv, depth)
-        s1m = _rscale(mps, s1, lc_inv, depth)
-        q, rem = _rdivmod(mps, r0, r1m, depth)
-        s_next = _rsub(s0, _rmul(mps, q, s1m, depth), depth)
+            return _rscale(F, s1, lc_inv, depth)
+        r1m = _rscale(F, r1, lc_inv, depth)
+        s1m = _rscale(F, s1, lc_inv, depth)
+        q, rem = _rdivmod(F, r0, r1m, depth)
+        s_next = _rsub(s0, _rmul(F, q, s1m, depth), depth)
         r0, s0 = r1m, s1m
         r1, s1 = _rtrim(rem, depth), s_next
 
@@ -180,12 +268,12 @@ def _rinv(mps, a, depth):
 class NumberField:
     """Tower of monic squarefree extensions over Q; depth 0, 1 or 2."""
 
-    __slots__ = ("levels", "_mp", "_zm1")
+    __slots__ = ("levels", "_mp", "_zlevels")
 
     def __init__(self, levels=()):
         self.levels = tuple((str(v), tuple(m)) for v, m in levels)
         self._mp = tuple(m for _, m in self.levels)
-        self._zm1 = None  # zminpoly0(), built on first use; not part of ==
+        self._zlevels = None  # zlevels(), built on first use; not part of ==
         for k, m in enumerate(self._mp):
             if len(m) < 2:
                 raise ValueError("level polynomial must be nonconstant")
@@ -217,12 +305,23 @@ class NumberField:
         base = self.sub_field(k)
         return UPoly(self.var(k), [NFElement(base, c) for c in self._mp[k]])
 
+    def zlevels(self):
+        """The integer form c_k * m_k of each level polynomial m_k, with c_k
+        the least positive integer clearing its denominators (so c_k is its
+        leading entry), built once per field: an integer list at level 0,
+        a list of integer lists (coefficients in the level-0 variable) at
+        level 1."""
+        if self._zlevels is None:
+            forms = [to_zpoly(self.minpoly(0))[0]] if self.depth else []
+            if self.depth > 1:
+                forms.append(_zclear(self._mp[1], 2)[0])
+            self._zlevels = tuple(forms)
+        return self._zlevels
+
     def zminpoly0(self):
         """The level-0 polynomial with denominators cleared (integer list,
-        low degree first), built once per field."""
-        if self._zm1 is None:
-            self._zm1, _ = to_zpoly(self.minpoly(0))
-        return self._zm1
+        low degree first)."""
+        return self.zlevels()[0]
 
     def zero(self):
         return NFElement(self, _rzero(self.depth))
@@ -265,7 +364,7 @@ class NumberField:
         fields, factor branch first."""
         m = self._mp[level]
         f = tuple(factor_rep)
-        q, rem = _rdivmod(self._mp[: level + 1], list(m), f, level + 1)
+        q, rem = _rdivmod(self, list(m), f, level + 1)
         if rem:
             raise ValueError("factor does not divide the level polynomial")
         fields = []
@@ -276,23 +375,15 @@ class NumberField:
             new_levels[level][1] = part
             if level == 0 and self.depth > 1:
                 # re-reduce the level-1 polynomial's coefficients mod the branch
-                sub_mps = (part,)
-                m2 = [_rmod(sub_mps, c, 1) for c in self._mp[1]]
-                new_levels[1][1] = _rtrim(m2, 2)
+                base = NumberField(new_levels[:1])
+                new_levels[1][1] = _rtrim([_rmod(base, c, 1) for c in self._mp[1]], 2)
             fields.append(NumberField([tuple(lv) for lv in new_levels]))
         return fields
 
     def transfer(self, elem, target):
         """Re-reduce an element of this tower into a branch tower."""
         rep = elem.rep if isinstance(elem, NFElement) else elem
-        return NFElement(target, _transfer_rep(rep, target, target.depth))
-
-
-def _transfer_rep(rep, field, depth):
-    if depth == 0:
-        return rep
-    red = [_transfer_rep(c, field.sub_field(depth - 1), depth - 1) for c in rep]
-    return _rmod(field._mp[:depth], _rtrim(red, depth), depth)
+        return NFElement(target, _rmod(target, rep, target.depth))
 
 
 class NFElement:
@@ -345,9 +436,11 @@ class NFElement:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
         d = self.field.depth
-        return NFElement(self.field, _rmul(self.field._mp, self.rep, o.rep, d))
+        if isinstance(other, (int, Fraction)):  # a rational scales
+            return NFElement(self.field, _rscalar(self.rep, other, d))
+        o = self._coerce(other)
+        return NFElement(self.field, _rmul(self.field, self.rep, o.rep, d))
 
     __rmul__ = __mul__
 
@@ -366,13 +459,13 @@ class NFElement:
     def inverse(self):
         """Multiplicative inverse; ZeroDivisionError on zero, SplitEvent on
         a nontrivial zero divisor."""
-        return NFElement(self.field, _rinv(self.field._mp, self.rep, self.field.depth))
+        return NFElement(self.field, _rinv(self.field, self.rep, self.field.depth))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        return self.inverse() * other
 
     def is_rational(self):
         rep = self.rep
@@ -584,10 +677,9 @@ def _tower_signs(chain, emb: RealEmbedding):
 
 
 def _elem_const(p: UPoly, c):
-    """Fraction constant in the same coefficient domain as p."""
-    lead = p.lc()
-    if isinstance(lead, NFElement):
-        return lead.field.from_fraction(c)
+    """The point c at which the chain polynomial p is signed, as a Fraction:
+    p is evaluated at the rational point itself, so Horner scales p's tower
+    coefficients instead of multiplying tower elements."""
     return Fraction(c)
 
 

@@ -355,3 +355,57 @@ def test_certify_realness_vertical_line_components():
         ("y^2 - x", "certified", "all 2 branches real and simple over x = 1"),
     ]
     assert rep.certified is False
+
+
+def _certify_block_by_specialize_x(B, budget):
+    """Reference: realness samples B(x0, y) through specialize_x on the
+    Fraction terms of B, then cleared of denominators."""
+    from curveclass import _zpoly as zp
+    from curveclass import curves
+    from curveclass.unipoly import to_zpoly
+
+    dy = B.degree_in("y")
+    irreducible = curves._irreducible_lite(B)
+    for x0 in curves._SAMPLE_SEQUENCE[:budget]:
+        u = curves.specialize_x(B, Fraction(x0))
+        if u.degree != dy or u.degree <= 0:
+            continue
+        z = zp.zprimitive(to_zpoly(u)[0])
+        if zp.zdeg(zp.zgcd(z, zp.zderiv(z))) != 0:
+            continue
+        n_real = zp.sturm_count(zp.sturm_chain(z))
+        if n_real == dy:
+            return (B, "certified", f"all {dy} branches real and simple over x = {x0}")
+        if n_real >= 1 and irreducible:
+            return (B, "certified", f"irreducible with a nonsingular real point over x = {x0}")
+    return (B, "unverified", "no certificate within budget")
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 64])
+@pytest.mark.parametrize(
+    "F",
+    [
+        # the two shapes of the singular-stress benchmark workload, and one
+        # with rational coefficients
+        Y**2 - (X - 1) * (X**2 + 1) ** 2 * (X**2 - 2),
+        (Y**4 + X**3) * (Y**2 - (X - 2) * (X**2 + X + 1)),
+        (Y**4 + X**5) * (Y**2 * Fraction(1, 6) - (X**2 - 3) * (X - 1) ** 3 * Fraction(3, 4)),
+        X * Y**2 + Y - 1,  # the fiber over x = 0 drops in degree
+    ],
+    ids=["y2-a", "y4xk-y2-a", "rational", "lc-vanishes"],
+)
+def test_integer_realness_samples_match_specialize_x(monkeypatch, F, budget):
+    from curveclass import curves
+
+    blocks = []
+    integer_samples = curves._certify_block
+
+    def compared(B, b):
+        got = integer_samples(B, b)
+        assert got == _certify_block_by_specialize_x(B, b)
+        blocks.append(got)
+        return got
+
+    monkeypatch.setattr(curves, "_certify_block", compared)
+    certify_realness(make_curve(F), budget=budget)
+    assert blocks

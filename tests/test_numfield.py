@@ -403,3 +403,158 @@ def test_a_vanishing_leading_coefficient_is_an_internal_error(monkeypatch):
     with pytest.raises(InternalError) as exc:
         numfield.tower_root_bound(p, RealEmbedding(F, [(1, 2)]))
     assert exc.value.code == 10
+
+
+# -- the integer kernel of tower products, against the Fraction loops ------
+from curveclass.numfield import (  # noqa: E402
+    NumberField,
+    _is_rzero,
+    _radd,
+    _rmod,
+    _rmul,
+    _rsub,
+    _rtrim,
+    _rzero,
+)
+
+
+def _fraction_mul(mps, a, b, depth):
+    """Reference product: the Fraction convolution and reduction that the
+    integer kernel replaced (mps: the Fraction level polynomials)."""
+    if depth == 0:
+        return a * b
+    if not a or not b:
+        return ()
+    out = [_rzero(depth - 1)] * (len(a) + len(b) - 1)
+    sub = mps[: depth - 1]
+    for i, ca in enumerate(a):
+        if _is_rzero(ca, depth - 1):
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] = _radd(out[i + j], _fraction_mul(sub, ca, cb, depth - 1), depth - 1)
+    return _fraction_mod(mps, out, depth)
+
+
+def _fraction_mod(mps, a, depth):
+    """Reference reduction of the top variable modulo the monic mps[-1]."""
+    a = list(_rtrim(a, depth))
+    m = mps[depth - 1]
+    dm = len(m) - 1
+    sub = mps[: depth - 1]
+    while len(a) - 1 >= dm:
+        top = a[-1]
+        k = len(a) - 1 - dm
+        if not _is_rzero(top, depth - 1):
+            for i in range(dm):
+                a[k + i] = _rsub(a[k + i], _fraction_mul(sub, top, m[i], depth - 1), depth - 1)
+        a = list(_rtrim(a[:-1], depth))
+    return tuple(a)
+
+
+_kcoeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+def _reps_below(degree, coeff):
+    """Trimmed reps of fewer than `degree` coefficients drawn from coeff."""
+    return st.lists(coeff, max_size=degree).map(_trimmed)
+
+
+@st.composite
+def _level0(draw):
+    """A monic level-0 polynomial: random rational or (a^2 - 2)(a^2 - 3)."""
+    if draw(st.booleans()):
+        return (Fraction(6), Fraction(0), Fraction(-5), Fraction(0), Fraction(1))
+    return tuple(draw(st.lists(_kcoeff, min_size=1, max_size=4))) + (Fraction(1),)
+
+
+@st.composite
+def _tower(draw, depth):
+    """A tower of the given depth with reducible levels allowed (products
+    need no irreducibility), or the degenerate tower of a rational point."""
+    if depth == 2 and draw(st.integers(0, 3)) == 0:
+        return rational_point_field("x", "y", draw(_kcoeff), draw(_kcoeff))
+    m1 = draw(_level0())
+    levels = [("a", m1)]
+    if depth == 2:
+        low = draw(st.lists(_reps_below(len(m1) - 1, _kcoeff), min_size=1, max_size=3))
+        levels.append(("b", tuple(low) + ((Fraction(1),),)))
+    return NumberField(levels)
+
+
+def _element_reps(F, depth, top=None):
+    """Reduced reps of F; `top` allows that many top-level coefficients
+    (more than the level degree gives an unreduced rep)."""
+    d1 = F.level_degree(0)
+    inner = _reps_below(d1, _kcoeff)
+    if depth == 1:
+        return _reps_below(top or d1, _kcoeff)
+    return _reps_below(top or F.level_degree(1), inner)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_integer_kernel_matches_the_fraction_loops(depth, data):
+    F = data.draw(_tower(depth))
+    mps = F._mp
+    top = F.level_degree(depth - 1)
+    a, b = (data.draw(_element_reps(F, depth)) for _ in range(2))
+    want = _fraction_mul(mps, a, b, depth)
+    assert _rmul(F, a, b, depth) == want
+    assert (NFElement(F, a) * NFElement(F, b)).rep == want
+    long = data.draw(_element_reps(F, depth, top=2 * top + 1))
+    assert _rmod(F, long, depth) == _fraction_mod(mps, long, depth)
+    k = data.draw(_kcoeff | st.integers(-5, 5))
+    e = NFElement(F, a)
+    scaled = _fraction_mul(mps, a, F.from_fraction(k).rep, depth)
+    assert (e * k).rep == (k * e).rep == scaled
+    if not e:
+        return
+    try:
+        inv = 1 / e
+    except SplitEvent:
+        with pytest.raises(SplitEvent):
+            e.inverse()
+        return
+    assert inv == e.inverse()
+    assert _fraction_mul(mps, a, inv.rep, depth) == F.one().rep
+    assert (Fraction(3, 7) / e).rep == _fraction_mul(mps, inv.rep, F.from_fraction(Fraction(3, 7)).rep, depth)
+
+
+def test_scalar_products_build_no_tower_element(monkeypatch):
+    from curveclass import numfield
+
+    F = sqrt2_field()
+    a = F.gen(0)
+    monkeypatch.setattr(numfield.NumberField, "from_fraction", None)
+    assert (a * 3).rep == (3 * a).rep == (Fraction(0), Fraction(3))
+    assert (Fraction(1, 2) * a).rep == (Fraction(0), Fraction(1, 2))
+    assert (1 / a).rep == (Fraction(0), Fraction(1, 2))
+
+
+def test_integer_level_forms_are_built_once_per_field(monkeypatch):
+    from curveclass import numfield
+
+    base = field_from_qpoly("a", UPoly("a", [Fraction(-2, 3), Fraction(0), Fraction(1)]))
+    a = base.gen(0)
+    F = extend_field(base, "b", [-a / 5, base.from_fraction(Fraction(1, 2)), base.one()])
+    calls = []
+    to_zpoly = numfield.to_zpoly
+
+    def counting(p):
+        calls.append(p)
+        return to_zpoly(p)
+
+    monkeypatch.setattr(numfield, "to_zpoly", counting)
+    b = F.gen(1)
+    x = F.gen(0) + b
+    for _ in range(4):
+        x = x * x + b
+    assert x.inverse() * x == F.one()
+    forms = F.zlevels()
+    assert len(calls) == 1
+    # c_k * m_k: the leading entry is the least common denominator
+    assert forms == ([-2, 0, 3], [[0, -2], [5], [10]])
+    assert F.zlevels() is forms
+    twin = extend_field(base, "b", [-a / 5, base.from_fraction(Fraction(1, 2)), base.one()])
+    assert twin._zlevels is None and F == twin and hash(F) == hash(twin)

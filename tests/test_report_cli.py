@@ -364,3 +364,42 @@ def test_cli_batch_reports_a_non_object_item_in_place(tmp_path):
     alone = _run_cli(["classify", "--input", str(single), "--format", "machine"])
     assert alone.returncode == 0
     assert docs[0] == docs[2] == json.loads(alone.stdout)
+
+
+# no real point: realness is certified only by running out of budget, so
+# the caveat shows which budget a job ran with
+_NO_REAL_POINT_JOB = {"curve": "y^2 + x^2 + 1 - x^3*y", "numerator": "y", "denominator": "1"}
+
+
+def _caveats(tmp_path, job, *flags):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    r = _run_cli(["classify", "--input", str(path), "--format", "machine", *flags])
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)["caveats"]
+
+
+def test_cli_job_file_budget_and_probe_apply_unless_flags_are_given(tmp_path):
+    assert _caveats(tmp_path, _NO_REAL_POINT_JOB) == []
+    zero = {**_NO_REAL_POINT_JOB, "realness_budget": 0}
+    assert any("realness unverified" in c for c in _caveats(tmp_path, zero))
+    assert _caveats(tmp_path, zero, "--realness-budget", "64") == []
+    assert _caveats(tmp_path, zero, "--realness-budget", "0") == _caveats(tmp_path, zero)
+
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({**_GOOD_JOB, "probe": True}))
+    runs = {flag: _run_cli(["classify", "--input", str(path), "--format", "machine", *flag])
+            for flag in ((), ("--no-probe",))}
+    assert "probe" in json.loads(runs[()].stdout)
+    assert "probe" not in json.loads(runs[("--no-probe",)].stdout)
+
+
+def test_cli_negative_realness_budget_is_rejected(tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(_NO_REAL_POINT_JOB))
+    r = _run_cli(["classify", "--input", str(path), "--realness-budget", "-1"])
+    assert r.returncode == 2 and "--realness-budget" in r.stderr
+    path.write_text(json.dumps({**_NO_REAL_POINT_JOB, "realness_budget": -1}))
+    r = _run_cli(["classify", "--input", str(path), "--format", "machine"])
+    assert r.returncode == 9
+    assert r.stderr.startswith("error[9]: ") and "Traceback" not in r.stderr
