@@ -8,9 +8,11 @@ oracles of the test suite.
 Multiplication and exact division switch to Kronecker substitution (pack
 the coefficients into one big integer, use CPython's fast bignum ops,
 unpack balanced digits) once operands are large enough; big-degree gcds go
-through a verified evaluation bound (divide-and-check) with a subresultant
-remainder sequence as the fallback.  Sturm chains stay on primitive-part
-pseudo-remainders so sign sequences are preserved.
+through a verified evaluation bound (divide-and-check) with a primitive
+remainder sequence as the fallback.  Resultants run the subresultant
+remainder sequence.  Sturm chains stay on primitive-part pseudo-remainders
+so sign sequences are preserved.  Every remainder sequence takes its
+pseudo-remainders from one pseudo-division, zpdivmod.
 
 SturmSigns is the one implementation of Sturm root counting, bisection
 isolation and interval refinement, for integer chains here and for chains
@@ -197,32 +199,65 @@ def zsign_at(a, x):
 
 
 # ---------------------------------------------------------------------------
-# gcd: verified evaluation for large inputs, subresultant PRS fallback
+# pseudo-division, resultant, and gcd: verified evaluation for large
+# inputs, primitive PRS fallback
 # ---------------------------------------------------------------------------
 
-def _prem(a, b):
-    """Pseudo-remainder: (lc(b) ** (deg a - deg b + 1)) * a  rem  b."""
-    da, db = zdeg(a), zdeg(b)
-    if da < db:
-        return list(a)
+def zpdivmod(a, b):
+    """Pseudo-division: (q, r) with lc(b)**k * a = q * b + r, deg r < deg b
+    and k = max(deg a - deg b + 1, 0).  Multiplying a by lc(b)**k up front
+    makes each quotient term t // lc(b) exact."""
+    db = len(b) - 1
+    k = len(a) - db
+    if k <= 0:
+        return [], list(a)
     lb = b[-1]
-    r = list(a)
-    for k in range(da - db, -1, -1):
-        r = ztrim(r)
-        if zdeg(r) != k + db:
-            r = zscale(r, lb)
-            continue
-        top = r[-1]
-        r = zsub(zscale(r[:-1], lb), zscale(zshift(b[:-1], k), top))
-    return ztrim(r)
+    s = lb**k
+    r = [c * s for c in a]
+    q = [0] * k
+    for j in range(k - 1, -1, -1):
+        t = r[j + db] // lb
+        if t:
+            q[j] = t
+            for i in range(db):
+                r[j + i] -= t * b[i]
+    return q, ztrim(r[:db])  # q[-1] = lc(b)**(k-1) * lc(a) != 0
+
+
+def zresultant(a, b):
+    """Resultant of two nonzero polynomials by the subresultant remainder
+    sequence (Collins; Cohen, Alg. 3.3.7): every remainder is divided
+    exactly by g * h**delta, so coefficients grow only like the minors."""
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if len(a) % 2 == 0 and len(b) % 2 == 0:  # both degrees odd
+            s = -1
+    if len(b) == 1:
+        return b[0] ** (len(a) - 1)
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            s = -s
+        r = zpdivmod(a, b)[1]
+        if not r:
+            return 0
+        div = g * h**delta
+        a, b = b, [c // div for c in r]
+        g = a[-1]
+        if delta:  # delta = 0 only on the first step, where h = 1
+            h = g**delta // h ** (delta - 1)
+    da = len(a) - 1
+    return s * b[0] ** da // h ** (da - 1)
 
 
 def _gcd_prs(a, b):
     """Primitive-PRS gcd of primitive inputs (subresultant-free, adequate
     at the sizes that reach this fallback)."""
     while b:
-        r = _prem(a, b)
-        a, b = b, zprimitive(r)
+        a, b = b, zprimitive(zpdivmod(a, b)[1])
     return zprimitive(a)
 
 
@@ -354,8 +389,8 @@ def sturm_chain(a):
     while b:
         chain.append(b)
         prev = chain[-2]
-        r = _prem(prev, b)
-        # prem multiplied prev by lc(b)**(delta+1); flip if that factor < 0
+        r = zpdivmod(prev, b)[1]
+        # zpdivmod multiplied prev by lc(b)**(delta+1); flip if that factor < 0
         if b[-1] < 0 and (zdeg(prev) - zdeg(b) + 1) % 2 == 1:
             r = zneg(r)
         b = zprimitive_pos(zneg(r))

@@ -1,9 +1,10 @@
 """Bivariate helpers: polynomials in Q[x, y] viewed as y-polynomials with
 Z[x] coefficients.
 
-Resultants go through the Sylvester matrix with Bareiss fraction-free
-elimination (exact divisions ride the Kronecker-packed kernel, with a
-Hadamard-style bit bound so packed division is safe).  The bivariate gcd
+Resultants pack each Z[x] coefficient into one integer (Kronecker
+substitution at a power of two wide enough that the result unpacks
+uniquely) and run the subresultant remainder sequence of the integer
+kernel (_zpoly.zresultant) on the packed polynomials.  The bivariate gcd
 is a primitive-PRS in y; it certifies non-zero-divisor denominators and
 names the offending common component otherwise.
 """
@@ -153,71 +154,30 @@ def bivariate_gcd(p: MPoly, q: MPoly) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# Sylvester resultant via Bareiss
+# resultant: subresultant PRS on Kronecker-packed rows
 # ---------------------------------------------------------------------------
 
 def resultant_y(p: MPoly, q: MPoly) -> UPoly:
-    """Res_y(p, q) as a polynomial in x over Q (up to a positive rational
-    factor, which is irrelevant for its roots)."""
+    """Res_y of the to_y_dense rows of p and q, exactly, as a polynomial in
+    x: Res_y(p, q) up to the positive factor of the dropped denominators.
+
+    Each row is packed at X = 2**W into one integer and the resultant of the
+    packed polynomials is Res evaluated at X.  Each Sylvester row has
+    1-norm |a|_1 or |b|_1 and |det|_1 is at most the product of the row
+    1-norms, so every coefficient of Res lies below 2**(W-2) and its
+    balanced base-X digits are unique."""
     a, b = to_y_dense(p), to_y_dense(q)
     m, n = len(a) - 1, len(b) - 1
     if m < 0 or n < 0:
         raise PreconditionError("resultant of the zero polynomial")
-    if m == 0:
-        return UPoly.from_ints("x", _zpow(a[0], n))
-    if n == 0:
-        return UPoly.from_ints("x", _zpow(b[0], m))
-    size = m + n
-    mat = []
-    for i in range(n):  # rows of a-coefficients
-        row = [[] for _ in range(size)]
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = list(c)
-        mat.append(row)
-    for i in range(m):  # rows of b-coefficients
-        row = [[] for _ in range(size)]
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = list(c)
-        mat.append(row)
-    det = _bareiss(mat)
-    return UPoly.from_ints("x", det)
+    w = n * _norm1_bits(a) + m * _norm1_bits(b) + 2
+    res = zp.zresultant([zp._pack(r, w) for r in a], [zp._pack(r, w) for r in b])
+    deg_x = n * (max(map(len, a)) - 1) + m * (max(map(len, b)) - 1)  # bounds deg Res
+    return UPoly.from_ints("x", zp._unpack(res, w, deg_x + 1))
 
 
-def _zpow(base, n):
-    acc = [1]
-    for _ in range(n):
-        acc = zp.zmul(acc, base)
-    return acc
-
-
-def _bareiss(mat):
-    """Fraction-free determinant of a matrix of Z[x] entries."""
-    n = len(mat)
-    # Hadamard-style bound on minor coefficient bits, for packed division
-    total_bits = 16 + n.bit_length() * n
-    for row in mat:
-        total_bits += max((zp._max_bits(e) for e in row), default=0)
-        total_bits += max((len(e) for e in row), default=1).bit_length()
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not mat[k][k]:
-            for i in range(k + 1, n):
-                if mat[i][k]:
-                    mat[k], mat[i] = mat[i], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        pivot = mat[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = zp.zsub(zp.zmul(mat[i][j], pivot), zp.zmul(mat[i][k], mat[k][j]))
-                mat[i][j] = zp.zdivexact(num, prev, quot_bits=total_bits) if num else []
-            mat[i][k] = []
-        prev = pivot
-    out = mat[n - 1][n - 1]
-    return zp.zneg(out) if sign < 0 else out
+def _norm1_bits(rows):
+    return sum(abs(c) for r in rows for c in r).bit_length()
 
 
 def bivariate_divexact_y(p: MPoly, g: MPoly) -> MPoly:

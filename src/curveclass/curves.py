@@ -533,7 +533,10 @@ class RealnessReport:
 def certify_realness(curve: PlaneCurve, budget=64) -> RealnessReport:
     """Semi-decision: certify each discovered factor of F real by finding a
     nonsingular real point on every component the factor covers; absence of
-    a certificate within budget means "unverified", never "not real"."""
+    a certificate within budget means "unverified", never "not real".
+    budget, the number of x-samples tried, must be a nonnegative int."""
+    if not isinstance(budget, int) or budget < 0:
+        raise PreconditionError(f"realness budget must be a nonnegative integer, got {budget!r}")
     F = curve.F
     factors = []
     rows = to_y_dense(F)

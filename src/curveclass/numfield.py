@@ -27,8 +27,10 @@ to integer numerators over one denominator, multiplied by one integer
 convolution, pseudo-reduced by the integer forms c_k * m_k of the level
 polynomials (built once per field, NumberField.zlevels), and rebuilt as a
 Fraction rep once.  A rational scalar scales the coefficients instead of
-entering a product.  Inversion (extended Euclid) still runs on Fraction
-reps, with its products in the kernel.
+entering a product.  Inversion at depth 1 runs on integers too: an extended
+pseudo-remainder sequence against the integer level form.  At depth 2 the
+extended Euclid runs on Fraction reps, with its products in the kernel and
+its leading-coefficient inversions on the depth-1 integer path.
 """
 
 import math
@@ -164,22 +166,13 @@ def _zrep(nums, den, depth):
 
 def _zrem(p, m, steps):
     """(r, c**steps) with c**steps * p = q * m + r and deg r < deg m, where
-    c = m[-1] > 0 and steps >= deg p - deg m + 1.  Multiplying by c**steps
-    up front makes each quotient term t // c exact, so the steps share one
-    power of c; a count above the needed one serves a power shared by
-    several polynomials."""
+    c = m[-1] > 0 and steps >= deg p - deg m + 1: the pseudo-remainder of
+    zpdivmod, times the power of c by which steps exceeds the needed count,
+    so that several polynomials can share one power."""
     c = m[-1]
-    dm = len(m) - 1
-    s = c**steps
-    p = [x * s for x in p] if s != 1 else list(p)
-    for k in range(len(p) - 1, dm - 1, -1):
-        t = p[k]
-        if t:
-            if c != 1:
-                t //= c
-            for i in range(dm):
-                p[k - dm + i] -= t * m[i]
-    return p[:dm], s
+    r = zp.zpdivmod(p, m)[1]
+    extra = c ** (steps - max(len(p) - len(m) + 1, 0))
+    return ([x * extra for x in r] if extra != 1 else r), c**steps
 
 
 def _zreduce(F, p, depth):
@@ -241,6 +234,8 @@ def _rinv(F, a, depth):
         return 1 / a
     if _is_rzero(a, depth):
         raise ZeroDivisionError("inverting zero tower element")
+    if depth == 1:
+        return _zinv(F, a)
     m = F._mp[depth - 1]
     # extended Euclid with the invariant  r_i == s_i * a  (mod m)
     r0, s0 = tuple(m), _rzero(depth)
@@ -259,6 +254,25 @@ def _rinv(F, a, depth):
         s_next = _rsub(s0, _rmul(F, q, s1m, depth), depth)
         r0, s0 = r1m, s1m
         r1, s1 = _rtrim(rem, depth), s_next
+
+
+def _zinv(F, a):
+    """_rinv at depth 1 on integers: the extended pseudo-remainder sequence
+    of the level form M = c * m1 and the numerators A of a, with r_i == s_i * A
+    (mod M) and the common content of (r_i, s_i) divided out each step."""
+    r1, den = _zclear(a, 1)
+    r0, s0, s1 = F.zlevels()[0], [], [1]
+    while len(r1) > 1:
+        q, r = zp.zpdivmod(r0, r1)
+        s = zp.zsub(zp.zscale(s0, r1[-1] ** (len(r0) - len(r1) + 1)), zp.zmul(q, s1))
+        g = math.gcd(zp.zcontent(r), zp.zcontent(s))
+        if g > 1:
+            r, s = [c // g for c in r], [c // g for c in s]
+        r0, s0, r1, s1 = r1, s1, r, s
+    if r1:  # s1 * A == c (mod M): the inverse of a = A / den is den * s1 / c
+        return tuple(Fraction(den * c, r1[0]) for c in s1)
+    # r0, of degree >= 1, is the gcd of M and A: a zero divisor splits m1
+    raise SplitEvent(0, tuple(Fraction(c, r0[-1]) for c in r0))
 
 
 # ---------------------------------------------------------------------------

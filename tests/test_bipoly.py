@@ -99,3 +99,132 @@ def test_y_rows_round_trip(p):
     assert from_y_dense([r.coeffs for r in rows]) == p
     assert all(r.var == "x" for r in rows)
     assert not rows or rows[-1]  # the top row is the leading y-coefficient
+
+
+# -- the subresultant resultant, against the Sylvester/Bareiss determinant --
+import pytest  # noqa: E402
+
+from curveclass import _zpoly as zp  # noqa: E402
+from curveclass.bipoly import to_y_dense  # noqa: E402
+from curveclass.unipoly import UPoly  # noqa: E402
+
+
+def _bareiss(mat):
+    """Reference: fraction-free determinant of a matrix of Z[x] entries,
+    the elimination that the subresultant sequence replaced."""
+    n = len(mat)
+    total_bits = 16 + n.bit_length() * n
+    for row in mat:
+        total_bits += max((zp._max_bits(e) for e in row), default=0)
+        total_bits += max((len(e) for e in row), default=1).bit_length()
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not mat[k][k]:
+            for i in range(k + 1, n):
+                if mat[i][k]:
+                    mat[k], mat[i] = mat[i], mat[k]
+                    sign = -sign
+                    break
+            else:
+                return []
+        pivot = mat[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = zp.zsub(zp.zmul(mat[i][j], pivot), zp.zmul(mat[i][k], mat[k][j]))
+                mat[i][j] = zp.zdivexact(num, prev, quot_bits=total_bits) if num else []
+            mat[i][k] = []
+        prev = pivot
+    out = mat[n - 1][n - 1]
+    return zp.zneg(out) if sign < 0 else out
+
+
+def _sylvester_resultant(a, b):
+    """Reference: the determinant of the Sylvester matrix of two rows lists
+    over Z[x] (highest y-power first in each matrix row)."""
+    m, n = len(a) - 1, len(b) - 1
+    if m == 0 or n == 0:
+        base, power = (a[0], n) if m == 0 else (b[0], m)
+        acc = [1]
+        for _ in range(power):
+            acc = zp.zmul(acc, base)
+        return acc
+    size = m + n
+    mat = []
+    for rows, count in ((a, n), (b, m)):
+        for i in range(count):
+            row = [[] for _ in range(size)]
+            for j, c in enumerate(reversed(rows)):
+                row[i + j] = list(c)
+            mat.append(row)
+    return _bareiss(mat)
+
+
+def _reference_resultant_y(p, q):
+    return UPoly.from_ints("x", _sylvester_resultant(to_y_dense(p), to_y_dense(q)))
+
+
+@st.composite
+def _y_poly(draw, coeff):
+    """A polynomial of y-degree 0-7 and x-degree 0-8 with a nonzero top row,
+    coefficients drawn from `coeff`."""
+    dy, dx = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    terms = {}
+    for _ in range(draw(st.integers(0, 12))):
+        terms[(0, 0, draw(st.integers(0, dx)), draw(st.integers(0, dy)))] = draw(coeff)
+    terms[(0, 0, draw(st.integers(0, dx)), dy)] = draw(coeff.filter(bool))
+    return MPoly({e: c for e, c in terms.items() if c})
+
+
+_big_ints = st.integers(-(2**64), 2**64)
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=2**20)
+
+
+@pytest.mark.parametrize("coeff", [_big_ints, _rationals], ids=["int", "rational"])
+@settings(deadline=None, max_examples=120)
+@given(data=st.data())
+def test_resultant_y_equals_the_sylvester_determinant(coeff, data):
+    p, q = data.draw(_y_poly(coeff)), data.draw(_y_poly(coeff))
+    assert resultant_y(p, q) == _reference_resultant_y(p, q)
+
+
+_SINGULAR = parse_poly("(y^4 + x^5)*(y^2 - (x^2 + 1)^2*(x - 3)^3)")
+
+
+@pytest.mark.parametrize("p, q", [
+    # deg p < deg q, both odd: the swap costs a sign
+    (parse_poly("y^3 + x*y + 1"), parse_poly("y^5 - x^2*y^2 + 3*x - 7")),
+    (parse_poly("2*y - x"), parse_poly("y^3 + x^2*y + 5")),
+    # y-gaps: remainder degrees drop by 2 or more
+    (parse_poly("y^6 + x"), parse_poly("y^3 + x^2")),
+    (parse_poly("y^7 - x*y + 1"), parse_poly("y^4 - x^3")),
+    # a shared factor: zero resultant
+    (parse_poly("(y - x)*(y + 1)"), parse_poly("(y - x)*(y^2 + x)")),
+    # constant in y on either side, and both
+    (parse_poly("x^2 + 1"), parse_poly("y^3 + x")),
+    (parse_poly("y^4 - x*y"), parse_poly("-3*x + 2")),
+    (parse_poly("x - 5"), parse_poly("7")),
+    # the singular locus of a (y^4 + x^k)(y^2 - a(x)) curve
+    (_SINGULAR.deriv("y"), _SINGULAR.deriv("x")),
+    (_SINGULAR, _SINGULAR.deriv("y")),
+])
+def test_resultant_y_fixed_cases(p, q):
+    want = _reference_resultant_y(p, q)
+    assert resultant_y(p, q) == want
+    # Res(q, p) = (-1)**(deg p * deg q) Res(p, q)
+    flip = (p.degree_in("y") * q.degree_in("y")) % 2
+    assert resultant_y(q, p) == (-want if flip else want)
+
+
+def test_resultant_y_of_a_shared_factor_is_zero():
+    assert resultant_y(parse_poly("(y - x)*(y + 1)"), parse_poly("(y - x)*(y^2 + x)")).is_zero()
+
+
+_zpolys = st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=9).map(zp.ztrim).filter(bool)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_zpolys, _zpolys)
+def test_zresultant_equals_the_sylvester_determinant(a, b):
+    want = _sylvester_resultant([[c] if c else [] for c in a], [[c] if c else [] for c in b])
+    assert zp.zresultant(a, b) == (want[0] if want else 0)

@@ -409,3 +409,15 @@ def test_integer_realness_samples_match_specialize_x(monkeypatch, F, budget):
     monkeypatch.setattr(curves, "_certify_block", compared)
     certify_realness(make_curve(F), budget=budget)
     assert blocks
+
+
+@pytest.mark.parametrize("budget", [-1, -64, 1.5, "8", None])
+def test_realness_budget_must_be_a_nonnegative_int(budget):
+    curve = make_curve(parse_poly("y^2 + x^2 + 1 - x^3*y"))
+    with pytest.raises(PreconditionError) as exc:
+        certify_realness(curve, budget=budget)
+    assert exc.value.code == 8
+    with pytest.raises(PreconditionError):
+        curve.realness(budget)
+    assert curve._realness == {}  # nothing cached for the rejected budget
+    assert not curve.realness(0).certified

@@ -558,3 +558,108 @@ def test_integer_level_forms_are_built_once_per_field(monkeypatch):
     assert F.zlevels() is forms
     twin = extend_field(base, "b", [-a / 5, base.from_fraction(Fraction(1, 2)), base.one()])
     assert twin._zlevels is None and F == twin and hash(F) == hash(twin)
+
+
+# -- tower inversion on integers, against the Fraction extended Euclid -----
+from curveclass.numfield import _rdivmod, _rinv, _rone, _rscale  # noqa: E402
+
+
+def _fraction_inv(F, a, depth):
+    """Reference inverse: the Fraction extended Euclid that _rinv ran at
+    every depth, with its products in the kernel."""
+    if depth == 0:
+        return 1 / a
+    m = F._mp[depth - 1]
+    r0, s0 = tuple(m), _rzero(depth)
+    r1, s1 = _rtrim(a, depth), (_rone(depth - 1),)
+    while True:
+        if not r1:  # r0 is the monic gcd
+            assert len(r0) > 1
+            raise SplitEvent(depth - 1, r0)
+        lc_inv = _fraction_inv(F, r1[-1], depth - 1)
+        if len(r1) == 1:
+            return _rscale(F, s1, lc_inv, depth)
+        r1m = _rscale(F, r1, lc_inv, depth)
+        s1m = _rscale(F, s1, lc_inv, depth)
+        q, rem = _rdivmod(F, r0, r1m, depth)
+        s_next = _rsub(s0, _rmul(F, q, s1m, depth), depth)
+        r0, s0 = r1m, s1m
+        r1, s1 = _rtrim(rem, depth), s_next
+
+
+def _fr(*cs):
+    return tuple(Fraction(c) for c in cs)
+
+
+# reducible level-0 polynomials and their factors (depth-1 reps)
+_SPLIT0 = {
+    _fr(6, 0, -5, 0, 1): [_fr(-2, 0, 1), _fr(-3, 0, 1)],  # (a^2 - 2)(a^2 - 3)
+    _fr(-1, 1, -1, 1): [_fr(-1, 1), _fr(1, 0, 1)],  # (a - 1)(a^2 + 1)
+}
+_fractional = _kcoeff.filter(lambda c: c.denominator > 1)
+
+
+@st.composite
+def _inv_tower(draw, depth):
+    """A tower whose level 0 has a non-integer coefficient (c_1 > 1) or is
+    one of the reducible _SPLIT0; at depth 2 the top level is random, the
+    reducible (b - a)(b + 1), or the tower of a rational point."""
+    if draw(st.integers(0, 4)) == 0:
+        F = rational_point_field("x", "y", draw(_kcoeff), draw(_kcoeff))
+        return F if depth == 2 else F.sub_field(1)
+    if draw(st.booleans()):
+        m1 = draw(st.sampled_from(sorted(_SPLIT0)))
+    else:
+        low = draw(st.lists(_kcoeff, min_size=0, max_size=3))
+        m1 = (draw(_fractional),) + tuple(low) + (Fraction(1),)
+    levels = [("a", m1)]
+    if depth == 2:
+        if len(m1) > 2 and draw(st.booleans()):  # (b - a)(b + 1) = b^2 + (1 - a) b - a
+            levels.append(("b", (_fr(0, -1), _fr(1, -1), _fr(1))))
+        else:
+            low = draw(st.lists(_reps_below(len(m1) - 1, _kcoeff), min_size=1, max_size=3))
+            levels.append(("b", tuple(low) + ((Fraction(1),),)))
+    return NumberField(levels)
+
+
+def _zero_divisors(F, depth):
+    """Factors of F's reducible levels as depth-`depth` reps."""
+    out = list(_SPLIT0.get(F._mp[0], ()))
+    if depth == 2:
+        out = [(f,) for f in out]
+        if F._mp[1] == (_fr(0, -1), _fr(1, -1), _fr(1)):
+            out += [(_fr(0, -1), _fr(1)), (_fr(1), _fr(1))]  # b - a, b + 1
+    return out
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_integer_inverse_matches_the_fraction_euclid(depth, data):
+    F = data.draw(_inv_tower(depth))
+    a = data.draw(_element_reps(F, depth).filter(bool))
+    factors = _zero_divisors(F, depth)
+    if factors and data.draw(st.booleans()):  # a multiple of a factor
+        a = _rmul(F, a, data.draw(st.sampled_from(factors)), depth)
+    if _is_rzero(a, depth):  # a multiple of the cofactor too
+        with pytest.raises(ZeroDivisionError):
+            _rinv(F, a, depth)
+        return
+    try:
+        want = _fraction_inv(F, a, depth)
+    except SplitEvent as ev:
+        with pytest.raises(SplitEvent) as got:
+            _rinv(F, a, depth)
+        assert (got.value.level, got.value.factor_rep) == (ev.level, ev.factor_rep)
+        return
+    assert _rinv(F, a, depth) == want
+    assert _rmul(F, a, want, depth) == _rone(depth)
+
+
+def test_integer_inverse_splits_like_the_fraction_euclid():
+    F = NumberField([("a", _fr(6, 0, -5, 0, 1))])  # (a^2 - 2)(a^2 - 3)
+    for a, factor in [(_fr(-2, 0, 1), _fr(-2, 0, 1)), (_fr(3, 0, -1), _fr(-3, 0, 1)),
+                      (_fr(-6, 0, 3), _fr(-2, 0, 1)), (_fr(0, -2, 0, 1), _fr(-2, 0, 1))]:
+        with pytest.raises(SplitEvent) as ev:
+            _rinv(F, a, 1)
+        assert (ev.value.level, ev.value.factor_rep) == (0, factor)

@@ -178,3 +178,20 @@ def test_rational_roots_are_complete_for_large_denominators(linears, quadratic):
     for n, d in linears:
         p = zmul(p, [-n, d])
     assert zrational_roots(p) == sorted({Fraction(n, d) for n, d in linears})
+
+
+
+from curveclass._zpoly import zadd, zpdivmod, ztrim  # noqa: E402
+
+_zp = st.lists(st.integers(-(2**30), 2**30), max_size=9).map(ztrim)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_zp, _zp.filter(bool))
+def test_pseudo_division_identity(a, b):
+    # lc(b)**k * a = q * b + r with k = max(deg a - deg b + 1, 0), deg r < deg b
+    q, r = zpdivmod(a, b)
+    k = max(len(a) - len(b) + 1, 0)
+    assert [c * b[-1] ** k for c in a] == zadd(zmul(q, b), r)
+    assert len(r) < len(b) and r == ztrim(r)
+    assert len(q) == k and (not q or q[-1])
