@@ -63,7 +63,9 @@ _YI = var_index("y")
 
 def specialize_x(p: MPoly, xval) -> UPoly:
     """Substitute x -> xval (Fraction or tower element); result is a
-    polynomial in y over the value's ring."""
+    polynomial in y over the value's ring.  Horner over whatever ring xval
+    lives in; a tower's own generator is substituted by reduction instead
+    (NumberField.at_gens on the y-rows, as _points_at_chunk does)."""
     zero = xval - xval
     dy = p.degree_in("y")
     coeffs = [zero] * (dy + 1 if dy >= 0 else 1)
@@ -253,9 +255,11 @@ def _points_at_chunk(chunk: UPoly, withy):
     """Solutions over a coprime chunk of irrational x-coordinates; dynamic
     evaluation splits the chunk when the fiber structure varies."""
 
+    grids = [[row.coeffs for row in y_rows(p)] for p in withy]
+
     def classes_over(fld):
-        alpha = fld.gen(0)
-        g = nonzero_gcd(specialize_x(p, alpha) for p in withy)
+        # p(alpha, y), each y-coefficient reduced modulo the chunk
+        g = nonzero_gcd(UPoly("y", [fld.at_gens(row) for row in rows]) for rows in grids)
         if g is None or g.degree == 0:
             return []
         m2 = squarefree_part(g)
@@ -425,15 +429,30 @@ def _linear_y_factors(F: MPoly):
     return out, rest
 
 
+_PROBES = (4, -2, 5)
+
+
 def _first_linear_factor(F: MPoly, shapes, cands, x1):
     """The first (g, F / (y - g)) with g = (root / shape(x1)) * shape in
-    Q[x], in shape-then-candidate order; None when no candidate divides."""
+    Q[x], in shape-then-candidate order; None when no candidate divides.
+
+    When y - g divides F, F(x_j, g(x_j)) = 0 at every x_j, so a candidate
+    is first tested at the integer probes _PROBES, on the integer rows of F
+    evaluated there once.  Only survivors are divided, so the first
+    divisor found is the one division alone would find."""
+    rows = to_y_dense(F)
+    fibers = [[zp.zeval_int(row, xj) for row in rows] for xj in _PROBES]
     for shape in shapes:
         mval = shape.eval(x1)
         if not mval:
             continue
+        zs, den = to_zpoly(shape)
+        svals = [Fraction(zp.zeval_int(zs, xj), den) for xj in _PROBES]
         for root in cands:
-            g_poly = shape.scale(root / mval)
+            k = root / mval
+            if any(zp.zsign_at(fib, k * s) for fib, s in zip(fibers, svals)):
+                continue
+            g_poly = shape.scale(k)
             q = _divide_out_linear_y(F, g_poly)
             if q is not None:
                 return g_poly, q

@@ -15,7 +15,7 @@ failure carries a witness.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import from_y_dense, resultant_y, squarefree_part_y, y_primitive
+from .bipoly import from_y_dense, resultant_y, squarefree_part_y, y_primitive, y_rows
 from .curves import BadPoint, PlaneCurve, bad_locus, run_with_splits, specialize_x
 from .errors import (
     AssignmentError,
@@ -30,13 +30,12 @@ from .mpoly import (
     PolyIdeal,
     buchberger,
     eliminate,
-    eval_at,
     ideals_equal,
     lift_membership,
     monic_in_t_witness,
     normal_form,
     saturate_gb,
-    specialize_to_t,
+    var_index,
 )
 from .numfield import (
     NFElement,
@@ -136,8 +135,24 @@ def _coerce_value(pt: BadPoint, value):
             raise AssignmentError("assigned value lives in a different tower")
         return value
     if isinstance(value, MPoly):
-        return eval_at(value, pt.xgen(), pt.ygen())
+        return _value_at(value, pt.field)
     return pt.field.from_fraction(Fraction(value))
+
+
+def _value_at(p: MPoly, fld):
+    """p(x, y) at the point whose tower is fld: eval_at(p, fld.gen(0),
+    fld.gen(1)), computed as the reduction of p's y-rows modulo the level
+    polynomials (NumberField.at_gens)."""
+    return fld.at_gens([row.coeffs for row in y_rows(p)])
+
+
+def _t_coefficients(p: MPoly):
+    """The coefficients in x, y of p(x, y, t), lowest power of t first."""
+    ti = var_index("t")
+    out = [{} for _ in range(max(p.degree_in("t"), 0) + 1)]
+    for e, c in p.terms.items():
+        out[e[ti]][e[:ti] + (0,) + e[ti + 1:]] = c
+    return [MPoly(terms) for terms in out]
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +197,9 @@ def fiber_report(gb_lex, pt: BadPoint, assigned=None) -> FiberReport:
 
     May raise SplitEvent; drive it through run_with_splits (classify does).
     """
-    xv, yv = pt.xgen(), pt.ygen()
-    fiber = nonzero_gcd(UPoly("t", specialize_to_t(g, xv, yv)) for g in gb_lex.basis)
+    fiber = nonzero_gcd(
+        UPoly("t", [_value_at(c, pt.field) for c in _t_coefficients(g)]) for g in gb_lex.basis
+    )
     if fiber is None:
         raise PreconditionError("graph fiber is not finite over a bad point")
     if fiber.degree <= 0:
@@ -245,7 +261,7 @@ def is_regular(f: CurveFunction):
         if val is None:
             continue
         def fn(refined, _of=pt.field, _v=val):
-            hval = eval_at(h, refined.xgen(), refined.ygen())
+            hval = _value_at(h, refined.field)
             return is_zero_or_split(hval - _of.transfer(_v, refined.field))
 
         for refined, ok in run_with_splits(pt, fn):

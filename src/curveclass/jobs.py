@@ -38,9 +38,13 @@ class JobSpec:
         assignments = d.get("assignments", [])
         if not isinstance(assignments, list):
             raise JobError("assignments must be a list")
+        raw = d.get("realness_budget", 64)
         try:
-            budget = int(d.get("realness_budget", 64))
-        except (TypeError, ValueError):
+            budget = int(raw)
+        except (TypeError, ValueError, OverflowError):
+            raise JobError("realness_budget must be an integer")
+        # int() would truncate 2.7 to 2 and read true as 1
+        if isinstance(raw, bool) or (not isinstance(raw, str) and budget != raw):
             raise JobError("realness_budget must be an integer")
         if budget < 0:
             raise JobError("realness_budget must be nonnegative")

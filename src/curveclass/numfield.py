@@ -27,7 +27,10 @@ to integer numerators over one denominator, multiplied by one integer
 convolution, pseudo-reduced by the integer forms c_k * m_k of the level
 polynomials (built once per field, NumberField.zlevels), and rebuilt as a
 Fraction rep once.  A rational scalar scales the coefficients instead of
-entering a product.  Inversion at depth 1 runs on integers too: an extended
+entering a product.  A polynomial in x, y is specialized at a tower point
+(the generators of its levels) the same way: its coefficient grid is
+reduced modulo the level forms once (NumberField.at_gens), with no Horner
+over tower elements.  Inversion at depth 1 runs on integers too: an extended
 pseudo-remainder sequence against the integer level form.  At depth 2 the
 extended Euclid runs on Fraction reps, with its products in the kernel and
 its leading-coefficient inversions on the depth-1 integer path.
@@ -399,6 +402,15 @@ class NumberField:
         rep = elem.rep if isinstance(elem, NFElement) else elem
         return NFElement(target, _rmod(target, rep, target.depth))
 
+    def at_gens(self, grid):
+        """The value p(gen(0)[, gen(1)]) of the polynomial p whose Fraction
+        coefficients grid holds: a sequence along the level-0 variable at
+        depth 1, a sequence along the level-1 variable of such sequences at
+        depth 2.  That value is p reduced modulo the level polynomials, here
+        on the integer kernel; reduced reps are canonical, so the rep is the
+        one Horner at the generators gives, degree-1 levels included."""
+        return NFElement(self, _rmod(self, grid, self.depth))
+
 
 class NFElement:
     """An element of a NumberField tower."""
@@ -614,7 +626,9 @@ def nf_sign(e: NFElement, emb: RealEmbedding) -> int:
     refinement could decide it.  Otherwise the exact interval enclosure
     (_rep_zival) is signed, refining the embedding up to a bisection cap,
     then the exact zero test runs; zero divisors surface as SplitEvents for
-    the caller to branch on.
+    the caller to branch on.  A nonzero element whose enclosure still
+    contains 0 after 4096 further rounds breaks the isolation invariant:
+    InternalError.
     """
     depth = e.field.depth
     if depth == 0:
@@ -635,7 +649,7 @@ def nf_sign(e: NFElement, emb: RealEmbedding) -> int:
         if sign:
             return sign
         emb.refine(round_no % depth)
-    raise ArithmeticError("sign refinement failed to converge")
+    raise InternalError("sign refinement failed to converge")
 
 
 def _zival_sign(e: NFElement, emb: RealEmbedding) -> int:

@@ -421,3 +421,91 @@ def test_realness_budget_must_be_a_nonnegative_int(budget):
         curve.realness(budget)
     assert curve._realness == {}  # nothing cached for the rejected budget
     assert not curve.realness(0).certified
+
+
+# -- linear factors: integer probes before division, against division alone -
+from contextlib import contextmanager  # noqa: E402
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def _first_linear_factor_by_division(F, shapes, cands, x1):
+    """Reference: the search without probes, dividing every (shape,
+    candidate) pair in shape-then-candidate order."""
+    from curveclass import curves
+
+    for shape in shapes:
+        mval = shape.eval(x1)
+        if not mval:
+            continue
+        for root in cands:
+            g_poly = shape.scale(root / mval)
+            q = curves._divide_out_linear_y(F, g_poly)
+            if q is not None:
+                return g_poly, q
+    return None
+
+
+@contextmanager
+def _counting_divisions():
+    from curveclass import curves
+
+    calls = []
+    divide = curves._divide_out_linear_y
+    curves._divide_out_linear_y = lambda F, g: calls.append(g) or divide(F, g)
+    try:
+        yield calls
+    finally:
+        curves._divide_out_linear_y = divide
+
+
+def test_a_candidate_passing_x_3_is_rejected_at_a_probe():
+    from curveclass import curves
+
+    F = (Y - X**2) * (Y**2 + 1)  # F(3, y) has the one rational root 9
+    one, x = UPoly.from_ints("x", [1]), UPoly.from_ints("x", [0, 1])
+    shapes, cands = [one, x, x * x], [Fraction(9)]
+    # g = 9 and g = 3x pass x = 3 (F(3, 9) = 0) and fail at x = 4; g = x^2 divides
+    with _counting_divisions() as probed:
+        got = curves._first_linear_factor(F, shapes, cands, Fraction(3))
+    with _counting_divisions() as divided:
+        want = _first_linear_factor_by_division(F, shapes, cands, Fraction(3))
+    assert got == want == (x * x, Y**2 + 1)
+    assert probed == [x * x] and len(divided) == 3
+
+
+_A_FACTORS = ("x-1", "x-2", "x^2+1", "x^2-2", "x^2+4", "x^2+x+1", "x^2-3", "2*x-1/3")
+
+
+@st.composite
+def _realness_curve(draw):
+    """y^2 - a(x) or (y^4 + x^k)(y^2 - a(x)) as in the singular-stress
+    workload, with a(x) sometimes a square times a constant (two linear
+    factors y -/+ g) and sometimes times a linear factor y - h(x)."""
+    a = parse_poly("1")
+    for f in draw(st.lists(st.sampled_from(_A_FACTORS), min_size=1, max_size=4)):
+        a = a * parse_poly(f) ** draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        a = a * a * draw(st.sampled_from([1, 4, Fraction(9, 4), 2]))
+    F = Y**2 - a
+    if draw(st.booleans()):
+        F = (Y**4 + X ** draw(st.integers(2, 8))) * F
+    if draw(st.booleans()):
+        F = F * (Y - parse_poly(draw(st.sampled_from(["x^2", "3*x - 1", "1/2*x^3", "5"]))))
+    return F
+
+
+@settings(deadline=None, max_examples=60)
+@given(F=_realness_curve())
+def test_probed_linear_factor_search_matches_division_alone(F):
+    from curveclass import curves
+
+    got = curves._linear_y_factors(F)
+    probe = curves._first_linear_factor
+    curves._first_linear_factor = _first_linear_factor_by_division
+    try:
+        want = curves._linear_y_factors(F)
+    finally:
+        curves._first_linear_factor = probe
+    assert got == want

@@ -663,3 +663,69 @@ def test_integer_inverse_splits_like_the_fraction_euclid():
         with pytest.raises(SplitEvent) as ev:
             _rinv(F, a, 1)
         assert (ev.value.level, ev.value.factor_rep) == (0, factor)
+
+
+def test_sign_refinement_that_never_converges_is_an_internal_error(monkeypatch):
+    from curveclass import numfield
+
+    F = sqrt2_field()
+    e = F.gen(0) - 1  # nonzero on the whole tower
+    emb = RealEmbedding(F, [(1, 2)])
+    rounds = []
+    monkeypatch.setattr(numfield, "_zival_sign", lambda e, emb: 0)
+    monkeypatch.setattr(RealEmbedding, "refine", lambda self, k: rounds.append(k))
+    with pytest.raises(InternalError) as exc:
+        nf_sign(e, emb)
+    assert exc.value.code == 10
+    assert len(rounds) == numfield._BISECT_CAP + 4096
+
+
+# -- tower points by reduction, against Horner at the generators -----------
+# specialize_x and specialize_to_t stay generic, so at a tower's generators
+# they are still the Horner route that the reduction replaced
+from curveclass.curves import specialize_x  # noqa: E402
+from curveclass.bipoly import y_rows  # noqa: E402
+from curveclass.functions import _t_coefficients, _value_at  # noqa: E402
+from curveclass.mpoly import MPoly, specialize_to_t, var_index  # noqa: E402
+
+
+@st.composite
+def _xyt_poly(draw, with_t):
+    """A sparse polynomial in x, y (and t) with small rational coefficients,
+    degrees above the level degrees so that the reduction has work to do."""
+    exps = st.tuples(st.integers(0, 2 if with_t else 0), st.integers(0, 7), st.integers(0, 4))
+    terms = {}
+    for (k, i, j), c in draw(st.lists(st.tuples(exps, _kcoeff), max_size=12)):
+        e = [0] * 4
+        e[var_index("t")], e[var_index("x")], e[var_index("y")] = k, i, j
+        terms[tuple(e)] = c
+    return MPoly(terms)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_tower_points_by_reduction_match_horner(depth, data):
+    F = data.draw(_inv_tower(depth))
+    if depth == 1:
+        p = data.draw(_xyt_poly(False))
+        want = specialize_x(p, F.gen(0))
+        got = UPoly("y", [F.at_gens(row.coeffs) for row in y_rows(p)])
+        assert [c.rep for c in got.coeffs] == [c.rep for c in want.coeffs]
+        return
+    p = data.draw(_xyt_poly(True))
+    want = specialize_to_t(p, F.gen(0), F.gen(1))
+    got = [_value_at(c, F) for c in _t_coefficients(p)]
+    assert [c.rep for c in got] == [c.rep for c in want]
+    assert all(c.field == F for c in got)
+
+
+def test_tower_point_of_a_degree_one_level_is_an_evaluation():
+    base = field_from_qpoly("x", UPoly("x", [Fraction(-3, 2), Fraction(1)]))  # x = 3/2
+    F = extend_field(base, "y", [base.from_fraction(-2), base.zero(), base.one()])  # y^2 = 2
+    p = MPoly({(0, 0, 2, 1): Fraction(1), (0, 0, 1, 0): Fraction(1, 3)})  # x^2 y + x/3
+    assert _value_at(p, F).rep == ((Fraction(1, 2),), (Fraction(9, 4),))
+    assert _value_at(p, F) == specialize_to_t(p, F.gen(0), F.gen(1))[0]
+    R = rational_point_field("x", "y", Fraction(3, 2), Fraction(-5))
+    assert _value_at(p, R).as_fraction() == Fraction(9, 4) * -5 + Fraction(1, 2)
+    assert _value_at(p, R).rep == specialize_to_t(p, R.gen(0), R.gen(1))[0].rep

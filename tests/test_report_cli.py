@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from curveclass.demo import run_demo
+from curveclass.errors import JobError
 from curveclass.jobs import JobSpec, MorphismJob, run_check_morphism, run_classify, run_present
 from curveclass.report import emit, parse_machine
 
@@ -337,9 +338,11 @@ _GOOD_JOB = {
         {**_GOOD_JOB, "assignments": ["point"]},
         {**_GOOD_JOB, "assignments": [{"point": 5, "value": "0"}]},
         {**_GOOD_JOB, "realness_budget": "abc"},
+        {**_GOOD_JOB, "realness_budget": 2.7},
+        {**_GOOD_JOB, "realness_budget": True},
     ],
     ids=["non-object", "curve-number", "assignments-number", "assignment-string",
-         "point-number", "budget-text"],
+         "point-number", "budget-text", "budget-fraction", "budget-bool"],
 )
 def test_cli_malformed_job_field_is_a_job_error(tmp_path, job):
     path = tmp_path / "job.json"
@@ -403,3 +406,56 @@ def test_cli_negative_realness_budget_is_rejected(tmp_path):
     r = _run_cli(["classify", "--input", str(path), "--format", "machine"])
     assert r.returncode == 9
     assert r.stderr.startswith("error[9]: ") and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("budget", [-0.5, False, float("inf"), float("nan"), "2.7", None])
+def test_job_budget_that_is_not_an_integer_is_a_job_error(budget):
+    with pytest.raises(JobError) as exc:
+        JobSpec.from_dict({**_GOOD_JOB, "realness_budget": budget})
+    assert exc.value.code == 9
+
+
+@pytest.mark.parametrize("budget", [64, 64.0, "64", 0, 0.0])
+def test_job_budget_integral_forms_are_accepted(budget):
+    assert JobSpec.from_dict({**_GOOD_JOB, "realness_budget": budget}).realness_budget == int(budget)
+
+
+# -- machine output does not depend on the order of a job's keys -----------
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from curveclass.demo import CORPUS  # noqa: E402
+
+_DEMO_JOBS = {
+    e.name: {"curve": e.job.curve_expr, "numerator": e.job.num_expr,
+             "denominator": e.job.den_expr, "assignments": e.job.assignments,
+             "realness_budget": 64, "probe": True}
+    for e in CORPUS if isinstance(e.job, JobSpec)
+}
+_DEMO_MACHINE = {}
+
+
+def _machine_text(job_dict):
+    return emit(run_classify(JobSpec.from_dict(job_dict)), "machine")
+
+
+@st.composite
+def _reordered_demo_job(draw):
+    name = draw(st.sampled_from(sorted(_DEMO_JOBS)))
+    job = _DEMO_JOBS[name]
+    out = {}
+    for key in draw(st.permutations(list(job))):
+        value = job[key]
+        if key == "assignments":
+            value = [{k: a[k] for k in draw(st.permutations(list(a)))} for a in value]
+        out[key] = value
+    return name, out
+
+
+@settings(deadline=None, max_examples=30)
+@given(case=_reordered_demo_job())
+def test_machine_output_is_byte_stable_under_job_key_reordering(case):
+    name, job = case
+    if name not in _DEMO_MACHINE:
+        _DEMO_MACHINE[name] = _machine_text(_DEMO_JOBS[name])
+    assert _machine_text(job) == _DEMO_MACHINE[name]
