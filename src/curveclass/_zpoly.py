@@ -12,7 +12,9 @@ through a verified evaluation bound (divide-and-check) with a primitive
 remainder sequence as the fallback.  Resultants run the subresultant
 remainder sequence.  Sturm chains stay on primitive-part pseudo-remainders
 so sign sequences are preserved.  Every remainder sequence takes its
-pseudo-remainders from one pseudo-division, zpdivmod.
+pseudo-remainders from one pseudo-division, zpdivmod.  Rational roots
+come from p-adic lifting of the roots modulo one small prime, with no real
+root isolation.
 
 SturmSigns is the one implementation of Sturm root counting, bisection
 isolation and interval refinement, for integer chains here and for chains
@@ -21,7 +23,7 @@ signs of a chain per point, so each is computed once.
 """
 
 from fractions import Fraction
-from math import floor, gcd as int_gcd
+from math import gcd as int_gcd, isqrt
 
 _KRONECKER_CUTOFF = 24  # schoolbook below this many coefficient products
 
@@ -338,31 +340,63 @@ def zyun(a):
     return out
 
 
-def zrational_roots(a):
-    """Rational roots of a (no multiplicity), ascending; complete, with no
-    limit on denominators.
+def _odd_primes():
+    """3, 5, 7, 11, ... by trial division."""
+    p = 3
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
 
-    By Gauss's lemma a root n/d in lowest terms of the primitive squarefree
-    part sf has d | lc(sf), so lc(sf) * n/d is an integer.  Each isolating
-    interval is refined below width 1/(2 lc(sf)); the open interval
-    (lc * lo, lc * hi) then holds at most one integer k, and k / lc(sf) is
-    the only candidate, which is tested exactly.
+
+def zsf_rational_roots(sf):
+    """Rational roots of sf, ascending; sf must be primitive and squarefree
+    with a positive leading coefficient.  Complete, with no limit on
+    denominators.
+
+    p-adic lifting (Loos, SIAM J. Comput. 12, 1983): take the first odd
+    prime p with p not dividing lc(sf) at which every root of sf mod p is
+    simple; sf is squarefree, so only the primes dividing lc * disc(sf) are
+    skipped.  A root n/d in lowest terms has d | lc (Gauss's lemma), so it
+    is a p-adic integer whose residue is one of those simple roots, and it
+    is the unique p-adic root above it (Hensel).  Newton-lift each root
+    until the modulus M exceeds 2 * (max |a_i| + 2 lc), more than twice
+    |lc * n/d| by the Cauchy bound (zroot_bound); the symmetric residue N of
+    lc * root mod M is then lc * n/d itself, and N / lc is tested exactly.
     """
+    lc = sf[-1]
+    if len(sf) <= 2:
+        return [Fraction(-sf[0], lc)] if len(sf) == 2 else []
+    d = zderiv(sf)
+    for p in _odd_primes():
+        if lc % p == 0:
+            continue
+        roots = [x for x in range(p) if zeval_int(sf, x) % p == 0]
+        if not roots:
+            return []  # a rational root would reduce to a root mod p
+        if all(zeval_int(d, x) % p for x in roots):
+            break
+    bound = 2 * (max(map(abs, sf)) + 2 * lc)
+    out = []
+    for r in roots:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - zeval_int(sf, r) * pow(zeval_int(d, r), -1, m)) % m
+        n = r * lc % m
+        root = Fraction(n - m if 2 * n > m else n, lc)
+        if zsign_at(sf, root) == 0:
+            out.append(root)
+    out.sort()
+    return out
+
+
+def zrational_roots(a):
+    """Rational roots of a (no multiplicity), ascending: those of its
+    primitive squarefree part, by zsf_rational_roots."""
     if not a:
         raise ValueError("zero polynomial")
-    sf = zsquarefree(a)
-    if zdeg(sf) == 0:
-        return []
-    lc = sf[-1]  # positive: sf is primitive
-    width = Fraction(1, 2 * lc)
-    signs = _zsigns(sturm_chain(sf))  # not zisolate: sf is squarefree already
-    roots = []
-    for lo, hi in signs.isolate(zroot_bound(sf)):
-        lo, hi = signs.refine(lo, hi, width)
-        k = floor(lo * lc) + 1
-        if k < hi * lc and zsign_at(sf, Fraction(k, lc)) == 0:
-            roots.append(Fraction(k, lc))
-    return roots
+    return zsf_rational_roots(zsquarefree(a))
 
 
 # ---------------------------------------------------------------------------

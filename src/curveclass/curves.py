@@ -184,7 +184,7 @@ def _split_candidates(m: UPoly):
     roots = []
     chunks = []
     for _, factor in zp.zyun(z):
-        fr = zp.zrational_roots(factor)
+        fr = zp.zsf_rational_roots(factor)  # Yun factors are squarefree already
         roots.extend(fr)
         rest = factor
         for r in fr:  # exact in Z[x]: den*x - num is primitive (Gauss)

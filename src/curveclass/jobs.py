@@ -38,32 +38,41 @@ class JobSpec:
         assignments = d.get("assignments", [])
         if not isinstance(assignments, list):
             raise JobError("assignments must be a list")
-        raw = d.get("realness_budget", 64)
-        try:
-            budget = int(raw)
-        except (TypeError, ValueError, OverflowError):
-            raise JobError("realness_budget must be an integer")
-        # int() would truncate 2.7 to 2 and read true as 1
-        if isinstance(raw, bool) or (not isinstance(raw, str) and budget != raw):
-            raise JobError("realness_budget must be an integer")
+        budget = _json_int(d.get("realness_budget", 64), "realness_budget")
         if budget < 0:
             raise JobError("realness_budget must be nonnegative")
-        return cls(*exprs, assignments, budget, bool(d.get("probe", False)))
+        probe = d.get("probe", False)
+        if not isinstance(probe, bool):
+            raise JobError("probe must be true or false")
+        return cls(*exprs, assignments, budget, probe)
+
+
+def _json_int(raw, name):
+    """raw read as an integer: an int, an integral float or a numeric
+    string; JobError otherwise."""
+    try:
+        value = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise JobError(f"{name} must be an integer")
+    # int() would truncate 2.7 to 2 and read true as 1
+    if isinstance(raw, bool) or (not isinstance(raw, str) and value != raw):
+        raise JobError(f"{name} must be an integer")
+    return value
 
 
 def _parse_locator_value(entry):
     if not isinstance(entry, dict) or "value" not in entry:
         raise JobError("an assignment must be an object with a 'value'")
-    try:
-        if "index" in entry:
-            locator = int(entry["index"])
-        elif "point" in entry:
+    if "index" in entry:
+        locator = _json_int(entry["index"], "an assignment's index")
+    elif "point" in entry:
+        try:
             px, py = entry["point"]
             locator = (_parse_rational(px), _parse_rational(py))
-        else:
-            raise JobError("assignment needs a 'point' or an 'index'")
-    except (TypeError, ValueError):
-        raise JobError("an assignment's point must be [x, y] and its index an integer")
+        except (TypeError, ValueError):
+            raise JobError("an assignment's point must be [x, y]")
+    else:
+        raise JobError("assignment needs a 'point' or an 'index'")
     value = parse_poly(str(entry["value"]), ("x", "y"))
     return locator, value
 

@@ -340,9 +340,12 @@ _GOOD_JOB = {
         {**_GOOD_JOB, "realness_budget": "abc"},
         {**_GOOD_JOB, "realness_budget": 2.7},
         {**_GOOD_JOB, "realness_budget": True},
+        {**_GOOD_JOB, "probe": "false"},
+        {**_GOOD_JOB, "assignments": [{"index": 1.5, "value": "0"}]},
     ],
     ids=["non-object", "curve-number", "assignments-number", "assignment-string",
-         "point-number", "budget-text", "budget-fraction", "budget-bool"],
+         "point-number", "budget-text", "budget-fraction", "budget-bool", "probe-text",
+         "index-fraction"],
 )
 def test_cli_malformed_job_field_is_a_job_error(tmp_path, job):
     path = tmp_path / "job.json"
@@ -418,6 +421,37 @@ def test_job_budget_that_is_not_an_integer_is_a_job_error(budget):
 @pytest.mark.parametrize("budget", [64, 64.0, "64", 0, 0.0])
 def test_job_budget_integral_forms_are_accepted(budget):
     assert JobSpec.from_dict({**_GOOD_JOB, "realness_budget": budget}).realness_budget == int(budget)
+
+
+@pytest.mark.parametrize("probe", ["false", "true", 0, 1, None])
+def test_job_probe_that_is_not_a_boolean_is_a_job_error(probe):
+    with pytest.raises(JobError) as exc:
+        JobSpec.from_dict({**_GOOD_JOB, "probe": probe})
+    assert exc.value.code == 9
+
+
+def test_job_probe_booleans_are_accepted():
+    assert JobSpec.from_dict({**_GOOD_JOB, "probe": True}).probe is True
+    assert JobSpec.from_dict({**_GOOD_JOB, "probe": False}).probe is False
+    assert JobSpec.from_dict(_GOOD_JOB).probe is False
+
+
+def _index_job(index):
+    return {**_GOOD_JOB, "assignments": [{"index": index, "value": "0"}]}
+
+
+@pytest.mark.parametrize("index", [1.5, True, False, "1.5", None, [1]],
+                         ids=["fraction", "true", "false", "fraction-text", "null", "list"])
+def test_job_index_that_is_not_an_integer_is_a_job_error(index):
+    with pytest.raises(JobError) as exc:
+        run_classify(JobSpec.from_dict(_index_job(index)))
+    assert exc.value.code == 9
+
+
+@pytest.mark.parametrize("index", [0, 0.0, "0"])
+def test_job_index_integral_forms_address_the_same_point(index):
+    doc = run_classify(JobSpec.from_dict(_index_job(index)))
+    assert emit(doc, "machine") == emit(run_classify(JobSpec.from_dict(_index_job(0))), "machine")
 
 
 # -- machine output does not depend on the order of a job's keys -----------

@@ -195,3 +195,72 @@ def test_pseudo_division_identity(a, b):
     assert [c * b[-1] ** k for c in a] == zadd(zmul(q, b), r)
     assert len(r) < len(b) and r == ztrim(r)
     assert len(q) == k and (not q or q[-1])
+
+
+# -- rational roots: p-adic lifting against Sturm isolation and bisection ---
+from math import floor  # noqa: E402
+
+from curveclass._zpoly import _zsigns, zneg, zroot_bound, zsf_rational_roots  # noqa: E402
+
+
+def _sturm_rational_roots(a):
+    """Reference: isolate each real root of the squarefree part sf, refine
+    below width 1/(2 lc(sf)) and test the one integer k in (lc lo, lc hi)
+    as k / lc."""
+    sf = zsquarefree(a)
+    if len(sf) == 1:
+        return []
+    lc = sf[-1]
+    signs = _zsigns(sturm_chain(sf))
+    roots = []
+    for lo, hi in signs.isolate(zroot_bound(sf)):
+        lo, hi = signs.refine(lo, hi, Fraction(1, 2 * lc))
+        k = floor(lo * lc) + 1
+        if k < hi * lc and zsign_at(sf, Fraction(k, lc)) == 0:
+            roots.append(Fraction(k, lc))
+    return roots
+
+
+_small_linear = st.tuples(st.integers(-60, 60), st.sampled_from([1, 2, 3, 4, 6, 9, 35, 2**20]))
+_cofactor = st.one_of(st.just([1]), st.just([-1]), _irrational, st.just([1, 1, 0, 1]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(_small_linear, st.integers(1, 3)), max_size=5), _cofactor)
+def test_padic_rational_roots_match_sturm_bisection(linears, cofactor):
+    # repeated linear factors d*x - n times an irreducible cofactor
+    p = cofactor
+    for (n, d), mult in linears:
+        for _ in range(mult):
+            p = zmul(p, [-n, d])
+    assert zrational_roots(p) == _sturm_rational_roots(p)
+    assert zrational_roots(p) == sorted({Fraction(n, d) for (n, d), _ in linears})
+    for _, factor in zyun(p):
+        assert zsf_rational_roots(factor) == zrational_roots(factor)
+
+
+def test_padic_rational_roots_when_every_small_prime_divides_lc():
+    # lc = 3*5*7*11*13*17: the primes up to 17 are all skipped
+    p = zmul(zmul([-2, 3 * 5 * 7], [4, 11 * 13 * 17]), [1, 0, 1])
+    assert p[-1] == 3 * 5 * 7 * 11 * 13 * 17
+    expected = [Fraction(-4, 2431), Fraction(2, 105)]
+    assert zrational_roots(p) == _sturm_rational_roots(p) == expected
+    assert zsf_rational_roots(p) == expected
+
+
+def test_padic_rational_roots_when_small_primes_see_double_roots():
+    # x(x - 1)...(x - 29): modulo every prime below 30 two roots collide
+    p = poly_from_roots(range(30))
+    assert zsf_rational_roots(p) == [Fraction(i) for i in range(30)]
+    q = zmul(p, [3, 0, 1])
+    assert zrational_roots(q) == _sturm_rational_roots(q) == [Fraction(i) for i in range(30)]
+
+
+def test_padic_rational_roots_negative_lc_and_low_degrees():
+    p = zmul([-1, 2], [-3, 0, -5])  # (2x - 1)(-5x^2 - 3)
+    assert p[-1] < 0
+    assert zrational_roots(p) == _sturm_rational_roots(p) == [Fraction(1, 2)]
+    assert zrational_roots(zneg(zmul([3, -7], [3, -7]))) == [Fraction(3, 7)]
+    assert zrational_roots([-4]) == zsf_rational_roots([1]) == []
+    assert zrational_roots([6, -4]) == [Fraction(3, 2)]
+    assert zsf_rational_roots([3, 2]) == [Fraction(-3, 2)]
