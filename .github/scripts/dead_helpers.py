@@ -1,15 +1,17 @@
-"""Fail when a private module-level helper or a module-level import of
-curveclass is never used.
+"""Fail when a module-level helper or a module-level import of curveclass
+is never used.
 
     python .github/scripts/dead_helpers.py [SRC]
 
-SRC defaults to this checkout's src/.  A module-level def or class whose
-name starts with one underscore (in SRC/curveclass) counts as used when a
-name, attribute or import anywhere in SRC outside its own definition
-names it.  A name bound by a module-level import in SRC/curveclass/*.py
-(not __init__.py) counts as used when its own module reads it outside
-its import statements.  Prints each unused helper or import and exits 1
-if there is any.
+SRC defaults to this checkout's src/.  A module-level def or class in
+SRC/curveclass counts as used when a name, attribute or import anywhere in
+SRC outside its own definition names it (an export from __init__ is such
+an import).  A public one (no leading underscore) also counts as used when
+code or a string in tests/, bench/ or .github/scripts/ beside SRC names
+it: bench/tracer.py wraps functions by their names.  A name bound by a
+module-level import in SRC/curveclass/*.py (not __init__.py) counts as used
+when its own module reads it outside its import statements.  Prints each
+unused helper or import and exits 1 if there is any.
 """
 
 import ast
@@ -31,12 +33,20 @@ def names(stmt):
 
 
 uses = [(stmt, set(names(stmt))) for tree in trees.values() for stmt in tree.body]
+outside = set()
+for folder in ("tests", "bench", ".github/scripts"):
+    for path in sorted((src.parent / folder).rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        outside.update(names(tree))
+        outside.update(n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                       and isinstance(n.value, str))
 dead = [
     f"{path}:{stmt.lineno}: {stmt.name} is never used"
     for path, tree in trees.items() if "curveclass" in path.parts
     for stmt in tree.body
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    and stmt.name.startswith("_") and not stmt.name.startswith("__")
+    and not stmt.name.startswith("__")
+    and (stmt.name.startswith("_") or stmt.name not in outside)
     and not any(stmt.name in used for other, used in uses if other is not stmt)
 ]
 
@@ -60,5 +70,5 @@ dead += [
     if path.parent.name == "curveclass" and path.name != "__init__.py"
     for line in unused_imports(path, tree)
 ]
-print("\n".join(dead) or "no unused private helpers or imports")
+print("\n".join(dead) or "no unused helpers or imports")
 sys.exit(1 if dead else 0)

@@ -64,13 +64,6 @@ def zscale(a, k):
     return [c * k for c in a]
 
 
-def zshift(a, n):
-    """Multiply by x**n."""
-    if not a:
-        return []
-    return [0] * n + list(a)
-
-
 def _max_bits(a):
     return max((c.bit_length() for c in a), default=0)
 

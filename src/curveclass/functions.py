@@ -25,13 +25,11 @@ from .errors import (
 )
 from .mpoly import (
     LEX,
-    GroebnerBasis,
     MPoly,
     PolyIdeal,
     buchberger,
     eliminate,
     ideals_equal,
-    lift_membership,
     monic_in_t_witness,
     normal_form,
     saturate_gb,
@@ -248,15 +246,19 @@ def fiber_table(f: CurveFunction):
 def is_regular(f: CurveFunction):
     """f is in the coordinate ring iff p lies in <F, q> with a cofactor h
     (p = a F + h q) matching every assigned value.  Returns (verdict,
-    witness): witness is h on success, a failure description otherwise."""
-    gens = PolyIdeal([f.curve.F, f.q])
-    gb = buchberger(gens, LEX, with_reps=True)
-    cof = lift_membership(f.p, gb)
-    if cof is None:
-        nf = normal_form(f.p, gb)
-        return False, {"reason": "not in <F, q>", "normal_form": nf}
-    h = cof[1]
-    h = normal_form(h, GroebnerBasis(LEX, [f.curve.F]))  # {F} is a basis of <F>
+    witness): witness is h on success, a failure description otherwise.
+
+    q is a non-zero-divisor modulo the squarefree F (bad_locus rejects the
+    other case), so J = <F, q t - p> : q^infinity meets Q[x, y] in <F> and
+    h is unique modulo F.  Hence p is in <F, q> iff t - h lies in J iff the
+    reduced lex basis of J has an element with leading monomial t; that
+    element is t - h with h reduced modulo F, read off f.graph_gb().  Only
+    a non-member builds a basis of <F, q>, to print p's normal form."""
+    wit = monic_in_t_witness(f.graph_gb())
+    if wit is None or wit.degree_in("t") != 1:
+        gb = buchberger(PolyIdeal([f.curve.F, f.q]), LEX)
+        return False, {"reason": "not in <F, q>", "normal_form": normal_form(f.p, gb)}
+    h = MPoly.var("t") - wit
     for pt, val in zip(f.bad_points, f.assigned):
         if val is None:
             continue

@@ -60,6 +60,14 @@ def _json_int(raw, name):
     return value
 
 
+def _json_pair(raw):
+    """raw, a JSON array of two items; ValueError otherwise (a string or an
+    object of two items would unpack too)."""
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ValueError("not a two-item array")
+    return raw
+
+
 def _parse_locator_value(entry):
     if not isinstance(entry, dict) or "value" not in entry:
         raise JobError("an assignment must be an object with a 'value'")
@@ -67,7 +75,7 @@ def _parse_locator_value(entry):
         locator = _json_int(entry["index"], "an assignment's index")
     elif "point" in entry:
         try:
-            px, py = entry["point"]
+            px, py = _json_pair(entry["point"])
             locator = (_parse_rational(px), _parse_rational(py))
         except (TypeError, ValueError):
             raise JobError("an assignment's point must be [x, y]")
@@ -162,7 +170,7 @@ class MorphismJob:
     @classmethod
     def from_dict(cls, d):
         try:
-            u, v = d["map"]
+            u, v = _json_pair(d["map"])
             exprs = (d["curve"], u, v, d.get("function", "t"))
         except (KeyError, TypeError, ValueError):
             exprs = None

@@ -439,18 +439,6 @@ class _Kernel:
         return quots
 
 
-def _combine_reps(kb, reps, scale, rep, steps):
-    """scale * rep - sum(q_i * reps[i]): the representation of a remainder
-    from kb.reduce(), given the representation rep of its input."""
-    order = kb.order
-    out = [r * scale for r in rep]
-    for i, q in enumerate(kb.quotients(steps, scale)):
-        if q:
-            qp = _to_mpoly(q, order)
-            out = [o - qp * r for o, r in zip(out, reps[i])]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # division, Buchberger, reduced bases
 # ---------------------------------------------------------------------------
@@ -472,12 +460,11 @@ class PolyIdeal:
 
 
 class GroebnerBasis:
-    __slots__ = ("order", "basis", "reps")
+    __slots__ = ("order", "basis")
 
-    def __init__(self, order, basis, reps=None):
+    def __init__(self, order, basis):
         self.order = order
         self.basis = tuple(basis)
-        self.reps = reps  # per basis element: tuple of MPoly vs original gens
 
     def __iter__(self):
         return iter(self.basis)
@@ -524,12 +511,8 @@ def spoly(f, g, order):
     return _mono_mul(f, _ediv(l, ef), 1 / cf) - _mono_mul(g, _ediv(l, eg), 1 / cg)
 
 
-def buchberger(ideal, order: MonomialOrder, with_reps=False) -> GroebnerBasis:
-    """Reduced Groebner basis (product + chain criteria, normal selection).
-
-    with_reps additionally tracks each basis element as a combination of
-    the input generators, enabling membership certificates.
-    """
+def buchberger(ideal, order: MonomialOrder) -> GroebnerBasis:
+    """Reduced Groebner basis (product + chain criteria, normal selection)."""
     gens = list(ideal.generators if isinstance(ideal, PolyIdeal) else ideal)
     gens = [g for g in gens if g]
     if not gens:
@@ -537,17 +520,13 @@ def buchberger(ideal, order: MonomialOrder, with_reps=False) -> GroebnerBasis:
 
     kb = _Kernel(order)
     exps = []  # leading exponent tuple per element
-    reps = []  # reps[i][j] = coefficient of gens[j] in element i
 
-    def push(terms, rep):
+    def push(terms):
         kb.add(terms)
         exps.append(order.unpack(kb.leads[-1]))
-        reps.append(rep)
 
-    for j, g in enumerate(gens):
-        terms, s = _to_kernel(g, order)
-        rep = tuple(MPoly.const(s) if i == j else MPoly() for i in range(len(gens))) if with_reps else None
-        push(terms, rep)
+    for g in gens:
+        push(_to_kernel(g, order)[0])
 
     heap = []
 
@@ -587,26 +566,17 @@ def buchberger(ideal, order: MonomialOrder, with_reps=False) -> GroebnerBasis:
                 cur[m] = v
             else:
                 cur.pop(m, None)
-        steps = [] if with_reps else None
-        scale, rem = kb.reduce(cur, steps)
+        _, rem = kb.reduce(cur)
         if not rem:
             continue
-        rem, content = _primitive(rem)
-        rep = None
-        if with_reps:
-            ei, ej = order.unpack(si), order.unpack(sj)
-            rep_s = [
-                _mono_mul(a, ei, ai) - _mono_mul(b, ej, aj) for a, b in zip(reps[i], reps[j])
-            ]
-            rep = tuple(r * Fraction(1, content) for r in _combine_reps(kb, reps, scale, rep_s, steps))
         n = len(kb)
-        push(rem, rep)
+        push(_primitive(rem)[0])
         for k in range(n):
             add_pair(k, n)
-    return _reduced_basis(kb, reps if with_reps else None)
+    return _reduced_basis(kb)
 
 
-def _reduced_basis(kb, reps):
+def _reduced_basis(kb):
     """The unique reduced basis, monic over Q and sorted by leading term,
     from a Groebner basis held in the kernel."""
     order, fields, leads = kb.order, kb.fields, kb.leads
@@ -621,30 +591,18 @@ def _reduced_basis(kb, reps):
     red = _Kernel(order)
     for i in keep:
         red.add(kb.terms(i))
-    red_reps = [reps[i] for i in keep] if reps is not None else None
     # reduce each tail by the others; a leading monomial divides no smaller
     # monomial, so no element ever acts on its own tail
     for i in range(len(red)):
-        steps = [] if reps is not None else None
-        scale, rem = red.reduce(dict(red.tails[i]), steps)
+        scale, rem = red.reduce(dict(red.tails[i]))
         num, den = scale.as_integer_ratio()
         if den != 1:
             rem = {k: c * den for k, c in rem.items()}
         rem[red.leads[i]] = num * red.lcs[i]
-        rem, content = _primitive(rem)
-        if reps is not None:
-            red_reps[i] = tuple(
-                r * Fraction(1, content)
-                for r in _combine_reps(red, red_reps, scale, red_reps[i], steps)
-            )
-        red.add(rem, i)
+        red.add(_primitive(rem)[0], i)
     rows = sorted(range(len(red)), key=red.leads.__getitem__)
     basis = [_to_mpoly(red.terms(i), order, Fraction(1, red.lcs[i])) for i in rows]
-    final_reps = (
-        tuple(tuple(r * Fraction(1, red.lcs[i]) for r in red_reps[i]) for i in rows)
-        if reps is not None else None
-    )
-    return GroebnerBasis(order, basis, final_reps)
+    return GroebnerBasis(order, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -793,17 +751,7 @@ def eval_at(p: MPoly, xval, yval):
 
 
 def lift_membership(p: MPoly, gb: GroebnerBasis):
-    """Cofactors of p against the generators the basis was computed from
-    (requires with_reps=True); None when p is not in the ideal."""
-    if gb.reps is None:
-        raise PreconditionError("basis computed without representation tracking")
+    """Quotients of p against gb.basis, so that p = sum(q_i * gb.basis[i]);
+    None when p is not in the ideal."""
     rem, quots = normal_form(p, gb, with_quotients=True)
-    if rem:
-        return None
-    cof = [MPoly() for _ in gb.reps[0]]
-    for q, rep in zip(quots, gb.reps):
-        if not q:
-            continue
-        for j, r in enumerate(rep):
-            cof[j] = cof[j] + q * r
-    return cof
+    return None if rem else quots

@@ -521,22 +521,6 @@ class NFElement:
         return f"NFElement({self.rep!r} over {self.field!r})"
 
 
-def nf_arith(op, a, b=None):
-    """Spec-surface dispatcher; returns the SplitEvent instead of raising."""
-    try:
-        if op == "add":
-            return a + b
-        if op == "mul":
-            return a * b
-        if op == "invert":
-            return a.inverse()
-        if op == "is_zero":
-            return a.is_zero()
-    except SplitEvent as ev:
-        return ev
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def is_zero_or_split(e: NFElement) -> bool:
     """Definite zero test: True/False valid on the whole tower, SplitEvent
     when the answer differs between branches."""

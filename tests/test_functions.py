@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curveclass.curves import bad_locus, make_curve
 from curveclass.errors import AssignmentError, CurveClassError, NotIntegralError
+from curveclass import functions
 from curveclass.functions import (
     classify,
     continuity_probe,
@@ -21,7 +22,16 @@ from curveclass.functions import (
     probe_function,
     verify_r_subintegral,
 )
-from curveclass.mpoly import MPoly, PolyIdeal, ideals_equal, normal_form
+from curveclass.jobs import JobSpec, run_classify
+from curveclass.mpoly import (
+    LEX,
+    GroebnerBasis,
+    MPoly,
+    PolyIdeal,
+    buchberger,
+    ideals_equal,
+    normal_form,
+)
 from curveclass.parsing import format_poly, parse_poly
 from curveclass.report import fiber_rows
 
@@ -98,6 +108,48 @@ def test_is_regular_value_mismatch():
     ok, detail = is_regular(f)
     assert not ok
     assert "assigned" in detail["reason"]
+
+
+# regular witness and regular failure witness as the machine document
+# printed them when h came from a cofactor-tracking Buchberger run
+_REGULAR_PINS = [
+    ("y^2 - x^3", "y", "x", "0", None, {"reason": "not in <F, q>", "normal_form": "y"}),
+    ("y^2 - x^3", "y^2", "x", "0", "x^2", None),
+    ("y^2 - x^3", "y^2", "x", "1", None,
+     {"reason": "cofactor disagrees with the assigned value", "point": "(0, 0)",
+      "cofactor": "x^2"}),
+    ("y^2 - x^3*(x^2+1)^2", "y", "x*(x^2+1)", "0", None,
+     {"reason": "not in <F, q>", "normal_form": "y"}),
+    ("y^2 - x^3*(x^2+1)^2", "y^2", "x*(x^2+1)", "0", "x^4 + x^2", None),
+    ("y^4 - x*(x^2+y^2)", "y^2", "x", "0", None,
+     {"reason": "not in <F, q>", "normal_form": "y^2"}),
+    ("y^4 - x*(x^2+y^2)", "y^4", "x", "0", "x^2 + y^2", None),
+    ("y^3 - x^2*y^2 + y*x^2*(x+1) - x^4*(x+1)", "y", "x", "0", None,
+     {"reason": "not in <F, q>", "normal_form": "y"}),
+    ("y^3 - x^2*y^2 + y*x^2*(x+1) - x^4*(x+1)", "y^3", "x", "0",
+     "x^4 + x^3 - x^2*y + x*y^2 - x*y", None),
+    ("y^2 - x^2*(x+1)", "y", "x", "1", None, {"reason": "not in <F, q>", "normal_form": "y"}),
+    ("y^2 - x^2*(x+1)", "y^2", "x", "0", "x^2 + x", None),
+]
+
+
+@pytest.mark.parametrize("curve, num, den, value, witness, failure", _REGULAR_PINS)
+def test_regular_certificates_on_worked_curves_are_pinned(curve, num, den, value, witness,
+                                                          failure):
+    doc = run_classify(JobSpec(curve, num, den, [{"point": ["0", "0"], "value": value}]))
+    cert = doc.data["certificates"]
+    assert doc.data["verdicts"]["regular"] == ("yes" if witness else "no")
+    assert cert["regular_witness"] == witness
+    assert cert["failure_witnesses"].get("regular") == failure
+
+
+def test_is_regular_runs_no_buchberger_for_a_member(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a member of <F, q> needs no basis of <F, q>")
+
+    monkeypatch.setattr(functions, "buchberger", refuse)
+    ok, detail = is_regular(make_function(make_curve(Y**2 - X**3), Y**2, X, [((0, 0), 0)]))
+    assert ok and detail["witness"] == X**2
 
 
 def test_is_integral_certificates():
@@ -385,14 +437,18 @@ _c6_den = _c6_poly.filter(lambda q: len(q.terms) == 1 or max(map(sum, q.terms)) 
 _units = st.sampled_from([Fraction(a, b) for a in (-3, -1, 2, 5) for b in (1, 2, 7)])
 
 
+def _zero_valued(curve_text, p, q):
+    """p/q on the curve with the value 0 at every real bad point."""
+    curve = make_curve(parse_poly(curve_text))
+    pts = bad_locus(curve, q)
+    return make_function(curve, p, q, [(i, 0) for i, pt in enumerate(pts) if pt.is_real])
+
+
 def _classified_facts(curve_text, p, q):
     """Verdicts, integral relation, regular witness and fiber rows of p/q
     with the value 0 at every real bad point; the error class if rejected."""
     try:
-        curve = make_curve(parse_poly(curve_text))
-        pts = bad_locus(curve, q)
-        f = make_function(curve, p, q, [(i, 0) for i, pt in enumerate(pts) if pt.is_real])
-        rep = classify(f)
+        rep = classify(_zero_valued(curve_text, p, q))
     except CurveClassError as exc:
         return type(exc)
     show = lambda w: None if w is None else format_poly(w)  # noqa: E731
@@ -404,3 +460,24 @@ def _classified_facts(curve_text, p, q):
 @given(st.sampled_from(_WORKED_CURVES), _c6_poly, _c6_den, _units)
 def test_scaling_p_and_q_by_a_unit_changes_no_certified_fact(curve_text, p, q, c):
     assert _classified_facts(curve_text, p * c, q * c) == _classified_facts(curve_text, p, q)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(_WORKED_CURVES), _c6_poly, _c6_den)
+def test_regular_witness_agrees_with_membership_in_F_q(curve_text, p, q):
+    # p is in <F, q> iff its normal form modulo a basis of <F, q> is zero;
+    # then h with p = h*q mod F is unique modulo F, so checking p - h*q and
+    # that h is reduced modulo F pins h completely
+    try:
+        f = _zero_valued(curve_text, p, q)
+    except CurveClassError:
+        assume(False)
+    ok, detail = is_regular(f)
+    nf = normal_form(p, buchberger(PolyIdeal([f.curve.F, q]), LEX))
+    if nf:
+        assert not ok and detail == {"reason": "not in <F, q>", "normal_form": nf}
+        return
+    h = detail["witness"] if ok else detail["cofactor"]
+    by_F = GroebnerBasis(LEX, [f.curve.F])
+    assert not normal_form(p - h * q, by_F)
+    assert normal_form(h, by_F) == h

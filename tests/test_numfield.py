@@ -17,7 +17,6 @@ from curveclass.numfield import (
     is_zero_or_split,
     isolate_tower_roots,
     level0_real_embeddings,
-    nf_arith,
     nf_sign,
     rational_point_field,
     tower_sturm_count,
@@ -55,9 +54,8 @@ def test_zero_divisor_raises_split_with_factor():
     factor = exc.value.factor_rep
     assert exc.value.level == 0
     assert list(factor) == [Fraction(-1), Fraction(1)]  # a - 1
-    # nf_arith surface returns the event instead of raising
-    ev = nf_arith("invert", a - 1)
-    assert isinstance(ev, SplitEvent)
+    with pytest.raises(SplitEvent):
+        (1 - a).inverse()
 
 
 def test_split_level_produces_consistent_branches():
@@ -126,7 +124,7 @@ def test_is_zero_or_split():
     a = F.gen(0)
     assert is_zero_or_split(a * a - 2)
     assert not is_zero_or_split(a - 1)
-    assert nf_arith("is_zero", a * a - 2) is True
+    assert (a * a - 2).is_zero() is True
 
 
 def test_rational_point_field_collapses():

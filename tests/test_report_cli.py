@@ -342,10 +342,12 @@ _GOOD_JOB = {
         {**_GOOD_JOB, "realness_budget": True},
         {**_GOOD_JOB, "probe": "false"},
         {**_GOOD_JOB, "assignments": [{"index": 1.5, "value": "0"}]},
+        {**_GOOD_JOB, "assignments": [{"point": "00", "value": "0"}]},
+        {**_GOOD_JOB, "assignments": [{"point": {"0": 0, "1": 0}, "value": "0"}]},
     ],
     ids=["non-object", "curve-number", "assignments-number", "assignment-string",
          "point-number", "budget-text", "budget-fraction", "budget-bool", "probe-text",
-         "index-fraction"],
+         "index-fraction", "point-string", "point-object"],
 )
 def test_cli_malformed_job_field_is_a_job_error(tmp_path, job):
     path = tmp_path / "job.json"
@@ -353,6 +355,16 @@ def test_cli_malformed_job_field_is_a_job_error(tmp_path, job):
     r = _run_cli(["classify", "--input", str(path), "--format", "machine"])
     assert r.returncode == 9
     assert r.stderr.count("error[9]: ") == 1 and r.stderr.startswith("error[9]: ")
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_check_morphism_string_map_is_a_job_error(tmp_path):
+    # "tt" unpacks into two items but is not the array [u, v]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"curve": "y^2 - x^2*(x+1)", "map": "tt"}))
+    r = _run_cli(["check-morphism", "--input", str(path)])
+    assert r.returncode == 9
+    assert r.stderr.startswith("error[9]: ")
     assert "Traceback" not in r.stderr
 
 
