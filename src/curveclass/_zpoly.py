@@ -9,12 +9,14 @@ Multiplication and exact division switch to Kronecker substitution (pack
 the coefficients into one big integer, use CPython's fast bignum ops,
 unpack balanced digits) once operands are large enough; big-degree gcds go
 through a verified evaluation bound (divide-and-check) with a primitive
-remainder sequence as the fallback.  Resultants run the subresultant
-remainder sequence.  Sturm chains stay on primitive-part pseudo-remainders
-so sign sequences are preserved.  Every remainder sequence takes its
-pseudo-remainders from one pseudo-division, zpdivmod.  Rational roots
-come from p-adic lifting of the roots modulo one small prime, with no real
-root isolation.
+remainder sequence as the fallback; the verified path hands back the
+cofactors it divided out, so Yun's decomposition and the squarefree part
+divide only after the fallback.  Resultants and the regular subresultants
+come from one subresultant remainder sequence.  Sturm chains stay on
+primitive-part pseudo-remainders so sign sequences are preserved.  Every
+remainder sequence takes its pseudo-remainders from one pseudo-division,
+zpdivmod.  Rational roots come from p-adic lifting of the roots modulo one
+small prime, with no real root isolation.
 
 SturmSigns is the one implementation of Sturm root counting, bisection
 isolation and interval refinement, for integer chains here and for chains
@@ -219,17 +221,27 @@ def zpdivmod(a, b):
     return q, ztrim(r[:db])  # q[-1] = lc(b)**(k-1) * lc(a) != 0
 
 
-def zresultant(a, b):
-    """Resultant of two nonzero polynomials by the subresultant remainder
-    sequence (Collins; Cohen, Alg. 3.3.7): every remainder is divided
-    exactly by g * h**delta, so coefficients grow only like the minors."""
+def zsubresultants(a, b):
+    """The subresultant remainder sequence of two nonzero polynomials
+    (Collins; Cohen, Alg. 3.3.7): every remainder is divided exactly by
+    g * h**delta, so coefficients grow only like the minors.
+
+    Returns the regular subresultants, degrees descending, as pairs (r, s):
+    r is the sequence's member of degree j and s the principal subresultant
+    coefficient s_j, so that S_j = s * r / lc(r) exactly; after the step
+    that makes r the divisor, Cohen's h is s_j (Ducos, JPAA 145, 2000).  The
+    first pair is the shorter input b with s = lc(b)**max(delta, 1), so that
+    S = b when both degrees are equal.  The last pair is ([res], res) with
+    res = Res(a, b), or ([], 0) when a remainder vanishes."""
     s = 1
     if len(a) < len(b):
         a, b = b, a
         if len(a) % 2 == 0 and len(b) % 2 == 0:  # both degrees odd
             s = -1
     if len(b) == 1:
-        return b[0] ** (len(a) - 1)
+        res = b[0] ** (len(a) - 1)
+        return [([res], res)]
+    chain = [(b, b[-1] ** max(len(a) - len(b), 1))]
     g = h = 1
     while len(b) > 1:
         da, db = len(a) - 1, len(b) - 1
@@ -238,14 +250,24 @@ def zresultant(a, b):
             s = -s
         r = zpdivmod(a, b)[1]
         if not r:
-            return 0
+            chain.append(([], 0))
+            return chain
         div = g * h**delta
         a, b = b, [c // div for c in r]
         g = a[-1]
-        if delta:  # delta = 0 only on the first step, where h = 1
-            h = g**delta // h ** (delta - 1)
-    da = len(a) - 1
-    return s * b[0] ** da // h ** (da - 1)
+        if delta:  # delta = 0 only on the first step, where h stays 1
+            h = chain[-1][1]  # g**delta // h**(delta - 1): the divisor's s
+        e = len(a) - len(b)
+        chain.append((b, b[-1] ** e // h ** (e - 1)))
+    res = s * chain[-1][1]
+    chain[-1] = ([res], res)
+    return chain
+
+
+def zresultant(a, b):
+    """Resultant of two nonzero polynomials: the last principal
+    coefficient of zsubresultants."""
+    return zsubresultants(a, b)[-1][1]
 
 
 def _gcd_prs(a, b):
@@ -263,35 +285,54 @@ def _mignotte_bits(a):
 
 def zgcd(a, b):
     """gcd in Z[x], primitive with positive leading coefficient."""
-    a, b = zprimitive(a), zprimitive(b)
+    return _zgcd_parts(zprimitive(a), zprimitive(b))[0]
+
+
+def _zgcd_parts(a, b):
+    """(g, a / g, b / g) for a, b primitive with positive leading
+    coefficients, g = zgcd(a, b).  The verified path divides both inputs by
+    g anyway and hands back those quotients; after a remainder sequence the
+    cofactors are None (unless g = 1), so a caller that needs them divides
+    then and a caller that does not pays nothing."""
     if not a:
-        return b
+        return b, [], [1]
     if not b:
-        return a
+        return a, [1], []
     if zdeg(a) < zdeg(b):
-        a, b = b, a
+        g, qb, qa = _zgcd_parts(b, a)
+        return g, qa, qb
     if zdeg(b) == 0:
-        return [1]
-    if len(a) <= 12:
-        return _gcd_prs(a, b)
-    # verified evaluation: pick xi so large that a reconstructed common
-    # divisor passing both exact divisions must be the full gcd
-    guard = max(_mignotte_bits(a), _mignotte_bits(b)) + len(a).bit_length() + 4
-    for attempt in range(5):
-        width = guard + attempt * 32
-        xi = 1 << width
-        g_int = int_gcd(zeval_int(a, xi), zeval_int(b, xi))
-        g = zprimitive(_unpack(g_int, width, zdeg(b) + 1))
-        if not g:
-            continue
-        try:
-            qb = max(_max_bits(a), _max_bits(b)) + guard
-            zdivexact(a, g, quot_bits=qb)
-            zdivexact(b, g, quot_bits=qb)
-            return g
-        except ValueError:
-            continue
-    return _gcd_prs(a, b)
+        return [1], a, b
+    if len(a) > 12:
+        # verified evaluation: pick xi so large that a reconstructed common
+        # divisor passing both exact divisions must be the full gcd
+        guard = max(_mignotte_bits(a), _mignotte_bits(b)) + len(a).bit_length() + 4
+        for attempt in range(5):
+            width = guard + attempt * 32
+            xi = 1 << width
+            g_int = int_gcd(zeval_int(a, xi), zeval_int(b, xi))
+            g = zprimitive(_unpack(g_int, width, zdeg(b) + 1))
+            if not g:
+                continue
+            try:
+                qb = max(_max_bits(a), _max_bits(b)) + guard
+                return g, zdivexact(a, g, quot_bits=qb), zdivexact(b, g, quot_bits=qb)
+            except ValueError:
+                continue
+    g = _gcd_prs(a, b)
+    return (g, a, b) if g == [1] else (g, None, None)
+
+
+def _zcofactors(a, b, bits):
+    """(g, a / g, b / g) for a primitive with a positive leading coefficient
+    and any b, g = zgcd(a, b); quotients missing after a remainder sequence
+    are exact divisions with quotient bound bits."""
+    bp = zprimitive(b)
+    g, qa, qb = _zgcd_parts(a, bp)
+    if qa is None:
+        qa, qb = zdivexact(a, g, quot_bits=bits), zdivexact(bp, g, quot_bits=bits)
+    # b is bp times its signed content, the ratio of the leading coefficients
+    return g, qa, zscale(qb, b[-1] // bp[-1]) if b else []
 
 
 def zsquarefree(a):
@@ -301,34 +342,33 @@ def zsquarefree(a):
     a = zprimitive(a)
     if zdeg(a) == 0:
         return [1]
-    g = zgcd(a, zderiv(a))
+    g, w, _ = _zgcd_parts(a, zprimitive(zderiv(a)))
     if zdeg(g) == 0:
         return a
-    return zprimitive(zdivexact(a, g, quot_bits=_mignotte_bits(a)))
+    # a and g are primitive, so a / g is too (Gauss), with lc > 0
+    return w if w is not None else zdivexact(a, g, quot_bits=_mignotte_bits(a))
 
 
 def zyun(a):
     """Yun squarefree decomposition: list of (multiplicity, factor) with
     a = content * prod(factor ** multiplicity); factors primitive,
-    squarefree, pairwise coprime, nonconstant."""
+    squarefree, pairwise coprime, nonconstant.  Each step's divisions are
+    the cofactors of its gcd."""
     a = zprimitive(a)
     if zdeg(a) <= 0:
         return []
-    d = zderiv(a)
-    g = zgcd(a, d)
+    qb = _mignotte_bits(a)
+    g, w, z = _zcofactors(a, zderiv(a), qb)
     if zdeg(g) == 0:
         return [(1, a)]
-    qb = _mignotte_bits(a)
-    w = zdivexact(a, g, quot_bits=qb)
-    z = zsub(zdivexact(d, g, quot_bits=qb), zderiv(w))
+    z = zsub(z, zderiv(w))
     out = []
     i = 1
     while zdeg(w) > 0:
-        h = zgcd(w, z)
+        h, w, z = _zcofactors(w, z, qb)  # w stays primitive with lc > 0
         if zdeg(h) > 0:
             out.append((i, h))
-        w = zdivexact(w, h, quot_bits=qb)
-        z = zsub(zdivexact(z, h, quot_bits=qb), zderiv(w))
+        z = zsub(z, zderiv(w))
         i += 1
     return out
 

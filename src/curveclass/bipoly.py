@@ -4,9 +4,10 @@ Z[x] coefficients.
 Resultants pack each Z[x] coefficient into one integer (Kronecker
 substitution at a power of two wide enough that the result unpacks
 uniquely) and run the subresultant remainder sequence of the integer
-kernel (_zpoly.zresultant) on the packed polynomials.  The bivariate gcd
-is a primitive-PRS in y; it certifies non-zero-divisor denominators and
-names the offending common component otherwise.
+kernel (_zpoly.zsubresultants) on the packed polynomials; the regular
+subresultants of that sequence unpack the same way (YSubresultants).  The
+bivariate gcd is a primitive-PRS in y; it certifies non-zero-divisor
+denominators and names the offending common component otherwise.
 """
 
 import math
@@ -166,14 +167,50 @@ def resultant_y(p: MPoly, q: MPoly) -> UPoly:
     1-norm |a|_1 or |b|_1 and |det|_1 is at most the product of the row
     1-norms, so every coefficient of Res lies below 2**(W-2) and its
     balanced base-X digits are unique."""
-    a, b = to_y_dense(p), to_y_dense(q)
-    m, n = len(a) - 1, len(b) - 1
-    if m < 0 or n < 0:
-        raise PreconditionError("resultant of the zero polynomial")
-    w = n * _norm1_bits(a) + m * _norm1_bits(b) + 2
-    res = zp.zresultant([zp._pack(r, w) for r in a], [zp._pack(r, w) for r in b])
-    deg_x = n * (max(map(len, a)) - 1) + m * (max(map(len, b)) - 1)  # bounds deg Res
-    return UPoly.from_ints("x", zp._unpack(res, w, deg_x + 1))
+    return YSubresultants(p, q).resultant()
+
+
+class YSubresultants:
+    """The regular subresultants S_j of the to_y_dense rows of p and q, in
+    y over Z[x], from the one remainder sequence that resultant_y runs on
+    the packed rows (_zpoly.zsubresultants).  Every coefficient of an S_j
+    is a minor of the Sylvester matrix, so the bound that makes the
+    resultant's digits unique holds for them too, and they unpack the same
+    way, on demand.
+
+    degrees lists j, descending, down to 0 (S_0 is the resultant), or
+    to -1 (S = 0) when p and q share a factor;
+    principal(i) is s_j in Z[x] and rows(i) the y-rows of S_j over Z[x],
+    for j = degrees[i].  lead is the leading y-coefficient of the rows the
+    sequence starts from: those of larger y-degree, p's on a tie."""
+
+    __slots__ = ("lead", "degrees", "_pairs", "_width", "_count")
+
+    def __init__(self, p: MPoly, q: MPoly):
+        a, b = to_y_dense(p), to_y_dense(q)
+        m, n = len(a) - 1, len(b) - 1
+        if m < 0 or n < 0:
+            raise PreconditionError("resultant of the zero polynomial")
+        w = n * _norm1_bits(a) + m * _norm1_bits(b) + 2
+        self._pairs = zp.zsubresultants([zp._pack(r, w) for r in a], [zp._pack(r, w) for r in b])
+        self._width = w
+        # n * deg_x(a) + m * deg_x(b) bounds the x-degree of every minor
+        self._count = n * (max(map(len, a)) - 1) + m * (max(map(len, b)) - 1) + 1
+        self.lead = (a if m >= n else b)[-1]
+        self.degrees = [len(r) - 1 for r, _ in self._pairs]
+
+    def _unpack(self, c):
+        return zp._unpack(c, self._width, self._count)
+
+    def resultant(self) -> UPoly:
+        return UPoly.from_ints("x", self._unpack(self._pairs[-1][1]))
+
+    def principal(self, i):
+        return self._unpack(self._pairs[i][1])
+
+    def rows(self, i):
+        r, s = self._pairs[i]
+        return [self._unpack(c * s // r[-1]) for c in r]
 
 
 def _norm1_bits(rows):

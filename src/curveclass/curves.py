@@ -4,17 +4,20 @@ singular locus, bad locus, and finite-morphism fiber checks.
 Zero-dimensional systems in (x, y) are decomposed into triangular classes
 (m1(x), m2(x, y)): m1 comes from a resultant, split into pairwise coprime
 chunks by squarefree multiplicity classes and rational-root extraction
-(never by factorization); m2 is a gcd over the resulting tower, computed
-with dynamic evaluation so reducible chunks split lazily when arithmetic
-forces them to (_on_branches retries on each branch).  Each class carries
-its certified real embeddings.
+(never by factorization); m2 is a gcd over the resulting tower.  The gcd
+of the first two polynomials is read off their subresultants when the
+chunk's roots all agree on its degree; otherwise, and for the remaining
+polynomials, it is computed with dynamic evaluation, so reducible chunks
+split lazily when arithmetic forces them to (_on_branches retries on each
+branch).  Each class carries its certified real embeddings.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from . import _zpoly as zp
-from .bipoly import (bivariate_gcd, from_y_dense, resultant_y, to_y_dense, y_content,
+from .bipoly import (YSubresultants, bivariate_gcd, from_y_dense, to_y_dense, y_content,
                      y_primitive, y_rows)
 from .errors import (
     CurveError,
@@ -210,8 +213,10 @@ def solve_xy_system(polys):
     withy = [p for p in live if p.degree_in("y") >= 1]
     xonly = [to_upoly_in(p, "x") for p in live if p.degree_in("y") == 0]
 
+    sres = None
     if len(withy) >= 2:
-        r = resultant_y(withy[0], withy[1])
+        sres = YSubresultants(withy[0], withy[1])
+        r = sres.resultant()
         if r.is_zero():
             raise DegenerateInputError("polynomials share a component")
         xonly.insert(0, r)
@@ -226,7 +231,7 @@ def solve_xy_system(polys):
     for r in roots:
         out.extend(_points_at_rational_x(r, withy))
     for chunk in chunks:
-        out.extend(_points_at_chunk(chunk, withy))
+        out.extend(_points_at_chunk(chunk, withy, sres))
     out.sort(key=BadPoint.sort_key)
     return out
 
@@ -251,21 +256,59 @@ def _points_at_rational_x(x0, withy):
     return out
 
 
-def _points_at_chunk(chunk: UPoly, withy):
+def _points_at_chunk(chunk: UPoly, withy, sres):
     """Solutions over a coprime chunk of irrational x-coordinates; dynamic
-    evaluation splits the chunk when the fiber structure varies."""
+    evaluation splits the chunk when the fiber structure varies.  sres holds
+    the subresultants of withy[0] and withy[1] (None for fewer than two)."""
 
     grids = [[row.coeffs for row in y_rows(p)] for p in withy]
 
     def classes_over(fld):
+        first = None if sres is None else _first_pair_gcd(fld, sres)
         # p(alpha, y), each y-coefficient reduced modulo the chunk
-        g = nonzero_gcd(UPoly("y", [fld.at_gens(row) for row in rows]) for rows in grids)
+        polys = (UPoly("y", [fld.at_gens(row) for row in rows])
+                 for rows in (grids if first is None else grids[2:]))
+        g = nonzero_gcd(polys if first is None else itertools.chain([first], polys))
         if g is None or g.degree == 0:
             return []
         m2 = squarefree_part(g)
         return _finish_point_classes(extend_field(fld, "y", list(m2.coeffs)))
 
     return _on_branches(field_from_qpoly("x", chunk), classes_over)
+
+
+def _first_pair_gcd(fld: NumberField, sres):
+    """The monic gcd of the first two system polynomials at the roots alpha
+    of fld's level 0, read off their subresultants: S_k(alpha, y) / s_k(alpha)
+    with k the least j whose principal coefficient s_j is nonzero at alpha
+    (specialization: lc_y of the sequence's first polynomial is nonzero at
+    alpha).  Decided on integers, each s_j reduced modulo the chunk and then
+    tested by a gcd with it.  None when lc_y vanishes at a root, when some
+    s_j vanishes at some roots but not all, or when all vanish (the other
+    polynomial is 0 at alpha): the tower route then runs, and splits the
+    chunk where it must.  Otherwise every s_j is a unit or zero
+    modulo the chunk, the remainder degrees are the same at every root, the
+    tower Euclid would not split, and its monic gcd is this one."""
+    m = fld.zminpoly0()
+    if not _unit_mod(sres.lead, m):
+        return None
+    k = None
+    # the last index is j = 0, s_0 the resultant: the chunk divides it
+    for i in range(len(sres.degrees) - 1):
+        s = zp.zpdivmod(sres.principal(i), m)[1]
+        if not s:
+            continue  # zero at every root
+        if not _unit_mod(s, m):
+            return None
+        k = i  # degrees descend, so the last such index has the least j
+    if k is None:
+        return None
+    return UPoly("y", [fld.at_gens(row) for row in sres.rows(k)]).monic()
+
+
+def _unit_mod(a, m):
+    """a is nonzero at every root of the squarefree integer polynomial m."""
+    return bool(a) and zp.zdeg(zp.zgcd(m, a)) == 0
 
 
 def _finish_point_classes(fld2: NumberField):
@@ -292,11 +335,13 @@ def _on_branches(fld: NumberField, fn):
 def _embeddings_for(field: NumberField):
     """Certified real embeddings of a depth-2 tower, sorted by position."""
     base = field.sub_field(1)
-    m2 = field.minpoly(1)
+    chain = None  # m2's chain, built at the first real root: it can split
     embs = []
     for lo, hi in zp.zisolate(field.zminpoly0()):
+        if chain is None:
+            chain = tower_sturm_chain(field.minpoly(1))
         base_emb = RealEmbedding(base, [(lo, hi)])
-        for blo, bhi in isolate_tower_roots(m2, base_emb):
+        for blo, bhi in isolate_tower_roots(chain, base_emb):
             embs.append(RealEmbedding(field, [(lo, hi), (blo, bhi)]))
     return embs
 
@@ -596,10 +641,12 @@ def _certify_block(B: MPoly, budget):
         z = zp.ztrim([zp.zeval_int(row, x0) for row in rows])
         if zp.zdeg(z) != dy or dy <= 0:
             continue
-        z = zp.zprimitive(z)
-        if zp.zdeg(zp.zgcd(z, zp.zderiv(z))) != 0:
+        # the chain is a remainder sequence of z and z', so its last member
+        # is gcd(z, z') up to a constant
+        chain = zp.sturm_chain(zp.zprimitive(z))
+        if zp.zdeg(chain[-1]) != 0:
             continue  # non-squarefree sample: skip
-        n_real = zp.sturm_count(zp.sturm_chain(z))
+        n_real = zp.sturm_count(chain)
         if n_real == dy:
             return (B, "certified", f"all {dy} branches real and simple over x = {x0}")
         if n_real >= 1 and irreducible:

@@ -181,6 +181,7 @@ class FiberReport:
     fiber_sf: UPoly  # squarefree fiber polynomial in t over the tower
     distinct_complex: int
     real_root_counts: tuple  # one count per real embedding
+    chain: object  # tower_sturm_chain(fiber_sf) | None (no root or no embedding)
     singleton: object  # NFElement | None
     matches_assigned: object  # bool | None
     assigned_is_root: object  # bool | None
@@ -221,7 +222,7 @@ def fiber_report(gb_lex, pt: BadPoint, assigned=None) -> FiberReport:
     elif assigned is not None:
         is_root = False
         matches = False
-    return FiberReport(pt, assigned, sf, distinct, counts, singleton, matches, is_root)
+    return FiberReport(pt, assigned, sf, distinct, counts, chain, singleton, matches, is_root)
 
 
 def fiber_table(f: CurveFunction):
@@ -330,13 +331,9 @@ def _describe_real_roots(rep: FiberReport):
         if rep.point.embeddings and rep.real_root_counts:
             if len(roots) >= max(rep.real_root_counts):
                 return sorted(roots)[: max(rep.real_root_counts)] if len(roots) else []
-    if not rep.point.embeddings:
+    if rep.chain is None:  # no real embedding, or a fiber without roots
         return []
-    out = []
-    for emb in rep.point.embeddings[:1]:
-        for lo, hi in isolate_tower_roots(sf, emb):
-            out.append((lo, hi))
-    return out
+    return isolate_tower_roots(rep.chain, rep.point.embeddings[0])
 
 
 def in_KRplus(f: CurveFunction, table=None):

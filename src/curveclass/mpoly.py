@@ -156,12 +156,20 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        acc = MPoly.const(1)
+        # binary powering from the low bit: the accumulator starts at the
+        # first set bit, and the square after the top bit is never formed
+        if not n:
+            return MPoly.const(1)
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        acc = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 acc = acc * base
-            base = base * base
             n >>= 1
         return acc
 

@@ -712,14 +712,16 @@ def tower_root_bound(p: UPoly, emb: RealEmbedding):
     return top / low + 2
 
 
-def isolate_tower_roots(p: UPoly, emb: RealEmbedding):
-    """Disjoint isolating intervals for the real roots of squarefree p at
-    the embedding, ascending."""
+def isolate_tower_roots(chain, emb: RealEmbedding):
+    """Disjoint isolating intervals for the real roots of squarefree
+    p = chain[0] at the embedding, ascending.  chain is
+    tower_sturm_chain(p), so one chain serves every embedding."""
+    p = chain[0]
     if not p:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
-    signs = _tower_signs(tower_sturm_chain(p), emb)
+    signs = _tower_signs(chain, emb)
     if signs.count() == 0:  # the bound would refine the embedding for nothing
         return []
     return signs.isolate(tower_root_bound(p, emb))

@@ -7,8 +7,13 @@ side of the human output.
 """
 
 import json
+from fractions import Fraction
 
-from .parsing import format_point, format_poly, format_value
+from .curves import BadPoint
+from .mpoly import MPoly
+from .numfield import NFElement
+from .parsing import _nf_to_mpoly, format_point, format_poly, format_value
+from .unipoly import UPoly
 
 
 class ReportDocument:
@@ -145,11 +150,6 @@ def morphism_document(job_echo, result, timing=None) -> ReportDocument:
 
 
 def _tower_poly_str(u):
-    from .parsing import _nf_to_mpoly
-    from .mpoly import MPoly
-    from .numfield import NFElement
-    from fractions import Fraction
-
     acc = MPoly()
     t = MPoly.var("t")
     for k, c in enumerate(u.coeffs):
@@ -173,12 +173,6 @@ def _witness_strings(failure):
 
 
 def _stringify(obj):
-    from .curves import BadPoint
-    from .mpoly import MPoly
-    from .numfield import NFElement
-    from .unipoly import UPoly
-    from fractions import Fraction
-
     if isinstance(obj, dict):
         return {k: _stringify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -228,3 +228,106 @@ _zpolys = st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=9).map(zp.
 def test_zresultant_equals_the_sylvester_determinant(a, b):
     want = _sylvester_resultant([[c] if c else [] for c in a], [[c] if c else [] for c in b])
     assert zp.zresultant(a, b) == (want[0] if want else 0)
+
+
+# -- the regular subresultants of the same sequence, against determinants --
+from curveclass.bipoly import YSubresultants  # noqa: E402
+
+
+def _sylvester_subresultant(a, b, j):
+    """Reference: S_j of two rows lists over Z[x] (deg a >= deg b > j) by
+    determinants: the rows y^(n-j-1) a, ..., a, y^(m-j-1) b, ..., b of the
+    Sylvester matrix, on the columns of y^(m+n-j-1) down to y^(j+1) and then
+    the column of y^i, give the coefficient of y^i."""
+    m, n = len(a) - 1, len(b) - 1
+    width = m + n - j
+    rows = [[[] for _ in range(k)] + list(a) for k in range(n - j - 1, -1, -1)]
+    rows += [[[] for _ in range(k)] + list(b) for k in range(m - j - 1, -1, -1)]
+    rows = [r + [[] for _ in range(width - len(r))] for r in rows]
+    head = list(range(width - 1, j, -1))
+    return [
+        _bareiss([[list(r[c]) for c in head] + [list(r[i])] for r in rows]) for i in range(j + 1)
+    ]
+
+
+def _check_subresultants(a, b, sres_of):
+    """Every pair of the sequence is +-S_j by determinants, and every j < n
+    outside it has a defective S_j (principal coefficient 0)."""
+    if len(a) < len(b):
+        a, b = b, a
+    m, n = len(a) - 1, len(b) - 1
+    degrees, principal, rows = sres_of
+    assert degrees == sorted(degrees, reverse=True) and degrees[0] == n
+    for i, j in enumerate(degrees):
+        if j < 0:  # a vanishing remainder: the resultant is 0
+            assert i == len(degrees) - 1 and not principal(i)
+            continue
+        if j == n == 0:  # b constant: S_0 is the resultant b**m
+            want = [_power(b[0], m)]
+        elif j == n:  # lc(b)**(m - n - 1) * b, and b itself when m = n
+            want = [zp.zmul(c, _power(b[-1], max(m - n - 1, 0))) for c in b]
+        else:
+            want = [zp.ztrim(c) for c in _sylvester_subresultant(a, b, j)]
+        got = rows(i)
+        assert got == want or got == [zp.zneg(c) for c in want]
+        assert principal(i) == got[-1]
+    last = degrees[-1]
+    for j in range(max(last, 0), n):
+        if j not in degrees:
+            assert not _sylvester_subresultant(a, b, j)[j]
+
+
+def _power(c, e):
+    acc = [1]
+    for _ in range(e):
+        acc = zp.zmul(acc, c)
+    return acc
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_subresultants_y_are_the_sylvester_minors(data):
+    small = st.integers(-20, 20)
+    p, q = data.draw(_y_poly(small)), data.draw(_y_poly(small))
+    if p.degree_in("y") < 1 or q.degree_in("y") < 1:
+        return
+    s = YSubresultants(p, q)
+    _check_subresultants(to_y_dense(p), to_y_dense(q), (s.degrees, s.principal, s.rows))
+    assert s.resultant() == resultant_y(p, q)
+
+
+@pytest.mark.parametrize("p, q", [
+    # delta = 0 on the first step: S_n is q itself
+    (parse_poly("y^3 + x*y + 1"), parse_poly("(x + 2)*y^3 - x^2*y^2 + 3*x - 7")),
+    # y-gaps: defective steps, remainder degrees drop by 2 or more
+    (parse_poly("y^6 + x"), parse_poly("y^3 + x^2")),
+    (parse_poly("y^7 - x*y + 1"), parse_poly("y^4 - x^3")),
+    # the shorter input first, and a shared factor
+    (parse_poly("y^2 - x"), parse_poly("y^5 + x*y^2 - 1")),
+    (parse_poly("(y - x)*(y + 1)"), parse_poly("(y - x)*(y^2 + x)")),
+    (_SINGULAR, _SINGULAR.deriv("y")),
+])
+def test_subresultants_y_fixed_cases(p, q):
+    s = YSubresultants(p, q)
+    _check_subresultants(to_y_dense(p), to_y_dense(q), (s.degrees, s.principal, s.rows))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_zpolys, _zpolys)
+def test_zsubresultants_principal_coefficients_are_cohens_h(a, b):
+    # integer inputs: each pair (r, s) has s = +-s_j by determinants, and
+    # s * r / lc(r) is exact
+    chain = zp.zsubresultants(a, b)
+    for r, s in chain:
+        assert all(c * s % r[-1] == 0 for c in r)
+
+    def rows(i):
+        r, s = chain[i]
+        return [[c * s // r[-1]] if c else [] for c in r]
+
+    def principal(i):
+        return [chain[i][1]] if chain[i][1] else []
+
+    lift = lambda p: [[c] if c else [] for c in p]  # noqa: E731
+    _check_subresultants(lift(a), lift(b), ([len(r) - 1 for r, _ in chain], principal, rows))
+    assert chain[-1][1] == zp.zresultant(a, b)

@@ -509,3 +509,145 @@ def test_probed_linear_factor_search_matches_division_alone(F):
     finally:
         curves._first_linear_factor = probe
     assert got == want
+
+
+@st.composite
+def _sample_block(draw):
+    """A block B(x, y) of y-degree 1-6 with small integer coefficients,
+    times factors whose fibers collide at some samples (y - x)(y + x - 2)
+    at x = 1, and sometimes a square, so that many fibers are not
+    squarefree."""
+    B = MPoly()
+    dy = draw(st.integers(1, 4))
+    for j in range(dy + 1):
+        for i in range(draw(st.integers(0, 3))):
+            B = B + draw(st.integers(-4, 4)) * X**i * Y**j
+    B = B + Y ** (dy + 1)
+    extra = draw(st.sampled_from(["1", "(y - x)*(y + x - 2)", "(y - x^2)^2", "(y^2 - x)*(y - 1)"]))
+    return B * parse_poly(extra)
+
+
+@settings(deadline=None, max_examples=80)
+@given(B=_sample_block(), budget=st.sampled_from([0, 1, 3, 12, 64]))
+def test_one_sturm_chain_per_sample_matches_the_gcd_then_chain_route(B, budget):
+    # the parent's route tests each fiber squarefree by its own gcd and then
+    # builds the chain; the chain's last member is that gcd up to a constant
+    from curveclass import curves
+
+    assert curves._certify_block(B, budget) == _certify_block_by_specialize_x(B, budget)
+
+
+def _embeddings_per_root(field):
+    """Reference: m2's Sturm chain rebuilt for every real root of m1."""
+    from curveclass import _zpoly as zp
+    from curveclass.numfield import RealEmbedding, isolate_tower_roots, tower_sturm_chain
+
+    base = field.sub_field(1)
+    embs = []
+    for lo, hi in zp.zisolate(field.zminpoly0()):
+        base_emb = RealEmbedding(base, [(lo, hi)])
+        for blo, bhi in isolate_tower_roots(tower_sturm_chain(field.minpoly(1)), base_emb):
+            embs.append(RealEmbedding(field, [(lo, hi), (blo, bhi)]))
+    return embs
+
+
+@pytest.mark.parametrize(
+    "m1, m2",
+    [
+        ([-2, 0, 1], [lambda a: -a, lambda a: 0, lambda a: 1]),  # y^2 = x over x^2 = 2
+        ([-3, 0, 0, 1], [lambda a: a * a - 5, lambda a: 0, lambda a: 1]),  # one real x
+        ([6, -2, -3, 1], [lambda a: 1 - a, lambda a: a, lambda a: 1]),
+        ([-5, 0, 1], [lambda a: 10 * a * a * a, lambda a: -5 * a * a, lambda a: -2 * a,
+                      lambda a: 1]),
+    ],
+)
+def test_one_tower_chain_per_field_gives_the_per_root_embeddings(monkeypatch, m1, m2):
+    from curveclass import curves
+
+    pt = _split_prone_point(m1, m2)
+    assert _intervals([pt]) == [
+        [[(iv.lo, iv.hi) for iv in e.intervals] for e in _embeddings_per_root(pt.field)]
+    ]
+    chains = []
+    build = curves.tower_sturm_chain
+    monkeypatch.setattr(curves, "tower_sturm_chain", lambda p: chains.append(p) or build(p))
+    curves._embeddings_for(pt.field)
+    assert len(chains) == 1
+
+
+def test_a_field_without_real_base_roots_builds_no_tower_chain(monkeypatch):
+    # x^2 + 1 has no real root: m2 is never isolated, and its chain (which
+    # could split the tower) is never built
+    from curveclass import curves
+    from curveclass.numfield import SplitEvent
+
+    chains = []
+    build = curves.tower_sturm_chain
+    monkeypatch.setattr(curves, "tower_sturm_chain", lambda p: chains.append(p) or build(p))
+    assert _split_prone_point([1, 0, 1], [lambda a: -a, lambda a: 0, lambda a: 1]).embeddings == []
+    assert chains == []
+    # with a real base root the chain is built, and a split it meets surfaces:
+    # m2 = y^2 + (x - 1)y over x^2 = 1 leaves the remainder (1 - x)/2, a zero
+    # divisor that the next division inverts
+    with pytest.raises(SplitEvent):
+        _split_prone_point([-1, 0, 1], [lambda a: 0, lambda a: a - 1, lambda a: 1])
+    assert len(chains) == 1
+
+
+def _classes(points):
+    return [(pt.field.levels, _intervals([pt])[0]) for pt in points]
+
+
+def test_chunk_gcds_from_subresultants_match_the_tower_route(monkeypatch):
+    # random systems, some with lc_y vanishing on a chunk, some whose chunk
+    # the tower Euclid splits: both routes give the same classes, in the
+    # same order, with the same isolating intervals
+    import random
+
+    from curveclass import curves
+    from curveclass.errors import DegenerateInputError
+    from curveclass.numfield import NumberField
+
+    seen = {"subresultant": 0, "tower": 0, "tower splits": 0}
+    first_pair_gcd = curves._first_pair_gcd
+
+    def counted(fld, sres):
+        g = first_pair_gcd(fld, sres)
+        seen["tower" if g is None else "subresultant"] += 1
+        return g
+
+    split_level = NumberField.split_level
+
+    def counted_split(fld, level, factor):
+        seen["tower splits"] += 1
+        return split_level(fld, level, factor)
+
+    monkeypatch.setattr(NumberField, "split_level", counted_split)
+    rng = random.Random(3)
+
+    def rpoly(dy, dx):
+        return sum((rng.randint(-3, 3) * X**i * Y**j for j in range(dy + 1) for i in range(dx + 1)
+                    if rng.random() < 0.5), MPoly())
+
+    def xfactor():
+        return rng.choice([X**2 - 2, X**2 - 3, X**3 - 2, X**2 + 1, X**2 - X - 1])
+
+    systems = 0
+    while systems < 120:
+        p0, p1 = rpoly(rng.randint(1, 3), 2), rpoly(rng.randint(1, 3), 2)
+        if rng.random() < 0.4:
+            p1 = p1 * xfactor()  # p1(alpha, y) = 0 on a factor of the chunk
+        if rng.random() < 0.3:
+            p0 = p0 + xfactor() * Y ** (p0.degree_in("y") + 1)  # lc_y vanishes there
+        if rng.random() < 0.3:
+            p0, p1 = p0 * (Y - X) + xfactor(), p1 * (Y - X)
+        polys = [p0, p1] + ([rpoly(1, 1)] if rng.random() < 0.2 else [])
+        monkeypatch.setattr(curves, "_first_pair_gcd", lambda fld, sres: None)
+        try:
+            want = solve_xy_system(polys)
+        except DegenerateInputError:
+            continue
+        monkeypatch.setattr(curves, "_first_pair_gcd", counted)
+        assert _classes(solve_xy_system(polys)) == _classes(want), polys
+        systems += 1
+    assert seen["subresultant"] > 100 and seen["tower"] > 50 and seen["tower splits"] > 10

@@ -247,3 +247,37 @@ def test_kernel_normal_form_quotients_are_exact(gens, order, p):
     rem, quots = normal_form(p, gb, with_quotients=True)
     assert rem == normal_form(p, gb)
     assert sum((q * g for q, g in zip(quots, gb.basis)), rem) == p
+
+
+def _power_from_one(p, n):
+    """Reference: binary powering from const(1), squaring past the top bit."""
+    acc = MPoly.const(1)
+    while n:
+        if n & 1:
+            acc = acc * p
+        p = p * p
+        n >>= 1
+    return acc
+
+
+@pytest.mark.parametrize(
+    "p", [MPoly(), MPoly.const(3), X - 1, X * Y - Fraction(1, 2) * S**2 + T, (X + Y) ** 2 - 7]
+)
+def test_power_equals_repeated_products(p):
+    acc = MPoly.const(1)
+    for n in range(10):
+        got = p**n
+        assert got == acc
+        # the same terms in the same order as the loop that started at 1
+        assert list(got.terms.items()) == list(_power_from_one(p, n).terms.items())
+        acc = acc * p
+
+
+def test_power_forms_no_product_past_the_top_bit(monkeypatch):
+    products = []
+    mul = MPoly.__mul__
+    monkeypatch.setattr(MPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for n, want in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)):
+        products.clear()
+        (X - 1) ** n
+        assert len(products) == want, n

@@ -19,6 +19,7 @@ from curveclass.numfield import (
     level0_real_embeddings,
     nf_sign,
     rational_point_field,
+    tower_sturm_chain,
     tower_sturm_count,
 )
 from curveclass.unipoly import UPoly, squarefree_part, upoly_gcd
@@ -142,7 +143,7 @@ def test_tower_sturm_and_isolation():
     t2a = UPoly("t", [-F.gen(0), F.zero(), F.one()])
     assert tower_sturm_count(t2a, pos) == 2
     assert tower_sturm_count(t2a, neg) == 0
-    roots = isolate_tower_roots(t2a, pos)
+    roots = isolate_tower_roots(tower_sturm_chain(t2a), pos)
     assert len(roots) == 2
     assert roots[0][1] <= roots[1][0]
     # 2^(1/4) ~ 1.19 in the second interval
@@ -197,7 +198,7 @@ def test_isolated_tower_roots_each_hold_one_root_on_a_split_prone_tower():
         (UPoly("y", [10 * a * a * a, -5 * a * a, -2 * a, F.one()]), [3, 3, 3, 3]),
     ):
         for emb, want in zip(embs, counts):
-            roots = isolate_tower_roots(p, emb)
+            roots = isolate_tower_roots(tower_sturm_chain(p), emb)
             assert len(roots) == want == tower_sturm_count(p, emb)
             assert all(tower_sturm_count(p, emb, lo, hi) == 1 for lo, hi in roots)
             assert all(r[1] <= s[0] for r, s in zip(roots, roots[1:]))
@@ -219,12 +220,12 @@ def test_isolation_evaluates_each_chain_polynomial_once_per_point(monkeypatch):
         return elem_const(q, c)
 
     monkeypatch.setattr(numfield, "_elem_const", recording)
+    chain = tower_sturm_chain(p)
     for emb in level0_real_embeddings(F):
         seen.clear()
-        roots = isolate_tower_roots(p, emb)
+        roots = isolate_tower_roots(chain, emb)
         assert len(roots) == 3
         assert seen and len(seen) == len(set(seen))
-    chain = numfield.tower_sturm_chain(p)
     for emb in level0_real_embeddings(F):
         for lo, hi in roots:
             assert numfield.tower_chain_count(chain, emb, lo, hi) == tower_sturm_count(
@@ -242,7 +243,7 @@ def _rational_point_copy(z):
 
 def _assert_same_isolation(z):
     p, emb = _rational_point_copy(z)
-    assert isolate_tower_roots(p, emb) == zisolate(z)
+    assert isolate_tower_roots(tower_sturm_chain(p), emb) == zisolate(z)
 
 
 def test_integer_and_tower_isolation_agree_where_a_midpoint_is_a_root():

@@ -264,3 +264,105 @@ def test_padic_rational_roots_negative_lc_and_low_degrees():
     assert zrational_roots([-4]) == zsf_rational_roots([1]) == []
     assert zrational_roots([6, -4]) == [Fraction(3, 2)]
     assert zsf_rational_roots([3, 2]) == [Fraction(-3, 2)]
+
+
+# -- gcd cofactors: Yun and the squarefree part without repeated divisions --
+from curveclass._zpoly import (  # noqa: E402
+    _mignotte_bits,
+    _zcofactors,
+    _zgcd_parts,
+    zderiv,
+    zsub,
+)
+
+
+def _squarefree_by_division(a):
+    """Reference: a / gcd(a, a') by its own exact division."""
+    a = zprimitive(a)
+    if len(a) == 1:
+        return [1]
+    g = zgcd(a, zderiv(a))
+    if len(g) == 1:
+        return a
+    return zprimitive(zdivexact(a, g, quot_bits=_mignotte_bits(a)))
+
+
+def _yun_by_division(a):
+    """Reference: Yun's decomposition dividing a, a', w and z by each gcd
+    after computing it."""
+    a = zprimitive(a)
+    if len(a) <= 1:
+        return []
+    d = zderiv(a)
+    g = zgcd(a, d)
+    if len(g) == 1:
+        return [(1, a)]
+    qb = _mignotte_bits(a)
+    w = zdivexact(a, g, quot_bits=qb)
+    z = zsub(zdivexact(d, g, quot_bits=qb), zderiv(w))
+    out = []
+    i = 1
+    while len(w) > 1:
+        h = zgcd(w, z)
+        if len(h) > 1:
+            out.append((i, h))
+        w = zdivexact(w, h, quot_bits=qb)
+        z = zsub(zdivexact(z, h, quot_bits=qb), zderiv(w))
+        i += 1
+    return out
+
+
+_zfactor = st.lists(st.integers(-9, 9), min_size=2, max_size=5).map(ztrim).filter(
+    lambda f: len(f) >= 2
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.tuples(_zfactor, st.integers(1, 4)), max_size=4),
+    st.integers(-12, 12).filter(bool),
+)
+def test_yun_and_squarefree_match_the_division_route(factors, unit):
+    # products of powers, up to degree 64: both gcd paths, contents on a'
+    a = [unit]
+    for f, e in factors:
+        for _ in range(e):
+            a = zmul(a, f)
+    if len(a) < 2:
+        return
+    assert zyun(a) == _yun_by_division(a)
+    assert zsquarefree(a) == _squarefree_by_division(a)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_zfactor, st.lists(_zfactor, max_size=4), st.lists(_zfactor, max_size=4), st.integers(1, 5))
+def test_gcd_cofactors_multiply_back_on_both_paths(common, fa, fb, power):
+    a, b = [1], [-3]
+    for _ in range(power):
+        a, b = zmul(a, common), zmul(b, common)
+    for f in fa:
+        a = zmul(a, f)
+    for f in fb:
+        b = zmul(b, f)
+    pa = zprimitive(a)
+    g, qa, qb = _zcofactors(pa, b, _mignotte_bits(max(pa, b, key=len)))
+    assert g == zgcd(a, b)
+    assert zmul(g, qa) == pa and zmul(g, qb) == b
+    g2, qa2, qb2 = _zgcd_parts(pa, zprimitive(b))
+    assert g2 == g
+    if qa2 is not None:
+        assert (qa2, zmul(qb2, [b[-1] // zprimitive(b)[-1]])) == (qa, qb)
+
+
+def test_gcd_hands_back_cofactors_only_where_it_divided():
+    # more than 12 coefficients: the verified path divides, and keeps both
+    a = poly_from_roots(range(14))
+    b = poly_from_roots(range(7, 20))
+    g, qa, qb = _zgcd_parts(a, b)
+    assert g == poly_from_roots(range(7, 14))
+    assert zmul(g, qa) == a and zmul(g, qb) == b
+    # at most 12: a remainder sequence, no quotients unless g = 1
+    a, b = poly_from_roots([1, 2, 3]), poly_from_roots([2, 3, 4])
+    assert _zgcd_parts(a, b) == (poly_from_roots([2, 3]), None, None)
+    assert _zgcd_parts(a, [5, 1]) == ([1], a, [5, 1])
+    assert _zgcd_parts(a, []) == (a, [1], [])
