@@ -7,7 +7,10 @@ come from this script's own checkout (bench/workloads.py, bench/pipeline.py,
 imported, never edited), so two runs on two checkouts differ only in the
 program; diff their outputs to check that machine output is byte-identical.
 One line per corpus: each benchmark workload at seeds 5, 12 and 2024 with
-its trace-pass job count, and each document of demo.run_demo(probe=True).
+its trace-pass job count, each document of demo.run_demo(probe=True), and
+the error path, which no workload reaches: bad_locus on (curve, q) pairs
+that share a component, each outcome hashed as its exception class, exit
+code, message and component.
 """
 
 import hashlib
@@ -16,6 +19,19 @@ from pathlib import Path
 
 SEEDS = (5, 12, 2024)
 JOBS = {"fuzz-shared": 300, "tower-split": 200, "singular-stress": 132}
+
+# (factor the curve is multiplied by, denominator) over every base curve C;
+# "{C}" is C itself: shared y-factors, a rational and an irrational vertical
+# line
+SHARED = (
+    ("1", "({C})*(x + 3)"),
+    ("1", "({C})*y"),
+    ("x - 2", "x - 2"),
+    ("x - 2", "(x - 2)*(y + 1)"),
+    ("x^2 - 2", "x^2 - 2"),
+    ("x^2 - 2", "(x^2 - 2)*y"),
+    ("x^2 - 2", "(x^2 - 2)*(y - x)"),
+)
 
 
 def main(checkout):
@@ -38,6 +54,29 @@ def main(checkout):
     for entry, doc, _, _ in demo.run_demo(probe=True):
         digest = hashlib.sha256(report.emit(doc, "machine").encode()).hexdigest()
         print(f"demo {entry.name} sha256={digest}", flush=True)
+    print(error_path_line(curveclass, workloads), flush=True)
+
+
+def error_path_line(curveclass, workloads):
+    """One digest over bad_locus outcomes on pairs sharing a component: the
+    five worked curves and four tower-split curves (seed 2024) under SHARED,
+    and the fourth worked curve's own component y - x^2."""
+    bases = list(workloads.FUZZ_CURVES)
+    bases += [job["curve"] for job in workloads.generate("tower-split", 2024, 4)]
+    pairs = [(f"({c})*({extra})", q.format(C=c)) for c in bases for extra, q in SHARED]
+    pairs.append((workloads.FUZZ_CURVES[3], "(y - x^2)*(x + 1)"))
+    h = hashlib.sha256()
+    for curve, q in pairs:
+        try:
+            points = curveclass.bad_locus(curveclass.make_curve(curveclass.parse_poly(curve)),
+                                          curveclass.parse_poly(q))
+            outcome = f"no error, {len(points)} points"
+        except curveclass.CurveClassError as exc:
+            component = getattr(exc, "component", None)
+            shown = "" if component is None else curveclass.format_poly(component)
+            outcome = f"{type(exc).__name__} {exc.code} {exc} {shown}"
+        h.update(outcome.encode() + b"\0")
+    return f"error-path pairs={len(pairs)} sha256={h.hexdigest()}"
 
 
 if __name__ == "__main__":

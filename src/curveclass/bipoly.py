@@ -6,8 +6,8 @@ substitution at a power of two wide enough that the result unpacks
 uniquely) and run the subresultant remainder sequence of the integer
 kernel (_zpoly.zsubresultants) on the packed polynomials; the regular
 subresultants of that sequence unpack the same way (YSubresultants).  The
-bivariate gcd is a primitive-PRS in y; it certifies non-zero-divisor
-denominators and names the offending common component otherwise.
+bivariate gcd reads its y-part off the same sequence: the last nonzero
+regular subresultant is the gcd over Q(x).
 """
 
 import math
@@ -103,54 +103,21 @@ def y_primitive(rows):
     return rows
 
 
-def _prem_y(a, b):
-    """Pseudo-remainder in y; coefficients in Z[x]."""
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        return _trim_y([list(row) for row in a])
-    lb = b[-1]
-    r = [list(row) for row in a]
-    for k in range(da - db, -1, -1):
-        r = _trim_y(r)
-        if len(r) - 1 != k + db:
-            r = [zp.zmul(row, lb) for row in r]
-            continue
-        top = r[-1]
-        r = r[:-1]
-        new = []
-        for i, row in enumerate(r):
-            t1 = zp.zmul(row, lb)
-            j = i - k
-            if 0 <= j <= db - 1:
-                t1 = zp.zsub(t1, zp.zmul(b[j], top))
-            new.append(t1)
-        r = new
-    return _trim_y(r)
-
-
 def bivariate_gcd(p: MPoly, q: MPoly) -> MPoly:
     """gcd of two polynomials of Q[x, y], primitive over Z with positive
-    leading coefficient; constant 1 when coprime."""
+    leading coefficient; constant 1 when coprime.  Its Z[x] content is the
+    gcd of the operands' contents; its y-part is the primitive part of the
+    gcd over Q(x): the last nonzero regular subresultant when the sequence
+    ends in a vanishing remainder (Ducos, JPAA 145, 2000), 1 otherwise."""
     if p.is_zero():
         return q
     if q.is_zero():
         return p
     a, b = to_y_dense(p), to_y_dense(q)
-    ca, cb = y_content(a), y_content(b)
-    cg = zp.zgcd(ca, cb)
-    pa, pb = y_primitive(a), y_primitive(b)
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    while len(pb) > 1:
-        r = _prem_y(pa, pb)
-        if not r:
-            gy = pb
-            break
-        pa, pb = pb, y_primitive(r)
-    else:
-        gy = [[1]] if pb else pa
-    gy = y_primitive(gy)
-    out = [zp.zmul(row, cg) for row in gy]
+    cg = zp.zgcd(y_content(a), y_content(b))
+    sres = YSubresultants(p, q)
+    gy = sres.rows(len(sres.degrees) - 2) if sres.degrees[-1] < 0 else [[1]]
+    out = [zp.zmul(row, cg) for row in y_primitive(gy)]
     return from_y_dense(out)
 
 

@@ -50,6 +50,7 @@ from .numfield import (
     tower_chain_count,
     tower_sturm_chain,
 )
+from .parsing import format_upoly
 from .unipoly import (
     UPoly,
     nonzero_gcd,
@@ -199,8 +200,12 @@ def _split_candidates(m: UPoly):
 
 def solve_xy_system(polys):
     """All solutions of a finite system {p_i(x, y) = 0} as BadPoint classes,
-    deterministically ordered.  Raises DegenerateInputError when the system
-    is not zero-dimensional in an obvious way (shared component)."""
+    deterministically ordered.  Raises DegenerateInputError exactly when the
+    system has a positive-dimensional component, that is when its nonzero
+    polynomials share a nonconstant factor: a resultant that vanishes (a
+    shared factor of positive y-degree), or a rational x0 or a branch of
+    irrational x-coordinates over which every polynomial vanishes (a shared
+    factor in x alone).  bad_locus relies on this."""
     live = []
     for p in polys:
         if p.is_zero():
@@ -269,7 +274,11 @@ def _points_at_chunk(chunk: UPoly, withy, sres):
         polys = (UPoly("y", [fld.at_gens(row) for row in rows])
                  for rows in (grids if first is None else grids[2:]))
         g = nonzero_gcd(polys if first is None else itertools.chain([first], polys))
-        if g is None or g.degree == 0:
+        if g is None:
+            raise DegenerateInputError(
+                f"positive-dimensional fiber over the roots of {format_upoly(fld.minpoly(0))}"
+            )
+        if g.degree == 0:
             return []
         m2 = squarefree_part(g)
         return _finish_point_classes(extend_field(fld, "y", list(m2.coeffs)))
@@ -400,7 +409,9 @@ def bad_locus(curve: PlaneCurve, q: MPoly):
     """The finite set V(F, q) where the denominator q vanishes on the curve.
 
     q must be a non-zero-divisor modulo F; a common component is an error
-    naming the component.
+    naming the component (bivariate_gcd(F, q)).  The locus solve is the
+    test: solve_xy_system raises DegenerateInputError exactly when F and q
+    share a component, so a coprime pair runs one remainder sequence.
     """
     if q.is_zero():
         raise ZeroDivisorDenominatorError("denominator is zero")
@@ -408,12 +419,12 @@ def bad_locus(curve: PlaneCurve, q: MPoly):
         raise PreconditionError("denominator must use only x and y")
     if q.is_constant():
         return []
-    g = bivariate_gcd(curve.F, q)
-    if not g.is_constant():
+    try:
+        return solve_xy_system([curve.F, q])
+    except DegenerateInputError:
         raise ZeroDivisorDenominatorError(
-            "denominator vanishes on a curve component", component=g
-        )
-    return solve_xy_system([curve.F, q])
+            "denominator vanishes on a curve component", component=bivariate_gcd(curve.F, q)
+        ) from None
 
 
 # ---------------------------------------------------------------------------

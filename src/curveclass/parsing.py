@@ -24,6 +24,12 @@ class _Token:
         self.pos = pos
 
 
+def _is_digit(ch):
+    """ASCII 0-9 only: str.isdigit also accepts '²' and '٣', which int()
+    rejects or silently reads."""
+    return "0" <= ch <= "9"
+
+
 def _tokenize(text):
     out = []
     i, n = 0, len(text)
@@ -32,13 +38,13 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if _is_digit(ch):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and _is_digit(text[j]):
                 j += 1
             if j < n and text[j] == "/":
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and _is_digit(text[k]):
                     k += 1
                 if k == j + 1:
                     raise ParseError("malformed rational literal", j)

@@ -331,3 +331,106 @@ def test_zsubresultants_principal_coefficients_are_cohens_h(a, b):
     lift = lambda p: [[c] if c else [] for c in p]  # noqa: E731
     _check_subresultants(lift(a), lift(b), ([len(r) - 1 for r, _ in chain], principal, rows))
     assert chain[-1][1] == zp.zresultant(a, b)
+
+
+# -- bivariate_gcd against the primitive y-PRS it replaced --
+def _reference_prem_y(a, b):
+    """Reference: pseudo-remainder in y; coefficients in Z[x]."""
+    da, db = len(a) - 1, len(b) - 1
+    if da < db:
+        return _trim_y([list(row) for row in a])
+    lb = b[-1]
+    r = [list(row) for row in a]
+    for k in range(da - db, -1, -1):
+        r = _trim_y(r)
+        if len(r) - 1 != k + db:
+            r = [zp.zmul(row, lb) for row in r]
+            continue
+        top = r[-1]
+        r = r[:-1]
+        new = []
+        for i, row in enumerate(r):
+            t1 = zp.zmul(row, lb)
+            j = i - k
+            if 0 <= j <= db - 1:
+                t1 = zp.zsub(t1, zp.zmul(b[j], top))
+            new.append(t1)
+        r = new
+    return _trim_y(r)
+
+
+def _reference_bivariate_gcd(p, q):
+    """Reference: the gcd by a primitive PRS in y over Z[x]."""
+    if p.is_zero():
+        return q
+    if q.is_zero():
+        return p
+    a, b = to_y_dense(p), to_y_dense(q)
+    cg = zp.zgcd(y_content(a), y_content(b))
+    pa, pb = y_primitive(a), y_primitive(b)
+    if len(pa) < len(pb):
+        pa, pb = pb, pa
+    while len(pb) > 1:
+        r = _reference_prem_y(pa, pb)
+        if not r:
+            gy = pb
+            break
+        pa, pb = pb, y_primitive(r)
+    else:
+        gy = [[1]] if pb else pa
+    return from_y_dense([zp.zmul(row, cg) for row in y_primitive(gy)])
+
+
+from curveclass.bipoly import _trim_y, y_content, y_primitive  # noqa: E402
+
+_X_FACTORS = [parse_poly(s) for s in ("x - 2", "2*x + 3", "x^2 - 2", "x^2 + 1", "x^3 - 2")]
+
+
+@st.composite
+def _gcd_operand(draw, coeff):
+    """A polynomial of y-degree 0-3 and x-degree 0-3, possibly zero."""
+    dy, dx = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        terms[(0, 0, draw(st.integers(0, dx)), draw(st.integers(0, dy)))] = draw(coeff)
+    return MPoly({e: c for e, c in terms.items() if c})
+
+
+_small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@pytest.mark.parametrize("coeff", [st.integers(-9, 9), _small_rationals], ids=["int", "rational"])
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_bivariate_gcd_equals_the_primitive_prs(coeff, data):
+    shared = data.draw(st.sampled_from(["none", "y-factor", "x-factor", "both"]))
+    g = MPoly.const(1)
+    if shared in ("y-factor", "both"):
+        g = g * data.draw(_gcd_operand(coeff).filter(lambda f: f.degree_in("y") >= 1))
+    if shared in ("x-factor", "both"):
+        g = g * data.draw(st.sampled_from(_X_FACTORS))
+    p = data.draw(_gcd_operand(coeff)) * g
+    q = data.draw(_gcd_operand(coeff)) * g
+    got = bivariate_gcd(p, q)
+    assert got == _reference_bivariate_gcd(p, q)
+    if p.is_zero() or q.is_zero():
+        return
+    # primitive over Z, positive leading coefficient, and a common divisor
+    rows = to_y_dense(got)
+    assert zp.zcontent([c for r in rows for c in r]) == 1 and rows[-1][-1] > 0
+    assert not bivariate_divexact_y(p, got).is_zero() and not bivariate_divexact_y(q, got).is_zero()
+    if not g.is_constant():
+        assert not got.is_constant()
+
+
+@pytest.mark.parametrize("p, q, want", [
+    (parse_poly("(x^2 - 2)*(y^2 - x)"), parse_poly("x^2 - 2"), "x^2 - 2"),
+    (parse_poly("(x^2 - 2)*(y^2 - x)"), parse_poly("(x^2 - 2)*y"), "x^2 - 2"),
+    (parse_poly("-6*(x - 1)*(y - x)"), parse_poly("4*(x - 1)*(y - x)*(y + 1)"), "x*y - x^2 - y + x"),
+    (parse_poly("y^3 + x"), parse_poly("x^2 + 1"), "1"),
+    (parse_poly("3*x^2 + 3"), parse_poly("6*x^2 + 6"), "x^2 + 1"),
+    (parse_poly("y - x"), MPoly(), "y - x"),
+])
+def test_bivariate_gcd_fixed_cases(p, q, want):
+    got = bivariate_gcd(p, q)
+    assert got == parse_poly(want) == _reference_bivariate_gcd(p, q)

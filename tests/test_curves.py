@@ -193,6 +193,84 @@ def test_bad_locus_zero_divisor_error_names_component():
         bad_locus(make_curve(X * (Y - 1)), X)
 
 
+@pytest.mark.parametrize("F, q, component", [
+    # a shared factor of positive y-degree: the locus resultant vanishes
+    ("y^2 - x^2*(x + 1)", "(y^2 - x^2*(x + 1))*(x + 3)", "-x^3 - x^2 + y^2"),
+    ("(y - x)*(y + x^2 + 1)", "2*(y - x)*(x^2 + 5)", "-x + y"),
+    # a rational vertical line: every polynomial vanishes over x0
+    ("x*(y - 1)", "x", "x"),
+    ("(x - 1)*(y^2 + x)", "3*(x - 1)*y", "x - 1"),
+    # an irrational vertical line: every polynomial vanishes over a chunk
+    ("(x^2 - 2)*(y^2 - x)", "x^2 - 2", "x^2 - 2"),
+    ("(x^2 - 2)*(y^2 - x)", "(x^2 - 2)*y", "x^2 - 2"),
+])
+def test_bad_locus_names_every_kind_of_shared_component(F, q, component):
+    with pytest.raises(ZeroDivisorDenominatorError) as exc:
+        bad_locus(make_curve(parse_poly(F)), parse_poly(q))
+    assert exc.value.code == 4
+    assert str(exc.value) == "denominator vanishes on a curve component"
+    assert format_poly(exc.value.component) == component
+    # no chained DegenerateInputError in the traceback
+    assert exc.value.__cause__ is None
+    assert exc.value.__context__ is None or exc.value.__suppress_context__
+
+
+def test_coprime_bad_locus_runs_one_remainder_sequence(monkeypatch):
+    from curveclass import curves
+
+    built = []
+    sres = curves.YSubresultants
+
+    def counted(p, q):
+        built.append((p, q))
+        return sres(p, q)
+
+    def forbidden(p, q):
+        raise AssertionError("bivariate_gcd on a coprime pair")
+
+    curve = cusp()
+    monkeypatch.setattr(curves, "YSubresultants", counted)
+    monkeypatch.setattr(curves, "bivariate_gcd", forbidden)
+    pts = bad_locus(curve, Y - X)
+    assert sorted(p.coords() for p in pts) == [(0, 0), (1, 1)]
+    assert built == [(curve.F, Y - X)]
+
+
+@pytest.mark.parametrize("system, where", [
+    (["(x - 2)*y", "(x - 2)*(y + 1)"], "x = 2"),
+    (["(x^2 - 2)*y", "(x^2 - 2)*(y + 1)"], "the roots of x^2 - 2"),
+    (["x^2 - 2", "(x^2 - 2)*y"], "the roots of x^2 - 2"),
+    (["x^2 - 2", "(x^2 - 2)*(x^2 - 3)"], "the roots of x^2 - 2"),
+])
+def test_solve_xy_system_rejects_a_shared_vertical_line(system, where):
+    from curveclass.errors import DegenerateInputError
+
+    with pytest.raises(DegenerateInputError) as exc:
+        solve_xy_system([parse_poly(p) for p in system])
+    assert str(exc.value) == f"positive-dimensional fiber over {where}"
+
+
+def test_solve_xy_system_rejects_a_shared_line_on_a_split_off_branch(monkeypatch):
+    # Res_y = -(x^2 - 2)^2 (x^2 - 3)^2: one chunk x^4 - 5x^2 + 6, which the
+    # tower Euclid splits at lc_y = x^2 - 2; the x^2 - 3 branch has a point,
+    # the x^2 - 2 branch is a shared component
+    from curveclass.errors import DegenerateInputError
+    from curveclass.numfield import NumberField
+
+    splits = []
+    split_level = NumberField.split_level
+
+    def counted(fld, level, factor):
+        splits.append(fld.minpoly(0))
+        return split_level(fld, level, factor)
+
+    monkeypatch.setattr(NumberField, "split_level", counted)
+    with pytest.raises(DegenerateInputError) as exc:
+        solve_xy_system([parse_poly("(x^2 - 2)*y"), parse_poly("(x^2 - 2)*(y - (x^2 - 3)^2)")])
+    assert str(exc.value) == "positive-dimensional fiber over the roots of x^2 - 2"
+    assert [format_upoly(m) for m in splits] == ["x^4 - 5*x^2 + 6"]
+
+
 def test_bad_locus_constant_denominator_is_empty():
     assert bad_locus(cusp(), MPoly.const(7)) == []
 

@@ -41,6 +41,15 @@ def test_parse_errors_carry_positions():
         parse_poly("z + 1")
 
 
+@pytest.mark.parametrize("text, pos", [("x^\u00b2", 2), ("\u0663*x", 0), ("1/\u0663", 1)])
+def test_parse_rejects_non_ascii_digits(text, pos):
+    # str.isdigit accepts superscripts and other scripts' digits; int()
+    # then raises a bare ValueError ('²') or silently reads them ('٣' is 3)
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert exc.value.position == pos
+
+
 def test_parse_upoly():
     u = parse_upoly("t^2 - t - 1", "t")
     assert u.degree == 2 and u.coeffs == (-1, -1, 1)

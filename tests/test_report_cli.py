@@ -175,6 +175,18 @@ def test_cli_parse_error_code(tmp_path):
     assert r.returncode == 2
 
 
+def test_cli_non_ascii_digit_is_a_parse_error(tmp_path):
+    job = tmp_path / "job.json"
+    job.write_text(
+        json.dumps(
+            {"curve": "y^2 - x^3", "numerator": "y", "denominator": "x^\u00b2", "assignments": []}
+        )
+    )
+    r = _run_cli(["classify", "--input", str(job)])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
 def test_cli_batch_mode(tmp_path):
     jobs = [
         {
