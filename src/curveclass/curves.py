@@ -342,11 +342,24 @@ def _on_branches(fld: NumberField, fn):
 
 
 def _embeddings_for(field: NumberField):
-    """Certified real embeddings of a depth-2 tower, sorted by position."""
+    """Certified real embeddings of a depth-2 tower, sorted by position.
+
+    When m2 lies in Q[y], its real roots are the same over every real root
+    of m1: they are isolated once, over Z, and each pair gets its own
+    embedding (embeddings are refined in place).  The intervals are the
+    tower route's: the Cauchy bound is the same, any Sturm chain gives the
+    same counts, and rational coefficients never refine the base.  Otherwise
+    m2's tower chain is built at the first real root of m1 (building it can
+    split the tower) and isolated at each."""
+    base_roots = zp.zisolate(field.zminpoly0())
+    zm2 = field.zlevels()[1]
+    if base_roots and all(len(row) <= 1 for row in zm2):
+        fiber = zp.zisolate([row[0] if row else 0 for row in zm2])
+        return [RealEmbedding(field, [b, f]) for b in base_roots for f in fiber]
     base = field.sub_field(1)
-    chain = None  # m2's chain, built at the first real root: it can split
+    chain = None
     embs = []
-    for lo, hi in zp.zisolate(field.zminpoly0()):
+    for lo, hi in base_roots:
         if chain is None:
             chain = tower_sturm_chain(field.minpoly(1))
         base_emb = RealEmbedding(base, [(lo, hi)])

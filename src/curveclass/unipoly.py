@@ -3,9 +3,11 @@
 UPoly is a dense coefficient sequence (lowest degree first) in one named
 variable.  Coefficients are Fractions in the rational case and tower
 elements (numfield.NFElement) otherwise; both support field arithmetic
-through operator overloading, so the generic gcd / squarefree routines
-below serve both.  Rational-only operations (Sturm counting, real root
-isolation, deflating a rational root) go through the integer kernel _zpoly.
+through operator overloading, so the generic Euclid below serves tower
+polynomials.  Rational operations (gcd, Sturm counting, real root
+isolation, deflating a rational root) go through the integer kernel _zpoly,
+and so do squarefree parts of polynomials whose coefficients are all
+rational, tower elements with rational values included.
 """
 
 import math
@@ -195,10 +197,36 @@ def nonzero_gcd(polys):
     return g
 
 
+def _as_fractions(coeffs):
+    """(Fractions, rebuild) when every coefficient is rational, rebuild
+    mapping a Fraction back to the coefficients' ring; None otherwise.
+    Tower elements are recognised by is_rational (numfield imports this
+    module)."""
+    rebuild = Fraction
+    out = []
+    for c in coeffs:
+        if isinstance(c, (Fraction, int)):
+            out.append(Fraction(c))
+        elif c.is_rational():
+            out.append(c.as_fraction())
+            rebuild = c.field.from_fraction
+        else:
+            return None
+    return out, rebuild
+
+
 def squarefree_part(a: UPoly) -> UPoly:
-    """a / gcd(a, a'), monic: same distinct roots, all simple."""
+    """a / gcd(a, a'), monic: same distinct roots, all simple.  Rational
+    coefficients, tower elements with rational values included, go through
+    the integer kernel: the monic squarefree part is unique, and a Euclid
+    over Q meets no zero divisor, so no split is lost."""
     if a.is_zero():
         raise DegenerateInputError("zero polynomial has no squarefree part")
+    rational = _as_fractions(a.coeffs)
+    if rational is not None:
+        fracs, rebuild = rational
+        sf = zp.zsquarefree(to_zpoly(UPoly(a.var, fracs))[0])
+        return UPoly(a.var, [rebuild(Fraction(c, sf[-1])) for c in sf])
     if a.degree == 0:
         return a.monic()
     g = upoly_gcd(a, a.derivative())
@@ -275,12 +303,14 @@ def isolate_real_roots(a: UPoly):
 
 
 def refine_interval(a: UPoly, interval: IsolatingInterval, width) -> IsolatingInterval:
-    za, _ = to_zpoly(squarefree_part(a))
+    za = zp.zsquarefree(to_zpoly(a)[0])
     lo, hi = zp.zrefine(za, interval.low, interval.high, Fraction(width))
     return IsolatingInterval(lo, hi)
 
 
 def rational_roots(a: UPoly):
+    if a.is_zero():
+        raise DegenerateInputError("zero polynomial")
     za, _ = to_zpoly(a)
     return zp.zrational_roots(za)
 

@@ -672,6 +672,105 @@ def test_a_field_without_real_base_roots_builds_no_tower_chain(monkeypatch):
     assert len(chains) == 1
 
 
+def _captured_fields(jobs_per_seed=60):
+    """The depth-2 fields whose embeddings the locus solves of the three
+    benchmark workloads (seeds 5 and 12) ask for, in call order."""
+    import importlib.util
+    from pathlib import Path
+
+    from curveclass import curves
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+
+    fields = []
+    embeddings_for = curves._embeddings_for
+
+    def recorded(field):
+        embs = embeddings_for(field)
+        fields.append(field)
+        return embs
+
+    curves._embeddings_for = recorded
+    try:
+        for workload in workloads.GENERATORS:
+            for seed in (5, 12):
+                for job in workloads.generate(workload, seed, jobs_per_seed):
+                    curve = make_curve(parse_poly(job["curve"]))
+                    if "denominator" in job:
+                        bad_locus(curve, parse_poly(job["denominator"]))
+                    else:
+                        curve.singular_locus()
+    finally:
+        curves._embeddings_for = embeddings_for
+    return fields
+
+
+def _emb_intervals(embs):
+    return [[(iv.lo, iv.hi) for iv in e.intervals] for e in embs]
+
+
+def _m2_is_rational(field):
+    return all(len(row) <= 1 for row in field.zlevels()[1])
+
+
+def test_rational_fibers_isolated_once_match_the_tower_route(monkeypatch):
+    # every captured field, and hand-made Q[y] fibers over none, one, two
+    # and three real base roots: the same intervals as the tower route, and
+    # no tower chain for a fiber polynomial in Q[y]
+    from curveclass import curves
+    from curveclass.numfield import extend_field, field_from_qpoly
+
+    made = []
+    for m1, m2 in [
+        ([1, 0, 1], [-2, 0, 1]),  # x^2 + 1: no real base root
+        ([-3, 0, 0, 1], [-5, 0, 1]),  # one real x
+        ([-2, 0, 1], [0, -1, 0, 1]),  # two real x; rational fiber roots -1, 0, 1
+        ([1, -3, 0, 1], [-1, 1, 1]),  # three real x
+        ([1, -3, 0, 1], [1, 0, 10, 0, 1]),  # three real x, no real fiber root
+        ([-2, 0, 1], [Fraction(-1, 3), 0, Fraction(1, 2), 1]),
+    ]:
+        base = field_from_qpoly("x", UPoly.from_ints("x", m1))
+        made.append(extend_field(base, "y", [Fraction(c) for c in m2]))
+    fields = _captured_fields()
+    rational = [f for f in fields if _m2_is_rational(f)]
+    assert len(rational) < len(fields)  # the tower route is met too
+    want = [_emb_intervals(_embeddings_per_root(f)) for f in made + fields]
+    chains = []
+    build = curves.tower_sturm_chain
+    monkeypatch.setattr(curves, "tower_sturm_chain", lambda p: chains.append(p) or build(p))
+    got = []
+    for f in made + fields:
+        before = len(chains)
+        got.append(_emb_intervals(curves._embeddings_for(f)))
+        if _m2_is_rational(f):
+            assert len(chains) == before
+    assert got == want
+    assert [len(e) for e in got[:len(made)]] == [0, 2, 6, 6, 0, 2]
+
+
+def test_rational_fiber_embeddings_are_distinct_objects():
+    # one fiber isolation serves every base root, but each embedding is
+    # refined in place: refining one must not move another
+    from curveclass import curves
+    from curveclass.numfield import extend_field, field_from_qpoly
+
+    base = field_from_qpoly("x", UPoly.from_ints("x", [1, -3, 0, 1]))
+    fld = extend_field(base, "y", [Fraction(-2), Fraction(0), Fraction(1)])
+    embs = curves._embeddings_for(fld)
+    assert len(embs) == 6
+    before = _emb_intervals(embs)
+    for i, emb in enumerate(embs):
+        emb.refine(0)
+        emb.refine(1)
+        after = _emb_intervals(embs)
+        assert after[i] != before[i]
+        assert after[:i] == before[:i] and after[i + 1:] == before[i + 1:]
+        before = after
+
+
 def _classes(points):
     return [(pt.field.levels, _intervals([pt])[0]) for pt in points]
 

@@ -187,3 +187,102 @@ def test_sturm_count_deflates_an_endpoint_root_with_a_denominator():
     assert sturm_count(p, half, 2) == 1
     assert sturm_count(p, Fraction(-3, 2), half) == 1
     assert sturm_count(p, None, half) == 1
+
+
+def test_zero_polynomial_is_a_degenerate_input_for_every_root_query():
+    for query in (rational_roots, isolate_real_roots, sturm_count, squarefree_part):
+        with pytest.raises(DegenerateInputError):
+            query(T())
+
+
+def test_refine_interval_of_a_scaled_square_matches_its_squarefree_part():
+    p = X(-2, 0, 1)
+    sq = (p * p).scale(Fraction(3, 2))
+    for iv in isolate_real_roots(sq):
+        width = Fraction(1, 10**6)
+        assert refine_interval(sq, iv, width) == refine_interval(p, iv, width)
+
+
+# -- rational squarefree parts on the integer kernel, against the Euclid ----
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from curveclass.numfield import extend_field, field_from_qpoly  # noqa: E402
+
+
+def _reference_squarefree_part(a):
+    """The generic Euclid route, which squarefree_part keeps for tower
+    polynomials: a / gcd(a, a'), the gcd by monic remainders over the
+    coefficient field."""
+    if a.degree == 0:
+        return a.monic()
+    g, b = a, a.derivative()
+    while b:
+        b = b.monic()
+        g, b = b, g.divmod(b)[1]
+    g = g.monic()
+    if g.degree == 0:
+        return a.monic()
+    q, r = a.divmod(g)
+    assert not r
+    return q.monic()
+
+
+def _tower(depth):
+    """Q(a), a^3 = 3, and Q(a)(b), b^2 = a + 1."""
+    base = field_from_qpoly("a", X(-3, 0, 0, 1))
+    if depth == 1:
+        return base
+    return extend_field(base, "b", [-base.gen(0) - 1, base.zero(), base.one()])
+
+
+@st.composite
+def _rational_products(draw):
+    """A nonzero rational constant times 0-4 random factors of degree 0-2,
+    each to a power 1-3: repeated roots, zero coefficients and degree 0."""
+    num = draw(st.integers(-5, 5).filter(bool))
+    a = UPoly("t", [Fraction(num, draw(st.integers(1, 4)))])
+    for _ in range(draw(st.integers(0, 4))):
+        low = draw(st.lists(st.integers(-3, 3), max_size=2))
+        lead = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        a = a * T(*low, lead) ** draw(st.integers(1, 3))
+    return a
+
+
+@settings(deadline=None, max_examples=150)
+@given(a=_rational_products(), depth=st.sampled_from([0, 1, 2]))
+def test_rational_squarefree_parts_match_the_euclid_route(a, depth):
+    if depth:
+        field = _tower(depth)
+        a = UPoly("t", [field.from_fraction(c) for c in a.coeffs])
+    got, want = squarefree_part(a), _reference_squarefree_part(a)
+    assert got.var == want.var
+    if depth:
+        assert [c.rep for c in got.coeffs] == [c.rep for c in want.coeffs]
+        assert all(c.field == field for c in got.coeffs)
+    else:
+        assert got.coeffs == want.coeffs
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_squarefree_part_of_a_zero_tower_polynomial_is_rejected():
+    field = _tower(2)
+    with pytest.raises(DegenerateInputError):
+        squarefree_part(UPoly("t", [field.zero(), field.zero()]))
+
+
+def test_only_irrational_coefficients_take_the_tower_euclid(monkeypatch):
+    from curveclass import unipoly
+
+    field = _tower(1)
+    a = field.gen(0)
+    calls = []
+    gcd = unipoly.upoly_gcd
+    monkeypatch.setattr(unipoly, "upoly_gcd", lambda p, q: calls.append(p) or gcd(p, q))
+    one, two = field.one(), field.from_fraction(2)
+    # (t + 1)^2 with tower coefficients: the integer kernel, no Euclid
+    assert squarefree_part(UPoly("t", [one, two, one])) == UPoly("t", [one, one])
+    assert calls == []
+    # (t + a)^2: the Euclid over the tower
+    assert squarefree_part(UPoly("t", [a * a, 2 * a, one])) == UPoly("t", [a, one])
+    assert len(calls) == 1
