@@ -8,9 +8,11 @@ imported, never edited), so two runs on two checkouts differ only in the
 program; diff their outputs to check that machine output is byte-identical.
 One line per corpus: each benchmark workload at seeds 5, 12 and 2024 with
 its trace-pass job count, each document of demo.run_demo(probe=True), and
-the error path, which no workload reaches: bad_locus on (curve, q) pairs
+two error paths, which no workload reaches: bad_locus on (curve, q) pairs
 that share a component, each outcome hashed as its exception class, exit
-code, message and component.
+code, message and component; and make_curve on curves with a repeated
+factor, each outcome hashed as its exception class, exit code, message and
+witness.
 """
 
 import hashlib
@@ -32,6 +34,10 @@ SHARED = (
     ("x^2 - 2", "(x^2 - 2)*y"),
     ("x^2 - 2", "(x^2 - 2)*(y - x)"),
 )
+
+# squares every base curve is multiplied by: a y-factor, a rational and an
+# irrational vertical line, a mixed factor
+SQUARES = ("(y + 1)^2", "(x - 2)^2", "(x^2 - 2)^2", "(y - x)^2")
 
 
 def main(checkout):
@@ -55,28 +61,58 @@ def main(checkout):
         digest = hashlib.sha256(report.emit(doc, "machine").encode()).hexdigest()
         print(f"demo {entry.name} sha256={digest}", flush=True)
     print(error_path_line(curveclass, workloads), flush=True)
+    print(make_curve_error_line(curveclass, workloads), flush=True)
+
+
+def _base_curves(workloads):
+    """The five worked curves and four tower-split curves (seed 2024)."""
+    bases = list(workloads.FUZZ_CURVES)
+    return bases + [job["curve"] for job in workloads.generate("tower-split", 2024, 4)]
+
+
+def _outcome_digest(outcomes):
+    h = hashlib.sha256()
+    for outcome in outcomes:
+        h.update(outcome.encode() + b"\0")
+    return h.hexdigest()
+
+
+def _error_outcome(curveclass, exc, attribute):
+    shown = getattr(exc, attribute, None)
+    shown = "" if shown is None else curveclass.format_poly(shown)
+    return f"{type(exc).__name__} {exc.code} {exc} {shown}"
 
 
 def error_path_line(curveclass, workloads):
     """One digest over bad_locus outcomes on pairs sharing a component: the
-    five worked curves and four tower-split curves (seed 2024) under SHARED,
-    and the fourth worked curve's own component y - x^2."""
-    bases = list(workloads.FUZZ_CURVES)
-    bases += [job["curve"] for job in workloads.generate("tower-split", 2024, 4)]
+    base curves under SHARED, and the fourth worked curve's own component
+    y - x^2."""
+    bases = _base_curves(workloads)
     pairs = [(f"({c})*({extra})", q.format(C=c)) for c in bases for extra, q in SHARED]
     pairs.append((workloads.FUZZ_CURVES[3], "(y - x^2)*(x + 1)"))
-    h = hashlib.sha256()
+    outcomes = []
     for curve, q in pairs:
         try:
             points = curveclass.bad_locus(curveclass.make_curve(curveclass.parse_poly(curve)),
                                           curveclass.parse_poly(q))
-            outcome = f"no error, {len(points)} points"
+            outcomes.append(f"no error, {len(points)} points")
         except curveclass.CurveClassError as exc:
-            component = getattr(exc, "component", None)
-            shown = "" if component is None else curveclass.format_poly(component)
-            outcome = f"{type(exc).__name__} {exc.code} {exc} {shown}"
-        h.update(outcome.encode() + b"\0")
-    return f"error-path pairs={len(pairs)} sha256={h.hexdigest()}"
+            outcomes.append(_error_outcome(curveclass, exc, "component"))
+    return f"error-path pairs={len(pairs)} sha256={_outcome_digest(outcomes)}"
+
+
+def make_curve_error_line(curveclass, workloads):
+    """One digest over make_curve outcomes on the base curves times each of
+    SQUARES: every one has a repeated factor, which the witness names."""
+    curves = [f"({c})*{sq}" for c in _base_curves(workloads) for sq in SQUARES]
+    outcomes = []
+    for curve in curves:
+        try:
+            curveclass.make_curve(curveclass.parse_poly(curve))
+            outcomes.append("no error")
+        except curveclass.CurveClassError as exc:
+            outcomes.append(_error_outcome(curveclass, exc, "witness"))
+    return f"make-curve-error curves={len(curves)} sha256={_outcome_digest(outcomes)}"
 
 
 if __name__ == "__main__":

@@ -264,12 +264,6 @@ def zsubresultants(a, b):
     return chain
 
 
-def zresultant(a, b):
-    """Resultant of two nonzero polynomials: the last principal
-    coefficient of zsubresultants."""
-    return zsubresultants(a, b)[-1][1]
-
-
 def _gcd_prs(a, b):
     """Primitive-PRS gcd of primitive inputs (subresultant-free, adequate
     at the sizes that reach this fallback)."""

@@ -198,14 +198,15 @@ def _split_candidates(m: UPoly):
     return sorted(set(roots)), chunks
 
 
-def solve_xy_system(polys):
+def solve_xy_system(polys, sres=None):
     """All solutions of a finite system {p_i(x, y) = 0} as BadPoint classes,
     deterministically ordered.  Raises DegenerateInputError exactly when the
     system has a positive-dimensional component, that is when its nonzero
     polynomials share a nonconstant factor: a resultant that vanishes (a
     shared factor of positive y-degree), or a rational x0 or a branch of
     irrational x-coordinates over which every polynomial vanishes (a shared
-    factor in x alone).  bad_locus relies on this."""
+    factor in x alone).  bad_locus relies on this.  sres, if given, is the
+    YSubresultants of the first two polynomials of positive y-degree."""
     live = []
     for p in polys:
         if p.is_zero():
@@ -218,9 +219,8 @@ def solve_xy_system(polys):
     withy = [p for p in live if p.degree_in("y") >= 1]
     xonly = [to_upoly_in(p, "x") for p in live if p.degree_in("y") == 0]
 
-    sres = None
     if len(withy) >= 2:
-        sres = YSubresultants(withy[0], withy[1])
+        sres = sres or YSubresultants(withy[0], withy[1])
         r = sres.resultant()
         if r.is_zero():
             raise DegenerateInputError("polynomials share a component")
@@ -373,12 +373,14 @@ def _embeddings_for(field: NumberField):
 # ---------------------------------------------------------------------------
 
 class PlaneCurve:
-    """A validated squarefree affine plane curve V(F)."""
+    """A validated squarefree affine plane curve V(F), with the
+    YSubresultants of (F, F_y) when F has y-degree >= 2."""
 
-    __slots__ = ("F", "_singular", "_realness")
+    __slots__ = ("F", "_fy_chain", "_singular", "_realness")
 
-    def __init__(self, F: MPoly):
+    def __init__(self, F: MPoly, fy_chain=None):
         self.F = F
+        self._fy_chain = fy_chain
         self._singular = None
         self._realness = {}  # budget -> RealnessReport
 
@@ -388,7 +390,8 @@ class PlaneCurve:
         return self._singular
 
     def realness(self, budget=64):
-        if budget not in self._realness:
+        # a budget that is no int goes to certify_realness, which rejects it
+        if type(budget) is not int or budget not in self._realness:
             self._realness[budget] = certify_realness(self, budget)
         return self._realness[budget]
 
@@ -398,24 +401,29 @@ class PlaneCurve:
 
 def make_curve(F: MPoly) -> PlaneCurve:
     """Validate the defining polynomial: in Q[x, y], nonconstant and
-    squarefree; a repeated part is rejected with the witness factor."""
+    squarefree; a repeated part is rejected with the witness factor.  In
+    characteristic 0, F is squarefree iff its y-content is and, for y-degree
+    >= 2, Res_y(F, F_y) != 0; that chain is kept for the singular locus, and
+    bivariate_gcd runs only to name a repeated factor."""
     if not F.uses_only({"x", "y"}):
         raise CurveError("curve polynomial must use only x and y")
     if F.is_zero() or F.is_constant():
         raise CurveError("curve polynomial must be nonconstant")
-    g = bivariate_gcd(F, F.deriv("x"))
-    g = bivariate_gcd(g, F.deriv("y")) if not g.is_constant() else g
-    if not g.is_constant():
-        raise CurveError(
-            "curve polynomial has a repeated factor", witness=g
-        )
-    return PlaneCurve(F.primitive())
+    P = F.primitive()
+    c = y_content(to_y_dense(P))
+    sres = YSubresultants(P, P.deriv("y")) if P.degree_in("y") >= 2 else None
+    # the chain ends in S = 0 (degree -1) exactly when the resultant is 0
+    if zp.zdeg(zp.zsquarefree(c)) < zp.zdeg(c) or (sres and sres.degrees[-1] < 0):
+        g = bivariate_gcd(F, F.deriv("x"))
+        g = bivariate_gcd(g, F.deriv("y")) if not g.is_constant() else g
+        raise CurveError("curve polynomial has a repeated factor", witness=g)
+    return PlaneCurve(P, sres)
 
 
 def singular_locus(curve: PlaneCurve):
     """Triangular decomposition of V(F, dF/dx, dF/dy) with realness tags."""
     F = curve.F
-    return solve_xy_system([F, F.deriv("y"), F.deriv("x")])
+    return solve_xy_system([F, F.deriv("y"), F.deriv("x")], curve._fy_chain)
 
 
 def bad_locus(curve: PlaneCurve, q: MPoly):
@@ -623,7 +631,7 @@ def certify_realness(curve: PlaneCurve, budget=64) -> RealnessReport:
     nonsingular real point on every component the factor covers; absence of
     a certificate within budget means "unverified", never "not real".
     budget, the number of x-samples tried, must be a nonnegative int."""
-    if not isinstance(budget, int) or budget < 0:
+    if type(budget) is not int or budget < 0:  # a bool is no count of samples
         raise PreconditionError(f"realness budget must be a nonnegative integer, got {budget!r}")
     F = curve.F
     factors = []

@@ -62,7 +62,7 @@ class CurveFunction:
     bad points (the computable fragment of an arbitrary extension of p/q
     to all of X(R))."""
 
-    __slots__ = ("curve", "p", "q", "bad_points", "assigned", "_graph_gb")
+    __slots__ = ("curve", "p", "q", "bad_points", "assigned", "_graph_gb", "_integral")
 
     def __init__(self, curve, p, q, bad_points, assigned):
         self.curve = curve
@@ -71,6 +71,7 @@ class CurveFunction:
         self.bad_points = bad_points
         self.assigned = assigned  # aligned with bad_points; None if non-real
         self._graph_gb = None
+        self._integral = None
 
     def graph_gb(self):
         if self._graph_gb is None:
@@ -284,19 +285,19 @@ def is_integral(f: CurveFunction):
     When the resultant of F and q t - p collapses to a monic relation of
     the same degree it is preferred as the emitted certificate (it keeps
     coefficients in Q[x], the shape the worked examples use); membership in
-    the graph ideal is verified either way.
+    the graph ideal is verified either way.  Computed once per function.
     """
-    wit = monic_in_t_witness(f.graph_gb())
-    if wit is None:
-        return False, None
-    pretty = _resultant_certificate(f)
-    if (
-        pretty is not None
-        and pretty.degree_in("t") == wit.degree_in("t")
-        and not normal_form(pretty, f.graph_gb())
-    ):
-        return True, pretty
-    return True, wit
+    if f._integral is None:
+        wit = monic_in_t_witness(f.graph_gb())
+        pretty = None if wit is None else _resultant_certificate(f)
+        if (
+            pretty is not None
+            and pretty.degree_in("t") == wit.degree_in("t")
+            and not normal_form(pretty, f.graph_gb())
+        ):
+            wit = pretty
+        f._integral = (wit is not None, wit)
+    return f._integral
 
 
 def graph_real_closed(f: CurveFunction, table=None):

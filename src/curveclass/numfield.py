@@ -643,12 +643,6 @@ def _zival_sign(e: NFElement, emb: RealEmbedding) -> int:
     return (lo > 0) - (hi < 0)
 
 
-def level0_real_embeddings(field):
-    """Embeddings of a depth-1 tower (one per real root of the level-0
-    polynomial), ascending."""
-    return [RealEmbedding(field, [(lo, hi)]) for lo, hi in zp.zisolate(field.zminpoly0())]
-
-
 # ---------------------------------------------------------------------------
 # polynomials with tower coefficients
 # ---------------------------------------------------------------------------

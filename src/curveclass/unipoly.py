@@ -313,8 +313,3 @@ def rational_roots(a: UPoly):
         raise DegenerateInputError("zero polynomial")
     za, _ = to_zpoly(a)
     return zp.zrational_roots(za)
-
-
-def sign_at(a: UPoly, x) -> int:
-    za, _ = to_zpoly(a)
-    return zp.zsign_at(za, Fraction(x))

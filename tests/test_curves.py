@@ -489,7 +489,8 @@ def test_integer_realness_samples_match_specialize_x(monkeypatch, F, budget):
     assert blocks
 
 
-@pytest.mark.parametrize("budget", [-1, -64, 1.5, "8", None])
+# True and False are ints to isinstance; [1] is an unhashable cache key
+@pytest.mark.parametrize("budget", [-1, -64, 1.5, "8", None, True, False, [1]])
 def test_realness_budget_must_be_a_nonnegative_int(budget):
     curve = make_curve(parse_poly("y^2 + x^2 + 1 - x^3*y"))
     with pytest.raises(PreconditionError) as exc:
@@ -828,3 +829,105 @@ def test_chunk_gcds_from_subresultants_match_the_tower_route(monkeypatch):
         assert _classes(solve_xy_system(polys)) == _classes(want), polys
         systems += 1
     assert seen["subresultant"] > 100 and seen["tower"] > 50 and seen["tower splits"] > 10
+
+
+# -- squarefreeness off the (F, F_y) subresultants ----------------------------
+
+import random  # noqa: E402
+
+from curveclass.bipoly import bivariate_gcd  # noqa: E402
+
+
+def _two_gcd_witness(F):
+    """The repeated part gcd(F, F_x, F_y) of the two-gcd route, None when
+    it is constant."""
+    g = bivariate_gcd(F, F.deriv("x"))
+    g = bivariate_gcd(g, F.deriv("y")) if not g.is_constant() else g
+    return None if g.is_constant() else g
+
+
+def _curves_of_kind(kind, rng):
+    def rpoly(dy, dx):
+        while True:
+            p = sum((rng.randint(-3, 3) * X**i * Y**j for j in range(dy + 1)
+                     for i in range(dx + 1) if rng.random() < 0.6), MPoly())
+            if p.degree_in("y") == dy and p.degree_in("x") >= (dx > 0):
+                return p
+
+    def xpoly():
+        return rpoly(0, rng.randint(1, 2))
+
+    def rest():  # a random product of up to three mixed factors, maybe a vertical one
+        out = Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5]))
+        for _ in range(rng.randint(1, 3)):
+            out = out * rpoly(rng.randint(1, 2), rng.randint(0, 2))
+        return out * (xpoly() if rng.random() < 0.3 else 1)
+
+    if kind == "F in Q[x]":
+        return xpoly() * xpoly() ** rng.randint(1, 2)
+    if kind == "y-degree 1":
+        return xpoly() ** rng.randint(1, 2) * rpoly(1, rng.randint(0, 2))
+    if kind == "squared rational content":
+        return (X - 2) ** 2 * rest()
+    if kind == "squared irrational content":
+        return (X**2 - 2) ** 2 * rest()
+    if kind == "squared y-factor":
+        return rpoly(rng.randint(1, 2), 0) ** 2 * rest()
+    if kind == "squared mixed factor":
+        return rpoly(rng.randint(1, 2), rng.randint(1, 2)) ** 2 * rest()
+    return rest()  # products that are squarefree unless two factors meet
+
+
+@pytest.mark.parametrize("kind, repeated", [
+    ("F in Q[x]", False), ("y-degree 1", False),
+    ("squared rational content", True), ("squared irrational content", True),
+    ("squared y-factor", True), ("squared mixed factor", True),
+    ("squarefree products", False),
+])
+def test_squarefree_decision_matches_the_two_gcd_route(kind, repeated):
+    rng = random.Random(f"squarefree {kind}")
+    verdicts = set()
+    for _ in range(40):
+        F = _curves_of_kind(kind, rng)
+        want = _two_gcd_witness(F)
+        try:
+            curve = make_curve(F)
+        except CurveError as exc:
+            assert exc.code == 3 and str(exc) == "curve polynomial has a repeated factor"
+            assert exc.witness == want, F
+            verdicts.add(True)
+        else:
+            assert want is None, F
+            assert curve.F == F.primitive()
+            assert (curve._fy_chain is None) == (F.degree_in("y") < 2)
+            verdicts.add(False)
+    assert verdicts == ({True} if repeated else {True, False})
+
+
+@pytest.mark.parametrize("F, chain", [
+    # y-degree >= 2: make_curve's (F, F_y) chain serves the locus
+    (Y**3 - X**2 * Y**2 + Y * X**2 * (X + 1) - X**4 * (X + 1), "F_y"),
+    ((Y**2 - X**3) * (Y - X - 1), "F_y"),
+    # y-degree 1: no chain at make_curve, the locus builds (F, F_x)
+    ((X**2 + 1) * Y - X**3, "F_x"),
+])
+def test_make_curve_and_singular_locus_build_one_chain(monkeypatch, F, chain):
+    from curveclass import curves
+
+    P = F.primitive()
+    want = _classes(solve_xy_system([P, P.deriv("y"), P.deriv("x")]))
+    built = []
+    sres = curves.YSubresultants
+
+    def counted(p, q):
+        built.append((p, q))
+        return sres(p, q)
+
+    def forbidden(p, q):
+        raise AssertionError("bivariate_gcd on a squarefree curve")
+
+    monkeypatch.setattr(curves, "YSubresultants", counted)
+    monkeypatch.setattr(curves, "bivariate_gcd", forbidden)
+    curve = make_curve(F)
+    assert _classes(singular_locus(curve)) == want
+    assert built == [(curve.F, curve.F.deriv(chain[-1]))]

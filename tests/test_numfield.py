@@ -16,7 +16,6 @@ from curveclass.numfield import (
     field_from_qpoly,
     is_zero_or_split,
     isolate_tower_roots,
-    level0_real_embeddings,
     nf_sign,
     rational_point_field,
     tower_sturm_chain,
@@ -25,6 +24,12 @@ from curveclass.numfield import (
 from curveclass.unipoly import UPoly, squarefree_part, upoly_gcd
 
 X = lambda *cs: UPoly.from_ints("x", cs)  # noqa: E731
+
+
+def level0_real_embeddings(field):
+    """Embeddings of a depth-1 tower, one per real root of its level-0
+    polynomial, ascending."""
+    return [RealEmbedding(field, [(lo, hi)]) for lo, hi in zisolate(field.zminpoly0())]
 
 
 def gaussian():

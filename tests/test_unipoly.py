@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from curveclass._zpoly import zsign_at
 from curveclass.errors import DegenerateInputError, PreconditionError
 from curveclass.unipoly import (
     UPoly,
@@ -11,9 +12,9 @@ from curveclass.unipoly import (
     nonzero_gcd,
     rational_roots,
     refine_interval,
-    sign_at,
     squarefree_part,
     sturm_count,
+    to_zpoly,
     upoly_gcd,
 )
 
@@ -154,7 +155,8 @@ def test_refine_and_sign():
     iv = refine_interval(p, iv, Fraction(1, 10**9))
     assert iv.width() <= Fraction(1, 10**9)
     assert Fraction(14, 10) < iv.mid() < Fraction(15, 10)
-    assert sign_at(p, iv.low) < 0 < sign_at(p, iv.high)
+    z = to_zpoly(p)[0]
+    assert zsign_at(z, iv.low) < 0 < zsign_at(z, iv.high)
 
 
 def test_nonzero_gcd_of_only_zeros_is_none():
