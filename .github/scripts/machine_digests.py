@@ -8,11 +8,12 @@ imported, never edited), so two runs on two checkouts differ only in the
 program; diff their outputs to check that machine output is byte-identical.
 One line per corpus: each benchmark workload at seeds 5, 12 and 2024 with
 its trace-pass job count, each document of demo.run_demo(probe=True), and
-two error paths, which no workload reaches: bad_locus on (curve, q) pairs
+three error paths, which no workload reaches: bad_locus on (curve, q) pairs
 that share a component, each outcome hashed as its exception class, exit
-code, message and component; and make_curve on curves with a repeated
-factor, each outcome hashed as its exception class, exit code, message and
-witness.
+code, message and component; make_curve on curves with a repeated factor,
+each outcome hashed as its exception class, exit code, message and
+witness; and parse_poly on the malformed texts of PARSE_ERRORS, each
+outcome hashed as its exception class, exit code, message and position.
 """
 
 import hashlib
@@ -39,6 +40,17 @@ SHARED = (
 # irrational vertical line, a mixed factor
 SQUARES = ("(y + 1)^2", "(x - 2)^2", "(x^2 - 2)^2", "(y - x)^2")
 
+# malformed texts, one or more per error of the grammar; none has a zero
+# denominator or a minus after a binary operator (the parser read 1/0 as a
+# bare ZeroDivisionError and 2*-x^2 as 2*x^2 before both were fixed)
+PARSE_ERRORS = (
+    "", " ", "x +", "+", "-", "x y", "2x", "2(x+1)", "x(y)", "x^", "x^-2", "x ^ - 2",
+    "x^y", "x^(2)", "x^1/2", "x^3/2*y", "(x + y", "x + y)", "()", "((x)", "z + 1",
+    "x + $", "x = y", "x.5", "1/", "1/ 2", "1//2", "x/2", "x^\u00b2", "\u0663*x",
+    "1/\u0663", "x**2", "*x", "x + * y", "^2", "x^2^3", "y^2 - x^3 +", "(y^2 - x^3)(x)",
+    "y^2 - x^3*(x^2+1)^2)", "t + x", "1/2/3", "x^2 y^3",
+)
+
 
 def main(checkout):
     src = Path(checkout).resolve() / "src"
@@ -62,6 +74,7 @@ def main(checkout):
         print(f"demo {entry.name} sha256={digest}", flush=True)
     print(error_path_line(curveclass, workloads), flush=True)
     print(make_curve_error_line(curveclass, workloads), flush=True)
+    print(parse_error_line(curveclass), flush=True)
 
 
 def _base_curves(workloads):
@@ -113,6 +126,18 @@ def make_curve_error_line(curveclass, workloads):
         except curveclass.CurveClassError as exc:
             outcomes.append(_error_outcome(curveclass, exc, "witness"))
     return f"make-curve-error curves={len(curves)} sha256={_outcome_digest(outcomes)}"
+
+
+def parse_error_line(curveclass):
+    """One digest over parse_poly outcomes on the texts of PARSE_ERRORS."""
+    outcomes = []
+    for text in PARSE_ERRORS:
+        try:
+            curveclass.parse_poly(text)
+            outcomes.append("no error")
+        except curveclass.CurveClassError as exc:
+            outcomes.append(f"{type(exc).__name__} {exc.code} {exc} {exc.position}")
+    return f"parse-error texts={len(PARSE_ERRORS)} sha256={_outcome_digest(outcomes)}"
 
 
 if __name__ == "__main__":

@@ -180,18 +180,24 @@ def zeval_int(a, x):
     return acc
 
 
-def zsign_at(a, x):
-    """Sign of a at the rational point x (x a Fraction or int)."""
+def zeval_frac(a, num, den):
+    """den**deg(a) * a(num/den) = sum c_i num^i den^(deg-i), an integer;
+    0 for the zero polynomial."""
     if not a:
         return 0
-    x = Fraction(x)
-    num, den = x.numerator, x.denominator
-    # sign(a(n/d)) = sign(sum c_i n^i d^(deg-i)) since d > 0
     acc = a[-1]
     dpow = 1
     for c in reversed(a[:-1]):
         dpow *= den
         acc = acc * num + c * dpow
+    return acc
+
+
+def zsign_at(a, x):
+    """Sign of a at the rational point x (x a Fraction or int)."""
+    x = Fraction(x)
+    # the denominator is positive, so its power keeps the sign
+    acc = zeval_frac(a, x.numerator, x.denominator)
     return (acc > 0) - (acc < 0)
 
 

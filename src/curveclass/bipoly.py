@@ -43,7 +43,8 @@ def to_y_dense(p: MPoly):
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // math.gcd(den, c.denominator)
-    return [zp.ztrim([int(c * den) for c in r]) for r in rows]
+    # the grid's int 0 gaps have a numerator and a denominator too
+    return [zp.ztrim([c.numerator * (den // c.denominator) for c in r]) for r in rows]
 
 
 def y_rows(p: MPoly):
@@ -90,12 +91,13 @@ def y_content(rows):
     return zp.zscale(g, ic)
 
 
-def y_primitive(rows):
-    """Divide out the Z[x] content; leading y-coefficient made positive-lc."""
+def y_primitive(rows, content=None):
+    """Divide out the Z[x] content (y_content of rows, unless the caller
+    passes it); leading y-coefficient made positive-lc."""
     rows = _trim_y(rows)
     if not rows:
         return rows
-    g = y_content(rows)
+    g = y_content(rows) if content is None else content
     if g != [1]:
         rows = [zp.zdivexact(r, g) if r else [] for r in rows]
     if rows[-1][-1] < 0:

@@ -180,11 +180,10 @@ def run_with_splits(point: BadPoint, fn):
 # triangular decomposition of zero-dimensional systems
 # ---------------------------------------------------------------------------
 
-def _split_candidates(m: UPoly):
-    """Split a rational candidate polynomial into rational roots plus
-    pairwise-coprime squarefree chunks, via Yun multiplicity classes and
-    verified rational-root extraction (no factorization)."""
-    z, _ = to_zpoly(m)
+def _split_candidates(z):
+    """Split an integer candidate polynomial into rational roots plus
+    pairwise-coprime squarefree monic chunks over Q, via Yun multiplicity
+    classes and verified rational-root extraction (no factorization)."""
     roots = []
     chunks = []
     for _, factor in zp.zyun(z):
@@ -231,33 +230,46 @@ def solve_xy_system(polys, sres=None):
     if cand.degree == 0:
         return []
 
-    roots, chunks = _split_candidates(cand)
+    roots, chunks = _split_candidates(to_zpoly(cand)[0])
+    grids = [to_y_dense(p) for p in withy] if roots else None
     out = []
     for r in roots:
-        out.extend(_points_at_rational_x(r, withy))
+        out.extend(_points_at_rational_x(r, grids))
     for chunk in chunks:
         out.extend(_points_at_chunk(chunk, withy, sres))
     out.sort(key=BadPoint.sort_key)
     return out
 
 
-def _points_at_rational_x(x0, withy):
-    """Solutions over a rational x-coordinate: split the rational y-roots
-    into their own degree-1 classes, keep the rest as one class."""
-    # a zero specialization imposes no constraint at this x
-    g = nonzero_gcd(specialize_x(p, Fraction(x0)) for p in withy)
+def _points_at_rational_x(x0, grids):
+    """Solutions over a rational x-coordinate x0 = n/d, from the integer
+    y-rows (to_y_dense) of the system's polynomials: split the rational
+    y-roots into their own degree-1 classes, keep the rest as one class.
+    Each fiber is d**D * p(n/d, y), D the x-degree of p, so it stays in
+    Z[y] and keeps the roots of p(x0, y)."""
+    n, d = x0.numerator, x0.denominator
+    g = None
+    for rows in grids:
+        dx = max(map(len, rows)) - 1
+        fiber = zp.ztrim([zp.zeval_frac(row, n, d) * d ** (dx + 1 - len(row)) for row in rows])
+        if not fiber:
+            continue  # a zero fiber imposes no constraint at this x
+        g = fiber if g is None else zp.zgcd(g, fiber)
+        if zp.zdeg(g) == 0:
+            break
     if g is None:
         raise DegenerateInputError(f"positive-dimensional fiber over x = {x0}")
-    if g.degree == 0:
+    if zp.zdeg(g) == 0:
         return []
     out = []
-    yroots, ychunks = _split_candidates(squarefree_part(g))
-    for y0 in yroots:
+    rest = zp.zsquarefree(g)
+    for y0 in zp.zsf_rational_roots(rest):
         out.extend(_finish_point_classes(rational_point_field("x", "y", x0, y0)))
-    base = field_from_qpoly("x", UPoly("x", [-Fraction(x0), Fraction(1)]))
-    for ch in ychunks:
-        fld = extend_field(base, "y", [base.from_fraction(c) for c in ch.coeffs])
-        out.extend(_finish_point_classes(fld))
+        rest = zp.zdivexact(rest, [-y0.numerator, y0.denominator])  # exact (Gauss)
+    if zp.zdeg(rest) >= 1:
+        base = field_from_qpoly("x", UPoly("x", [-x0, Fraction(1)]))
+        m2 = [base.from_fraction(Fraction(c, rest[-1])) for c in rest]
+        out.extend(_finish_point_classes(extend_field(base, "y", m2)))
     return out
 
 
@@ -373,14 +385,18 @@ def _embeddings_for(field: NumberField):
 # ---------------------------------------------------------------------------
 
 class PlaneCurve:
-    """A validated squarefree affine plane curve V(F), with the
-    YSubresultants of (F, F_y) when F has y-degree >= 2."""
+    """A validated squarefree affine plane curve V(F), F primitive, with
+    the YSubresultants of (F, F_y) when F has y-degree >= 2, the integer
+    y-rows of F (to_y_dense) and their Z[x] content (y_content).  Built
+    by make_curve."""
 
-    __slots__ = ("F", "_fy_chain", "_singular", "_realness")
+    __slots__ = ("F", "_fy_chain", "_zrows", "_ycontent", "_singular", "_realness")
 
-    def __init__(self, F: MPoly, fy_chain=None):
+    def __init__(self, F: MPoly, fy_chain, zrows, ycontent):
         self.F = F
         self._fy_chain = fy_chain
+        self._zrows = zrows
+        self._ycontent = ycontent
         self._singular = None
         self._realness = {}  # budget -> RealnessReport
 
@@ -410,14 +426,15 @@ def make_curve(F: MPoly) -> PlaneCurve:
     if F.is_zero() or F.is_constant():
         raise CurveError("curve polynomial must be nonconstant")
     P = F.primitive()
-    c = y_content(to_y_dense(P))
+    rows = to_y_dense(P)
+    c = y_content(rows)
     sres = YSubresultants(P, P.deriv("y")) if P.degree_in("y") >= 2 else None
     # the chain ends in S = 0 (degree -1) exactly when the resultant is 0
     if zp.zdeg(zp.zsquarefree(c)) < zp.zdeg(c) or (sres and sres.degrees[-1] < 0):
         g = bivariate_gcd(F, F.deriv("x"))
         g = bivariate_gcd(g, F.deriv("y")) if not g.is_constant() else g
         raise CurveError("curve polynomial has a repeated factor", witness=g)
-    return PlaneCurve(P, sres)
+    return PlaneCurve(P, sres, rows, c)
 
 
 def singular_locus(curve: PlaneCurve):
@@ -467,41 +484,43 @@ def _divide_out_linear_y(F: MPoly, g: UPoly):
     return from_y_dense([r.coeffs for r in quot])
 
 
-def _linear_y_factors(F: MPoly):
+def _linear_y_factors(F: MPoly, rows):
     """Split off factors y - g(x) found by a bounded rational-root style
     search (divisor shapes come from the partial split of F(x, 0));
-    incomplete by design.
+    incomplete by design.  rows are the integer y-rows of F (to_y_dense).
 
     A factor y - c * shape(x) has c * shape(3) among the rational roots of
     F(3, y), so those candidates are found first; without a nonzero one no
-    division can be tried, and no shape is built.
+    division can be tried, and no shape is built.  F(x, 0) and F(3, y) are
+    read off the integer rows: positive multiples, with the same roots.
     """
     out = []
     rest = F
-    x1 = Fraction(3)
-    while rest.degree_in("y") >= 1:
-        f0 = y_rows(rest)[0]  # F(x, 0)
-        if f0.is_zero():
+    x1 = 3
+    while len(rows) >= 2:
+        if not rows[0]:
             # y | F directly
             out.append(MPoly.var("y"))
             rest = _divide_out_linear_y(rest, UPoly("x", ()))
+            rows = to_y_dense(rest)
             continue
-        u = specialize_x(rest, x1)
-        cands = [r for r in rational_roots(u) if r] if u.degree >= 1 else []
+        u = zp.ztrim([zp.zeval_int(row, x1) for row in rows])
+        cands = [r for r in zp.zrational_roots(u) if r] if zp.zdeg(u) >= 1 else []
         if not cands:
             break
-        dx = rest.degree_in("x")
-        roots, chunks = _split_candidates(f0)
+        dx = max(map(len, rows)) - 1
+        roots, chunks = _split_candidates(rows[0])
         pieces = [UPoly("x", [-r, Fraction(1)]) for r in roots] + chunks
         one = UPoly("x", [Fraction(1)])
         shapes = [one]
         for piece in pieces[:4]:
             squares = [one, piece, piece * piece]
             shapes = [s * pk for s in shapes for pk in squares if s.degree + pk.degree <= dx]
-        factor = _first_linear_factor(rest, shapes, cands, x1)
+        factor = _first_linear_factor(rest, rows, shapes, cands, x1)
         if factor is None:
             break
         g_poly, rest = factor
+        rows = to_y_dense(rest)
         out.append(MPoly.var("y") - from_upoly(g_poly))
     return out, rest
 
@@ -509,15 +528,14 @@ def _linear_y_factors(F: MPoly):
 _PROBES = (4, -2, 5)
 
 
-def _first_linear_factor(F: MPoly, shapes, cands, x1):
+def _first_linear_factor(F: MPoly, rows, shapes, cands, x1):
     """The first (g, F / (y - g)) with g = (root / shape(x1)) * shape in
     Q[x], in shape-then-candidate order; None when no candidate divides.
 
     When y - g divides F, F(x_j, g(x_j)) = 0 at every x_j, so a candidate
     is first tested at the integer probes _PROBES, on the integer rows of F
-    evaluated there once.  Only survivors are divided, so the first
-    divisor found is the one division alone would find."""
-    rows = to_y_dense(F)
+    (to_y_dense) evaluated there once.  Only survivors are divided, so the
+    first divisor found is the one division alone would find."""
     fibers = [[zp.zeval_int(row, xj) for row in rows] for xj in _PROBES]
     for shape in shapes:
         mval = shape.eval(x1)
@@ -635,11 +653,11 @@ def certify_realness(curve: PlaneCurve, budget=64) -> RealnessReport:
         raise PreconditionError(f"realness budget must be a nonnegative integer, got {budget!r}")
     F = curve.F
     factors = []
-    rows = to_y_dense(F)
-    content = y_content(rows)
+    rows = curve._zrows
+    content = curve._ycontent
     if zp.zdeg(content) >= 1:
         # vertical-line components x = root
-        roots, chunks = _split_candidates(UPoly.from_ints("x", content))
+        roots, chunks = _split_candidates(content)
         for r in roots:
             factors.append((from_upoly(UPoly("x", [-r, Fraction(1)])), "certified",
                             f"real vertical line x = {r}"))
@@ -649,9 +667,10 @@ def certify_realness(curve: PlaneCurve, budget=64) -> RealnessReport:
             else:
                 factors.append((from_upoly(ch), "unverified",
                                 "vertical chunk with non-real roots"))
-        F = from_y_dense(y_primitive(rows))
-    if F.degree_in("y") >= 1:
-        linear, rest = _linear_y_factors(F)
+        rows = y_primitive(rows, content)
+        F = from_y_dense(rows)
+    if len(rows) >= 2:
+        linear, rest = _linear_y_factors(F, rows)
         for lf in linear:
             factors.append((lf, "certified", "graph of a polynomial function"))
     else:

@@ -2,16 +2,20 @@
 
 Grammar: integer and a/b rational literals, named variables, binary
 + - * ^ with nonnegative integer exponents, parentheses, unary minus.
-Implicit multiplication is a syntax error by construction.  Printing is
-canonical: terms in graded-lex descending order, rational coefficients as
-a/b, explicit '*' between coefficient and monomial, '^' exponents; the
-output re-parses to an equal polynomial.
+^ binds tighter than unary minus, which binds tighter than *: -x^2 and
+2*-x^2 are -(x^2) and 2*(-(x^2)).  Implicit multiplication is a syntax
+error by construction.  The parser accumulates plain dicts from exponent
+4-tuples to coefficients, ints except where an a/b literal enters, and
+builds one MPoly at the end.  Printing is canonical: terms in graded-lex
+descending order, rational coefficients as a/b, explicit '*' between
+coefficient and monomial, '^' exponents; the output re-parses to an equal
+polynomial.
 """
 
 from fractions import Fraction
 
 from .errors import ParseError
-from .mpoly import GRLEX, MPoly, VARS
+from .mpoly import GRLEX, MPoly, VARS, var_index
 from .unipoly import UPoly
 
 
@@ -48,10 +52,13 @@ def _tokenize(text):
                     k += 1
                 if k == j + 1:
                     raise ParseError("malformed rational literal", j)
-                out.append(_Token("num", Fraction(int(text[i:j]), int(text[j + 1:k])), i))
+                den = int(text[j + 1:k])
+                if not den:
+                    raise ParseError("zero denominator in rational literal", i)
+                out.append(_Token("num", Fraction(int(text[i:j]), den), i))
                 i = k
             else:
-                out.append(_Token("num", Fraction(int(text[i:j])), i))
+                out.append(_Token("num", int(text[i:j]), i))
                 i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -70,7 +77,54 @@ def _tokenize(text):
     return out
 
 
+_ONE = (0, 0, 0, 0)
+
+
+def _neg(p):
+    return {e: -c for e, c in p.items()}
+
+
+def _add_into(acc, p, sign):
+    """acc += sign * p, in place; zero sums are dropped."""
+    for e, c in p.items():
+        v = acc.get(e, 0) + c * sign
+        if v:
+            acc[e] = v
+        else:
+            del acc[e]
+
+
+def _mul(a, b):
+    out = {}
+    get = out.get
+    for (s1, t1, x1, y1), c1 in a.items():
+        for (s2, t2, x2, y2), c2 in b.items():
+            e = (s1 + s2, t1 + t2, x1 + x2, y1 + y2)
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _pow(p, n):
+    """p**n by binary powering from the low bit, as MPoly.__pow__."""
+    if not n:
+        return {_ONE: 1}
+    while not n & 1:
+        p = _mul(p, p)
+        n >>= 1
+    acc = p
+    n >>= 1
+    while n:
+        p = _mul(p, p)
+        if n & 1:
+            acc = _mul(acc, p)
+        n >>= 1
+    return acc
+
+
 class _Parser:
+    """Recursive descent over the tokens; every parse_* returns a fresh
+    term dict that its caller may change in place."""
+
     def __init__(self, tokens, variables):
         self.toks = tokens
         self.i = 0
@@ -91,21 +145,25 @@ class _Parser:
         if self.peek().kind in "+-":
             if self.take().kind == "-":
                 sign = -1
-        acc = self.parse_term() * sign
+        acc = self.parse_term()
+        if sign < 0:
+            acc = _neg(acc)
         while self.peek().kind in "+-":
-            op = self.take().kind
-            term = self.parse_term()
-            acc = acc + term if op == "+" else acc - term
+            sign = 1 if self.take().kind == "+" else -1
+            _add_into(acc, self.parse_term(), sign)
         return acc
 
     def parse_term(self):
         acc = self.parse_factor()
         while self.peek().kind == "*":
             self.take()
-            acc = acc * self.parse_factor()
+            acc = _mul(acc, self.parse_factor())
         return acc
 
     def parse_factor(self):
+        if self.peek().kind == "-":
+            self.take()
+            return _neg(self.parse_factor())
         base = self.parse_base()
         if self.peek().kind == "^":
             pos = self.take().pos
@@ -118,7 +176,7 @@ class _Parser:
                 raise ParseError("negative exponent", pos)
             if tok.value.denominator != 1 or tok.value < 0:
                 raise ParseError("exponent must be a nonnegative integer", tok.pos)
-            return base ** int(tok.value)
+            return _pow(base, int(tok.value))
         return base
 
     def parse_base(self):
@@ -130,15 +188,14 @@ class _Parser:
             return inner
         if tok.kind == "num":
             self.take()
-            return MPoly.const(tok.value)
+            return {_ONE: tok.value} if tok.value else {}
         if tok.kind == "name":
             self.take()
             if tok.value not in self.variables:
                 raise ParseError(f"unknown variable {tok.value!r}", tok.pos)
-            return MPoly.var(tok.value)
-        if tok.kind == "-":
-            self.take()
-            return -self.parse_base()
+            e = [0, 0, 0, 0]
+            e[var_index(tok.value)] = 1
+            return {tuple(e): 1}
         raise ParseError(f"unexpected token {tok.kind!r}", tok.pos)
 
 
@@ -146,11 +203,11 @@ def parse_poly(text, variables=("x", "y")) -> MPoly:
     """Parse an exact polynomial expression over the given variables."""
     tokens = _tokenize(text)
     parser = _Parser(tokens, frozenset(variables))
-    poly = parser.parse_expr()
+    terms = parser.parse_expr()
     end = parser.peek()
     if end.kind != "end":
         raise ParseError(f"trailing input starting with {end.kind!r}", end.pos)
-    return poly
+    return MPoly(terms)
 
 
 def parse_upoly(text, var) -> UPoly:

@@ -13,6 +13,7 @@ from curveclass.curves import (
     singular_locus,
     solve_xy_system,
 )
+from curveclass.bipoly import to_y_dense
 from curveclass.errors import CurveError, PreconditionError, ZeroDivisorDenominatorError
 from curveclass.mpoly import MPoly, eval_at, from_upoly
 from curveclass.parsing import format_poly, format_upoly, parse_poly, parse_upoly
@@ -509,9 +510,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
-def _first_linear_factor_by_division(F, shapes, cands, x1):
+def _first_linear_factor_by_division(F, rows, shapes, cands, x1):
     """Reference: the search without probes, dividing every (shape,
-    candidate) pair in shape-then-candidate order."""
+    candidate) pair in shape-then-candidate order; rows go unused."""
     from curveclass import curves
 
     for shape in shapes:
@@ -547,9 +548,9 @@ def test_a_candidate_passing_x_3_is_rejected_at_a_probe():
     shapes, cands = [one, x, x * x], [Fraction(9)]
     # g = 9 and g = 3x pass x = 3 (F(3, 9) = 0) and fail at x = 4; g = x^2 divides
     with _counting_divisions() as probed:
-        got = curves._first_linear_factor(F, shapes, cands, Fraction(3))
+        got = curves._first_linear_factor(F, to_y_dense(F), shapes, cands, Fraction(3))
     with _counting_divisions() as divided:
-        want = _first_linear_factor_by_division(F, shapes, cands, Fraction(3))
+        want = _first_linear_factor_by_division(F, None, shapes, cands, Fraction(3))
     assert got == want == (x * x, Y**2 + 1)
     assert probed == [x * x] and len(divided) == 3
 
@@ -580,11 +581,11 @@ def _realness_curve(draw):
 def test_probed_linear_factor_search_matches_division_alone(F):
     from curveclass import curves
 
-    got = curves._linear_y_factors(F)
+    got = curves._linear_y_factors(F, to_y_dense(F))
     probe = curves._first_linear_factor
     curves._first_linear_factor = _first_linear_factor_by_division
     try:
-        want = curves._linear_y_factors(F)
+        want = curves._linear_y_factors(F, to_y_dense(F))
     finally:
         curves._first_linear_factor = probe
     assert got == want

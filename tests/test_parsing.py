@@ -20,6 +20,9 @@ def test_parse_unary_minus_and_parens():
     assert parse_poly("-(x + y)") == -(X + Y)
     assert parse_poly("-x^2") == -(X**2)
     assert parse_poly("(x - y)*(x + y)") == X**2 - Y**2
+    # ^ binds tighter than a unary minus after an operator too
+    assert parse_poly("2*-x^2") == X**2 * -2
+    assert parse_poly("y - -x^2") == Y + X**2
 
 
 def test_parse_rejects_implicit_multiplication():
@@ -39,6 +42,15 @@ def test_parse_errors_carry_positions():
         parse_poly("x ^ -2")
     with pytest.raises(ParseError):
         parse_poly("z + 1")
+
+
+@pytest.mark.parametrize("text, pos", [("1/0", 0), ("x + 3/0*y", 4), ("x^2/00", 2)])
+def test_parse_rejects_a_zero_denominator(text, pos):
+    # Fraction(3, 0) was a bare ZeroDivisionError out of the tokenizer
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert exc.value.position == pos
+    assert str(exc.value) == f"zero denominator in rational literal (at position {pos})"
 
 
 @pytest.mark.parametrize("text, pos", [("x^\u00b2", 2), ("\u0663*x", 0), ("1/\u0663", 1)])
@@ -72,3 +84,148 @@ def test_roundtrip_random_polynomials():
         text = format_poly(p)
         assert parse_poly(text) == p
         assert format_poly(parse_poly(text)) == text
+
+
+# -- the MPoly-operation parser as a differential oracle ---------------------
+import re  # noqa: E402
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from curveclass.parsing import _tokenize  # noqa: E402
+
+
+class _MPolyParser:
+    """Reference: the grammar evaluated with MPoly arithmetic at every
+    step, unary minus negating a whole factor."""
+
+    def __init__(self, text):
+        self.toks = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def take(self, kind=None):
+        tok = self.toks[self.i]
+        if kind is not None and tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.kind!r}", tok.pos)
+        self.i += 1
+        return tok
+
+    def parse(self):
+        poly = self.parse_expr()
+        end = self.peek()
+        if end.kind != "end":
+            raise ParseError(f"trailing input starting with {end.kind!r}", end.pos)
+        return poly
+
+    def parse_expr(self):
+        sign = 1
+        if self.peek().kind in "+-":
+            if self.take().kind == "-":
+                sign = -1
+        acc = self.parse_term() * sign
+        while self.peek().kind in "+-":
+            op = self.take().kind
+            term = self.parse_term()
+            acc = acc + term if op == "+" else acc - term
+        return acc
+
+    def parse_term(self):
+        acc = self.parse_factor()
+        while self.peek().kind == "*":
+            self.take()
+            acc = acc * self.parse_factor()
+        return acc
+
+    def parse_factor(self):
+        if self.peek().kind == "-":
+            self.take()
+            return -self.parse_factor()
+        base = self.parse_base()
+        if self.peek().kind == "^":
+            pos = self.take().pos
+            neg = False
+            if self.peek().kind == "-":
+                self.take()
+                neg = True
+            tok = self.take("num")
+            if neg:
+                raise ParseError("negative exponent", pos)
+            if tok.value.denominator != 1 or tok.value < 0:
+                raise ParseError("exponent must be a nonnegative integer", tok.pos)
+            return base ** int(tok.value)
+        return base
+
+    def parse_base(self):
+        tok = self.peek()
+        if tok.kind == "(":
+            self.take()
+            inner = self.parse_expr()
+            self.take(")")
+            return inner
+        if tok.kind == "num":
+            self.take()
+            return MPoly.const(tok.value)
+        if tok.kind == "name":
+            self.take()
+            if tok.value not in ("x", "y"):
+                raise ParseError(f"unknown variable {tok.value!r}", tok.pos)
+            return MPoly.var(tok.value)
+        raise ParseError(f"unexpected token {tok.kind!r}", tok.pos)
+
+
+def _outcome(parse, text):
+    try:
+        return ("ok", parse(text).terms)
+    except ParseError as exc:
+        return ("error", str(exc), exc.position)
+
+
+_ATOMS = st.one_of(
+    st.integers(0, 40).map(str),
+    st.builds("{}/{}".format, st.integers(0, 40), st.integers(1, 12)),
+    st.sampled_from(["x", "y"]),
+)
+_GAP = st.sampled_from(["", " "])
+
+
+def _expressions(exprs):
+    base = st.one_of(_ATOMS, exprs.map("({})".format))
+    factor = st.builds(
+        lambda minus, b, k: "-" * minus + b + ("" if k is None else f"^{k}"),
+        st.integers(0, 2), base, st.none() | st.integers(0, 3),
+    )
+    term = st.builds(lambda gap, fs: f"{gap}*{gap}".join(fs), _GAP, st.lists(factor, min_size=1, max_size=3))
+    return st.builds(
+        lambda lead, first, rest: lead + first + "".join(f" {op} {t}" for op, t in rest),
+        st.sampled_from(["", "-", "+"]), term, st.lists(st.tuples(st.sampled_from("+-"), term), max_size=3),
+    )
+
+
+_EXPRESSIONS = st.recursive(_ATOMS, _expressions, max_leaves=8)
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=_EXPRESSIONS)
+def test_parse_poly_matches_the_mpoly_operation_parser(text):
+    got = parse_poly(text)
+    assert got.terms == _MPolyParser(text).parse().terms
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=_EXPRESSIONS, data=st.data())
+def test_parse_poly_mutations_fail_like_the_mpoly_operation_parser(text, data):
+    i = data.draw(st.integers(0, len(text)))
+    ch = data.draw(st.sampled_from(list("xyz+-*^()/ 0$.")))
+    mutated = data.draw(st.sampled_from([
+        text[:i] + text[i + 1:],  # delete
+        text[:i] + ch + text[i + 1:],  # replace
+        text[:i] + ch + text[i:],  # insert
+    ]))
+    # an exponent of two digits can blow a nested power up past any budget
+    assume(not re.search(r"\^\s*\d\d", mutated))
+    got = _outcome(parse_poly, mutated)
+    assert got == _outcome(lambda t: _MPolyParser(t).parse(), mutated)

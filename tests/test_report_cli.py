@@ -396,6 +396,26 @@ def test_cli_batch_reports_a_non_object_item_in_place(tmp_path):
     assert docs[0] == docs[2] == json.loads(alone.stdout)
 
 
+def test_cli_batch_reports_a_zero_denominator_literal_in_place(tmp_path):
+    # 1/0 was a bare ZeroDivisionError: exit 1 with a traceback, and the
+    # good job of the batch was never emitted
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps([{**_GOOD_JOB, "numerator": "x + 3/0*y"}, _GOOD_JOB]))
+    r = _run_cli(["classify", "--input", str(path), "--batch", "--format", "machine"])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    docs = json.loads(r.stdout)
+    assert len(docs) == 2
+    assert docs[0]["error"] == {
+        "code": 2, "message": "zero denominator in rational literal (at position 4)"}
+    assert r.stderr == f"error[2]: {docs[0]['error']['message']}\n"
+    single = tmp_path / "single.json"
+    single.write_text(json.dumps(_GOOD_JOB))
+    alone = _run_cli(["classify", "--input", str(single), "--format", "machine"])
+    assert alone.returncode == 0
+    assert docs[1] == json.loads(alone.stdout)
+
+
 # no real point: realness is certified only by running out of budget, so
 # the caveat shows which budget a job ran with
 _NO_REAL_POINT_JOB = {"curve": "y^2 + x^2 + 1 - x^3*y", "numerator": "y", "denominator": "1"}
