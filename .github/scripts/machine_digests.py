@@ -8,7 +8,9 @@ imported, never edited), so two runs on two checkouts differ only in the
 program; diff their outputs to check that machine output is byte-identical.
 One line per corpus: each benchmark workload at seeds 5, 12 and 2024 with
 its trace-pass job count, each document of demo.run_demo(probe=True), and
-three error paths, which no workload reaches: bad_locus on (curve, q) pairs
+the singular-locus documents of the REALNESS_CURVES at the budgets
+REALNESS_BUDGETS, and three error paths, which no workload reaches:
+bad_locus on (curve, q) pairs
 that share a component, each outcome hashed as its exception class, exit
 code, message and component; make_curve on curves with a repeated factor,
 each outcome hashed as its exception class, exit code, message and
@@ -39,6 +41,33 @@ SHARED = (
 # squares every base curve is multiplied by: a y-factor, a rational and an
 # irrational vertical line, a mixed factor
 SQUARES = ("(y + 1)^2", "(x - 2)^2", "(x^2 - 2)^2", "(y - x)^2")
+
+# curves whose realness takes every route of certify_realness: a non-monic
+# linear factor, y | F, rational and irrational vertical lines (real and
+# not), y-degree 2 blocks and biquadratic blocks, certified at some budget
+# or at none, irreducible or split through y^2 or a product of quadratics
+REALNESS_CURVES = (
+    "(2*y - x)*(y^4 - x*y^2 + 1)",
+    "y*(y^2 - x)",
+    "y*(3*y - x^2 + 1)*(y^2 + x^2 + 1)",
+    "(x - 2)*(y^2 + x^2 + 1)",
+    "(x^2 - 2)*(y^2 - x^3 + 7)",
+    "(x^2 + 1)*(x - 1/2)*(y^2 - x)",
+    "y^2 - x + 20",
+    "y^2 - x + 250",
+    "y^2 + x^2 - 1/100",
+    "y^2 - (x - 1)*(x^2 + 1)^2*(x^2 - 2)",
+    "y^4 - 2*x^2 - 3",
+    "y^4 + x^2 + 1",
+    "y^4 - x*y^2 + x^2 + 5",
+    "y^4 - 5*y^2 + 4 + x^2",
+    "y^4 + 2*x*y^2 - 7",
+    "y^4 - (x^2 + 2)*y^2 + 1",
+    "y^4 - (x^2 - 2)*y^2 + 1",
+    "(y^2 - x)*(y^2 + x^2 + 1)",
+    "(y^4 + x^3)*(y^2 - (x - 2)*(x^2 + x + 1))",
+)
+REALNESS_BUDGETS = (0, 1, 2, 16, 64, 399)
 
 # malformed texts, one or more per error of the grammar; none has a zero
 # denominator or a minus after a binary operator (the parser read 1/0 as a
@@ -72,6 +101,7 @@ def main(checkout):
     for entry, doc, _, _ in demo.run_demo(probe=True):
         digest = hashlib.sha256(report.emit(doc, "machine").encode()).hexdigest()
         print(f"demo {entry.name} sha256={digest}", flush=True)
+    print(realness_line(curveclass), flush=True)
     print(error_path_line(curveclass, workloads), flush=True)
     print(make_curve_error_line(curveclass, workloads), flush=True)
     print(parse_error_line(curveclass), flush=True)
@@ -94,6 +124,16 @@ def _error_outcome(curveclass, exc, attribute):
     shown = getattr(exc, attribute, None)
     shown = "" if shown is None else curveclass.format_poly(shown)
     return f"{type(exc).__name__} {exc.code} {exc} {shown}"
+
+
+def realness_line(curveclass):
+    """One digest over the machine documents of jobs.run_singular on each
+    of REALNESS_CURVES at each of REALNESS_BUDGETS."""
+    from curveclass import jobs, report
+
+    docs = [report.emit(jobs.run_singular(curve, budget), "machine")
+            for curve in REALNESS_CURVES for budget in REALNESS_BUDGETS]
+    return f"realness curves={len(REALNESS_CURVES)} sha256={_outcome_digest(docs)}"
 
 
 def error_path_line(curveclass, workloads):

@@ -1,5 +1,7 @@
 """Bivariate helpers: polynomials in Q[x, y] viewed as y-polynomials with
-Z[x] coefficients.
+Z[x] coefficients, the integer y-rows of to_y_dense.  YSubresultants and
+the row helpers take and return rows; the MPoly entry points build each
+operand's rows once, and from_y_dense turns rows back into an MPoly.
 
 Resultants pack each Z[x] coefficient into one integer (Kronecker
 substitution at a power of two wide enough that the result unpacks
@@ -52,6 +54,16 @@ def y_rows(p: MPoly):
     (the rational twin of to_y_dense); from_y_dense inverts it on the
     rows' coefficients."""
     return [UPoly("x", r) for r in _y_grid(p, Fraction(0))]
+
+
+def deriv_y(rows):
+    """The y-rows of dF/dy: row j is (j + 1) * rows[j + 1]."""
+    return [zp.zscale(rows[j], j) for j in range(1, len(rows))]
+
+
+def deriv_x(rows):
+    """The y-rows of dF/dx, top zero rows dropped."""
+    return _trim_y([zp.zderiv(r) for r in rows])
 
 
 def _trim_y(rows):
@@ -117,7 +129,7 @@ def bivariate_gcd(p: MPoly, q: MPoly) -> MPoly:
         return p
     a, b = to_y_dense(p), to_y_dense(q)
     cg = zp.zgcd(y_content(a), y_content(b))
-    sres = YSubresultants(p, q)
+    sres = YSubresultants(a, b)
     gy = sres.rows(len(sres.degrees) - 2) if sres.degrees[-1] < 0 else [[1]]
     out = [zp.zmul(row, cg) for row in y_primitive(gy)]
     return from_y_dense(out)
@@ -136,27 +148,26 @@ def resultant_y(p: MPoly, q: MPoly) -> UPoly:
     1-norm |a|_1 or |b|_1 and |det|_1 is at most the product of the row
     1-norms, so every coefficient of Res lies below 2**(W-2) and its
     balanced base-X digits are unique."""
-    return YSubresultants(p, q).resultant()
+    return YSubresultants(to_y_dense(p), to_y_dense(q)).resultant()
 
 
 class YSubresultants:
-    """The regular subresultants S_j of the to_y_dense rows of p and q, in
-    y over Z[x], from the one remainder sequence that resultant_y runs on
-    the packed rows (_zpoly.zsubresultants).  Every coefficient of an S_j
-    is a minor of the Sylvester matrix, so the bound that makes the
-    resultant's digits unique holds for them too, and they unpack the same
-    way, on demand.
+    """The regular subresultants S_j of the integer y-rows a and b (the
+    to_y_dense form), in y over Z[x], from the one remainder sequence that
+    resultant_y runs on the packed rows (_zpoly.zsubresultants).  Every
+    coefficient of an S_j is a minor of the Sylvester matrix, so the bound
+    that makes the resultant's digits unique holds for them too, and they
+    unpack the same way, on demand.
 
     degrees lists j, descending, down to 0 (S_0 is the resultant), or
-    to -1 (S = 0) when p and q share a factor;
+    to -1 (S = 0) when a and b share a factor;
     principal(i) is s_j in Z[x] and rows(i) the y-rows of S_j over Z[x],
     for j = degrees[i].  lead is the leading y-coefficient of the rows the
-    sequence starts from: those of larger y-degree, p's on a tie."""
+    sequence starts from: those of larger y-degree, a's on a tie."""
 
     __slots__ = ("lead", "degrees", "_pairs", "_width", "_count")
 
-    def __init__(self, p: MPoly, q: MPoly):
-        a, b = to_y_dense(p), to_y_dense(q)
+    def __init__(self, a, b):
         m, n = len(a) - 1, len(b) - 1
         if m < 0 or n < 0:
             raise PreconditionError("resultant of the zero polynomial")

@@ -17,8 +17,8 @@ import math
 from fractions import Fraction
 
 from . import _zpoly as zp
-from .bipoly import (YSubresultants, bivariate_gcd, from_y_dense, to_y_dense, y_content,
-                     y_primitive, y_rows)
+from .bipoly import (YSubresultants, bivariate_gcd, deriv_x, deriv_y, from_y_dense, to_y_dense,
+                     y_content, y_primitive)
 from .errors import (
     CurveError,
     DegenerateInputError,
@@ -35,7 +35,6 @@ from .mpoly import (
     monic_in_t_witness,
     powers,
     specialize_to_t,
-    to_upoly_in,
     var_index,
 )
 from .numfield import (
@@ -197,26 +196,28 @@ def _split_candidates(z):
     return sorted(set(roots)), chunks
 
 
-def solve_xy_system(polys, sres=None):
+def solve_xy_system(grids, sres=None):
     """All solutions of a finite system {p_i(x, y) = 0} as BadPoint classes,
-    deterministically ordered.  Raises DegenerateInputError exactly when the
-    system has a positive-dimensional component, that is when its nonzero
-    polynomials share a nonconstant factor: a resultant that vanishes (a
-    shared factor of positive y-degree), or a rational x0 or a branch of
-    irrational x-coordinates over which every polynomial vanishes (a shared
-    factor in x alone).  bad_locus relies on this.  sres, if given, is the
-    YSubresultants of the first two polynomials of positive y-degree."""
+    deterministically ordered; each p_i is given by its integer y-rows
+    (to_y_dense), and [] is the zero polynomial.  Raises
+    DegenerateInputError exactly when the system has a positive-dimensional
+    component, that is when its nonzero polynomials share a nonconstant
+    factor: a resultant that vanishes (a shared factor of positive
+    y-degree), or a rational x0 or a branch of irrational x-coordinates over
+    which every polynomial vanishes (a shared factor in x alone).
+    bad_locus relies on this.  sres, if given, is the YSubresultants of the
+    first two polynomials of positive y-degree."""
     live = []
-    for p in polys:
-        if p.is_zero():
+    for rows in grids:
+        if not rows:
             continue
-        if p.is_constant():
+        if len(rows) == 1 and len(rows[0]) == 1:
             return []  # a nonzero constant: the system has no solutions
-        live.append(p)
+        live.append(rows)
     if not live:
         raise DegenerateInputError("empty system is not zero-dimensional")
-    withy = [p for p in live if p.degree_in("y") >= 1]
-    xonly = [to_upoly_in(p, "x") for p in live if p.degree_in("y") == 0]
+    withy = [rows for rows in live if len(rows) >= 2]
+    xonly = [UPoly.from_ints("x", rows[0]) for rows in live if len(rows) == 1]
 
     if len(withy) >= 2:
         sres = sres or YSubresultants(withy[0], withy[1])
@@ -231,10 +232,9 @@ def solve_xy_system(polys, sres=None):
         return []
 
     roots, chunks = _split_candidates(to_zpoly(cand)[0])
-    grids = [to_y_dense(p) for p in withy] if roots else None
     out = []
     for r in roots:
-        out.extend(_points_at_rational_x(r, grids))
+        out.extend(_points_at_rational_x(r, withy))
     for chunk in chunks:
         out.extend(_points_at_chunk(chunk, withy, sres))
     out.sort(key=BadPoint.sort_key)
@@ -243,7 +243,7 @@ def solve_xy_system(polys, sres=None):
 
 def _points_at_rational_x(x0, grids):
     """Solutions over a rational x-coordinate x0 = n/d, from the integer
-    y-rows (to_y_dense) of the system's polynomials: split the rational
+    y-rows of the system's polynomials: split the rational
     y-roots into their own degree-1 classes, keep the rest as one class.
     Each fiber is d**D * p(n/d, y), D the x-degree of p, so it stays in
     Z[y] and keeps the roots of p(x0, y)."""
@@ -273,16 +273,16 @@ def _points_at_rational_x(x0, grids):
     return out
 
 
-def _points_at_chunk(chunk: UPoly, withy, sres):
-    """Solutions over a coprime chunk of irrational x-coordinates; dynamic
+def _points_at_chunk(chunk: UPoly, grids, sres):
+    """Solutions over a coprime chunk of irrational x-coordinates, from the
+    integer y-rows of the system's polynomials of positive y-degree; dynamic
     evaluation splits the chunk when the fiber structure varies.  sres holds
-    the subresultants of withy[0] and withy[1] (None for fewer than two)."""
-
-    grids = [[row.coeffs for row in y_rows(p)] for p in withy]
+    the subresultants of grids[0] and grids[1] (None for fewer than two)."""
 
     def classes_over(fld):
         first = None if sres is None else _first_pair_gcd(fld, sres)
-        # p(alpha, y), each y-coefficient reduced modulo the chunk
+        # a positive multiple of p(alpha, y), each y-coefficient reduced
+        # modulo the chunk: the gcd and its monic squarefree part are the same
         polys = (UPoly("y", [fld.at_gens(row) for row in rows])
                  for rows in (grids if first is None else grids[2:]))
         g = nonzero_gcd(polys if first is None else itertools.chain([first], polys))
@@ -420,7 +420,8 @@ def make_curve(F: MPoly) -> PlaneCurve:
     squarefree; a repeated part is rejected with the witness factor.  In
     characteristic 0, F is squarefree iff its y-content is and, for y-degree
     >= 2, Res_y(F, F_y) != 0; that chain is kept for the singular locus, and
-    bivariate_gcd runs only to name a repeated factor."""
+    bivariate_gcd runs only to name a repeated factor.  F's integer y-rows
+    are built here, once; the locus and realness run on them."""
     if not F.uses_only({"x", "y"}):
         raise CurveError("curve polynomial must use only x and y")
     if F.is_zero() or F.is_constant():
@@ -428,7 +429,7 @@ def make_curve(F: MPoly) -> PlaneCurve:
     P = F.primitive()
     rows = to_y_dense(P)
     c = y_content(rows)
-    sres = YSubresultants(P, P.deriv("y")) if P.degree_in("y") >= 2 else None
+    sres = YSubresultants(rows, deriv_y(rows)) if len(rows) >= 3 else None
     # the chain ends in S = 0 (degree -1) exactly when the resultant is 0
     if zp.zdeg(zp.zsquarefree(c)) < zp.zdeg(c) or (sres and sres.degrees[-1] < 0):
         g = bivariate_gcd(F, F.deriv("x"))
@@ -439,8 +440,8 @@ def make_curve(F: MPoly) -> PlaneCurve:
 
 def singular_locus(curve: PlaneCurve):
     """Triangular decomposition of V(F, dF/dx, dF/dy) with realness tags."""
-    F = curve.F
-    return solve_xy_system([F, F.deriv("y"), F.deriv("x")], curve._fy_chain)
+    rows = curve._zrows  # F is primitive, so these are its own coefficients
+    return solve_xy_system([rows, deriv_y(rows), deriv_x(rows)], curve._fy_chain)
 
 
 def bad_locus(curve: PlaneCurve, q: MPoly):
@@ -458,7 +459,7 @@ def bad_locus(curve: PlaneCurve, q: MPoly):
     if q.is_constant():
         return []
     try:
-        return solve_xy_system([curve.F, q])
+        return solve_xy_system([curve._zrows, to_y_dense(q)])
     except DegenerateInputError:
         raise ZeroDivisorDenominatorError(
             "denominator vanishes on a curve component", component=bivariate_gcd(curve.F, q)
@@ -469,40 +470,43 @@ def bad_locus(curve: PlaneCurve, q: MPoly):
 # realness certification (semi-decision)
 # ---------------------------------------------------------------------------
 
-def _divide_out_linear_y(F: MPoly, g: UPoly):
-    """Exact quotient F / (y - g(x)) for g in Q[x]; None if not divisible."""
-    # synthetic division in y on the y-rows of F
-    rows = y_rows(F)
-    dy = len(rows) - 1
-    quot = [None] * dy
-    carry = UPoly("x", ())
-    for k in range(dy, 0, -1):
-        quot[k - 1] = rows[k] + carry
-        carry = quot[k - 1] * g
-    if rows[0] + carry:
-        return None
-    return from_y_dense([r.coeffs for r in quot])
+def _divide_out_linear_y(rows, g: UPoly):
+    """The integer y-rows of F / (y - g(x)), for F in Z[x, y] given by its
+    rows and g in Q[x]; None if not divisible.
+
+    Synthetic division in y by y - G/d (G in Z[x], d > 0 the least common
+    denominator, so d*y - G is primitive).  When y - g divides F, Gauss's
+    lemma makes the quotient integral, so every carry q_k * G / d is an
+    integer row: a carry that is not proves that y - g does not divide."""
+    G, d = to_zpoly(g)
+    quot = [None] * (len(rows) - 1)
+    carry = []
+    for k in range(len(rows) - 1, 0, -1):
+        quot[k - 1] = zp.zadd(rows[k], carry)
+        carry = zp.zmul(quot[k - 1], G)
+        if any(c % d for c in carry):
+            return None
+        carry = [c // d for c in carry]
+    return None if zp.zadd(rows[0], carry) else quot
 
 
-def _linear_y_factors(F: MPoly, rows):
-    """Split off factors y - g(x) found by a bounded rational-root style
-    search (divisor shapes come from the partial split of F(x, 0));
-    incomplete by design.  rows are the integer y-rows of F (to_y_dense).
+def _linear_y_factors(rows):
+    """Split off factors y - g(x) of the primitive F whose integer y-rows
+    are rows, found by a bounded rational-root style search (divisor shapes
+    come from the partial split of F(x, 0)); incomplete by design.  Returns
+    the factors (MPolys) and the rows of what is left.
 
     A factor y - c * shape(x) has c * shape(3) among the rational roots of
     F(3, y), so those candidates are found first; without a nonzero one no
-    division can be tried, and no shape is built.  F(x, 0) and F(3, y) are
-    read off the integer rows: positive multiples, with the same roots.
+    division can be tried, and no shape is built.
     """
     out = []
-    rest = F
     x1 = 3
     while len(rows) >= 2:
         if not rows[0]:
             # y | F directly
             out.append(MPoly.var("y"))
-            rest = _divide_out_linear_y(rest, UPoly("x", ()))
-            rows = to_y_dense(rest)
+            rows = rows[1:]
             continue
         u = zp.ztrim([zp.zeval_int(row, x1) for row in rows])
         cands = [r for r in zp.zrational_roots(u) if r] if zp.zdeg(u) >= 1 else []
@@ -516,26 +520,26 @@ def _linear_y_factors(F: MPoly, rows):
         for piece in pieces[:4]:
             squares = [one, piece, piece * piece]
             shapes = [s * pk for s in shapes for pk in squares if s.degree + pk.degree <= dx]
-        factor = _first_linear_factor(rest, rows, shapes, cands, x1)
+        factor = _first_linear_factor(rows, shapes, cands, x1)
         if factor is None:
             break
-        g_poly, rest = factor
-        rows = to_y_dense(rest)
+        g_poly, rows = factor
         out.append(MPoly.var("y") - from_upoly(g_poly))
-    return out, rest
+    return out, rows
 
 
 _PROBES = (4, -2, 5)
 
 
-def _first_linear_factor(F: MPoly, rows, shapes, cands, x1):
-    """The first (g, F / (y - g)) with g = (root / shape(x1)) * shape in
-    Q[x], in shape-then-candidate order; None when no candidate divides.
+def _first_linear_factor(rows, shapes, cands, x1):
+    """The first (g, rows of F / (y - g)) with g = (root / shape(x1)) * shape
+    in Q[x], in shape-then-candidate order, F given by its integer y-rows;
+    None when no candidate divides.
 
     When y - g divides F, F(x_j, g(x_j)) = 0 at every x_j, so a candidate
-    is first tested at the integer probes _PROBES, on the integer rows of F
-    (to_y_dense) evaluated there once.  Only survivors are divided, so the
-    first divisor found is the one division alone would find."""
+    is first tested at the integer probes _PROBES, on the rows evaluated
+    there once.  Only survivors are divided, so the first divisor found is
+    the one division alone would find."""
     fibers = [[zp.zeval_int(row, xj) for row in rows] for xj in _PROBES]
     for shape in shapes:
         mval = shape.eval(x1)
@@ -548,83 +552,62 @@ def _first_linear_factor(F: MPoly, rows, shapes, cands, x1):
             if any(zp.zsign_at(fib, k * s) for fib, s in zip(fibers, svals)):
                 continue
             g_poly = shape.scale(k)
-            q = _divide_out_linear_y(F, g_poly)
+            q = _divide_out_linear_y(rows, g_poly)
             if q is not None:
                 return g_poly, q
     return None
 
 
-def qpoly_sqrt(p: UPoly):
-    """Exact square root in Q[x] when p is a perfect square, else None."""
-    if p.is_zero():
-        return p
-    if p.degree % 2:
+def _zsqrt(z):
+    """The square root, positive leading coefficient, of z in Z[x] when z is
+    a perfect square in Q[x] (then it is one in Z[x], by Gauss); else None.
+    The top half of z fixes the root, one coefficient at a time from the
+    leading one down; the bottom half is checked by squaring."""
+    if not z:
+        return z
+    n, odd = divmod(len(z) - 1, 2)
+    lead = math.isqrt(max(z[-1], 0))
+    if odd or lead * lead != z[-1]:
         return None
-    z, den = to_zpoly(p)
-    z = zp.zmul(z, [den])  # sqrt(p) = sqrt(n*d) / d
-    if z[-1] < 0:
-        return None
-    if zp.zdeg(z) == 0:
-        num = _isqrt_exact(z[0])
-        return None if num is None else UPoly(p.var, [Fraction(num, den)])
-    classes = zp.zyun(z)
-    if any(m % 2 for m, _ in classes):
-        return None
-    root = [1]
-    prod = [1]
-    for m, f in classes:
-        for _ in range(m // 2):
-            root = zp.zmul(root, f)
-        for _ in range(m):
-            prod = zp.zmul(prod, f)
-    if zp.zdeg(prod) != zp.zdeg(z):
-        return None
-    c, rem = divmod(z[-1], prod[-1])
-    if rem:
-        return None
-    s = _isqrt_exact(c)
-    if s is None:
-        return None
-    cand = UPoly(p.var, [Fraction(v * s, den) for v in root])
-    return cand if cand * cand == p else None
+    root = [0] * n + [lead]
+    for k in range(n - 1, -1, -1):
+        # the x^(n + k) coefficient of root^2 is 2 * lead * root[k] + known terms
+        q, r = divmod(z[n + k] - sum(root[i] * root[n + k - i] for i in range(k + 1, n)), 2 * lead)
+        if r:
+            return None
+        root[k] = q
+    return root if zp.zmul(root, root) == z else None
 
 
-def _isqrt_exact(n):
-    if n < 0:
-        return None
-    s = math.isqrt(n)
-    return s if s * s == n else None
-
-
-def _irreducible_lite(B: MPoly):
-    """True when a cheap certificate proves B irreducible over Q; None when
-    undecided (never claims reducibility)."""
-    rows = y_rows(B)
+def _irreducible_lite(rows):
+    """True when a cheap certificate proves the block whose integer y-rows
+    are rows irreducible over Q; None when undecided (never claims
+    reducibility).  Squares are taken in Z[x]: for an integer polynomial
+    that is the same question as in Q[x]."""
     dy = len(rows) - 1
     if dy == 1:
         return True
     if dy == 2:
         c, b, a = rows
-        disc = b * b - a * c.scale(4)
-        return True if qpoly_sqrt(disc) is None else None
-    if dy == 4 and rows[3].is_zero() and rows[1].is_zero():
-        lead = rows[4]
-        if lead.degree == 0 and lead.coeffs and lead.coeffs[0] == 1:
-            a, b = rows[2], rows[0]
-            if qpoly_sqrt(a * a - b.scale(4)) is not None:
-                return None  # splits through the quadratic in y^2
-            s = qpoly_sqrt(b)
-            if s is None:
-                return True
-            if qpoly_sqrt(s.scale(2) - a) is None and qpoly_sqrt((-s).scale(2) - a) is None:
-                return True
-            return None
+        disc = zp.zsub(zp.zmul(b, b), zp.zscale(zp.zmul(a, c), 4))
+        return True if _zsqrt(disc) is None else None
+    if dy == 4 and not rows[3] and not rows[1] and rows[4] == [1]:
+        a, b = rows[2], rows[0]
+        if _zsqrt(zp.zsub(zp.zmul(a, a), zp.zscale(b, 4))) is not None:
+            return None  # splits through the quadratic in y^2
+        s = _zsqrt(b)
+        if s is None:
+            return True
+        s2 = zp.zscale(s, 2)
+        if _zsqrt(zp.zsub(s2, a)) is None and _zsqrt(zp.zsub(zp.zneg(s2), a)) is None:
+            return True
     return None
 
 
-_SAMPLE_SEQUENCE = [0]
-for _k in range(1, 200):
-    _SAMPLE_SEQUENCE.extend([_k, -_k])
+def _sample_xs(budget):
+    """The realness samples: the first budget integers of 0, 1, -1, 2, -2, ..."""
+    for k in range(budget):
+        yield (k + 1) // 2 if k % 2 else -(k // 2)
 
 
 class RealnessReport:
@@ -651,7 +634,6 @@ def certify_realness(curve: PlaneCurve, budget=64) -> RealnessReport:
     budget, the number of x-samples tried, must be a nonnegative int."""
     if type(budget) is not int or budget < 0:  # a bool is no count of samples
         raise PreconditionError(f"realness budget must be a nonnegative integer, got {budget!r}")
-    F = curve.F
     factors = []
     rows = curve._zrows
     content = curve._ycontent
@@ -668,29 +650,28 @@ def certify_realness(curve: PlaneCurve, budget=64) -> RealnessReport:
                 factors.append((from_upoly(ch), "unverified",
                                 "vertical chunk with non-real roots"))
         rows = y_primitive(rows, content)
-        F = from_y_dense(rows)
     if len(rows) >= 2:
-        linear, rest = _linear_y_factors(F, rows)
+        linear, rows = _linear_y_factors(rows)
         for lf in linear:
             factors.append((lf, "certified", "graph of a polynomial function"))
-    else:
-        rest = MPoly() if F.is_constant() else F
-    if rest and not rest.is_constant():
-        factors.append(_certify_block(rest, budget))
+    # what is left is primitive: of y-degree 0 only when it is a constant
+    if len(rows) >= 2:
+        factors.append(_certify_block(rows, budget))
     return RealnessReport(factors)
 
 
-def _certify_block(B: MPoly, budget):
-    """Certify B from the first sample x0 whose fiber B(x0, y) is squarefree
-    of full degree and either has all its roots real, or has a real root
-    while B is certified irreducible (that root is a nonsingular real point
-    on the only component)."""
-    dy = B.degree_in("y")
-    irreducible = _irreducible_lite(B)
-    rows = to_y_dense(B)  # a positive multiple of B, so each fiber keeps its roots
-    for x0 in _SAMPLE_SEQUENCE[:budget]:
+def _certify_block(rows, budget):
+    """Certify the block B, given by its integer y-rows, from the first
+    sample x0 whose fiber B(x0, y) is squarefree of full degree and either
+    has all its roots real, or has a real root while B is certified
+    irreducible (that root is a nonsingular real point on the only
+    component).  Returns (B, status, note)."""
+    dy = len(rows) - 1
+    irreducible = _irreducible_lite(rows)
+    B = from_y_dense(rows)
+    for x0 in _sample_xs(budget):
         z = zp.ztrim([zp.zeval_int(row, x0) for row in rows])
-        if zp.zdeg(z) != dy or dy <= 0:
+        if zp.zdeg(z) != dy:
             continue
         # the chain is a remainder sequence of z and z', so its last member
         # is gcd(z, z') up to a constant
@@ -769,7 +750,7 @@ def fiber_constancy_check(pi: PresentedMorphism, p: UPoly):
     gb2 = buchberger(downstairs, LEX)
     try:
         locus_gens = eliminate(gb2, {"x", "y"})
-        locus = solve_xy_system(list(locus_gens))
+        locus = solve_xy_system([to_y_dense(g) for g in locus_gens])
     except (PreconditionError, DegenerateInputError) as exc:
         raise PreconditionError(
             f"morphism is not birational onto its image: {exc}"

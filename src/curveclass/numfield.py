@@ -403,10 +403,10 @@ class NumberField:
         return NFElement(target, _rmod(target, rep, target.depth))
 
     def at_gens(self, grid):
-        """The value p(gen(0)[, gen(1)]) of the polynomial p whose Fraction
-        coefficients grid holds: a sequence along the level-0 variable at
-        depth 1, a sequence along the level-1 variable of such sequences at
-        depth 2.  That value is p reduced modulo the level polynomials, here
+        """The value p(gen(0)[, gen(1)]) of the polynomial p whose rational
+        coefficients (Fractions or ints) grid holds: a sequence along the
+        level-0 variable at depth 1, a sequence along the level-1 variable of
+        such sequences at depth 2.  That value is p reduced modulo the level polynomials, here
         on the integer kernel; reduced reps are canonical, so the rep is the
         one Horner at the generators gives, degree-1 levels included."""
         return NFElement(self, _rmod(self, grid, self.depth))

@@ -291,7 +291,7 @@ def test_subresultants_y_are_the_sylvester_minors(data):
     p, q = data.draw(_y_poly(small)), data.draw(_y_poly(small))
     if p.degree_in("y") < 1 or q.degree_in("y") < 1:
         return
-    s = YSubresultants(p, q)
+    s = YSubresultants(to_y_dense(p), to_y_dense(q))
     _check_subresultants(to_y_dense(p), to_y_dense(q), (s.degrees, s.principal, s.rows))
     assert s.resultant() == resultant_y(p, q)
 
@@ -308,7 +308,7 @@ def test_subresultants_y_are_the_sylvester_minors(data):
     (_SINGULAR, _SINGULAR.deriv("y")),
 ])
 def test_subresultants_y_fixed_cases(p, q):
-    s = YSubresultants(p, q)
+    s = YSubresultants(to_y_dense(p), to_y_dense(q))
     _check_subresultants(to_y_dense(p), to_y_dense(q), (s.degrees, s.principal, s.rows))
 
 
@@ -433,3 +433,14 @@ def test_bivariate_gcd_equals_the_primitive_prs(coeff, data):
 def test_bivariate_gcd_fixed_cases(p, q, want):
     got = bivariate_gcd(p, q)
     assert got == parse_poly(want) == _reference_bivariate_gcd(p, q)
+
+
+def test_bivariate_gcd_builds_each_operands_rows_once(monkeypatch):
+    from curveclass import bipoly
+
+    calls = []
+    to_y_dense = bipoly.to_y_dense
+    monkeypatch.setattr(bipoly, "to_y_dense", lambda p: calls.append(p) or to_y_dense(p))
+    p, q = parse_poly("(y - x)*(y^2 + x)"), parse_poly("(y - x)*(x*y - 3)")
+    assert bivariate_gcd(p, q) == parse_poly("y - x")
+    assert calls == [p, q]

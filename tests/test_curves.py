@@ -9,11 +9,10 @@ from curveclass.curves import (
     fiber_constancy_check,
     make_curve,
     make_parametrization,
-    qpoly_sqrt,
     singular_locus,
     solve_xy_system,
 )
-from curveclass.bipoly import to_y_dense
+from curveclass.bipoly import from_y_dense, to_y_dense
 from curveclass.errors import CurveError, PreconditionError, ZeroDivisorDenominatorError
 from curveclass.mpoly import MPoly, eval_at, from_upoly
 from curveclass.parsing import format_poly, format_upoly, parse_poly, parse_upoly
@@ -37,6 +36,11 @@ def example3_curve():
 
 def node():
     return make_curve(Y**2 - X**2 * (X + 1))
+
+
+def _solve(polys):
+    """solve_xy_system on the integer y-rows of MPolys."""
+    return solve_xy_system([to_y_dense(p) for p in polys])
 
 
 def cubic_curve():
@@ -152,7 +156,7 @@ def test_singular_locus_node_origin_only():
 
 def test_rational_points_with_denominators_beyond_two_to_the_24():
     a, b = 33554433, 33554435  # 2**25 + 1 and 2**25 + 3
-    pts = solve_xy_system([Y - X, (a * X - 1) * (b * X - 1)])
+    pts = _solve([Y - X, (a * X - 1) * (b * X - 1)])
     assert [p.coords() for p in pts if p.is_rational()] == [
         (Fraction(1, b), Fraction(1, b)),
         (Fraction(1, a), Fraction(1, a)),
@@ -234,7 +238,7 @@ def test_coprime_bad_locus_runs_one_remainder_sequence(monkeypatch):
     monkeypatch.setattr(curves, "bivariate_gcd", forbidden)
     pts = bad_locus(curve, Y - X)
     assert sorted(p.coords() for p in pts) == [(0, 0), (1, 1)]
-    assert built == [(curve.F, Y - X)]
+    assert built == [(curve._zrows, to_y_dense(Y - X))]
 
 
 @pytest.mark.parametrize("system, where", [
@@ -247,7 +251,7 @@ def test_solve_xy_system_rejects_a_shared_vertical_line(system, where):
     from curveclass.errors import DegenerateInputError
 
     with pytest.raises(DegenerateInputError) as exc:
-        solve_xy_system([parse_poly(p) for p in system])
+        _solve([parse_poly(p) for p in system])
     assert str(exc.value) == f"positive-dimensional fiber over {where}"
 
 
@@ -267,7 +271,7 @@ def test_solve_xy_system_rejects_a_shared_line_on_a_split_off_branch(monkeypatch
 
     monkeypatch.setattr(NumberField, "split_level", counted)
     with pytest.raises(DegenerateInputError) as exc:
-        solve_xy_system([parse_poly("(x^2 - 2)*y"), parse_poly("(x^2 - 2)*(y - (x^2 - 3)^2)")])
+        _solve([parse_poly("(x^2 - 2)*y"), parse_poly("(x^2 - 2)*(y - (x^2 - 3)^2)")])
     assert str(exc.value) == "positive-dimensional fiber over the roots of x^2 - 2"
     assert [format_upoly(m) for m in splits] == ["x^4 - 5*x^2 + 6"]
 
@@ -354,7 +358,7 @@ def test_locus_independent_of_coordinate_roles():
     curve = example2_curve()
     q = X * (X**2 + 1)
     direct = bad_locus(curve, q)
-    swapped = solve_xy_system([swap(curve.F), swap(q)])
+    swapped = _solve([swap(curve.F), swap(q)])
     assert sum(p.class_size for p in direct) == sum(p.class_size for p in swapped)
     assert sum(len(p.embeddings) for p in direct) == sum(len(p.embeddings) for p in swapped)
     for pt in swapped:
@@ -402,11 +406,15 @@ def test_certify_realness_never_certifies_empty_real_locus():
 
 def test_divide_out_linear_y_is_exact_or_none():
     F = parse_poly("x*y^2 - 1/2*y + x^3 - 7")
-    for g in ("0", "x^2 - 1/3", "5"):
+    for g in ("0", "x^2 - 1/3", "5", "1/2*x"):  # the last is the non-monic 2y - x
         gx = parse_upoly(g, "x")
-        assert _divide_out_linear_y(F * (Y - from_upoly(gx)), gx) == F
+        linear = Y - from_upoly(gx)
+        rows = to_y_dense(F * linear)
+        assert from_y_dense(_divide_out_linear_y(rows, gx)) * linear == from_y_dense(rows)
     # y - x does not divide F * (y - x^2)
-    assert _divide_out_linear_y(F * (Y - X**2), parse_upoly("x", "x")) is None
+    assert _divide_out_linear_y(to_y_dense(F * (Y - X**2)), parse_upoly("x", "x")) is None
+    # nor y - 1/2 y: a carry 1/2 rounded to an integer would leave remainder 0
+    assert _divide_out_linear_y(to_y_dense(Y), parse_upoly("1/2", "x")) is None
 
 
 @pytest.mark.parametrize(
@@ -422,8 +430,16 @@ def test_divide_out_linear_y_is_exact_or_none():
     ],
 )
 def test_qpoly_sqrt_past_the_sign_test(square, root):
-    got = qpoly_sqrt(parse_upoly(square, "x"))
-    assert (None if got is None else format_upoly(got)) == root
+    # p = n/d is a square in Q[x] iff n*d is one in Z[x], and sqrt(p) = sqrt(n*d)/d
+    from curveclass import _zpoly as zp
+    from curveclass.curves import _zsqrt
+    from curveclass.unipoly import to_zpoly
+
+    z, den = to_zpoly(parse_upoly(square, "x"))
+    got = _zsqrt(zp.zscale(z, den))
+    if got is not None:
+        got = format_upoly(UPoly.from_ints("x", got).scale(Fraction(1, den)))
+    assert got == root
 
 
 def test_certify_realness_vertical_line_components():
@@ -444,8 +460,8 @@ def _certify_block_by_specialize_x(B, budget):
     from curveclass.unipoly import to_zpoly
 
     dy = B.degree_in("y")
-    irreducible = curves._irreducible_lite(B)
-    for x0 in curves._SAMPLE_SEQUENCE[:budget]:
+    irreducible = curves._irreducible_lite(to_y_dense(B))
+    for x0 in curves._sample_xs(budget):
         u = curves.specialize_x(B, Fraction(x0))
         if u.degree != dy or u.degree <= 0:
             continue
@@ -479,9 +495,9 @@ def test_integer_realness_samples_match_specialize_x(monkeypatch, F, budget):
     blocks = []
     integer_samples = curves._certify_block
 
-    def compared(B, b):
-        got = integer_samples(B, b)
-        assert got == _certify_block_by_specialize_x(B, b)
+    def compared(rows, b):
+        got = integer_samples(rows, b)
+        assert got == _certify_block_by_specialize_x(from_y_dense(rows), b)
         blocks.append(got)
         return got
 
@@ -503,6 +519,23 @@ def test_realness_budget_must_be_a_nonnegative_int(budget):
     assert not curve.realness(0).certified
 
 
+def test_realness_samples_run_to_the_budget():
+    from curveclass import curves, jobs
+
+    # budgets up to 399 try the same samples as the fixed table of 0, +-1,
+    # ..., +-199 that capped every budget at 399
+    table = [0] + [s * k for k in range(1, 200) for s in (1, -1)]
+    assert list(curves._sample_xs(399)) == table
+    assert list(curves._sample_xs(0)) == []
+    # y^2 = x - 250 has a simple real fiber first over x = 251, sample 501
+    curve = make_curve(parse_poly("y^2 - x + 250"))
+    assert certify_realness(curve, 501).factors == [
+        (curve.F, "unverified", "no certificate within budget")]
+    assert certify_realness(curve, 502).factors == [
+        (curve.F, "certified", "all 2 branches real and simple over x = 251")]
+    assert jobs.run_singular("y^2 - x + 250", 1000).data["caveats"] == []
+
+
 # -- linear factors: integer probes before division, against division alone -
 from contextlib import contextmanager  # noqa: E402
 
@@ -510,9 +543,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
-def _first_linear_factor_by_division(F, rows, shapes, cands, x1):
+def _first_linear_factor_by_division(rows, shapes, cands, x1):
     """Reference: the search without probes, dividing every (shape,
-    candidate) pair in shape-then-candidate order; rows go unused."""
+    candidate) pair in shape-then-candidate order."""
     from curveclass import curves
 
     for shape in shapes:
@@ -521,7 +554,7 @@ def _first_linear_factor_by_division(F, rows, shapes, cands, x1):
             continue
         for root in cands:
             g_poly = shape.scale(root / mval)
-            q = curves._divide_out_linear_y(F, g_poly)
+            q = curves._divide_out_linear_y(rows, g_poly)
             if q is not None:
                 return g_poly, q
     return None
@@ -533,7 +566,7 @@ def _counting_divisions():
 
     calls = []
     divide = curves._divide_out_linear_y
-    curves._divide_out_linear_y = lambda F, g: calls.append(g) or divide(F, g)
+    curves._divide_out_linear_y = lambda rows, g: calls.append(g) or divide(rows, g)
     try:
         yield calls
     finally:
@@ -548,14 +581,65 @@ def test_a_candidate_passing_x_3_is_rejected_at_a_probe():
     shapes, cands = [one, x, x * x], [Fraction(9)]
     # g = 9 and g = 3x pass x = 3 (F(3, 9) = 0) and fail at x = 4; g = x^2 divides
     with _counting_divisions() as probed:
-        got = curves._first_linear_factor(F, to_y_dense(F), shapes, cands, Fraction(3))
+        got = curves._first_linear_factor(to_y_dense(F), shapes, cands, Fraction(3))
     with _counting_divisions() as divided:
-        want = _first_linear_factor_by_division(F, None, shapes, cands, Fraction(3))
-    assert got == want == (x * x, Y**2 + 1)
+        want = _first_linear_factor_by_division(to_y_dense(F), shapes, cands, Fraction(3))
+    assert got == want == (x * x, to_y_dense(Y**2 + 1))
     assert probed == [x * x] and len(divided) == 3
 
 
 _A_FACTORS = ("x-1", "x-2", "x^2+1", "x^2-2", "x^2+4", "x^2+x+1", "x^2-3", "2*x-1/3")
+
+
+def _divide_by_upoly(F, g):
+    """Reference: F / (y - g(x)) by synthetic division over Q, on the
+    rational y-rows of F (UPolys in x); None if not divisible."""
+    from curveclass.bipoly import y_rows
+
+    rows = y_rows(F)
+    dy = len(rows) - 1
+    quot = [None] * dy
+    carry = UPoly("x", ())
+    for k in range(dy, 0, -1):
+        quot[k - 1] = rows[k] + carry
+        carry = quot[k - 1] * g
+    if rows[0] + carry:
+        return None
+    return from_y_dense([r.coeffs for r in quot])
+
+
+def _small_poly(draw, dy, dx):
+    """A nonzero polynomial of y-degree <= dy, x-degree <= dx, with small
+    integer coefficients."""
+    terms = {(0, 0, i, j): draw(st.integers(-3, 3)) for j in range(dy + 1) for i in range(dx + 1)}
+    P = MPoly(terms)
+    return P if not P.is_zero() else MPoly.const(1)
+
+
+@st.composite
+def _division_case(draw):
+    """(integer y-rows, g): rows of F * (y - h) or of F alone, g in Q[x]
+    with denominators 1-6 (y - x/2 is the non-monic 2y - x), and g = h
+    about half the time; F is sometimes a multiple of y, whose zero
+    constant row a wrong carry can cancel."""
+    F = _small_poly(draw, draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        F = F * Y
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    g = UPoly("x", draw(st.lists(coeff, max_size=3)))
+    if draw(st.booleans()):
+        h = g if draw(st.booleans()) else UPoly("x", draw(st.lists(coeff, max_size=3)))
+        F = F * (Y - from_upoly(h))
+    return to_y_dense(F), g
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_division_case())
+def test_integer_linear_division_matches_division_over_q(case):
+    rows, g = case
+    want = _divide_by_upoly(from_y_dense(rows), g)
+    got = _divide_out_linear_y(rows, g)
+    assert got == (None if want is None else to_y_dense(want))
 
 
 @st.composite
@@ -581,11 +665,11 @@ def _realness_curve(draw):
 def test_probed_linear_factor_search_matches_division_alone(F):
     from curveclass import curves
 
-    got = curves._linear_y_factors(F, to_y_dense(F))
+    got = curves._linear_y_factors(to_y_dense(F))
     probe = curves._first_linear_factor
     curves._first_linear_factor = _first_linear_factor_by_division
     try:
-        want = curves._linear_y_factors(F, to_y_dense(F))
+        want = curves._linear_y_factors(to_y_dense(F))
     finally:
         curves._first_linear_factor = probe
     assert got == want
@@ -614,7 +698,7 @@ def test_one_sturm_chain_per_sample_matches_the_gcd_then_chain_route(B, budget):
     # builds the chain; the chain's last member is that gcd up to a constant
     from curveclass import curves
 
-    assert curves._certify_block(B, budget) == _certify_block_by_specialize_x(B, budget)
+    assert curves._certify_block(to_y_dense(B), budget) == _certify_block_by_specialize_x(B, budget)
 
 
 def _embeddings_per_root(field):
@@ -823,11 +907,11 @@ def test_chunk_gcds_from_subresultants_match_the_tower_route(monkeypatch):
         polys = [p0, p1] + ([rpoly(1, 1)] if rng.random() < 0.2 else [])
         monkeypatch.setattr(curves, "_first_pair_gcd", lambda fld, sres: None)
         try:
-            want = solve_xy_system(polys)
+            want = _solve(polys)
         except DegenerateInputError:
             continue
         monkeypatch.setattr(curves, "_first_pair_gcd", counted)
-        assert _classes(solve_xy_system(polys)) == _classes(want), polys
+        assert _classes(_solve(polys)) == _classes(want), polys
         systems += 1
     assert seen["subresultant"] > 100 and seen["tower"] > 50 and seen["tower splits"] > 10
 
@@ -916,7 +1000,7 @@ def test_make_curve_and_singular_locus_build_one_chain(monkeypatch, F, chain):
     from curveclass import curves
 
     P = F.primitive()
-    want = _classes(solve_xy_system([P, P.deriv("y"), P.deriv("x")]))
+    want = _classes(_solve([P, P.deriv("y"), P.deriv("x")]))
     built = []
     sres = curves.YSubresultants
 
@@ -931,4 +1015,35 @@ def test_make_curve_and_singular_locus_build_one_chain(monkeypatch, F, chain):
     monkeypatch.setattr(curves, "bivariate_gcd", forbidden)
     curve = make_curve(F)
     assert _classes(singular_locus(curve)) == want
-    assert built == [(curve.F, curve.F.deriv(chain[-1]))]
+    assert built == [(curve._zrows, to_y_dense(curve.F.deriv(chain[-1])))]
+
+
+# -- the integer y-rows are built once per singular-locus job -----------------
+
+def _count_calls(monkeypatch, name, modules):
+    """Count calls of bipoly's function name through the bindings that
+    modules hold; returns the list the wrapper appends to."""
+    from curveclass import bipoly
+
+    orig = getattr(bipoly, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_singular_job_builds_the_integer_rows_once(monkeypatch):
+    from curveclass import bipoly, curves, functions, jobs
+
+    dense = _count_calls(monkeypatch, "to_y_dense", (bipoly, curves))
+    rational = _count_calls(monkeypatch, "y_rows", (bipoly, functions))
+    # two linear factors, one non-monic, and a block; three rational
+    # singular points
+    doc = jobs.run_singular("(y - x^2)*(2*y - x)*(y^2 - x^3 - x)")
+    assert len(dense) == 1 and rational == []
+    assert doc.data["caveats"] == [] and len(doc.data["singular_points"]) == 3
