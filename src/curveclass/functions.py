@@ -142,7 +142,13 @@ def _value_at(p: MPoly, fld):
     """p(x, y) at the point whose tower is fld: eval_at(p, fld.gen(0),
     fld.gen(1)), computed as the reduction of p's y-rows modulo the level
     polynomials (NumberField.at_gens)."""
-    return fld.at_gens([row.coeffs for row in y_rows(p)])
+    return fld.at_gens(_grid(p))
+
+
+def _grid(p: MPoly):
+    """The rational y-rows of p in x, y as the grid NumberField.at_gens
+    reads; built once per polynomial, read at every point."""
+    return [row.coeffs for row in y_rows(p)]
 
 
 def _t_coefficients(p: MPoly):
@@ -192,14 +198,21 @@ class FiberReport:
         return max(self.real_root_counts) if self.real_root_counts else None
 
 
-def fiber_report(gb_lex, pt: BadPoint, assigned=None) -> FiberReport:
-    """Exact fiber of the graph closure over one point class.
+def _t_grids(gb_lex):
+    """Per basis element, the grid (_grid) of each of its t-coefficients."""
+    return [[_grid(c) for c in _t_coefficients(g)] for g in gb_lex.basis]
+
+
+def fiber_report(gb_lex, pt: BadPoint, assigned=None, *, grids=None) -> FiberReport:
+    """Exact fiber of the graph closure over one point class.  grids, when
+    given, is _t_grids(gb_lex), which fiber_table builds once for all points.
 
     May raise SplitEvent; drive it through run_with_splits (classify does).
     """
-    fiber = nonzero_gcd(
-        UPoly("t", [_value_at(c, pt.field) for c in _t_coefficients(g)]) for g in gb_lex.basis
-    )
+    if grids is None:
+        grids = _t_grids(gb_lex)
+    at_gens = pt.field.at_gens
+    fiber = nonzero_gcd(UPoly("t", [at_gens(c) for c in g]) for g in grids)
     if fiber is None:
         raise PreconditionError("graph fiber is not finite over a bad point")
     if fiber.degree <= 0:
@@ -230,11 +243,12 @@ def fiber_table(f: CurveFunction):
     """Fiber reports over every bad point, with dynamic-evaluation splits
     already resolved (so the returned points refine f.bad_points)."""
     gb = f.graph_gb()
+    grids = _t_grids(gb)
     table = []
     for pt, val in zip(f.bad_points, f.assigned):
         def fn(refined, _orig_field=pt.field, _val=val):
             v = None if _val is None else _orig_field.transfer(_val, refined.field)
-            return fiber_report(gb, refined, v)
+            return fiber_report(gb, refined, v, grids=grids)
 
         for refined, rep in run_with_splits(pt, fn):
             table.append(rep)
@@ -261,11 +275,12 @@ def is_regular(f: CurveFunction):
         gb = buchberger(PolyIdeal([f.curve.F, f.q]), LEX)
         return False, {"reason": "not in <F, q>", "normal_form": normal_form(f.p, gb)}
     h = MPoly.var("t") - wit
+    hgrid = _grid(h)
     for pt, val in zip(f.bad_points, f.assigned):
         if val is None:
             continue
         def fn(refined, _of=pt.field, _v=val):
-            hval = _value_at(h, refined.field)
+            hval = refined.field.at_gens(hgrid)
             return is_zero_or_split(hval - _of.transfer(_v, refined.field))
 
         for refined, ok in run_with_splits(pt, fn):

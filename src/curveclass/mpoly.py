@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 
 VARS = ("s", "t", "x", "y")
 NVARS = len(VARS)
@@ -263,6 +263,16 @@ class MonomialOrder:
         """The exponent fields of a packed monomial as a nonnegative int."""
         return (-k if self._negated else k) & _LOW
 
+    def pack_fields(self, f):
+        """The packed monomial whose exponent fields are f (fields()
+        inverted).  Since 2^_FIELD_BITS = 1 modulo _FIELD_MASK, f modulo
+        _FIELD_MASK is the sum of the fields, which is the degree while the
+        fields stay below the guards."""
+        k = -f if self._negated else f
+        if self._graded:
+            k += (f % _FIELD_MASK) << _DEG_SHIFT
+        return k
+
     def unpack(self, k):
         f = self.fields(k)
         return tuple((f >> shift) & _FIELD_MASK for shift in self._shifts)
@@ -308,6 +318,16 @@ def _field_divides(fa, fb):
     return ((fb | _GUARDS) - fa) & _GUARDS == _GUARDS
 
 
+def _field_lcm(fa, fb):
+    """Exponent fields of the lcm of the monomials with fields fa and fb,
+    the fieldwise max: a field's guard survives (fa | _GUARDS) - fb exactly
+    when fa's field is at least fb's; each surviving guard g becomes the
+    mask g - g >> (_FIELD_BITS - 1) of its field's value bits, and the
+    masked fields come from fa, the others from fb."""
+    ge = ((fa | _GUARDS) - fb) & _GUARDS
+    return fb ^ ((fa ^ fb) & (ge - (ge >> (_FIELD_BITS - 1))))
+
+
 # ---------------------------------------------------------------------------
 # the fraction-free kernel
 # ---------------------------------------------------------------------------
@@ -350,19 +370,26 @@ def _primitive(terms):
 class _Kernel:
     """Primitive integer polynomials in packed monomials, each with its
     leading monomial, exponent fields, leading coefficient and tail stored
-    once, and full reduction by them."""
+    once, and full reduction by them.
 
-    __slots__ = ("order", "leads", "fields", "lcs", "tails")
+    Elements are only appended, and a replacement keeps its leading
+    monomial, so the first element whose leading monomial divides a given
+    monomial never changes once found: reduce() memoises it per packed
+    monomial in first, or ~n when none of the first n elements divides."""
+
+    __slots__ = ("order", "leads", "fields", "lcs", "tails", "first")
 
     def __init__(self, order):
         self.order = order
         self.leads, self.fields, self.lcs, self.tails = [], [], [], []
+        self.first = {}
 
     def __len__(self):
         return len(self.leads)
 
     def add(self, terms, i=None):
-        """Append terms (packed monomial -> int), or replace element i."""
+        """Append terms (packed monomial -> int), or replace element i by
+        terms with the same leading monomial."""
         lead = max(terms)
         row = (lead, self.order.fields(lead), terms[lead],
                [(k, c) for k, c in terms.items() if k != lead])
@@ -370,6 +397,8 @@ class _Kernel:
             i = len(self.leads)
             for column in (self.leads, self.fields, self.lcs, self.tails):
                 column.append(None)
+        elif lead != self.leads[i]:
+            raise InternalError(f"replacing kernel element {i} would change its leading monomial")
         self.leads[i], self.fields[i], self.lcs[i], self.tails[i] = row
 
     def terms(self, i):
@@ -381,11 +410,14 @@ class _Kernel:
         term of rem divisible by a leading monomial.
 
         The largest term is taken from a heap; its divisor is the first
-        element whose leading monomial divides it, and with d = gcd(c, lc)
+        element whose leading monomial divides it (memoised, so a monomial
+        met again is only tested against the elements appended since its
+        last scan), and with d = gcd(c, lc)
         the step is cur := (lc/d) * cur - (c/d) * m * element.  When steps
         is a list, each step appends (i, m, c/d, scale after the step), from
         which quotients() rebuilds the q_i."""
         leads, fields, lcs, tails = self.leads, self.fields, self.lcs, self.tails
+        first, n = self.first, len(fields)
         negated = self.order._negated
         heap = [-k for k in cur]
         heapify(heap)
@@ -396,13 +428,18 @@ class _Kernel:
             c = cur.pop(k, 0)
             if not c:  # cancelled after it was pushed
                 continue
-            f = (-k if negated else k) & _LOW
-            for i, lf in enumerate(fields):
-                if ((f | _GUARDS) - lf) & _GUARDS == _GUARDS:
-                    break
-            else:
-                rem[k] = c
-                continue
+            i = first.get(k)
+            if i is None or i < 0:
+                f = (-k if negated else k) & _LOW
+                for i in range(0 if i is None else ~i, n):
+                    if ((f | _GUARDS) - fields[i]) & _GUARDS == _GUARDS:
+                        break
+                else:
+                    i = ~n
+                first[k] = i
+                if i < 0:
+                    rem[k] = c
+                    continue
             lc = lcs[i]
             d = math.gcd(c, lc)
             a, b = lc // d, c // d
@@ -520,48 +557,20 @@ def spoly(f, g, order):
 
 
 def buchberger(ideal, order: MonomialOrder) -> GroebnerBasis:
-    """Reduced Groebner basis (product + chain criteria, normal selection)."""
+    """Reduced Groebner basis: normal selection (smallest lcm first, ties by
+    index) and Gebauer-Moeller pair updates (_update)."""
     gens = list(ideal.generators if isinstance(ideal, PolyIdeal) else ideal)
     gens = [g for g in gens if g]
     if not gens:
         raise PreconditionError("no nonzero generators")
 
     kb = _Kernel(order)
-    exps = []  # leading exponent tuple per element
-
-    def push(terms):
-        kb.add(terms)
-        exps.append(order.unpack(kb.leads[-1]))
-
+    active = []  # the elements that still form pairs
+    pairs = []  # heap of (packed lcm, i, j, lcm fields) with i < j
     for g in gens:
-        push(_to_kernel(g, order)[0])
-
-    heap = []
-
-    def add_pair(i, j):
-        heappush(heap, (order.pack(_elcm(exps[i], exps[j])), i, j))
-
-    for i in range(len(kb)):
-        for j in range(i + 1, len(kb)):
-            add_pair(i, j)
-    done = set()
-
-    while heap:
-        l, i, j = heappop(heap)
-        done.add((i, j))
-        # product criterion
-        if all(not (a and b) for a, b in zip(exps[i], exps[j])):
-            continue
-        # chain criterion
-        lf = order.fields(l)
-        skip = False
-        for k, kf in enumerate(kb.fields):
-            if k != i and k != j and _field_divides(kf, lf):
-                if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
-                    skip = True
-                    break
-        if skip:
-            continue
+        pairs = _update(kb, _to_kernel(g, order)[0], active, pairs)
+    while pairs:
+        l, i, j, _ = heappop(pairs)
         lci, lcj = kb.lcs[i], kb.lcs[j]
         d = math.gcd(lci, lcj)
         ai, aj = lcj // d, lci // d
@@ -575,25 +584,60 @@ def buchberger(ideal, order: MonomialOrder) -> GroebnerBasis:
             else:
                 cur.pop(m, None)
         _, rem = kb.reduce(cur)
-        if not rem:
-            continue
-        n = len(kb)
-        push(_primitive(rem)[0])
-        for k in range(n):
-            add_pair(k, n)
-    return _reduced_basis(kb)
+        if rem:
+            pairs = _update(kb, _primitive(rem)[0], active, pairs)
+    return _reduced_basis(kb, active)
 
 
-def _reduced_basis(kb):
+def _update(kb, terms, active, pairs):
+    """Append terms to kb as element h and return the pair heap after the
+    Gebauer-Moeller update (Becker-Weispfenning, UPDATE), changing active in
+    place.
+
+    Of the new pairs (g, h), g active, one is kept when no other new pair's
+    lcm divides its lcm, counting the pairs after it and those already kept
+    (criteria M and F: one pair survives of several with equal lcm); the
+    kept pairs whose leading monomials are disjoint (lcm == fields sum)
+    then go (product criterion).  An old pair (g1, g2) goes when lm(h)
+    divides its lcm and its lcm differs from those of (g1, h) and (g2, h)
+    (criterion B).  The active elements whose leading monomial lm(h) divides
+    stop forming pairs; they stay in kb as reducers."""
+    h = len(kb)
+    kb.add(terms)
+    fields = kb.fields
+    fh = fields[h]
+    new = [(_field_lcm(fields[g], fh), g) for g in active]
+    kept = []
+    for n, (lf, g) in enumerate(new):
+        if lf == fields[g] + fh or not (
+            any(_field_divides(other, lf) for other, _ in new[n + 1:])
+            or any(_field_divides(other, lf) for other, _ in kept)
+        ):
+            kept.append((lf, g))
+    pack = kb.order.pack_fields
+    pairs = [
+        p for p in pairs
+        if not _field_divides(fh, p[3])
+        or _field_lcm(fields[p[1]], fh) == p[3]
+        or _field_lcm(fields[p[2]], fh) == p[3]
+    ]
+    pairs.extend((pack(lf), g, h, lf) for lf, g in kept if lf != fields[g] + fh)
+    heapify(pairs)
+    active[:] = [g for g in active if not _field_divides(fh, fields[g])]
+    active.append(h)
+    return pairs
+
+
+def _reduced_basis(kb, rows):
     """The unique reduced basis, monic over Q and sorted by leading term,
-    from a Groebner basis held in the kernel."""
+    from the kernel elements rows, which form a Groebner basis."""
     order, fields, leads = kb.order, kb.fields, kb.leads
     # drop elements whose leading monomial is divisible by another's
     keep = [
-        i for i in range(len(kb))
+        i for i in rows
         if not any(
             j != i and _field_divides(fields[j], fields[i]) and (leads[j] != leads[i] or j < i)
-            for j in range(len(kb))
+            for j in rows
         )
     ]
     red = _Kernel(order)

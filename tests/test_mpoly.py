@@ -1,14 +1,17 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveclass.errors import PreconditionError
+from curveclass.errors import InternalError, PreconditionError
 from curveclass.mpoly import (
     GREVLEX,
+    GRLEX,
     LEX,
     MPoly,
     PolyIdeal,
@@ -25,6 +28,14 @@ from curveclass.mpoly import (
     specialize_to_t,
     spoly,
     to_upoly_in,
+    _EXP_LIMIT,
+    _elcm,
+    _field_divides,
+    _field_lcm,
+    _Kernel,
+    _primitive,
+    _reduced_basis,
+    _to_kernel,
 )
 
 S, T, X, Y = (MPoly.var(v) for v in ("s", "t", "x", "y"))
@@ -281,3 +292,118 @@ def test_power_forms_no_product_past_the_top_bit(monkeypatch):
         products.clear()
         (X - 1) ** n
         assert len(products) == want, n
+
+
+# -- Gebauer-Moeller updates against the criterion-at-pop algorithm ----------
+
+def _reference_buchberger(ideal, order):
+    """Reference: every pair queued, the product and chain criteria checked
+    when a pair is popped, the same kernel and the same reduced basis."""
+    kb = _Kernel(order)
+    exps = []  # leading exponent tuple per element
+
+    def push(terms):
+        kb.add(terms)
+        exps.append(order.unpack(kb.leads[-1]))
+
+    for g in ideal:
+        push(_to_kernel(g, order)[0])
+    heap = []
+
+    def add_pair(i, j):
+        heappush(heap, (order.pack(_elcm(exps[i], exps[j])), i, j))
+
+    for i in range(len(kb)):
+        for j in range(i + 1, len(kb)):
+            add_pair(i, j)
+    done = set()
+    while heap:
+        l, i, j = heappop(heap)
+        done.add((i, j))
+        if all(not (a and b) for a, b in zip(exps[i], exps[j])):
+            continue
+        lf = order.fields(l)
+        if any(
+            k != i and k != j and _field_divides(kf, lf)
+            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+            for k, kf in enumerate(kb.fields)
+        ):
+            continue
+        lci, lcj = kb.lcs[i], kb.lcs[j]
+        d = math.gcd(lci, lcj)
+        si, sj = l - kb.leads[i], l - kb.leads[j]
+        cur = {t + si: lcj // d * c for t, c in kb.tails[i]}
+        for t, c in kb.tails[j]:
+            m = t + sj
+            v = cur.get(m, 0) - lci // d * c
+            if v:
+                cur[m] = v
+            else:
+                cur.pop(m, None)
+        _, rem = kb.reduce(cur)
+        if rem:
+            n = len(kb)
+            push(_primitive(rem)[0])
+            for k in range(n):
+                add_pair(k, n)
+    return _reduced_basis(kb, range(len(kb)))
+
+
+def _basis_terms(gb):
+    return [list(g.terms.items()) for g in gb.basis]
+
+
+@settings(deadline=None)
+@given(_ideals, _orders)
+def test_pair_updates_give_the_reference_basis(gens, order):
+    got = buchberger(PolyIdeal(gens), order)
+    assert _basis_terms(got) == _basis_terms(_reference_buchberger(PolyIdeal(gens), order))
+
+
+def test_pair_updates_give_the_reference_basis_on_the_cusp_saturation():
+    helper = MPoly.const(1) - S * X
+    ideal = PolyIdeal([cusp(), X * T - Y, helper])
+    assert _basis_terms(buchberger(ideal, LEX)) == _basis_terms(_reference_buchberger(ideal, LEX))
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX], ids=lambda o: o.name)
+def test_field_lcm_is_the_packed_exponent_max(order):
+    rng = random.Random(20)
+    edges = [0, 1, _EXP_LIMIT - 1]
+    for _ in range(500):
+        a = tuple(rng.choice(edges) if rng.random() < 0.2 else rng.randrange(_EXP_LIMIT)
+                  for _ in range(4))
+        b = tuple(rng.choice(edges) if rng.random() < 0.2 else rng.randrange(_EXP_LIMIT)
+                  for _ in range(4))
+        lf = _field_lcm(order.fields(order.pack(a)), order.fields(order.pack(b)))
+        assert lf == order.fields(order.pack(_elcm(a, b)))
+        assert order.pack_fields(lf) == order.pack(_elcm(a, b))
+
+
+def test_first_divisor_memo_sees_elements_appended_later():
+    # y^2 + 3y first meets only x, which divides neither term; y - 1,
+    # appended after, divides both, so the memoised "no divisor among the
+    # first one" must be rescanned from there
+    kb = _Kernel(LEX)
+    kb.add(_to_kernel(X, LEX)[0])
+    cur = _to_kernel(Y**2 + 3 * Y, LEX)[0]
+    assert kb.reduce(dict(cur)) == (1, cur)
+    y2 = LEX.pack((0, 0, 0, 2))
+    assert kb.first[y2] == ~1
+    kb.add(_to_kernel(Y - 1, LEX)[0])
+    fresh = _Kernel(LEX)
+    for g in (X, Y - 1):
+        fresh.add(_to_kernel(g, LEX)[0])
+    got = kb.reduce(dict(cur))
+    assert got == fresh.reduce(dict(cur))
+    assert got == (1, {LEX.pack((0, 0, 0, 0)): 4})
+    assert kb.first[y2] == 1
+
+
+def test_kernel_replacement_must_keep_the_leading_monomial():
+    kb = _Kernel(LEX)
+    kb.add(_to_kernel(X + Y, LEX)[0])
+    kb.add(_to_kernel(X + 2, LEX)[0], 0)  # same leading monomial: accepted
+    assert kb.terms(0) == _to_kernel(X + 2, LEX)[0]
+    with pytest.raises(InternalError):
+        kb.add(_to_kernel(Y + 1, LEX)[0], 0)
