@@ -9,7 +9,8 @@ program; diff their outputs to check that machine output is byte-identical.
 One line per corpus: each benchmark workload at seeds 5, 12 and 2024 with
 its trace-pass job count, each document of demo.run_demo(probe=True), and
 the singular-locus documents of the REALNESS_CURVES at the budgets
-REALNESS_BUDGETS, and three error paths, which no workload reaches:
+REALNESS_BUDGETS, the present and check-morphism documents of
+present_morphism_line, and three error paths, which no workload reaches:
 bad_locus on (curve, q) pairs
 that share a component, each outcome hashed as its exception class, exit
 code, message and component; make_curve on curves with a repeated factor,
@@ -69,6 +70,19 @@ REALNESS_CURVES = (
 )
 REALNESS_BUDGETS = (0, 1, 2, 16, 64, 399)
 
+# fuzz-shared jobs (seed 2024) whose extensions present_morphism_line
+# presents, and its check-morphism jobs (curve, u, v, function): the node
+# y^2 = x^2*(x + 1), the cusp y^2 = x^3 and y^3 = x^2 by their
+# parametrizations
+PRESENT_JOBS = 60
+MORPHISMS = (
+    ("y^2 - x^3 - x^2", "t^2 - 1", "t^3 - t", "t"),
+    ("y^2 - x^3 - x^2", "t^2 - 1", "t^3 - t", "t^2"),
+    ("y^2 - x^3", "t^2", "t^3", "t"),
+    ("y^2 - x^3", "t^2", "t^3", "t^2"),
+    ("y^3 - x^2", "t^3", "t^2", "t"),
+)
+
 # malformed texts, one or more per error of the grammar; none has a zero
 # denominator or a minus after a binary operator (the parser read 1/0 as a
 # bare ZeroDivisionError and 2*-x^2 as 2*x^2 before both were fixed)
@@ -102,6 +116,7 @@ def main(checkout):
         digest = hashlib.sha256(report.emit(doc, "machine").encode()).hexdigest()
         print(f"demo {entry.name} sha256={digest}", flush=True)
     print(realness_line(curveclass), flush=True)
+    print(present_morphism_line(curveclass, workloads), flush=True)
     print(error_path_line(curveclass, workloads), flush=True)
     print(make_curve_error_line(curveclass, workloads), flush=True)
     print(parse_error_line(curveclass), flush=True)
@@ -134,6 +149,31 @@ def realness_line(curveclass):
     docs = [report.emit(jobs.run_singular(curve, budget), "machine")
             for curve in REALNESS_CURVES for budget in REALNESS_BUDGETS]
     return f"realness curves={len(REALNESS_CURVES)} sha256={_outcome_digest(docs)}"
+
+
+def present_morphism_line(curveclass, workloads):
+    """One digest over the machine documents of jobs.run_present on the
+    first PRESENT_JOBS fuzz-shared jobs of seed 2024, with the value 0 at
+    each real bad point by index as bench/pipeline.py assigns, and of
+    jobs.run_check_morphism on MORPHISMS; an error is hashed as its class
+    and message."""
+    from curveclass import jobs, report
+
+    runs = []
+    for job in workloads.generate("fuzz-shared", 2024, PRESENT_JOBS):
+        curve = curveclass.make_curve(curveclass.parse_poly(job["curve"]))
+        points = curveclass.bad_locus(curve, curveclass.parse_poly(job["denominator"]))
+        values = [{"index": i, "value": "0"} for i, pt in enumerate(points) if pt.is_real]
+        spec = jobs.JobSpec(job["curve"], job["numerator"], job["denominator"], values)
+        runs.append((jobs.run_present, spec))
+    runs += [(jobs.run_check_morphism, jobs.MorphismJob(*m)) for m in MORPHISMS]
+    outcomes = []
+    for run, spec in runs:
+        try:
+            outcomes.append(report.emit(run(spec), "machine"))
+        except curveclass.CurveClassError as exc:
+            outcomes.append(f"{type(exc).__name__} {exc}")
+    return f"present-morphism jobs={len(runs)} sha256={_outcome_digest(outcomes)}"
 
 
 def error_path_line(curveclass, workloads):

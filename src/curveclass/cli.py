@@ -136,8 +136,9 @@ def cmd_demo(args):
 
 
 def _budget(text):
-    """argparse type of --realness-budget: a nonnegative integer."""
-    if not text.isdecimal():
+    """argparse type of --realness-budget: a nonnegative integer in ASCII
+    digits (str.isdecimal alone accepts '٣' and '３')."""
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, not {text!r}")
     return int(text)
 

@@ -48,14 +48,17 @@ class JobSpec:
 
 
 def _json_int(raw, name):
-    """raw read as an integer: an int, an integral float or a numeric
-    string; JobError otherwise."""
+    """raw read as an integer: an int, an integral float or a string of
+    ASCII digits, signed or space-padded; JobError otherwise."""
     try:
         value = int(raw)
     except (TypeError, ValueError, OverflowError):
         raise JobError(f"{name} must be an integer")
-    # int() would truncate 2.7 to 2 and read true as 1
-    if isinstance(raw, bool) or (not isinstance(raw, str) and value != raw):
+    # int() would truncate 2.7 to 2, read true as 1, and read '٣' and '1_0'
+    # as 3 and 10
+    if isinstance(raw, bool) or (
+        (not raw.isascii() or "_" in raw) if isinstance(raw, str) else value != raw
+    ):
         raise JobError(f"{name} must be an integer")
     return value
 

@@ -7,8 +7,8 @@ variables; x, y are the plane coordinates.  MPoly coefficients are in Q.
 Buchberger and normal forms run on one fraction-free kernel: polynomials
 are scaled to primitive integer polynomials over packed monomials, reduced
 by lc(g)*r - c*m*g with contents removed, and turned back into Q only where
-a basis, remainder or quotient is returned.  Every step is exact (no
-modular shortcuts, no floating point): exactness is the product.
+a basis or remainder is returned.  Every step is exact (no modular
+shortcuts, no floating point): exactness is the product.
 Everything is deterministic: term order, pair selection and tie-breaking
 are all fixed, and reduced bases are unique, so certificates reproduce
 byte-for-byte.
@@ -30,6 +30,53 @@ def var_index(name):
         return VARS.index(name)
     except ValueError:
         raise PreconditionError(f"unknown variable {name!r}; universe is {VARS}")
+
+
+# Term dicts map exponent 4-tuples to nonzero coefficients: MPoly's
+# Fractions, or the parser's ints and Fractions.  These four functions are
+# the one arithmetic on them.
+
+def _neg(p):
+    return {e: -c for e, c in p.items()}
+
+
+def _add_into(acc, p, sign):
+    """acc += sign * p, in place; zero sums are dropped."""
+    for e, c in p.items():
+        v = acc.get(e, 0) + c * sign
+        if v:
+            acc[e] = v
+        else:
+            del acc[e]
+
+
+def _mul(a, b):
+    out = {}
+    get = out.get
+    for (s1, t1, x1, y1), c1 in a.items():
+        for (s2, t2, x2, y2), c2 in b.items():
+            e = (s1 + s2, t1 + t2, x1 + x2, y1 + y2)
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _pow(p, n):
+    """p**n for n >= 0 by binary powering from the low bit: the accumulator
+    starts at the first set bit, and the square after the top bit is never
+    formed.  p**0 is {_ZERO_EXPS: 1}, an int coefficient."""
+    if not n:
+        return {_ZERO_EXPS: 1}
+    while not n & 1:
+        p = _mul(p, p)
+        n >>= 1
+    acc = p
+    n >>= 1
+    while n:
+        p = _mul(p, p)
+        if n & 1:
+            acc = _mul(acc, p)
+        n >>= 1
+    return acc
 
 
 class MPoly:
@@ -115,26 +162,23 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
+        _add_into(out, other.terms, 1)
         return MPoly._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly._raw({e: -c for e, c in self.terms.items()})
+        return MPoly._raw(_neg(self.terms))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(other)
-        return self + (-other)
+        out = dict(self.terms)
+        _add_into(out, other.terms, -1)
+        return MPoly._raw(out)
 
     def __rsub__(self, other):
-        return MPoly.const(other) + (-self)
+        return MPoly.const(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -142,36 +186,14 @@ class MPoly:
             if not c:
                 return MPoly()
             return MPoly._raw({e: cc * c for e, cc in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return MPoly._raw(out)
+        return MPoly._raw(_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        # binary powering from the low bit: the accumulator starts at the
-        # first set bit, and the square after the top bit is never formed
-        if not n:
-            return MPoly.const(1)
-        base = self
-        while not n & 1:
-            base = base * base
-            n >>= 1
-        acc = base
-        n >>= 1
-        while n:
-            base = base * base
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-        return acc
+        if n < 0:
+            raise PreconditionError(f"negative exponent {n}")
+        return MPoly._raw(_pow(self.terms, n)) if n else MPoly.const(1)
 
     def deriv(self, name):
         i = var_index(name)
@@ -305,14 +327,6 @@ def _elcm(e1, e2):
     return tuple(max(a, b) for a, b in zip(e1, e2))
 
 
-def _mono_mul(p: MPoly, exps, coeff):
-    if not coeff:
-        return MPoly()
-    return MPoly._raw(
-        {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in p.terms.items()}
-    )
-
-
 def _field_divides(fa, fb):
     """Monomial with exponent fields fa divides the one with fields fb."""
     return ((fb | _GUARDS) - fa) & _GUARDS == _GUARDS
@@ -332,9 +346,9 @@ def _field_lcm(fa, fb):
 # the fraction-free kernel
 # ---------------------------------------------------------------------------
 
-# A reduction without quotients divides out its content once its scale has
-# grown by this many bits: pseudo-division otherwise swells coefficients
-# (past 20,000 bits on one hard lex input, 73 once the content was gone).
+# A reduction divides out its content once its scale has grown by this many
+# bits: pseudo-division otherwise swells coefficients (past 20,000 bits on
+# one hard lex input, 73 once the content was gone).
 _SWELL_BITS = 256
 
 def _to_kernel(p: MPoly, order):
@@ -404,7 +418,7 @@ class _Kernel:
     def terms(self, i):
         return {self.leads[i]: self.lcs[i], **dict(self.tails[i])}
 
-    def reduce(self, cur, steps=None):
+    def reduce(self, cur):
         """Fully reduce cur (packed monomial -> int; consumed) and return
         (scale, rem) with scale * cur = sum(q_i * element_i) + rem and no
         term of rem divisible by a leading monomial.
@@ -413,9 +427,7 @@ class _Kernel:
         element whose leading monomial divides it (memoised, so a monomial
         met again is only tested against the elements appended since its
         last scan), and with d = gcd(c, lc)
-        the step is cur := (lc/d) * cur - (c/d) * m * element.  When steps
-        is a list, each step appends (i, m, c/d, scale after the step), from
-        which quotients() rebuilds the q_i."""
+        the step is cur := (lc/d) * cur - (c/d) * m * element."""
         leads, fields, lcs, tails = self.leads, self.fields, self.lcs, self.tails
         first, n = self.first, len(fields)
         negated = self.order._negated
@@ -463,9 +475,7 @@ class _Kernel:
                         cur[m] = v
                     else:
                         del cur[m]
-            if steps is not None:
-                steps.append((i, shift, b, scale))
-            elif grown >> _SWELL_BITS:
+            if grown >> _SWELL_BITS:
                 d = math.gcd(*cur.values(), *rem.values())
                 if d > 1:
                     for m in cur:
@@ -475,13 +485,6 @@ class _Kernel:
                     scale = Fraction(scale, d)
                 grown = 1
         return scale, rem
-
-    def quotients(self, steps, scale):
-        """The q_i of reduce() as packed integer terms, one dict per element."""
-        quots = [{} for _ in self.leads]
-        for i, m, b, s in steps:
-            quots[i][m] = quots[i].get(m, 0) + b * (scale // s)
-        return quots
 
 
 # ---------------------------------------------------------------------------
@@ -521,39 +524,31 @@ class GroebnerBasis:
         return f"GroebnerBasis({self.order.name}, {len(self.basis)} elements)"
 
 
-def normal_form(p: MPoly, gb: GroebnerBasis, with_quotients=False):
+def normal_form(p: MPoly, gb: GroebnerBasis):
     """Full remainder of multivariate division by the basis; zero iff p is
     in the ideal.  Divisor choice is the first basis element (fixed basis
     order) whose leading monomial divides, so the result is deterministic;
     on a reduced basis it is canonical regardless.  The division runs over
-    Z; remainder and quotients are returned exactly over Q."""
+    Z; the remainder is returned exactly over Q."""
     if not p:
-        return (MPoly(), [MPoly() for _ in gb.basis]) if with_quotients else MPoly()
+        return MPoly()
     order = gb.order
     kb = _Kernel(order)
-    scales = []
     for g in gb.basis:
-        terms, s = _to_kernel(g, order)
-        kb.add(terms)
-        scales.append(s)
+        kb.add(_to_kernel(g, order)[0])
     cur, ps = _to_kernel(p, order)
-    steps = [] if with_quotients else None
-    scale, rem = kb.reduce(cur, steps)
-    # scale * ps * p = sum(q_i * scales_i * g_i) + rem
-    inv = 1 / (scale * ps)
-    rem_poly = _to_mpoly(rem, order, inv)
-    if with_quotients:
-        return rem_poly, [
-            _to_mpoly(q, order, s * inv) for q, s in zip(kb.quotients(steps, scale), scales)
-        ]
-    return rem_poly
+    scale, rem = kb.reduce(cur)
+    # rem is the remainder of scale * ps * p
+    return _to_mpoly(rem, order, 1 / (scale * ps))
 
 
 def spoly(f, g, order):
     ef, cf = leading_term(f, order)
     eg, cg = leading_term(g, order)
     l = _elcm(ef, eg)
-    return _mono_mul(f, _ediv(l, ef), 1 / cf) - _mono_mul(g, _ediv(l, eg), 1 / cg)
+    out = _mul(f.terms, {_ediv(l, ef): 1 / cf})
+    _add_into(out, _mul(g.terms, {_ediv(l, eg): 1 / cg}), -1)
+    return MPoly._raw(out)
 
 
 def buchberger(ideal, order: MonomialOrder) -> GroebnerBasis:
@@ -804,6 +799,22 @@ def eval_at(p: MPoly, xval, yval):
 
 def lift_membership(p: MPoly, gb: GroebnerBasis):
     """Quotients of p against gb.basis, so that p = sum(q_i * gb.basis[i]);
-    None when p is not in the ideal."""
-    rem, quots = normal_form(p, gb, with_quotients=True)
-    return None if rem else quots
+    None when p is not in the ideal.  Division over Q (Becker-Weispfenning
+    5.1) by the first basis element whose leading monomial divides the
+    leading term; on a Groebner basis a nonzero member's leading term is
+    always divisible, so p is not a member once no element divides it."""
+    key = gb.order.key
+    leads = [leading_term(g, gb.order) for g in gb.basis]
+    quots = [{} for _ in leads]
+    cur = dict(p.terms)
+    while cur:
+        e = max(cur, key=key)
+        for i, (le, lc) in enumerate(leads):
+            if all(a <= b for a, b in zip(le, e)):
+                break
+        else:
+            return None
+        m = {_ediv(e, le): cur[e] / lc}
+        quots[i].update(m)
+        _add_into(cur, _mul(gb.basis[i].terms, m), -1)
+    return [MPoly._raw(q) for q in quots]

@@ -676,17 +676,10 @@ def _tower_signs(chain, emb: RealEmbedding):
     """The _zpoly.SturmSigns table of a tower chain at one embedding."""
     return zp.SturmSigns(
         chain,
-        lambda q, x: nf_sign(q.eval(_elem_const(q, x)), emb),
+        lambda q, x: nf_sign(q.eval(Fraction(x)), emb),
         lambda q: nf_sign(q.lc(), emb),
         lambda q: q.degree,
     )
-
-
-def _elem_const(p: UPoly, c):
-    """The point c at which the chain polynomial p is signed, as a Fraction:
-    p is evaluated at the rational point itself, so Horner scales p's tower
-    coefficients instead of multiplying tower elements."""
-    return Fraction(c)
 
 
 def tower_root_bound(p: UPoly, emb: RealEmbedding):

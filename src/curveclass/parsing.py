@@ -4,18 +4,18 @@ Grammar: integer and a/b rational literals, named variables, binary
 + - * ^ with nonnegative integer exponents, parentheses, unary minus.
 ^ binds tighter than unary minus, which binds tighter than *: -x^2 and
 2*-x^2 are -(x^2) and 2*(-(x^2)).  Implicit multiplication is a syntax
-error by construction.  The parser accumulates plain dicts from exponent
-4-tuples to coefficients, ints except where an a/b literal enters, and
-builds one MPoly at the end.  Printing is canonical: terms in graded-lex
-descending order, rational coefficients as a/b, explicit '*' between
-coefficient and monomial, '^' exponents; the output re-parses to an equal
-polynomial.
+error by construction.  The parser accumulates term dicts from exponent
+4-tuples to coefficients, ints except where an a/b literal enters, with
+mpoly's term-dict arithmetic (_add_into, _mul, _neg, _pow), and builds one
+MPoly at the end.  Printing is canonical: terms in graded-lex descending
+order, rational coefficients as a/b, explicit '*' between coefficient and
+monomial, '^' exponents; the output re-parses to an equal polynomial.
 """
 
 from fractions import Fraction
 
 from .errors import ParseError
-from .mpoly import GRLEX, MPoly, VARS, var_index
+from .mpoly import GRLEX, MPoly, VARS, _ZERO_EXPS, _add_into, _mul, _neg, _pow, var_index
 from .unipoly import UPoly
 
 
@@ -75,50 +75,6 @@ def _tokenize(text):
         raise ParseError(f"unexpected character {ch!r}", i)
     out.append(_Token("end", None, n))
     return out
-
-
-_ONE = (0, 0, 0, 0)
-
-
-def _neg(p):
-    return {e: -c for e, c in p.items()}
-
-
-def _add_into(acc, p, sign):
-    """acc += sign * p, in place; zero sums are dropped."""
-    for e, c in p.items():
-        v = acc.get(e, 0) + c * sign
-        if v:
-            acc[e] = v
-        else:
-            del acc[e]
-
-
-def _mul(a, b):
-    out = {}
-    get = out.get
-    for (s1, t1, x1, y1), c1 in a.items():
-        for (s2, t2, x2, y2), c2 in b.items():
-            e = (s1 + s2, t1 + t2, x1 + x2, y1 + y2)
-            out[e] = get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _pow(p, n):
-    """p**n by binary powering from the low bit, as MPoly.__pow__."""
-    if not n:
-        return {_ONE: 1}
-    while not n & 1:
-        p = _mul(p, p)
-        n >>= 1
-    acc = p
-    n >>= 1
-    while n:
-        p = _mul(p, p)
-        if n & 1:
-            acc = _mul(acc, p)
-        n >>= 1
-    return acc
 
 
 class _Parser:
@@ -188,7 +144,7 @@ class _Parser:
             return inner
         if tok.kind == "num":
             self.take()
-            return {_ONE: tok.value} if tok.value else {}
+            return {_ZERO_EXPS: tok.value} if tok.value else {}
         if tok.kind == "name":
             self.take()
             if tok.value not in self.variables:

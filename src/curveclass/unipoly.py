@@ -89,6 +89,8 @@ class UPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise PreconditionError(f"negative exponent {n}")
         acc = UPoly(self.var, [1])
         base = self
         while n:

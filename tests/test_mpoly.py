@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curveclass import mpoly
 from curveclass.errors import InternalError, PreconditionError
 from curveclass.mpoly import (
     GREVLEX,
@@ -37,6 +38,7 @@ from curveclass.mpoly import (
     _reduced_basis,
     _to_kernel,
 )
+from curveclass.unipoly import UPoly
 
 S, T, X, Y = (MPoly.var(v) for v in ("s", "t", "x", "y"))
 
@@ -252,12 +254,17 @@ def test_kernel_basis_is_reduced_and_complete(gens, order):
 
 
 @settings(deadline=None)
-@given(_ideals, _orders, _polys)
-def test_kernel_normal_form_quotients_are_exact(gens, order, p):
+@given(_ideals, _orders, st.lists(_polys, min_size=3, max_size=3), _polys)
+def test_lift_membership_quotients_are_exact(gens, order, cofactors, p):
     gb = buchberger(PolyIdeal(gens), order)
-    rem, quots = normal_form(p, gb, with_quotients=True)
-    assert rem == normal_form(p, gb)
-    assert sum((q * g for q, g in zip(quots, gb.basis)), rem) == p
+    member = sum((r * g for r, g in zip(cofactors, gens)), MPoly())
+    quots = lift_membership(member, gb)
+    assert quots is not None and len(quots) == len(gb.basis)
+    assert sum((q * g for q, g in zip(quots, gb.basis)), MPoly()) == member
+    quots = lift_membership(p, gb)
+    assert (quots is None) == bool(normal_form(p, gb))
+    if quots is not None:
+        assert sum((q * g for q, g in zip(quots, gb.basis)), MPoly()) == p
 
 
 def _power_from_one(p, n):
@@ -286,12 +293,21 @@ def test_power_equals_repeated_products(p):
 
 def test_power_forms_no_product_past_the_top_bit(monkeypatch):
     products = []
-    mul = MPoly.__mul__
-    monkeypatch.setattr(MPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    mul = mpoly._mul
+    monkeypatch.setattr(mpoly, "_mul", lambda a, b: products.append(1) or mul(a, b))
     for n, want in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)):
         products.clear()
         (X - 1) ** n
         assert len(products) == want, n
+
+
+def test_negative_powers_are_refused():
+    # n >> 1 stays -1 for n = -1, so powering never ended: it squared the
+    # base on every round
+    with pytest.raises(PreconditionError):
+        X ** -1
+    with pytest.raises(PreconditionError):
+        UPoly("x", [1, 1]) ** -1
 
 
 # -- Gebauer-Moeller updates against the criterion-at-pop algorithm ----------

@@ -218,13 +218,13 @@ def test_isolation_evaluates_each_chain_polynomial_once_per_point(monkeypatch):
     a = F.gen(0)
     p = UPoly("y", [10 * a * a * a, -5 * a * a, -2 * a, F.one()])
     seen = []
-    elem_const = numfield._elem_const
+    evaluate = UPoly.eval
 
-    def recording(q, c):
-        seen.append((id(q), c))
-        return elem_const(q, c)
+    def recording(q, x):
+        seen.append((id(q), x))
+        return evaluate(q, x)
 
-    monkeypatch.setattr(numfield, "_elem_const", recording)
+    monkeypatch.setattr(UPoly, "eval", recording)
     chain = tower_sturm_chain(p)
     for emb in level0_real_embeddings(F):
         seen.clear()

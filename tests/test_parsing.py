@@ -86,18 +86,81 @@ def test_roundtrip_random_polynomials():
         assert format_poly(parse_poly(text)) == text
 
 
-# -- the MPoly-operation parser as a differential oracle ---------------------
+# -- a reference arithmetic, and the parser evaluated with it ---------------
+import itertools  # noqa: E402
 import re  # noqa: E402
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from curveclass.parsing import _tokenize  # noqa: E402
 
+# Reference term-dict arithmetic (exponent tuples -> Fractions) in its
+# generic form: zip-summed exponents, zero sums dropped as they arise,
+# powers as repeated products.  parse_poly and MPoly share mpoly's term-dict
+# kernels, so an oracle built on either would only compare those kernels
+# with themselves.
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e, 0) + sign * c
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            v = out.get(e, 0) + c1 * c2
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _ref_pow(p, n):
+    acc = {(0, 0, 0, 0): Fraction(1)}
+    for _ in range(n):
+        acc = _ref_mul(acc, p)
+    return acc
+
+
+# few monomials and small coefficients, so that sums and products cancel
+_TERMS = st.dictionaries(
+    st.sampled_from([e for e in itertools.product((0, 1), repeat=4) if sum(e) <= 2]),
+    st.sampled_from([Fraction(c, d) for c in (-2, -1, 1, 2) for d in (1, 2)]),
+    max_size=5,
+)
+_X_PLUS_1 = {(0, 0, 1, 0): Fraction(1), (0, 0, 0, 0): Fraction(1)}
+
+
+@settings(deadline=None, max_examples=200)
+@given(a=_TERMS, b=_TERMS, n=st.integers(0, 4))
+@example(a=_X_PLUS_1, b=_ref_add(_X_PLUS_1, {(0, 0, 0, 0): Fraction(2)}, -1), n=2)
+@example(a=_X_PLUS_1, b=_X_PLUS_1, n=0)
+def test_mpoly_arithmetic_matches_the_reference(a, b, n):
+    p, q = MPoly(a), MPoly(b)
+    for got, want in (
+        (p + q, _ref_add(a, b)),
+        (p - q, _ref_add(a, b, -1)),
+        (-p, _ref_add({}, a, -1)),
+        (p * q, _ref_mul(a, b)),
+        (p**n, _ref_pow(a, n)),
+    ):
+        assert got.terms == want
+        assert all(type(c) is Fraction for c in got.terms.values())
+
 
 class _MPolyParser:
-    """Reference: the grammar evaluated with MPoly arithmetic at every
-    step, unary minus negating a whole factor."""
+    """Reference: the grammar evaluated with the reference arithmetic at
+    every step, unary minus negating a whole factor."""
 
     def __init__(self, text):
         self.toks = _tokenize(text)
@@ -125,24 +188,23 @@ class _MPolyParser:
         if self.peek().kind in "+-":
             if self.take().kind == "-":
                 sign = -1
-        acc = self.parse_term() * sign
+        acc = _ref_add({}, self.parse_term(), sign)
         while self.peek().kind in "+-":
             op = self.take().kind
-            term = self.parse_term()
-            acc = acc + term if op == "+" else acc - term
+            acc = _ref_add(acc, self.parse_term(), 1 if op == "+" else -1)
         return acc
 
     def parse_term(self):
         acc = self.parse_factor()
         while self.peek().kind == "*":
             self.take()
-            acc = acc * self.parse_factor()
+            acc = _ref_mul(acc, self.parse_factor())
         return acc
 
     def parse_factor(self):
         if self.peek().kind == "-":
             self.take()
-            return -self.parse_factor()
+            return _ref_add({}, self.parse_factor(), -1)
         base = self.parse_base()
         if self.peek().kind == "^":
             pos = self.take().pos
@@ -155,7 +217,7 @@ class _MPolyParser:
                 raise ParseError("negative exponent", pos)
             if tok.value.denominator != 1 or tok.value < 0:
                 raise ParseError("exponent must be a nonnegative integer", tok.pos)
-            return base ** int(tok.value)
+            return _ref_pow(base, int(tok.value))
         return base
 
     def parse_base(self):
@@ -167,18 +229,18 @@ class _MPolyParser:
             return inner
         if tok.kind == "num":
             self.take()
-            return MPoly.const(tok.value)
+            return {(0, 0, 0, 0): Fraction(tok.value)} if tok.value else {}
         if tok.kind == "name":
             self.take()
             if tok.value not in ("x", "y"):
                 raise ParseError(f"unknown variable {tok.value!r}", tok.pos)
-            return MPoly.var(tok.value)
+            return {(0, 0, 1, 0) if tok.value == "x" else (0, 0, 0, 1): Fraction(1)}
         raise ParseError(f"unexpected token {tok.kind!r}", tok.pos)
 
 
 def _outcome(parse, text):
     try:
-        return ("ok", parse(text).terms)
+        return ("ok", parse(text))
     except ParseError as exc:
         return ("error", str(exc), exc.position)
 
@@ -211,7 +273,7 @@ _EXPRESSIONS = st.recursive(_ATOMS, _expressions, max_leaves=8)
 @given(text=_EXPRESSIONS)
 def test_parse_poly_matches_the_mpoly_operation_parser(text):
     got = parse_poly(text)
-    assert got.terms == _MPolyParser(text).parse().terms
+    assert got.terms == _MPolyParser(text).parse()
     assert all(type(c) is Fraction for c in got.terms.values())
 
 
@@ -227,5 +289,5 @@ def test_parse_poly_mutations_fail_like_the_mpoly_operation_parser(text, data):
     ]))
     # an exponent of two digits can blow a nested power up past any budget
     assume(not re.search(r"\^\s*\d\d", mutated))
-    got = _outcome(parse_poly, mutated)
+    got = _outcome(lambda t: parse_poly(t).terms, mutated)
     assert got == _outcome(lambda t: _MPolyParser(t).parse(), mutated)

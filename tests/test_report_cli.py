@@ -356,10 +356,14 @@ _GOOD_JOB = {
         {**_GOOD_JOB, "assignments": [{"index": 1.5, "value": "0"}]},
         {**_GOOD_JOB, "assignments": [{"point": "00", "value": "0"}]},
         {**_GOOD_JOB, "assignments": [{"point": {"0": 0, "1": 0}, "value": "0"}]},
+        # int() reads '\u0663' (Arabic-Indic three) as 3 and '1_0' as 10
+        {**_GOOD_JOB, "realness_budget": "\u0663"},
+        {**_GOOD_JOB, "assignments": [{"index": "1_0", "value": "0"}]},
     ],
     ids=["non-object", "curve-number", "assignments-number", "assignment-string",
          "point-number", "budget-text", "budget-fraction", "budget-bool", "probe-text",
-         "index-fraction", "point-string", "point-object"],
+         "index-fraction", "point-string", "point-object", "budget-non-ascii-digit",
+         "index-underscore"],
 )
 def test_cli_malformed_job_field_is_a_job_error(tmp_path, job):
     path = tmp_path / "job.json"
@@ -455,6 +459,16 @@ def test_cli_negative_realness_budget_is_rejected(tmp_path):
     assert r.stderr.startswith("error[9]: ") and "Traceback" not in r.stderr
 
 
+def test_cli_realness_budget_takes_ascii_digits_only(tmp_path):
+    # str.isdecimal accepts '\uff13' (fullwidth three) and '\u0663'
+    # (Arabic-Indic three); the tokenizer takes ASCII 0-9 only
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(_NO_REAL_POINT_JOB))
+    for digit in ("\uff13", "\u0663"):
+        r = _run_cli(["classify", "--input", str(path), "--realness-budget", digit])
+        assert r.returncode == 2 and "--realness-budget" in r.stderr
+
+
 @pytest.mark.parametrize("budget", [-0.5, False, float("inf"), float("nan"), "2.7", None])
 def test_job_budget_that_is_not_an_integer_is_a_job_error(budget):
     with pytest.raises(JobError) as exc:
@@ -462,7 +476,7 @@ def test_job_budget_that_is_not_an_integer_is_a_job_error(budget):
     assert exc.value.code == 9
 
 
-@pytest.mark.parametrize("budget", [64, 64.0, "64", 0, 0.0])
+@pytest.mark.parametrize("budget", [64, 64.0, "64", 0, 0.0, "7", " 7 "])
 def test_job_budget_integral_forms_are_accepted(budget):
     assert JobSpec.from_dict({**_GOOD_JOB, "realness_budget": budget}).realness_budget == int(budget)
 
