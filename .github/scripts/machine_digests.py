@@ -10,7 +10,8 @@ One line per corpus: each benchmark workload at seeds 5, 12 and 2024 with
 its trace-pass job count, each document of demo.run_demo(probe=True), and
 the singular-locus documents of the REALNESS_CURVES at the budgets
 REALNESS_BUDGETS, the present and check-morphism documents of
-present_morphism_line, and three error paths, which no workload reaches:
+present_morphism_line, the continuity-probe results of probe_line, and
+three error paths, which no workload reaches:
 bad_locus on (curve, q) pairs
 that share a component, each outcome hashed as its exception class, exit
 code, message and component; make_curve on curves with a repeated factor,
@@ -21,6 +22,7 @@ outcome hashed as its exception class, exit code, message and position.
 
 import hashlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 SEEDS = (5, 12, 2024)
@@ -83,6 +85,10 @@ MORPHISMS = (
     ("y^3 - x^2", "t^3", "t^2", "t"),
 )
 
+# tower-split and fuzz-shared jobs (seed 2024, each) whose functions
+# probe_line probes
+PROBE_JOBS = 40
+
 # malformed texts, one or more per error of the grammar; none has a zero
 # denominator or a minus after a binary operator (the parser read 1/0 as a
 # bare ZeroDivisionError and 2*-x^2 as 2*x^2 before both were fixed)
@@ -117,6 +123,7 @@ def main(checkout):
         print(f"demo {entry.name} sha256={digest}", flush=True)
     print(realness_line(curveclass), flush=True)
     print(present_morphism_line(curveclass, workloads), flush=True)
+    print(probe_line(curveclass, workloads), flush=True)
     print(error_path_line(curveclass, workloads), flush=True)
     print(make_curve_error_line(curveclass, workloads), flush=True)
     print(parse_error_line(curveclass), flush=True)
@@ -174,6 +181,27 @@ def present_morphism_line(curveclass, workloads):
         except curveclass.CurveClassError as exc:
             outcomes.append(f"{type(exc).__name__} {exc}")
     return f"present-morphism jobs={len(runs)} sha256={_outcome_digest(outcomes)}"
+
+
+def probe_line(curveclass, workloads):
+    """One digest over probe_function(f)["points"] on the first PROBE_JOBS
+    tower-split and fuzz-shared jobs of seed 2024, with the value 0 at each
+    real bad point by index as bench/pipeline.py assigns: the repr of each
+    point's result, the point shown by format_point, so every outcome, gap
+    and width is hashed."""
+    from curveclass import functions, parsing
+
+    outcomes = []
+    for workload in ("tower-split", "fuzz-shared"):
+        for job in workloads.generate(workload, 2024, PROBE_JOBS):
+            curve = curveclass.make_curve(curveclass.parse_poly(job["curve"]))
+            q = curveclass.parse_poly(job["denominator"])
+            points = curveclass.bad_locus(curve, q)
+            values = [(i, Fraction(0)) for i, pt in enumerate(points) if pt.is_real]
+            f = functions.make_function(curve, curveclass.parse_poly(job["numerator"]), q, values)
+            results = functions.probe_function(f)["points"]
+            outcomes.append(repr([(parsing.format_point(pt), r) for pt, r in results]))
+    return f"probe jobs={len(outcomes)} sha256={_outcome_digest(outcomes)}"
 
 
 def error_path_line(curveclass, workloads):

@@ -150,15 +150,13 @@ def _owner_test(branch_field, level):
         chain = zp.sturm_chain(zp.zsquarefree(branch_field.zminpoly0()))
 
         def owns(emb):
-            iv = emb.interval(0)
-            return zp.sturm_count(chain, iv.lo, iv.hi) == 1
+            return zp.sturm_count(chain, *emb.interval(0)) == 1
 
         return owns
     chain = tower_sturm_chain(branch_field.minpoly(1))
 
     def owns(emb):
-        iv = emb.interval(1)
-        return tower_chain_count(chain, emb.clone_for(branch_field), iv.lo, iv.hi) == 1
+        return tower_chain_count(chain, emb.clone_for(branch_field), *emb.interval(1)) == 1
 
     return owns
 

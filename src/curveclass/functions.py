@@ -37,6 +37,8 @@ from .mpoly import (
 )
 from .numfield import (
     NFElement,
+    _rep_intervals,
+    _zhorner,
     is_zero_or_split,
     isolate_tower_roots,
     tower_chain_count,
@@ -53,7 +55,6 @@ from .unipoly import (
     upoly_gcd,  # not called here; bench/test_bench.py reads it from this module
 )
 
-from . import intervals as iv
 from . import _zpoly as zp
 
 
@@ -555,9 +556,7 @@ def _probe_at_embedding(f, pt, assigned, emb):
         emb.refine(1)
     x0 = emb.interval(0).mid()
     y0 = emb.interval(1).mid()
-    from .numfield import _rep_intervals
-
-    v_iv = _rep_intervals(assigned, emb)
+    v_lo, v_hi = _rep_intervals(assigned, emb)
     branches = {}
     for k in range(_PROBE_STEPS):
         delta = _PROBE_RADIUS * _PROBE_SHRINK ** k
@@ -577,8 +576,9 @@ def _probe_at_embedding(f, pt, assigned, emb):
                 enc = _enclose_ratio(f.p, f.q, xs, lo, hi, u)
                 if enc is None:
                     continue
-                gap = enc.distance_to(v_iv)
-                width = enc.width() + v_iv.width()
+                e_lo, e_hi = enc
+                gap = max(e_lo - v_hi, v_lo - e_hi, Fraction(0))
+                width = e_hi - e_lo + v_hi - v_lo
                 branches.setdefault((side, rank), []).append((k, gap, width))
     if not branches:
         return {"outcome": "inconclusive", "detail": "no real branch found"}
@@ -602,17 +602,20 @@ def _probe_at_embedding(f, pt, assigned, emb):
 
 
 def _enclose_ratio(p: MPoly, q: MPoly, xs, ylo, yhi, curve_spec):
-    ybox = iv.Interval(ylo, yhi)
-    pu = specialize_x(p, Fraction(xs))
-    qu = specialize_x(q, Fraction(xs))
+    """Enclosure (lo, hi) of p/q at x = xs over the isolating interval
+    (ylo, yhi) of a root of curve_spec; the interval shrinks to a quarter
+    of its width until q's enclosure excludes 0, and None if 12 rounds do
+    not get there."""
+    pc, qc = ([(c.numerator, c.numerator, c.denominator)
+               for c in specialize_x(r, Fraction(xs)).coeffs] for r in (p, q))
+    ybox = IsolatingInterval(ylo, yhi)
     for _ in range(12):
-        qenc = iv.eval_poly([iv.Interval(c) for c in qu.coeffs], ybox)
-        if not qenc.contains_zero():
-            penc = iv.eval_poly([iv.Interval(c) for c in pu.coeffs], ybox)
-            return penc / qenc
-        lo, hi = refine_interval(curve_spec, IsolatingInterval(ybox.lo, ybox.hi),
-                                 ybox.width() / 4)
-        ybox = iv.Interval(lo, hi)
+        qlo, qhi, qden = _zhorner(qc, ybox)
+        if qlo > 0 or qhi < 0:
+            plo, phi, pden = _zhorner(pc, ybox)
+            ratios = [Fraction(a * qden, b * pden) for a in (plo, phi) for b in (qlo, qhi)]
+            return min(ratios), max(ratios)
+        ybox = refine_interval(curve_spec, ybox, ybox.width() / 4)
     return None
 
 

@@ -10,10 +10,11 @@ nontrivial zero divisor the offending factor is thrown as a SplitEvent
 Real embeddings pair the tower with isolating intervals, one per level,
 and narrow them on demand; sign queries combine interval refinement with
 exact zero tests, so they are certified, never numeric guesses.  A zero
-representation is signed 0 before any refinement.  Enclosures are computed
-by Horner over integer numerators on one denominator and are exactly the
-intervals that Fraction interval arithmetic gives, so how far a shared
-embedding gets refined does not depend on how they are computed.  Root
+representation is signed 0 before any refinement.  Each level's interval
+is a unipoly.IsolatingInterval.  Enclosures are computed by one interval
+Horner over integer numerators on one denominator (_zhorner), and are
+exactly the intervals that Fraction interval arithmetic gives, so how far a
+shared embedding gets refined does not depend on how they are computed.  Root
 counting, isolation and level-1 refinement for tower polynomials feed
 these signs to the sign table of the integer kernel (_zpoly.SturmSigns),
 so over Z and over a tower they are one implementation.
@@ -41,8 +42,7 @@ from fractions import Fraction
 
 from . import _zpoly as zp
 from .errors import InternalError
-from .intervals import Interval
-from .unipoly import UPoly, to_zpoly
+from .unipoly import IsolatingInterval, UPoly, to_zpoly
 
 
 class SplitEvent(Exception):
@@ -551,47 +551,62 @@ class RealEmbedding:
 
     def __init__(self, field, intervals):
         self.field = field
-        self.intervals = [Interval(lo, hi) for lo, hi in intervals]
+        self.intervals = [_interval(lo, hi) for lo, hi in intervals]
 
     def clone_for(self, field):
-        return RealEmbedding(field, [(iv.lo, iv.hi) for iv in self.intervals])
+        return RealEmbedding(field, self.intervals)
 
     def interval(self, k):
         return self.intervals[k]
 
     def refine(self, k):
         """Halve the level-k isolating interval."""
-        iv = self.intervals[k]
+        lo, hi = self.intervals[k]
         if k == 0:
-            lo, hi = zp.zrefine(self.field.zminpoly0(), iv.lo, iv.hi, iv.width() / 2)
+            lo, hi = zp.zrefine(self.field.zminpoly0(), lo, hi, (hi - lo) / 2)
         else:  # bisect on the sign of m2(alpha, x) at this embedding
             signs = _tower_signs([self.field.minpoly(1)], self)
-            lo, hi = signs.refine(iv.lo, iv.hi, iv.width() / 2)
-        self.intervals[k] = Interval(lo, hi)
+            lo, hi = signs.refine(lo, hi, (hi - lo) / 2)
+        self.intervals[k] = _interval(lo, hi)
 
 
-def _rep_intervals(e: NFElement, emb: RealEmbedding) -> Interval:
-    """Interval enclosure of the element's value at the embedding."""
+def _interval(lo, hi) -> IsolatingInterval:
+    """[lo, hi] with Fraction endpoints (so halving a width stays exact);
+    lo > hi is a fault."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise InternalError(f"empty interval [{lo}, {hi}]")
+    return IsolatingInterval(lo, hi)
+
+
+def _rep_intervals(e: NFElement, emb: RealEmbedding):
+    """Enclosure (lo, hi) of the element's value at the embedding."""
     lo, hi, den = _rep_zival(e.rep, e.field.depth, emb)
-    return Interval(Fraction(lo, den), Fraction(hi, den))
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def _rep_zival(rep, depth, emb):
-    """The enclosure as integers (lo, hi, den), den > 0: Horner over the
-    level interval put on one denominator, each step the min and max of the
-    four endpoint products.  Interval arithmetic on the same values, so the
-    result is exactly the Fraction interval Horner (intervals.eval_poly)
-    gives on the coefficient enclosures, without a gcd per operation."""
+    """The enclosure as integers (lo, hi, den), den > 0: _zhorner on the
+    coefficients' enclosures and the level interval."""
     if depth == 0:
         return rep.numerator, rep.numerator, rep.denominator
-    if not rep:
+    return _zhorner([_rep_zival(c, depth - 1, emb) for c in rep], emb.interval(depth - 1))
+
+
+def _zhorner(coeffs, x):
+    """Enclosure (lo, hi, den), den > 0, of a polynomial on the interval
+    x = (low, high), from coefficient enclosures (lo, hi, den), lowest
+    degree first: Horner over the interval put on one denominator, each step
+    the min and max of the four endpoint products.  Interval arithmetic on
+    the same values, so the result is exactly what a Fraction interval
+    Horner gives, without a gcd per operation."""
+    if not coeffs:
         return 0, 0, 1
-    coeffs = [_rep_zival(c, depth - 1, emb) for c in rep]
     cden = math.lcm(*(d for _, _, d in coeffs))
-    x = emb.interval(depth - 1)
-    xden = math.lcm(x.lo.denominator, x.hi.denominator)
-    xlo = x.lo.numerator * (xden // x.lo.denominator)
-    xhi = x.hi.numerator * (xden // x.hi.denominator)
+    xl, xh = x
+    xden = math.lcm(xl.denominator, xh.denominator)
+    xlo = xl.numerator * (xden // xl.denominator)
+    xhi = xh.numerator * (xden // xh.denominator)
     clo, chi, d = coeffs[-1]
     lo, hi = clo * (cden // d), chi * (cden // d)
     scale = 1  # the accumulator's denominator is cden * scale
@@ -686,17 +701,24 @@ def tower_root_bound(p: UPoly, emb: RealEmbedding):
     """Rational B with all real roots of p at the embedding inside (-B, B)."""
     lc = p.lc()
     while True:
-        iv = _rep_intervals(lc, emb) if isinstance(lc, NFElement) else Interval(lc)
-        if not iv.contains_zero():
+        lo, hi, den = _coeff_zival(lc, emb)
+        if lo > 0 or hi < 0:
             break
         if nf_sign(lc, emb) == 0:  # splits or refines; sign 0 impossible: lc != 0
             raise InternalError("vanishing leading coefficient")
-    low = iv.abs_lower()
+    low = Fraction(min(abs(lo), abs(hi)), den)
     top = Fraction(0)
     for c in p.coeffs[:-1]:
-        civ = _rep_intervals(c, emb) if isinstance(c, NFElement) else Interval(c)
-        top = max(top, civ.abs_upper())
+        lo, hi, den = _coeff_zival(c, emb)
+        top = max(top, Fraction(max(abs(lo), abs(hi)), den))
     return top / low + 2
+
+
+def _coeff_zival(c, emb: RealEmbedding):
+    """_rep_zival of a tower or rational coefficient."""
+    if isinstance(c, NFElement):
+        return _rep_zival(c.rep, c.field.depth, emb)
+    return _rep_zival(Fraction(c), 0, emb)
 
 
 def isolate_tower_roots(chain, emb: RealEmbedding):

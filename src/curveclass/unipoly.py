@@ -257,13 +257,19 @@ def _deflate_rational_root(zcoeffs, root):
         raise InternalError(f"{root} is not a root of the polynomial") from None
 
 
-def sturm_count(a: UPoly, lo=None, hi=None) -> int:
-    """Distinct real roots of squarefree rational a in the open interval
-    (lo, hi); None means the corresponding infinity."""
+def _require_rational(a: UPoly, name):
+    """The guard of the rational-only root functions: a nonzero polynomial
+    with rational coefficients."""
     if a.is_zero():
         raise DegenerateInputError("zero polynomial")
     if not is_rational_poly(a):
-        raise PreconditionError("sturm_count needs rational coefficients")
+        raise PreconditionError(f"{name} needs rational coefficients")
+
+
+def sturm_count(a: UPoly, lo=None, hi=None) -> int:
+    """Distinct real roots of squarefree rational a in the open interval
+    (lo, hi); None means the corresponding infinity."""
+    _require_rational(a, "sturm_count")
     za, _ = to_zpoly(a)
     if zp.zdeg(zp.zgcd(za, zp.zderiv(za))) > 0:
         raise PreconditionError("sturm_count needs a squarefree polynomial")
@@ -296,22 +302,19 @@ class IsolatingInterval(NamedTuple):
 def isolate_real_roots(a: UPoly):
     """Disjoint isolating intervals, one per distinct real root of the
     squarefree part of a, ascending and Sturm-certified."""
-    if a.is_zero():
-        raise DegenerateInputError("zero polynomial")
-    if not is_rational_poly(a):
-        raise PreconditionError("isolate_real_roots needs rational coefficients")
+    _require_rational(a, "isolate_real_roots")
     za, _ = to_zpoly(a)
     return [IsolatingInterval(lo, hi) for lo, hi in zp.zisolate(za)]
 
 
 def refine_interval(a: UPoly, interval: IsolatingInterval, width) -> IsolatingInterval:
+    _require_rational(a, "refine_interval")
     za = zp.zsquarefree(to_zpoly(a)[0])
     lo, hi = zp.zrefine(za, interval.low, interval.high, Fraction(width))
     return IsolatingInterval(lo, hi)
 
 
 def rational_roots(a: UPoly):
-    if a.is_zero():
-        raise DegenerateInputError("zero polynomial")
+    _require_rational(a, "rational_roots")
     za, _ = to_zpoly(a)
     return zp.zrational_roots(za)

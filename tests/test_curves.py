@@ -281,7 +281,7 @@ def test_bad_locus_constant_denominator_is_empty():
 
 
 def _intervals(pts):
-    return [[[(iv.lo, iv.hi) for iv in emb.intervals] for emb in pt.embeddings] for pt in pts]
+    return [[[(iv.low, iv.high) for iv in emb.intervals] for emb in pt.embeddings] for pt in pts]
 
 
 def _split_prone_point(m1_ints, m2_coeffs):
@@ -304,11 +304,11 @@ def _reference_owners(pt, level):
     def owns(br, emb):
         iv = emb.interval(level)
         if level == 0:
-            return sturm_count(br.minpoly(0), iv.lo, iv.hi) == 1
-        return tower_sturm_count(br.minpoly(1), emb.clone_for(br), iv.lo, iv.hi) == 1
+            return sturm_count(br.minpoly(0), iv.low, iv.high) == 1
+        return tower_sturm_count(br.minpoly(1), emb.clone_for(br), iv.low, iv.high) == 1
 
     return lambda br: [
-        [(iv.lo, iv.hi) for iv in emb.intervals] for emb in pt.embeddings if owns(br, emb)
+        [(iv.low, iv.high) for iv in emb.intervals] for emb in pt.embeddings if owns(br, emb)
     ]
 
 
@@ -730,7 +730,7 @@ def test_one_tower_chain_per_field_gives_the_per_root_embeddings(monkeypatch, m1
 
     pt = _split_prone_point(m1, m2)
     assert _intervals([pt]) == [
-        [[(iv.lo, iv.hi) for iv in e.intervals] for e in _embeddings_per_root(pt.field)]
+        [[(iv.low, iv.high) for iv in e.intervals] for e in _embeddings_per_root(pt.field)]
     ]
     chains = []
     build = curves.tower_sturm_chain
@@ -795,7 +795,7 @@ def _captured_fields(jobs_per_seed=60):
 
 
 def _emb_intervals(embs):
-    return [[(iv.lo, iv.hi) for iv in e.intervals] for e in embs]
+    return [[(iv.low, iv.high) for iv in e.intervals] for e in embs]
 
 
 def _m2_is_rational(field):

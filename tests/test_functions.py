@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curveclass.curves import bad_locus, make_curve
+from curveclass.curves import bad_locus, make_curve, specialize_x
 from curveclass.errors import AssignmentError, CurveClassError, NotIntegralError
 from curveclass import functions
 from curveclass.functions import (
@@ -34,6 +34,7 @@ from curveclass.mpoly import (
 )
 from curveclass.parsing import format_poly, parse_poly
 from curveclass.report import fiber_rows
+from curveclass.unipoly import IsolatingInterval, isolate_real_roots, refine_interval
 
 X, Y, T = MPoly.var("x"), MPoly.var("y"), MPoly.var("t")
 
@@ -481,3 +482,81 @@ def test_regular_witness_agrees_with_membership_in_F_q(curve_text, p, q):
     by_F = GroebnerBasis(LEX, [f.curve.F])
     assert not normal_form(p - h * q, by_F)
     assert normal_form(h, by_F) == h
+
+
+# -- the probe's enclosure of p/q, against a Fraction interval Horner -------
+
+def _fraction_horner(coeffs, box):
+    """Reference: Horner over closed Fraction intervals on box = (lo, hi),
+    point coefficients lowest degree first."""
+    lo = hi = Fraction(0)
+    for c in reversed(coeffs):
+        products = (lo * box[0], lo * box[1], hi * box[0], hi * box[1])
+        lo, hi = min(products) + c, max(products) + c
+    return lo, hi
+
+
+def _reference_ratio(p, q, xs, lo, hi, u):
+    """(enclosure of p/q or None, refinements made): the box shrinks to a
+    quarter of its width until q's enclosure leaves 0, at most 12 times;
+    the quotient multiplies p's enclosure by [1/q_hi, 1/q_lo]."""
+    pc, qc = specialize_x(p, xs).coeffs, specialize_x(q, xs).coeffs
+    box = IsolatingInterval(lo, hi)
+    for step in range(12):
+        q_lo, q_hi = _fraction_horner(qc, box)
+        if q_lo > 0 or q_hi < 0:
+            p_lo, p_hi = _fraction_horner(pc, box)
+            products = [a * b for a in (p_lo, p_hi) for b in (1 / q_hi, 1 / q_lo)]
+            return (min(products), max(products)), step
+        box = refine_interval(u, box, box.width() / 4)
+    return None, 12
+
+
+_ENCLOSE_CURVES = ("y^2 - x", "y^2 - x^3 - x^2", "y^3 - x*y + 1", "y^2 + x^2 - 4")
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _xy_poly(draw):
+    terms = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), _small), max_size=5))
+    out = MPoly.const(draw(_small))
+    for i, j, c in terms:
+        out = out + c * X ** i * Y ** j
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_enclose_ratio_equals_the_fraction_interval_horner_quotient(data):
+    F = parse_poly(data.draw(st.sampled_from(_ENCLOSE_CURVES)))
+    xs = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=8))
+    u = specialize_x(F, xs)
+    assume(u.degree >= 1)
+    roots = isolate_real_roots(u)
+    assume(roots)
+    ival = data.draw(st.sampled_from(roots))
+    if data.draw(st.booleans()):
+        ival = refine_interval(u, ival, Fraction(1, data.draw(st.integers(1, 64))))
+    p = _xy_poly(data.draw)
+    if data.draw(st.booleans()):
+        # vanishes at the interval's midpoint, so q's first enclosure
+        # straddles 0 and the refinement loop runs
+        q = data.draw(_small.filter(bool)) * (Y - ival.mid()) + (X - xs) * _xy_poly(data.draw)
+    else:
+        q = _xy_poly(data.draw)
+    want, _ = _reference_ratio(p, q, xs, ival.low, ival.high, u)
+    assert functions._enclose_ratio(p, q, xs, ival.low, ival.high, u) == want
+
+
+def test_enclose_ratio_refines_until_q_leaves_zero():
+    curve = parse_poly("y^2 - x")
+    xs = Fraction(2)
+    u = specialize_x(curve, xs)
+    ival = isolate_real_roots(u)[-1]  # sqrt(2)
+    p = X + Y
+    # y - mid straddles 0 on the first box; y^2 - x vanishes at the root
+    q = Y - ival.mid()
+    want, steps = _reference_ratio(p, q, xs, ival.low, ival.high, u)
+    assert want is not None and steps > 0
+    assert functions._enclose_ratio(p, q, xs, ival.low, ival.high, u) == want
+    assert _reference_ratio(p, curve, xs, ival.low, ival.high, u) == (None, 12)
+    assert functions._enclose_ratio(p, curve, xs, ival.low, ival.high, u) is None

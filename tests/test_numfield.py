@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from curveclass._zpoly import zisolate, zmul, zsquarefree
 from curveclass.errors import InternalError
-from curveclass.intervals import Interval, eval_poly
 from curveclass.numfield import (
     NFElement,
     RealEmbedding,
@@ -291,7 +290,7 @@ def test_refine_keeps_its_intervals_at_levels_0_and_1():
     ]
     for k, *want in steps:
         emb.refine(k)
-        got = [emb.interval(0).lo, emb.interval(0).hi, emb.interval(1).lo, emb.interval(1).hi]
+        got = [*emb.interval(0), *emb.interval(1)]
         assert got == [Fraction(*w) for w in want]
     # at the rational point (1/2, -3) every midpoint is the root; a step
     # halves its level and keeps the point, and a level-1 step signs
@@ -304,20 +303,38 @@ def test_refine_keeps_its_intervals_at_levels_0_and_1():
         emb.refine(k)
         after = [emb.interval(0), emb.interval(1)]
         for old, new, v in zip(before, after, point):
-            assert old.lo <= new.lo <= v <= new.hi <= old.hi
+            assert old.low <= new.low <= v <= new.high <= old.high
         assert after[k].width() <= before[k].width() / 2
         if k == 1:
-            assert (after[0].lo, after[0].hi) == (before[0].lo, before[0].hi)
+            assert (after[0].low, after[0].high) == (before[0].low, before[0].high)
+
+
+def test_an_empty_level_interval_is_a_fault():
+    # an explicit check, not an assert: it holds under python -O too
+    with pytest.raises(InternalError):
+        RealEmbedding(sqrt2_field(), [(1, 0)])
+    emb = RealEmbedding(sqrt2_field(), [(1, 2)])
+    assert emb.interval(0) == (Fraction(1), Fraction(2))
+    assert all(type(v) is Fraction for v in emb.interval(0))
+    assert emb.interval(0).width() / 2 == Fraction(1, 2)
+
+
+def _fraction_interval_horner(coeffs, x):
+    """Reference enclosure: Horner over closed Fraction intervals (lo, hi),
+    coefficients lowest degree first, on the interval x."""
+    lo = hi = Fraction(0)
+    for clo, chi in reversed(coeffs):
+        products = (lo * x[0], lo * x[1], hi * x[0], hi * x[1])
+        lo, hi = min(products) + clo, max(products) + chi
+    return lo, hi
 
 
 def _fraction_enclosure(rep, depth, emb):
-    """Reference enclosure: Horner over Fraction intervals."""
+    """Reference enclosure of a tower rep: the Fraction interval Horner."""
     if depth == 0:
-        return Interval(rep)
-    if not rep:
-        return Interval(0)
+        return rep, rep
     coeffs = [_fraction_enclosure(c, depth - 1, emb) for c in rep]
-    return eval_poly(coeffs, emb.interval(depth - 1))
+    return _fraction_interval_horner(coeffs, emb.interval(depth - 1))
 
 
 def _trimmed(seq):
@@ -358,7 +375,7 @@ def test_integer_enclosure_equals_the_fraction_interval_horner(depth, data):
     emb = RealEmbedding(F, [data.draw(_level_interval()) for _ in range(depth)])
     got = _rep_intervals(NFElement(F, rep), emb)
     want = _fraction_enclosure(rep, depth, emb)
-    assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert got == want
 
 
 def test_sign_of_a_zero_element_refines_no_embedding():
@@ -371,9 +388,9 @@ def test_sign_of_a_zero_element_refines_no_embedding():
         (b * b - F.gen(0), RealEmbedding(F, [(1, 2), (1, 2)])),
         (F.zero(), RealEmbedding(F, [(1, 2), (1, 2)])),
     ):
-        before = [(iv.lo, iv.hi) for iv in emb.intervals]
+        before = [(iv.low, iv.high) for iv in emb.intervals]
         assert nf_sign(zero, emb) == 0
-        assert [(iv.lo, iv.hi) for iv in emb.intervals] == before
+        assert [(iv.low, iv.high) for iv in emb.intervals] == before
 
 
 def test_level0_refinement_builds_the_integer_m1_once_per_field(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from curveclass._zpoly import zsign_at
 from curveclass.errors import DegenerateInputError, PreconditionError
 from curveclass.unipoly import (
+    IsolatingInterval,
     UPoly,
     count_distinct_complex_roots,
     isolate_real_roots,
@@ -288,3 +289,21 @@ def test_only_irrational_coefficients_take_the_tower_euclid(monkeypatch):
     # (t + a)^2: the Euclid over the tower
     assert squarefree_part(UPoly("t", [a * a, 2 * a, one])) == UPoly("t", [a, one])
     assert len(calls) == 1
+
+
+_HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("query", [
+    sturm_count,
+    isolate_real_roots,
+    rational_roots,
+    lambda a: refine_interval(a, IsolatingInterval(Fraction(-2), Fraction(2)), _HALF),
+], ids=["sturm_count", "isolate_real_roots", "rational_roots", "refine_interval"])
+def test_rational_root_functions_refuse_zero_and_tower_polynomials(query):
+    # the library's errors, not AttributeError or ValueError from the kernel
+    with pytest.raises(DegenerateInputError):
+        query(UPoly("x", []))
+    sqrt2 = field_from_qpoly("a", X(-2, 0, 1))
+    with pytest.raises(PreconditionError):
+        query(UPoly("y", [sqrt2.gen(0), sqrt2.one()]))
