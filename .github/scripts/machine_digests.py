@@ -10,8 +10,9 @@ One line per corpus: each benchmark workload at seeds 5, 12 and 2024 with
 its trace-pass job count, each document of demo.run_demo(probe=True), and
 the singular-locus documents of the REALNESS_CURVES at the budgets
 REALNESS_BUDGETS, the present and check-morphism documents of
-present_morphism_line, the continuity-probe results of probe_line, and
-three error paths, which no workload reaches:
+present_morphism_line, the continuity-probe results of probe_line, the
+twice-classified curves of reuse_line, and three error paths, which no
+workload reaches:
 bad_locus on (curve, q) pairs
 that share a component, each outcome hashed as its exception class, exit
 code, message and component; make_curve on curves with a repeated factor,
@@ -89,6 +90,12 @@ MORPHISMS = (
 # probe_line probes
 PROBE_JOBS = 40
 
+# tower-split and fuzz-shared jobs (seed 2024, each) that reuse_line
+# classifies twice on one curve, and how often it refines every embedding
+# it was handed at each level between the two rounds
+REUSE_JOBS = 40
+REUSE_REFINES = 6
+
 # malformed texts, one or more per error of the grammar; none has a zero
 # denominator or a minus after a binary operator (the parser read 1/0 as a
 # bare ZeroDivisionError and 2*-x^2 as 2*x^2 before both were fixed)
@@ -124,6 +131,7 @@ def main(checkout):
     print(realness_line(curveclass), flush=True)
     print(present_morphism_line(curveclass, workloads), flush=True)
     print(probe_line(curveclass, workloads), flush=True)
+    print(reuse_line(curveclass, workloads), flush=True)
     print(error_path_line(curveclass, workloads), flush=True)
     print(make_curve_error_line(curveclass, workloads), flush=True)
     print(parse_error_line(curveclass), flush=True)
@@ -202,6 +210,43 @@ def probe_line(curveclass, workloads):
             results = functions.probe_function(f)["points"]
             outcomes.append(repr([(parsing.format_point(pt), r) for pt, r in results]))
     return f"probe jobs={len(outcomes)} sha256={_outcome_digest(outcomes)}"
+
+
+def reuse_line(curveclass, workloads):
+    """One digest over the machine documents of the bench/pipeline.py
+    sequence (bad_locus, make_function, classify, emit) run twice on one
+    curve per job, for the first REUSE_JOBS tower-split and fuzz-shared jobs
+    of seed 2024.  Between the rounds every embedding the first round was
+    handed (the bad_locus points and the function's) is refined
+    REUSE_REFINES times at each level, so the second document changes if
+    what a later call returns shares intervals with what an earlier one
+    handed out."""
+    from curveclass import functions, report
+
+    docs = []
+    for workload in ("tower-split", "fuzz-shared"):
+        for job in workloads.generate(workload, 2024, REUSE_JOBS):
+            F, p, q = (curveclass.parse_poly(job[k])
+                       for k in ("curve", "numerator", "denominator"))
+            curve = curveclass.make_curve(F)
+            echo = {
+                "curve": curveclass.format_poly(F),
+                "numerator": curveclass.format_poly(p),
+                "denominator": curveclass.format_poly(q),
+            }
+            for _ in range(2):
+                points = curveclass.bad_locus(curve, q)
+                real = [i for i, pt in enumerate(points) if pt.is_real]
+                f = functions.make_function(curve, p, q, [(i, Fraction(0)) for i in real])
+                echo["assignments"] = [{"point": f"#{i}", "value": "0"} for i in real]
+                doc = report.classification_document(echo, functions.classify(f))
+                docs.append(report.emit(doc, "machine"))
+                for pt in points + f.bad_points:
+                    for emb in pt.embeddings:
+                        for k in range(emb.field.depth):
+                            for _ in range(REUSE_REFINES):
+                                emb.refine(k)
+    return f"reuse jobs={len(docs) // 2} sha256={_outcome_digest(docs)}"
 
 
 def error_path_line(curveclass, workloads):

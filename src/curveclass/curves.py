@@ -127,13 +127,23 @@ class BadPoint:
 
     def split(self, level, factor_rep):
         """Dynamic-evaluation split: replace this class by its branches,
-        reassigning each real embedding to the branch that owns its root."""
-        branches = self.field.split_level(level, factor_rep)
+        reassigning each real embedding to the branch that owns its root.
+
+        split_level divides the squarefree level polynomial exactly, so its
+        (at most two) branches are coprime factors and each embedding's root
+        belongs to exactly one of them: the owner test runs for the branches
+        before the last, and the last takes, in order, every embedding no
+        earlier branch owns.  One Sturm chain per split, none without
+        embeddings."""
+        *first, last = self.field.split_level(level, factor_rep)
         out = []
-        for br in branches:
-            owns = _owner_test(br, level) if self.embeddings else None
-            embs = [emb.clone_for(br) for emb in self.embeddings if owns(emb)]
-            out.append(BadPoint(br, embs))
+        rest = self.embeddings
+        for br in first:
+            owns = _owner_test(br, level) if rest else None
+            owned = [owns(emb) for emb in rest]
+            out.append(BadPoint(br, [e.clone_for(br) for e, o in zip(rest, owned) if o]))
+            rest = [e for e, o in zip(rest, owned) if not o]
+        out.append(BadPoint(last, [e.clone_for(last) for e in rest]))
         return out
 
     def __repr__(self):
@@ -388,7 +398,7 @@ class PlaneCurve:
     y-rows of F (to_y_dense) and their Z[x] content (y_content).  Built
     by make_curve."""
 
-    __slots__ = ("F", "_fy_chain", "_zrows", "_ycontent", "_singular", "_realness")
+    __slots__ = ("F", "_fy_chain", "_zrows", "_ycontent", "_singular", "_realness", "_bad")
 
     def __init__(self, F: MPoly, fy_chain, zrows, ycontent):
         self.F = F
@@ -397,6 +407,7 @@ class PlaneCurve:
         self._ycontent = ycontent
         self._singular = None
         self._realness = {}  # budget -> RealnessReport
+        self._bad = None  # (q, points) of the last bad locus solved
 
     def singular_locus(self):
         if self._singular is None:
@@ -449,6 +460,15 @@ def bad_locus(curve: PlaneCurve, q: MPoly):
     naming the component (bivariate_gcd(F, q)).  The locus solve is the
     test: solve_xy_system raises DegenerateInputError exactly when F and q
     share a component, so a coprime pair runs one remainder sequence.
+
+    The curve keeps the last solved (q, points), so a second call with an
+    equal q (make_function after its caller has indexed the points) does
+    not solve again; one entry bounds memory for a curve met with many
+    denominators, and errors are not kept.  Every call returns fresh
+    points on the same (immutable) fields, each embedding a copy
+    (clone_for) of the intervals the solve left: they belong to the
+    caller, and refining them changes neither the kept points nor what a
+    later call returns.
     """
     if q.is_zero():
         raise ZeroDivisorDenominatorError("denominator is zero")
@@ -456,12 +476,16 @@ def bad_locus(curve: PlaneCurve, q: MPoly):
         raise PreconditionError("denominator must use only x and y")
     if q.is_constant():
         return []
-    try:
-        return solve_xy_system([curve._zrows, to_y_dense(q)])
-    except DegenerateInputError:
-        raise ZeroDivisorDenominatorError(
-            "denominator vanishes on a curve component", component=bivariate_gcd(curve.F, q)
-        ) from None
+    if curve._bad is None or curve._bad[0] != q:
+        try:
+            points = solve_xy_system([curve._zrows, to_y_dense(q)])
+        except DegenerateInputError:
+            raise ZeroDivisorDenominatorError(
+                "denominator vanishes on a curve component", component=bivariate_gcd(curve.F, q)
+            ) from None
+        curve._bad = (q, points)
+    return [BadPoint(pt.field, [e.clone_for(pt.field) for e in pt.embeddings])
+            for pt in curve._bad[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -117,12 +117,13 @@ def make_function(curve: PlaneCurve, p: MPoly, q: MPoly, assignments=()) -> Curv
 
 
 def _resolve_locator(pts, locator):
-    if isinstance(locator, int):
+    if isinstance(locator, int) and not isinstance(locator, bool):
         if not 0 <= locator < len(pts):
             raise AssignmentError(f"bad point index {locator} out of range")
         return locator
-    x0, y0 = locator
-    x0, y0 = Fraction(x0), Fraction(y0)
+    if not isinstance(locator, (tuple, list)) or len(locator) != 2:
+        raise AssignmentError(f"a locator is an index or an (x, y) pair, not {locator!r}")
+    x0, y0 = (_exact_rational(c, "a locator coordinate") for c in locator)
     for i, pt in enumerate(pts):
         if pt.is_rational() and pt.coords() == (x0, y0):
             return i
@@ -135,8 +136,22 @@ def _coerce_value(pt: BadPoint, value):
             raise AssignmentError("assigned value lives in a different tower")
         return value
     if isinstance(value, MPoly):
+        if not value.uses_only({"x", "y"}):
+            raise AssignmentError("an assigned polynomial must use x, y only")
         return _value_at(value, pt.field)
-    return pt.field.from_fraction(Fraction(value))
+    return pt.field.from_fraction(_exact_rational(value, "an assigned value"))
+
+
+def _exact_rational(value, what):
+    """value as a Fraction: an int, a Fraction or a rational string such as
+    "1/3".  A float or a bool is refused, so no binary fraction reaches a
+    verdict."""
+    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise AssignmentError(f"{what} must be an exact rational, not {value!r}")
 
 
 def _value_at(p: MPoly, fld):

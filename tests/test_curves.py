@@ -280,6 +280,58 @@ def test_bad_locus_constant_denominator_is_empty():
     assert bad_locus(cusp(), MPoly.const(7)) == []
 
 
+def _counted_solves(monkeypatch):
+    """The argument lists of every solve_xy_system call bad_locus makes."""
+    from curveclass import curves
+
+    calls = []
+    solve = curves.solve_xy_system
+    monkeypatch.setattr(curves, "solve_xy_system", lambda *a: calls.append(a) or solve(*a))
+    return calls
+
+
+def test_second_bad_locus_hands_out_fresh_points_without_a_solve(monkeypatch):
+    # real points over x = sqrt 2 with irrational x or y, so refining moves them
+    curve = make_curve(parse_poly("(y^2 - x)*(y - x^2 - 1)"))
+    calls = _counted_solves(monkeypatch)
+    first = bad_locus(curve, parse_poly("x^2 - 2"))
+    want = _intervals(first)
+    assert sum(len(pt.embeddings) for pt in first) >= 3
+    second = bad_locus(curve, parse_poly("x^2 - 2"))  # an equal, distinct q
+    assert len(calls) == 1
+    assert _intervals(second) == want
+    assert [pt.field for pt in second] == [pt.field for pt in first]
+    assert not {id(pt) for pt in first} & {id(pt) for pt in second}
+    embs = [e for pt in first + second for e in pt.embeddings]
+    assert len({id(e) for e in embs}) == len(embs)
+    # the returned points belong to the caller: refining them all changes
+    # neither the kept points nor the next call's
+    for emb in embs:
+        for _ in range(6):
+            for k in range(emb.field.depth):
+                emb.refine(k)
+    assert _intervals(first) != want
+    assert _intervals(bad_locus(curve, parse_poly("x^2 - 2"))) == want
+    assert len(calls) == 1
+
+
+def test_bad_locus_keeps_one_entry_and_no_error(monkeypatch):
+    curve = make_curve(parse_poly("(x^2 - 2)*(y^2 - x)"))
+    q1, q2 = parse_poly("y - 1"), parse_poly("y + x")
+    calls = _counted_solves(monkeypatch)
+    points = [_intervals(bad_locus(curve, q)) for q in (q1, q2, q1)]
+    assert len(calls) == 3 and points[0] == points[2]
+    # a shared component raises the same error on every call
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ZeroDivisorDenominatorError) as exc:
+            bad_locus(curve, parse_poly("(x^2 - 2)*y"))
+        errors.append((exc.value.code, str(exc.value), format_poly(exc.value.component)))
+    assert len(calls) == 5
+    assert errors == [(4, "denominator vanishes on a curve component", "x^2 - 2")] * 2
+    assert bad_locus(curve, MPoly.const(3)) == [] and len(calls) == 5
+
+
 def _intervals(pts):
     return [[[(iv.low, iv.high) for iv in emb.intervals] for emb in pt.embeddings] for pt in pts]
 
@@ -325,7 +377,8 @@ def test_split_assigns_embeddings_like_per_embedding_sturm_counts(monkeypatch):
     build = curves.tower_sturm_chain
     monkeypatch.setattr(curves, "tower_sturm_chain", lambda p: chains.append(p) or build(p))
     branches = pt.split(1, factor)
-    assert len(chains) == len(branches) == 2  # one chain per branch, not per embedding
+    # one chain per split: the last branch owns what the first does not
+    assert len(branches) == 2 and len(chains) == 1
     ref = _reference_owners(pt, 1)
     assert [_intervals([b])[0] for b in branches] == [ref(b.field) for b in branches]
     assert [len(b.embeddings) for b in branches] == [2, 2]
@@ -342,6 +395,33 @@ def test_split_assigns_embeddings_like_per_embedding_sturm_counts(monkeypatch):
     chains.clear()
     assert [b.embeddings for b in BadPoint(pt.field, []).split(1, factor)] == [[], []]
     assert chains == []
+
+
+def test_split_owners_match_sturm_counts_on_tower_split_jobs(monkeypatch):
+    # every split of the first 40 tower-split jobs (seed 2024), checked when
+    # it happens: each branch's embeddings are the per-branch Sturm-count
+    # reference, and each parent embedding lands in exactly one branch
+    from curveclass.curves import BadPoint
+    from curveclass.functions import classify, make_function
+
+    split = BadPoint.split
+    checked = []
+
+    def split_and_check(pt, level, factor_rep):
+        branches = split(pt, level, factor_rep)
+        owned = [_reference_owners(pt, level)(b.field) for b in branches]
+        assert [_intervals([b])[0] for b in branches] == owned
+        assert sorted(sum(owned, [])) == sorted(_intervals([pt])[0])
+        checked.append(len(pt.embeddings))
+        return branches
+
+    monkeypatch.setattr(BadPoint, "split", split_and_check)
+    for job in _bench_workloads().generate("tower-split", 2024, 40):
+        curve = make_curve(parse_poly(job["curve"]))
+        q = parse_poly(job["denominator"])
+        real = [(i, 0) for i, pt in enumerate(bad_locus(curve, q)) if pt.is_real]
+        classify(make_function(curve, parse_poly(job["numerator"]), q, real))
+    assert len(checked) >= 10 and sum(checked) >= 20, checked
 
 
 def test_conjugation_symmetry_of_classes():
@@ -758,19 +838,24 @@ def test_a_field_without_real_base_roots_builds_no_tower_chain(monkeypatch):
     assert len(chains) == 1
 
 
-def _captured_fields(jobs_per_seed=60):
-    """The depth-2 fields whose embeddings the locus solves of the three
-    benchmark workloads (seeds 5 and 12) ask for, in call order."""
+def _bench_workloads():
+    """bench/workloads.py, the benchmark's job generator, as a module."""
     import importlib.util
     from pathlib import Path
-
-    from curveclass import curves
 
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
 
+
+def _captured_fields(jobs_per_seed=60):
+    """The depth-2 fields whose embeddings the locus solves of the three
+    benchmark workloads (seeds 5 and 12) ask for, in call order."""
+    from curveclass import curves
+
+    workloads = _bench_workloads()
     fields = []
     embeddings_for = curves._embeddings_for
 

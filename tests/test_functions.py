@@ -74,6 +74,42 @@ def test_make_function_validates_assignments():
         make_function(curve, Y, X, [((0, 0), 0), ((1, 1), 0)])
 
 
+@pytest.mark.parametrize(
+    "locator, value, outcome",
+    [
+        # floats and bools are refused, malformed inputs are AssignmentErrors
+        ((0, 0), 0.1, "an assigned value must be an exact rational, not 0.1"),
+        ((0, 0), True, "an assigned value must be an exact rational, not True"),
+        ((0, 0), "abc", "an assigned value must be an exact rational, not 'abc'"),
+        ((0, 0), None, "an assigned value must be an exact rational, not None"),
+        ((0, 0), "1/0", "an assigned value must be an exact rational, not '1/0'"),
+        ((0, 0), T, "an assigned polynomial must use x, y only"),
+        (True, 0, "a locator is an index or an \\(x, y\\) pair, not True"),
+        ((1, 2, 3), 0, "a locator is an index or an \\(x, y\\) pair, not \\(1, 2, 3\\)"),
+        ("ab", 0, "a locator is an index or an \\(x, y\\) pair, not 'ab'"),
+        (2.5, 0, "a locator is an index or an \\(x, y\\) pair, not 2.5"),
+        (None, 0, "a locator is an index or an \\(x, y\\) pair, not None"),
+        ((0.0, 0), 0, "a locator coordinate must be an exact rational, not 0.0"),
+        # ints, Fractions, rational strings, tower elements and polynomials
+        (0, Fraction(1, 3), Fraction(1, 3)),
+        (0, 2, 2),
+        (("0", Fraction(0)), "1/3", Fraction(1, 3)),
+        ([0, 0], "-2", -2),
+        ((0, 0), lambda fld: fld.from_fraction(Fraction(1, 3)), Fraction(1, 3)),
+        ((0, 0), X + Y + Fraction(1, 3), Fraction(1, 3)),
+    ],
+)
+def test_make_function_takes_exact_values_only(locator, value, outcome):
+    curve = make_curve(Y**2 - X**3)
+    if callable(value):  # a tower element, built on the point's field
+        value = value(bad_locus(curve, X)[0].field)
+    if isinstance(outcome, str):
+        with pytest.raises(AssignmentError, match=f"^{outcome}$"):
+            make_function(curve, Y, X, [(locator, value)])
+    else:
+        assert make_function(curve, Y, X, [(locator, value)]).assigned == [outcome]
+
+
 def test_graph_ideal_cusp_contains_expected_relations():
     f = cusp_f()
     gid = graph_ideal(f)
