@@ -33,7 +33,6 @@ from .mpoly import (
     monic_in_t_witness,
     normal_form,
     saturate_gb,
-    var_index,
 )
 from .numfield import (
     NFElement,
@@ -50,8 +49,8 @@ from .unipoly import (
     isolate_real_roots,
     nonzero_gcd,
     rational_roots,
-    refine_interval,
     squarefree_part,
+    to_zpoly,
     upoly_gcd,  # not called here; bench/test_bench.py reads it from this module
 )
 
@@ -76,7 +75,7 @@ class CurveFunction:
 
     def graph_gb(self):
         if self._graph_gb is None:
-            self._graph_gb = graph_ideal(self).gb_lex
+            self._graph_gb = graph_ideal(self)
         return self._graph_gb
 
     def __repr__(self):
@@ -167,30 +166,16 @@ def _grid(p: MPoly):
     return [row.coeffs for row in y_rows(p)]
 
 
-def _t_coefficients(p: MPoly):
-    """The coefficients in x, y of p(x, y, t), lowest power of t first."""
-    ti = var_index("t")
-    out = [{} for _ in range(max(p.degree_in("t"), 0) + 1)]
-    for e, c in p.terms.items():
-        out[e[ti]][e[:ti] + (0,) + e[ti + 1:]] = c
-    return [MPoly(terms) for terms in out]
-
-
 # ---------------------------------------------------------------------------
 # graph ideal
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GraphIdeal:
-    gb_lex: object  # GroebnerBasis, lex with t > x > y (s eliminated)
-
-
-def graph_ideal(f: CurveFunction) -> GraphIdeal:
-    """J = <F, q t - p> : q^infinity with its cached lex basis; J cuts out
-    the Zariski closure of the graph of p/q in X x A^1."""
+def graph_ideal(f: CurveFunction):
+    """The reduced lex basis (t > x > y) of J = <F, q t - p> : q^infinity,
+    which cuts out the Zariski closure of the graph of p/q in X x A^1;
+    CurveFunction.graph_gb caches it."""
     t = MPoly.var("t")
-    gb = saturate_gb(PolyIdeal([f.curve.F, f.q * t - f.p]), f.q)
-    return GraphIdeal(gb)
+    return saturate_gb(PolyIdeal([f.curve.F, f.q * t - f.p]), f.q)
 
 
 # ---------------------------------------------------------------------------
@@ -214,21 +199,14 @@ class FiberReport:
         return max(self.real_root_counts) if self.real_root_counts else None
 
 
-def _t_grids(gb_lex):
-    """Per basis element, the grid (_grid) of each of its t-coefficients."""
-    return [[_grid(c) for c in _t_coefficients(g)] for g in gb_lex.basis]
-
-
-def fiber_report(gb_lex, pt: BadPoint, assigned=None, *, grids=None) -> FiberReport:
-    """Exact fiber of the graph closure over one point class.  grids, when
-    given, is _t_grids(gb_lex), which fiber_table builds once for all points.
+def fiber_report(gb_lex, pt: BadPoint, assigned=None) -> FiberReport:
+    """Exact fiber of the graph closure over one point class: the gcd of
+    the basis elements at the point, up to scale (gb_lex.t_grids()).
 
     May raise SplitEvent; drive it through run_with_splits (classify does).
     """
-    if grids is None:
-        grids = _t_grids(gb_lex)
     at_gens = pt.field.at_gens
-    fiber = nonzero_gcd(UPoly("t", [at_gens(c) for c in g]) for g in grids)
+    fiber = nonzero_gcd(UPoly("t", [at_gens(c) for c in g]) for g in gb_lex.t_grids())
     if fiber is None:
         raise PreconditionError("graph fiber is not finite over a bad point")
     if fiber.degree <= 0:
@@ -259,15 +237,13 @@ def fiber_table(f: CurveFunction):
     """Fiber reports over every bad point, with dynamic-evaluation splits
     already resolved (so the returned points refine f.bad_points)."""
     gb = f.graph_gb()
-    grids = _t_grids(gb)
     table = []
     for pt, val in zip(f.bad_points, f.assigned):
         def fn(refined, _orig_field=pt.field, _val=val):
             v = None if _val is None else _orig_field.transfer(_val, refined.field)
-            return fiber_report(gb, refined, v, grids=grids)
+            return fiber_report(gb, refined, v)
 
-        for refined, rep in run_with_splits(pt, fn):
-            table.append(rep)
+        table.extend(rep for _, rep in run_with_splits(pt, fn))
     return table
 
 
@@ -581,14 +557,15 @@ def _probe_at_embedding(f, pt, assigned, emb):
             u = specialize_x(f.curve.F, xs)
             if u.degree < 1:
                 continue
+            zu = zp.zsquarefree(to_zpoly(u)[0])  # taken once per u
             kept = []
             for ival in isolate_real_roots(u):
-                lo, hi = refine_interval(u, ival, delta * delta)
+                lo, hi = zp.zrefine(zu, ival.low, ival.high, delta * delta)
                 mid = (lo + hi) / 2
                 if (mid - y0) * (mid - y0) <= window_sq:
                     kept.append((lo, hi))
             for rank, (lo, hi) in enumerate(kept):
-                enc = _enclose_ratio(f.p, f.q, xs, lo, hi, u)
+                enc = _enclose_ratio(f.p, f.q, xs, lo, hi, zu)
                 if enc is None:
                     continue
                 e_lo, e_hi = enc
@@ -616,11 +593,11 @@ def _probe_at_embedding(f, pt, assigned, emb):
     return {"outcome": "inconclusive", "detail": "no branch resolved at final step"}
 
 
-def _enclose_ratio(p: MPoly, q: MPoly, xs, ylo, yhi, curve_spec):
+def _enclose_ratio(p: MPoly, q: MPoly, xs, ylo, yhi, zu):
     """Enclosure (lo, hi) of p/q at x = xs over the isolating interval
-    (ylo, yhi) of a root of curve_spec; the interval shrinks to a quarter
-    of its width until q's enclosure excludes 0, and None if 12 rounds do
-    not get there."""
+    (ylo, yhi) of a root of zu, an integer squarefree polynomial in y; the
+    interval shrinks to a quarter of its width until q's enclosure excludes
+    0, and None if 12 rounds do not get there."""
     pc, qc = ([(c.numerator, c.numerator, c.denominator)
                for c in specialize_x(r, Fraction(xs)).coeffs] for r in (p, q))
     ybox = IsolatingInterval(ylo, yhi)
@@ -630,7 +607,7 @@ def _enclose_ratio(p: MPoly, q: MPoly, xs, ylo, yhi, curve_spec):
             plo, phi, pden = _zhorner(pc, ybox)
             ratios = [Fraction(a * qden, b * pden) for a in (plo, phi) for b in (qlo, qhi)]
             return min(ratios), max(ratios)
-        ybox = refine_interval(curve_spec, ybox, ybox.width() / 4)
+        ybox = IsolatingInterval(*zp.zrefine(zu, ybox.low, ybox.high, ybox.width() / 4))
     return None
 
 

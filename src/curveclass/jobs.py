@@ -79,18 +79,22 @@ def _parse_locator_value(entry):
     elif "point" in entry:
         try:
             px, py = _json_pair(entry["point"])
-            locator = (_parse_rational(px), _parse_rational(py))
+            locator = tuple(parse_poly(_expr_text(c, "a point coordinate"), ()).constant_value()
+                            for c in (px, py))
         except (TypeError, ValueError):
             raise JobError("an assignment's point must be [x, y]")
     else:
         raise JobError("assignment needs a 'point' or an 'index'")
-    value = parse_poly(str(entry["value"]), ("x", "y"))
+    value = parse_poly(_expr_text(entry["value"], "an assignment's value"), ("x", "y"))
     return locator, value
 
 
-def _parse_rational(text):
-    p = parse_poly(str(text), ())
-    return p.constant_value()
+def _expr_text(raw, what):
+    """raw, a string or an int (not a bool), as parser text; JobError for
+    the rest, which str() would spell True, None or 1000.0."""
+    if isinstance(raw, str) or type(raw) is int:
+        return str(raw)
+    raise JobError(f"{what} must be a string or an integer, not {raw!r}")
 
 
 def _echo(job: JobSpec):

@@ -4,11 +4,11 @@ saturation.
 
 s is reserved for the 1 - s*q saturation trick; t carries graph/fiber
 variables; x, y are the plane coordinates.  MPoly coefficients are in Q.
-Buchberger and normal forms run on one fraction-free kernel: polynomials
-are scaled to primitive integer polynomials over packed monomials, reduced
-by lc(g)*r - c*m*g with contents removed, and turned back into Q only where
-a basis or remainder is returned.  Every step is exact (no modular
-shortcuts, no floating point): exactness is the product.
+Buchberger and normal forms run on one fraction-free kernel: primitive
+integer polynomials over packed monomials, reduced by lc(g)*r - c*m*g with
+contents removed.  A GroebnerBasis is stored as its kernel rows: Q appears
+only where its .basis or a remainder is read.  Every step is exact (no
+modular shortcuts, no floating point): exactness is the product.
 Everything is deterministic: term order, pair selection and tie-breaking
 are all fixed, and reduced bases are unique, so certificates reproduce
 byte-for-byte.
@@ -393,10 +393,12 @@ class _Kernel:
 
     __slots__ = ("order", "leads", "fields", "lcs", "tails", "first")
 
-    def __init__(self, order):
+    def __init__(self, order, rows=()):
         self.order = order
         self.leads, self.fields, self.lcs, self.tails = [], [], [], []
         self.first = {}
+        for terms in rows:
+            self.add(terms)
 
     def __len__(self):
         return len(self.leads)
@@ -508,20 +510,58 @@ class PolyIdeal:
 
 
 class GroebnerBasis:
-    __slots__ = ("order", "basis")
+    """A Groebner basis held as the kernel that reduces by it: primitive
+    integer rows with positive leading coefficients, in basis order.  basis,
+    the elements over Q, is built on first read: each row made monic, unless
+    the basis was made from polynomials, which it keeps."""
+
+    __slots__ = ("order", "kernel", "_basis", "_grids")
 
     def __init__(self, order, basis):
-        self.order = order
-        self.basis = tuple(basis)
+        self.order, self._basis, self._grids = order, tuple(basis), None
+        self.kernel = _Kernel(order, [_to_kernel(g, order)[0] for g in self._basis])
+
+    @classmethod
+    def _of_rows(cls, order, rows):
+        """Internal: rows already primitive, leading coefficients positive."""
+        self = cls(order, ())
+        self.kernel, self._basis = _Kernel(order, rows), None
+        return self
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            kb = self.kernel
+            self._basis = tuple(_to_mpoly(kb.terms(i), self.order, Fraction(1, lc))
+                                for i, lc in enumerate(kb.lcs))
+        return self._basis
+
+    def t_grids(self):
+        """Per element, its t-coefficients (lowest power first) as integer
+        rows over y of coefficients along x, the grids NumberField.at_gens
+        reads: those of row i, a rational multiple of basis[i].  Built once."""
+        if self._grids is None:
+            out = [[] for _ in self.kernel.lcs]
+            for i, grids in enumerate(out):
+                for k, c in self.kernel.terms(i).items():
+                    s, t, x, y = self.order.unpack(k)
+                    if s:
+                        raise PreconditionError("basis must not involve s")
+                    grids += [[] for _ in range(t + 1 - len(grids))]
+                    grids[t] += [[] for _ in range(y + 1 - len(grids[t]))]
+                    grids[t][y] += [0] * (x + 1 - len(grids[t][y]))
+                    grids[t][y][x] = c
+            self._grids = out
+        return self._grids
 
     def __iter__(self):
         return iter(self.basis)
 
     def __len__(self):
-        return len(self.basis)
+        return len(self.kernel)
 
     def __repr__(self):
-        return f"GroebnerBasis({self.order.name}, {len(self.basis)} elements)"
+        return f"GroebnerBasis({self.order.name}, {len(self)} elements)"
 
 
 def normal_form(p: MPoly, gb: GroebnerBasis):
@@ -529,15 +569,12 @@ def normal_form(p: MPoly, gb: GroebnerBasis):
     in the ideal.  Divisor choice is the first basis element (fixed basis
     order) whose leading monomial divides, so the result is deterministic;
     on a reduced basis it is canonical regardless.  The division runs over
-    Z; the remainder is returned exactly over Q."""
+    Z on gb.kernel; the remainder is returned exactly over Q."""
     if not p:
         return MPoly()
     order = gb.order
-    kb = _Kernel(order)
-    for g in gb.basis:
-        kb.add(_to_kernel(g, order)[0])
     cur, ps = _to_kernel(p, order)
-    scale, rem = kb.reduce(cur)
+    scale, rem = gb.kernel.reduce(cur)
     # rem is the remainder of scale * ps * p
     return _to_mpoly(rem, order, 1 / (scale * ps))
 
@@ -624,8 +661,8 @@ def _update(kb, terms, active, pairs):
 
 
 def _reduced_basis(kb, rows):
-    """The unique reduced basis, monic over Q and sorted by leading term,
-    from the kernel elements rows, which form a Groebner basis."""
+    """The unique reduced basis, sorted by leading term, from the kernel
+    elements rows, which form a Groebner basis."""
     order, fields, leads = kb.order, kb.fields, kb.leads
     # drop elements whose leading monomial is divisible by another's
     keep = [
@@ -635,9 +672,7 @@ def _reduced_basis(kb, rows):
             for j in rows
         )
     ]
-    red = _Kernel(order)
-    for i in keep:
-        red.add(kb.terms(i))
+    red = _Kernel(order, [kb.terms(i) for i in keep])
     # reduce each tail by the others; a leading monomial divides no smaller
     # monomial, so no element ever acts on its own tail
     for i in range(len(red)):
@@ -648,8 +683,7 @@ def _reduced_basis(kb, rows):
         rem[red.leads[i]] = num * red.lcs[i]
         red.add(_primitive(rem)[0], i)
     rows = sorted(range(len(red)), key=red.leads.__getitem__)
-    basis = [_to_mpoly(red.terms(i), order, Fraction(1, red.lcs[i])) for i in rows]
-    return GroebnerBasis(order, basis)
+    return GroebnerBasis._of_rows(order, [red.terms(i) for i in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -692,11 +726,10 @@ def saturate_gb(ideal: PolyIdeal, q: MPoly) -> GroebnerBasis:
     if q.degree_in("s") > 0:
         raise PreconditionError("saturating polynomial must not involve s")
     helper = MPoly.const(1) - MPoly.var("s") * q
-    full = buchberger(PolyIdeal(list(ideal.generators) + [helper]), LEX)
-    kept = [g for g in full.basis if g.degree_in("s") == 0]
-    if not kept:
-        kept = [MPoly.const(1)]
-    return GroebnerBasis(LEX, kept)
+    kb = buchberger(PolyIdeal(list(ideal.generators) + [helper]), LEX).kernel
+    s1 = LEX.pack((1, 0, 0, 0))  # s is the top lex field: an s-free lead, an s-free row
+    kept = [kb.terms(i) for i, lead in enumerate(kb.leads) if lead < s1]
+    return GroebnerBasis._of_rows(LEX, kept or [{0: 1}])
 
 
 def saturate(ideal: PolyIdeal, q: MPoly) -> PolyIdeal:
@@ -709,16 +742,11 @@ def monic_in_t_witness(gb: GroebnerBasis):
     t is not integral.  Expects a lex basis not involving s."""
     if gb.order != LEX:
         raise PreconditionError("witness needs a lex basis")
-    best = None
-    best_deg = None
-    for g in gb.basis:
-        if g.degree_in("s") > 0:
-            raise PreconditionError("basis must not involve s")
-        e, _ = leading_term(g, LEX)
-        if e[var_index("t")] >= 1 and e[var_index("x")] == e[var_index("y")] == 0 and e[var_index("s")] == 0:
-            if best_deg is None or e[var_index("t")] < best_deg:
-                best, best_deg = g, e[var_index("t")]
-    return best
+    leads = [LEX.unpack(k) for k in gb.kernel.leads]
+    if any(e[0] for e in leads):  # an element with s leads with it in lex
+        raise PreconditionError("basis must not involve s")
+    pure = [(e[1], i) for i, e in enumerate(leads) if e[1] and not e[2] and not e[3]]
+    return gb.basis[min(pure)[1]] if pure else None
 
 
 def ideals_equal(a: PolyIdeal, b: PolyIdeal) -> bool:

@@ -850,6 +850,20 @@ def _bench_workloads():
     return workloads
 
 
+def _bench_functions(workload, count):
+    """The first count jobs of a classify workload at seed 2024 as
+    functions, with 0 assigned at every real bad point by index as
+    bench/pipeline.py does."""
+    from curveclass.functions import make_function
+
+    for job in _bench_workloads().generate(workload, 2024, count):
+        curve = make_curve(parse_poly(job["curve"]))
+        q = parse_poly(job["denominator"])
+        real = [i for i, pt in enumerate(bad_locus(curve, q)) if pt.is_real]
+        yield make_function(curve, parse_poly(job["numerator"]), q,
+                            [(i, Fraction(0)) for i in real])
+
+
 def _captured_fields(jobs_per_seed=60):
     """The depth-2 fields whose embeddings the locus solves of the three
     benchmark workloads (seeds 5 and 12) ask for, in call order."""

@@ -14,6 +14,7 @@ from curveclass.mpoly import (
     GREVLEX,
     GRLEX,
     LEX,
+    GroebnerBasis,
     MPoly,
     PolyIdeal,
     buchberger,
@@ -37,6 +38,7 @@ from curveclass.mpoly import (
     _primitive,
     _reduced_basis,
     _to_kernel,
+    _to_mpoly,
 )
 from curveclass.unipoly import UPoly
 
@@ -134,6 +136,46 @@ def test_monic_witness_example_three():
     gb = saturate_gb(PolyIdeal([curve, X * T - Y**2]), X)
     w = monic_in_t_witness(gb)
     assert w == T**2 - T - X
+
+
+def test_a_basis_made_from_polynomials_keeps_them():
+    # bench/checks.py builds <F> this way: F alone is a Groebner basis
+    F = 3 * Y**2 - Fraction(1, 2) * X**3 + X
+    gb = GroebnerBasis(LEX, [F])
+    assert gb.basis == (F,) and len(gb) == 1
+    assert gb.kernel.terms(0) == _to_kernel(F, LEX)[0]
+    by_buchberger = buchberger(PolyIdeal([F]), LEX)
+    assert by_buchberger.basis == (F * -2,)  # lex leads with x^3
+    for p in (X * Y**3, Y**2 + T, F * (X - T), X**4 * Y - Fraction(2, 7), MPoly()):
+        assert normal_form(p, gb) == normal_form(p, by_buchberger)
+    assert not normal_form(F * (X - T), gb)
+
+
+def test_basis_is_its_monic_kernel_rows_built_once():
+    gb = cusp_graph_gb()
+    assert gb.basis is gb.basis and len(gb) == len(gb.basis)
+    for i, g in enumerate(gb.basis):
+        lc = gb.kernel.lcs[i]
+        assert lc > 0 and leading_term(g, LEX)[1] == 1
+        assert g * lc == _to_mpoly(gb.kernel.terms(i), LEX)
+    assert gb.t_grids() is gb.t_grids()
+
+
+def test_saturation_keeps_the_s_free_rows():
+    full = buchberger(PolyIdeal([cusp(), X * T - Y, 1 - S * X]), LEX)
+    kept = [g for g in full.basis if g.degree_in("s") == 0]
+    assert len(kept) < len(full.basis)
+    assert list(cusp_graph_gb().basis) == kept
+    # saturating x by x leaves the unit ideal: no s-free row, the basis {1}
+    assert saturate_gb(PolyIdeal([X]), X).basis == (MPoly.const(1),)
+
+
+def test_witness_and_grids_refuse_a_basis_with_s():
+    gb = GroebnerBasis(LEX, [T - X, S * X - 1])
+    with pytest.raises(PreconditionError):
+        monic_in_t_witness(gb)
+    with pytest.raises(PreconditionError):
+        gb.t_grids()
 
 
 def test_basis_independent_of_generator_permutation():

@@ -706,8 +706,18 @@ def test_sign_refinement_that_never_converges_is_an_internal_error(monkeypatch):
 # they are still the Horner route that the reduction replaced
 from curveclass.curves import specialize_x  # noqa: E402
 from curveclass.bipoly import y_rows  # noqa: E402
-from curveclass.functions import _t_coefficients, _value_at  # noqa: E402
+from curveclass.functions import _value_at  # noqa: E402
 from curveclass.mpoly import MPoly, specialize_to_t, var_index  # noqa: E402
+
+
+def _t_coefficients(p):
+    """Reference: the coefficients in x, y of p(x, y, t), lowest power of t
+    first, as MPolys."""
+    ti = var_index("t")
+    out = [{} for _ in range(max(p.degree_in("t"), 0) + 1)]
+    for e, c in p.terms.items():
+        out[e[ti]][e[:ti] + (0,) + e[ti + 1:]] = c
+    return [MPoly(terms) for terms in out]
 
 
 @st.composite
@@ -750,3 +760,35 @@ def test_tower_point_of_a_degree_one_level_is_an_evaluation():
     R = rational_point_field("x", "y", Fraction(3, 2), Fraction(-5))
     assert _value_at(p, R).as_fraction() == Fraction(9, 4) * -5 + Fraction(1, 2)
     assert _value_at(p, R).rep == specialize_to_t(p, R.gen(0), R.gen(1))[0].rep
+
+
+# -- the graph basis held as kernel rows, against the rational route -------
+from test_curves import _bench_functions  # noqa: E402
+from curveclass.functions import fiber_table, graph_ideal  # noqa: E402
+
+
+def _rational_grids(g):
+    """Reference for GroebnerBasis.t_grids: per t-coefficient of g, its
+    rational rows over y of coefficients along x."""
+    return [[list(row.coeffs) for row in y_rows(c)] for c in _t_coefficients(g)]
+
+
+def _fibers(table):
+    return [(rep.point.field, rep.fiber_sf, rep.real_root_counts) for rep in table]
+
+
+@pytest.mark.parametrize("workload", ["fuzz-shared", "tower-split"])
+def test_kernel_grids_scale_the_rational_grids_and_give_the_same_fibers(workload):
+    for f, g in zip(_bench_functions(workload, 40), _bench_functions(workload, 40)):
+        gb = f.graph_gb()
+        assert len(gb.t_grids()) == len(gb.basis)
+        for grids, lc, elem in zip(gb.t_grids(), gb.kernel.lcs, gb.basis):
+            assert lc > 0 and all(type(c) is int for grid in grids for row in grid for c in row)
+            assert grids == [[[lc * c for c in row] for row in grid]
+                             for grid in _rational_grids(elem)]
+        # the reference route: g's own basis read through the rational grids
+        # of its monic elements
+        rational = graph_ideal(g)
+        rational._grids = [_rational_grids(elem) for elem in rational.basis]
+        g._graph_gb = rational
+        assert _fibers(fiber_table(f)) == _fibers(fiber_table(g))

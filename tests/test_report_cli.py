@@ -359,11 +359,19 @@ _GOOD_JOB = {
         # int() reads '\u0663' (Arabic-Indic three) as 3 and '1_0' as 10
         {**_GOOD_JOB, "realness_budget": "\u0663"},
         {**_GOOD_JOB, "assignments": [{"index": "1_0", "value": "0"}]},
+        # str() would spell these True, None, 1000.0, 0.1 and [1] for the parser
+        {**_GOOD_JOB, "assignments": [{"point": ["0", "0"], "value": True}]},
+        {**_GOOD_JOB, "assignments": [{"point": ["0", "0"], "value": None}]},
+        {**_GOOD_JOB, "assignments": [{"point": ["0", "0"], "value": 1e3}]},
+        {**_GOOD_JOB, "assignments": [{"point": ["0", "0"], "value": [1]}]},
+        {**_GOOD_JOB, "assignments": [{"point": [False, "0"], "value": "0"}]},
+        {**_GOOD_JOB, "assignments": [{"point": ["0", 0.1], "value": "0"}]},
     ],
     ids=["non-object", "curve-number", "assignments-number", "assignment-string",
          "point-number", "budget-text", "budget-fraction", "budget-bool", "probe-text",
          "index-fraction", "point-string", "point-object", "budget-non-ascii-digit",
-         "index-underscore"],
+         "index-underscore", "value-bool", "value-null", "value-float", "value-array",
+         "point-bool", "point-float"],
 )
 def test_cli_malformed_job_field_is_a_job_error(tmp_path, job):
     path = tmp_path / "job.json"
@@ -372,6 +380,15 @@ def test_cli_malformed_job_field_is_a_job_error(tmp_path, job):
     assert r.returncode == 9
     assert r.stderr.count("error[9]: ") == 1 and r.stderr.startswith("error[9]: ")
     assert "Traceback" not in r.stderr
+
+
+def test_cli_job_values_and_coordinates_may_be_json_integers(tmp_path):
+    path = tmp_path / "job.json"
+    job = {**_GOOD_JOB, "assignments": [{"point": [0, 0], "value": 3}]}
+    path.write_text(json.dumps(job))
+    r = _run_cli(["classify", "--input", str(path), "--format", "machine"])
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["function"]["assignments"] == [{"point": "(0, 0)", "value": "3"}]
 
 
 def test_cli_check_morphism_string_map_is_a_job_error(tmp_path):
