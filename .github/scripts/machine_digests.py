@@ -11,8 +11,8 @@ its trace-pass job count, each document of demo.run_demo(probe=True), and
 the singular-locus documents of the REALNESS_CURVES at the budgets
 REALNESS_BUDGETS, the present and check-morphism documents of
 present_morphism_line, the continuity-probe results of probe_line, the
-twice-classified curves of reuse_line, and three error paths, which no
-workload reaches:
+twice-classified curves of reuse_line, the classification outcomes of
+heavy_draws_line, and three error paths, which no workload reaches:
 bad_locus on (curve, q) pairs
 that share a component, each outcome hashed as its exception class, exit
 code, message and component; make_curve on curves with a repeated factor,
@@ -96,6 +96,13 @@ PROBE_JOBS = 40
 REUSE_JOBS = 40
 REUSE_REFINES = 6
 
+# criterion-6 draws whose denominator has several terms and degree 3, over
+# the five worked curves in turn, that heavy_draws_line classifies: the
+# fuzz-shared stream redraws them, and they hold the largest saturations;
+# the ninth draw's denominator is a zero divisor on the fourth curve
+HEAVY_DRAWS = 60
+HEAVY_SEED = 5
+
 # malformed texts, one or more per error of the grammar; none has a zero
 # denominator or a minus after a binary operator (the parser read 1/0 as a
 # bare ZeroDivisionError and 2*-x^2 as 2*x^2 before both were fixed)
@@ -132,6 +139,7 @@ def main(checkout):
     print(present_morphism_line(curveclass, workloads), flush=True)
     print(probe_line(curveclass, workloads), flush=True)
     print(reuse_line(curveclass, workloads), flush=True)
+    print(heavy_draws_line(curveclass, workloads, pipeline), flush=True)
     print(error_path_line(curveclass, workloads), flush=True)
     print(make_curve_error_line(curveclass, workloads), flush=True)
     print(parse_error_line(curveclass), flush=True)
@@ -247,6 +255,33 @@ def reuse_line(curveclass, workloads):
                             for _ in range(REUSE_REFINES):
                                 emb.refine(k)
     return f"reuse jobs={len(docs) // 2} sha256={_outcome_digest(docs)}"
+
+
+def heavy_draws_line(curveclass, workloads, pipeline):
+    """One digest over the bench/pipeline.py machine documents of
+    HEAVY_DRAWS criterion-6 draws (workloads._rand_terms, seeded by
+    HEAVY_SEED) whose denominator has several terms and degree 3.  The
+    fourth curve rejects a zero-divisor denominator: such an outcome is
+    hashed as its exception class, exit code, message and component."""
+    import random
+
+    rng = random.Random(HEAVY_SEED)
+    curves = workloads.FUZZ_CURVES
+    outcomes = []
+    while len(outcomes) < HEAVY_DRAWS:
+        p, q = workloads._rand_terms(rng), workloads._rand_terms(rng)
+        if not p or len(q) < 2 or max(i + j for i, j in q) != 3:
+            continue
+        job = {
+            "curve": curves[len(outcomes) % len(curves)],
+            "numerator": workloads.poly_text(p),
+            "denominator": workloads.poly_text(q),
+        }
+        try:
+            outcomes.append(pipeline.classify_job(job)[0])
+        except curveclass.CurveClassError as exc:
+            outcomes.append(_error_outcome(curveclass, exc, "component"))
+    return f"heavy-draws jobs={len(outcomes)} sha256={_outcome_digest(outcomes)}"
 
 
 def error_path_line(curveclass, workloads):

@@ -604,7 +604,12 @@ def zisolate(a):
     and nonzero endpoint signs."""
     if not a:
         raise ValueError("zero polynomial")
-    sf = zsquarefree(a)
+    return zisolate_squarefree(zsquarefree(a))
+
+
+def zisolate_squarefree(sf):
+    """zisolate for a nonzero sf that is already squarefree, which it does
+    not squarefree again."""
     if zdeg(sf) == 0:
         return []
     return _zsigns(sturm_chain(sf)).isolate(zroot_bound(sf))

@@ -96,6 +96,7 @@ def cmd_classify(args):
 
 def cmd_fibers(args):
     def runner(job):
+        job.probe = False  # the fibers document has no probe section
         doc = run_classify(job)
         slim = {
             "curve": doc.data["curve"],

@@ -46,7 +46,6 @@ from .numfield import (
 from .unipoly import (
     IsolatingInterval,
     UPoly,
-    isolate_real_roots,
     nonzero_gcd,
     rational_roots,
     squarefree_part,
@@ -559,8 +558,8 @@ def _probe_at_embedding(f, pt, assigned, emb):
                 continue
             zu = zp.zsquarefree(to_zpoly(u)[0])  # taken once per u
             kept = []
-            for ival in isolate_real_roots(u):
-                lo, hi = zp.zrefine(zu, ival.low, ival.high, delta * delta)
+            for lo, hi in zp.zisolate_squarefree(zu):
+                lo, hi = zp.zrefine(zu, lo, hi, delta * delta)
                 mid = (lo + hi) / 2
                 if (mid - y0) * (mid - y0) <= window_sq:
                     kept.append((lo, hi))

@@ -6,9 +6,11 @@ s is reserved for the 1 - s*q saturation trick; t carries graph/fiber
 variables; x, y are the plane coordinates.  MPoly coefficients are in Q.
 Buchberger and normal forms run on one fraction-free kernel: primitive
 integer polynomials over packed monomials, reduced by lc(g)*r - c*m*g with
-contents removed.  A GroebnerBasis is stored as its kernel rows: Q appears
-only where its .basis or a remainder is read.  Every step is exact (no
-modular shortcuts, no floating point): exactness is the product.
+contents removed.  Buchberger takes S-pairs by sugar (Giovini et al.,
+ISSAC 1991), which on lex elimination orders reduces fewer pairs than
+smallest-lcm selection.  A GroebnerBasis is stored as its kernel rows: Q
+appears only where its .basis or a remainder is read.  Every step is
+exact (no modular shortcuts, no floating point): exactness is the product.
 Everything is deterministic: term order, pair selection and tie-breaking
 are all fixed, and reduced bases are unique, so certificates reproduce
 byte-for-byte.
@@ -589,20 +591,25 @@ def spoly(f, g, order):
 
 
 def buchberger(ideal, order: MonomialOrder) -> GroebnerBasis:
-    """Reduced Groebner basis: normal selection (smallest lcm first, ties by
-    index) and Gebauer-Moeller pair updates (_update)."""
+    """Reduced Groebner basis: sugar selection (Giovini, Mora, Niesi,
+    Robbiano and Traverso, "One sugar cube, please", ISSAC 1991; lowest
+    sugar first, then smallest lcm, then lowest index) and Gebauer-Moeller
+    pair updates (_update).  An input's sugar is its total degree, and an
+    element added from a pair keeps that pair's sugar."""
     gens = list(ideal.generators if isinstance(ideal, PolyIdeal) else ideal)
     gens = [g for g in gens if g]
     if not gens:
         raise PreconditionError("no nonzero generators")
 
     kb = _Kernel(order)
+    sugars = []  # per kernel element
     active = []  # the elements that still form pairs
-    pairs = []  # heap of (packed lcm, i, j, lcm fields) with i < j
+    pairs = []  # heap of (sugar, packed lcm, i, j, lcm fields) with i < j
     for g in gens:
-        pairs = _update(kb, _to_kernel(g, order)[0], active, pairs)
+        pairs = _update(kb, _to_kernel(g, order)[0], max(map(sum, g.terms)),
+                        sugars, active, pairs)
     while pairs:
-        l, i, j, _ = heappop(pairs)
+        sugar, l, i, j, _ = heappop(pairs)
         lci, lcj = kb.lcs[i], kb.lcs[j]
         d = math.gcd(lci, lcj)
         ai, aj = lcj // d, lci // d
@@ -617,14 +624,14 @@ def buchberger(ideal, order: MonomialOrder) -> GroebnerBasis:
                 cur.pop(m, None)
         _, rem = kb.reduce(cur)
         if rem:
-            pairs = _update(kb, _primitive(rem)[0], active, pairs)
+            pairs = _update(kb, _primitive(rem)[0], sugar, sugars, active, pairs)
     return _reduced_basis(kb, active)
 
 
-def _update(kb, terms, active, pairs):
-    """Append terms to kb as element h and return the pair heap after the
-    Gebauer-Moeller update (Becker-Weispfenning, UPDATE), changing active in
-    place.
+def _update(kb, terms, sugar, sugars, active, pairs):
+    """Append terms to kb as element h, whose sugar is sugar, and return
+    the pair heap after the Gebauer-Moeller update (Becker-Weispfenning,
+    UPDATE), changing sugars and active in place.
 
     Of the new pairs (g, h), g active, one is kept when no other new pair's
     lcm divides its lcm, counting the pairs after it and those already kept
@@ -636,6 +643,7 @@ def _update(kb, terms, active, pairs):
     stop forming pairs; they stay in kb as reducers."""
     h = len(kb)
     kb.add(terms)
+    sugars.append(sugar)
     fields = kb.fields
     fh = fields[h]
     new = [(_field_lcm(fields[g], fh), g) for g in active]
@@ -649,11 +657,16 @@ def _update(kb, terms, active, pairs):
     pack = kb.order.pack_fields
     pairs = [
         p for p in pairs
-        if not _field_divides(fh, p[3])
-        or _field_lcm(fields[p[1]], fh) == p[3]
-        or _field_lcm(fields[p[2]], fh) == p[3]
+        if not _field_divides(fh, p[4])
+        or _field_lcm(fields[p[2]], fh) == p[4]
+        or _field_lcm(fields[p[3]], fh) == p[4]
     ]
-    pairs.extend((pack(lf), g, h, lf) for lf, g in kept if lf != fields[g] + fh)
+    # a pair's sugar: max over its elements of sugar + deg(lcm) - deg(lead),
+    # every degree read from exponent fields as f % _FIELD_MASK
+    dh = sugar - fh % _FIELD_MASK
+    pairs.extend((max(sugars[g] - fields[g] % _FIELD_MASK, dh) + lf % _FIELD_MASK,
+                  pack(lf), g, h, lf)
+                 for lf, g in kept if lf != fields[g] + fh)
     heapify(pairs)
     active[:] = [g for g in active if not _field_divides(fh, fields[g])]
     active.append(h)

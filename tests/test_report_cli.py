@@ -231,6 +231,31 @@ def test_cli_fibers_subcommand(tmp_path):
     assert len(data["fibers"]) == 2
 
 
+def test_cli_fibers_never_runs_the_probe(tmp_path, monkeypatch, capsys):
+    # the fibers document has no probe section, so --probe and a job's
+    # "probe": true must not pay for the probe
+    from curveclass import cli, functions, jobs
+
+    def refuse(f):
+        raise AssertionError("fibers ran the continuity probe")
+
+    monkeypatch.setattr(functions, "probe_function", refuse)
+    monkeypatch.setattr(jobs, "probe_function", refuse)
+    spec = {
+        "curve": "y^2 - x^2*(x+1)",
+        "numerator": "y",
+        "denominator": "x",
+        "assignments": [{"point": ["0", "0"], "value": "0"}],
+    }
+    outputs = []
+    for job_probe, flags in ((False, ["--no-probe"]), (False, ["--probe"]), (True, [])):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({**spec, "probe": job_probe}))
+        assert cli.main(["fibers", "--input", str(job), "--format", "machine", *flags]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs.count(outputs[0]) == 3
+
+
 def test_cli_demo_passes():
     r = _run_cli(["demo"])
     assert r.returncode == 0
