@@ -12,7 +12,8 @@ the singular-locus documents of the REALNESS_CURVES at the budgets
 REALNESS_BUDGETS, the present and check-morphism documents of
 present_morphism_line, the continuity-probe results of probe_line, the
 twice-classified curves of reuse_line, the classification outcomes of
-heavy_draws_line, and three error paths, which no workload reaches:
+heavy_draws_line, the member documents of regular_members_line, and three
+error paths, which no workload reaches:
 bad_locus on (curve, q) pairs
 that share a component, each outcome hashed as its exception class, exit
 code, message and component; make_curve on curves with a repeated factor,
@@ -103,6 +104,12 @@ REUSE_REFINES = 6
 HEAVY_DRAWS = 60
 HEAVY_SEED = 5
 
+# tower-split and fuzz-shared jobs (seed 2024, each) whose denominators q
+# regular_members_line multiplies by each cofactor h of MEMBER_COFACTORS
+# ("{q}" is q itself), so that p = q*h is a member of <F, q>
+MEMBER_JOBS = 120
+MEMBER_COFACTORS = ("y", "x + 1", "y^2 - 3", "({q})*y")
+
 # malformed texts, one or more per error of the grammar; none has a zero
 # denominator or a minus after a binary operator (the parser read 1/0 as a
 # bare ZeroDivisionError and 2*-x^2 as 2*x^2 before both were fixed)
@@ -140,6 +147,7 @@ def main(checkout):
     print(probe_line(curveclass, workloads), flush=True)
     print(reuse_line(curveclass, workloads), flush=True)
     print(heavy_draws_line(curveclass, workloads, pipeline), flush=True)
+    print(regular_members_line(workloads, pipeline), flush=True)
     print(error_path_line(curveclass, workloads), flush=True)
     print(make_curve_error_line(curveclass, workloads), flush=True)
     print(parse_error_line(curveclass), flush=True)
@@ -282,6 +290,23 @@ def heavy_draws_line(curveclass, workloads, pipeline):
         except curveclass.CurveClassError as exc:
             outcomes.append(_error_outcome(curveclass, exc, "component"))
     return f"heavy-draws jobs={len(outcomes)} sha256={_outcome_digest(outcomes)}"
+
+
+def regular_members_line(workloads, pipeline):
+    """One digest over the bench/pipeline.py machine documents of the
+    first MEMBER_JOBS tower-split and fuzz-shared jobs of seed 2024 with
+    the numerator q*h for each h of MEMBER_COFACTORS.  Each is a member of
+    <F, q>, so its regular verdict turns on h = 0 at every real bad point,
+    irrational and split ones included; the workloads hold no member with
+    such a point."""
+    docs = []
+    for workload in ("tower-split", "fuzz-shared"):
+        for job in workloads.generate(workload, 2024, MEMBER_JOBS):
+            q = job["denominator"]
+            for h in MEMBER_COFACTORS:
+                member = dict(job, numerator=f"({q})*({h.format(q=q)})")
+                docs.append(pipeline.classify_job(member)[0])
+    return f"regular-members jobs={len(docs)} sha256={_outcome_digest(docs)}"
 
 
 def error_path_line(curveclass, workloads):

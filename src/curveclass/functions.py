@@ -61,7 +61,8 @@ class CurveFunction:
     bad points (the computable fragment of an arbitrary extension of p/q
     to all of X(R))."""
 
-    __slots__ = ("curve", "p", "q", "bad_points", "assigned", "_graph_gb", "_integral")
+    __slots__ = ("curve", "p", "q", "bad_points", "assigned", "_graph_gb", "_fibers",
+                 "_integral")
 
     def __init__(self, curve, p, q, bad_points, assigned):
         self.curve = curve
@@ -70,12 +71,18 @@ class CurveFunction:
         self.bad_points = bad_points
         self.assigned = assigned  # aligned with bad_points; None if non-real
         self._graph_gb = None
+        self._fibers = None
         self._integral = None
 
     def graph_gb(self):
         if self._graph_gb is None:
             self._graph_gb = graph_ideal(self)
         return self._graph_gb
+
+    def fibers(self):
+        if self._fibers is None:
+            self._fibers = fiber_table(self)
+        return self._fibers
 
     def __repr__(self):
         return f"CurveFunction(({self.p!r})/({self.q!r}))"
@@ -156,13 +163,7 @@ def _value_at(p: MPoly, fld):
     """p(x, y) at the point whose tower is fld: eval_at(p, fld.gen(0),
     fld.gen(1)), computed as the reduction of p's y-rows modulo the level
     polynomials (NumberField.at_gens)."""
-    return fld.at_gens(_grid(p))
-
-
-def _grid(p: MPoly):
-    """The rational y-rows of p in x, y as the grid NumberField.at_gens
-    reads; built once per polynomial, read at every point."""
-    return [row.coeffs for row in y_rows(p)]
+    return fld.at_gens([row.coeffs for row in y_rows(p)])
 
 
 # ---------------------------------------------------------------------------
@@ -216,25 +217,19 @@ def fiber_report(gb_lex, pt: BadPoint, assigned=None) -> FiberReport:
         distinct = sf.degree
     chain = tower_sturm_chain(sf) if distinct and pt.embeddings else None
     counts = tuple(tower_chain_count(chain, emb) if chain else 0 for emb in pt.embeddings)
-    singleton = None
-    if distinct == 1:
-        singleton = -sf.coeffs[0]
-    matches = None
-    is_root = None
-    if assigned is not None and distinct:
-        val = sf.eval(assigned)
-        is_root = is_zero_or_split(val)
-        if singleton is not None:
-            matches = is_zero_or_split(singleton - assigned)
-    elif assigned is not None:
-        is_root = False
-        matches = False
+    singleton = -sf.coeffs[0] if distinct == 1 else None
+    matches = is_root = None
+    if assigned is not None:
+        is_root = bool(distinct) and is_zero_or_split(sf.eval(assigned))
+        if distinct <= 1:  # sf = t - singleton: sf(assigned) is assigned - singleton
+            matches = is_root
     return FiberReport(pt, assigned, sf, distinct, counts, chain, singleton, matches, is_root)
 
 
 def fiber_table(f: CurveFunction):
     """Fiber reports over every bad point, with dynamic-evaluation splits
-    already resolved (so the returned points refine f.bad_points)."""
+    already resolved (so the returned points refine f.bad_points);
+    CurveFunction.fibers caches it."""
     gb = f.graph_gb()
     table = []
     for pt, val in zip(f.bad_points, f.assigned):
@@ -260,27 +255,21 @@ def is_regular(f: CurveFunction):
     h is unique modulo F.  Hence p is in <F, q> iff t - h lies in J iff the
     reduced lex basis of J has an element with leading monomial t; that
     element is t - h with h reduced modulo F, read off f.graph_gb().  Only
-    a non-member builds a basis of <F, q>, to print p's normal form."""
+    a non-member builds a basis of <F, q>, to print p's normal form.  For a
+    member f.graph_gb() is F's monic multiple and t - h, so every fiber is
+    the singleton h(pt) and a row's matches_assigned is h(pt) = value."""
     wit = monic_in_t_witness(f.graph_gb())
     if wit is None or wit.degree_in("t") != 1:
         gb = buchberger(PolyIdeal([f.curve.F, f.q]), LEX)
         return False, {"reason": "not in <F, q>", "normal_form": normal_form(f.p, gb)}
     h = MPoly.var("t") - wit
-    hgrid = _grid(h)
-    for pt, val in zip(f.bad_points, f.assigned):
-        if val is None:
-            continue
-        def fn(refined, _of=pt.field, _v=val):
-            hval = refined.field.at_gens(hgrid)
-            return is_zero_or_split(hval - _of.transfer(_v, refined.field))
-
-        for refined, ok in run_with_splits(pt, fn):
-            if refined.is_real and not ok:
-                return False, {
-                    "reason": "cofactor disagrees with the assigned value",
-                    "point": refined,
-                    "cofactor": h,
-                }
+    for rep in f.fibers():
+        if rep.point.is_real and not rep.matches_assigned:
+            return False, {
+                "reason": "cofactor disagrees with the assigned value",
+                "point": rep.point,
+                "cofactor": h,
+            }
     return True, {"witness": h}
 
 
@@ -306,12 +295,11 @@ def is_integral(f: CurveFunction):
     return f._integral
 
 
-def graph_real_closed(f: CurveFunction, table=None):
+def graph_real_closed(f: CurveFunction):
     """Condition: over every real bad point the real fiber roots are exactly
     the assigned value.  Returns (verdict, witnesses)."""
-    table = fiber_table(f) if table is None else table
     witnesses = []
-    for rep in table:
+    for rep in f.fibers():
         if not rep.point.is_real:
             continue
         ok = (
@@ -343,27 +331,26 @@ def _describe_real_roots(rep: FiberReport):
     return isolate_tower_roots(rep.chain, rep.point.embeddings[0])
 
 
-def in_KRplus(f: CurveFunction, table=None):
+def in_KRplus(f: CurveFunction):
     """Four-condition membership test for the real closure.
 
     (1) rationality holds by construction; (2) a monic integral relation;
     (3) the real graph is Zariski closed; (4) a single complex fiber point,
     equal to the assigned value, over every real bad point.
     """
-    table = fiber_table(f) if table is None else table
     conditions = {1: True}
     witnesses = {}
     ok2, wit = is_integral(f)
     conditions[2] = ok2
     if not ok2:
         witnesses[2] = {"reason": "no monic relation for t in the graph ideal"}
-    ok3, w3 = graph_real_closed(f, table)
+    ok3, w3 = graph_real_closed(f)
     conditions[3] = ok3
     if not ok3:
         witnesses[3] = w3
     bad4 = [
         rep
-        for rep in table
+        for rep in f.fibers()
         if rep.point.is_real and not (rep.distinct_complex == 1 and rep.matches_assigned)
     ]
     conditions[4] = not bad4
@@ -380,14 +367,13 @@ def in_KRplus(f: CurveFunction, table=None):
     return verdict, {"conditions": conditions, "witnesses": witnesses, "integral_relation": wit}
 
 
-def in_Kplus(f: CurveFunction, table=None):
+def in_Kplus(f: CurveFunction):
     """Membership in the continuous closure: the real-closure conditions
     plus a single complex fiber point over every non-real bad point.
     Fibers over non-bad points are singletons by the saturation
     construction and are not enumerated."""
-    table = fiber_table(f) if table is None else table
-    kr, detail = in_KRplus(f, table)
-    bad = [rep for rep in table if not rep.point.is_real and rep.distinct_complex != 1]
+    kr, detail = in_KRplus(f)
+    bad = [rep for rep in f.fibers() if not rep.point.is_real and rep.distinct_complex != 1]
     verdict = kr and not bad
     out = dict(detail)
     out["nonreal_witnesses"] = [
@@ -415,10 +401,10 @@ def classify(f: CurveFunction, realness_budget=64) -> ClassificationReport:
     """Run all four membership tests, check the hierarchy chain (raising
     InternalError when it breaks), attach a caveat when the curve's realness
     hypothesis is unverified."""
-    table = fiber_table(f)
+    fibers = f.fibers()
     reg, reg_detail = is_regular(f)
-    kp, kp_detail = in_Kplus(f, table)
-    kr, kr_detail = in_KRplus(f, table)
+    kp, kp_detail = in_Kplus(f)
+    kr, kr_detail = in_KRplus(f)
     integ, wit = is_integral(f)
     chain = [("regular", reg), ("k_plus", kp), ("k_r_plus", kr), ("integral", integ)]
     consistent = all(not a or b for (_, a), (_, b) in zip(chain, chain[1:]))
@@ -444,7 +430,7 @@ def classify(f: CurveFunction, realness_budget=64) -> ClassificationReport:
         verdicts={name: ("yes" if v else "no") for name, v in chain},
         integral_relation=wit,
         regular_witness=reg_detail.get("witness") if reg else None,
-        fibers=table,
+        fibers=fibers,
         failure_witnesses=failure,
         caveats=caveats,
         hierarchy_consistent=consistent,
@@ -475,7 +461,7 @@ def present_extension(f: CurveFunction) -> Presentation:
         relations=gb.basis,
         integral_relation=wit,
         birational=birational,
-        fibers=fiber_table(f),
+        fibers=f.fibers(),
     )
 
 

@@ -307,13 +307,6 @@ def isolate_real_roots(a: UPoly):
     return [IsolatingInterval(lo, hi) for lo, hi in zp.zisolate(za)]
 
 
-def refine_interval(a: UPoly, interval: IsolatingInterval, width) -> IsolatingInterval:
-    _require_rational(a, "refine_interval")
-    za = zp.zsquarefree(to_zpoly(a)[0])
-    lo, hi = zp.zrefine(za, interval.low, interval.high, Fraction(width))
-    return IsolatingInterval(lo, hi)
-
-
 def rational_roots(a: UPoly):
     _require_rational(a, "rational_roots")
     za, _ = to_zpoly(a)

@@ -98,7 +98,7 @@ def test_criterion_3_quadruple_contact():
     _record_fibers(rep.fibers)
     origin = rep.fibers[0]
     roots_ok = origin.distinct_real == 2
-    kr, detail = in_KRplus(f, rep.fibers)
+    kr, detail = in_KRplus(f)
     witness3 = detail["witnesses"].get(3)
     witness_roots = witness3[0]["real_roots"] if witness3 else None
     ok = (

@@ -1,10 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curveclass.curves import bad_locus, make_curve, specialize_x
+from curveclass.bipoly import y_rows
+from curveclass.curves import bad_locus, make_curve, run_with_splits, specialize_x
 from curveclass.errors import AssignmentError, CurveClassError, NotIntegralError
 from curveclass import functions
 from curveclass.functions import (
@@ -30,12 +32,14 @@ from curveclass.mpoly import (
     PolyIdeal,
     buchberger,
     ideals_equal,
+    monic_in_t_witness,
     normal_form,
 )
+from curveclass.numfield import is_zero_or_split
 from curveclass.parsing import format_poly, parse_poly
-from curveclass.report import fiber_rows
-from curveclass.unipoly import IsolatingInterval, isolate_real_roots, refine_interval, to_zpoly
-from curveclass._zpoly import zsquarefree
+from curveclass.report import _stringify, fiber_rows
+from curveclass.unipoly import IsolatingInterval, isolate_real_roots, to_zpoly
+from curveclass._zpoly import zrefine, zsquarefree
 
 X, Y, T = MPoly.var("x"), MPoly.var("y"), MPoly.var("t")
 
@@ -188,6 +192,74 @@ def test_is_regular_runs_no_buchberger_for_a_member(monkeypatch):
     monkeypatch.setattr(functions, "buchberger", refuse)
     ok, detail = is_regular(make_function(make_curve(Y**2 - X**3), Y**2, X, [((0, 0), 0)]))
     assert ok and detail["witness"] == X**2
+
+
+def test_classify_walks_each_bad_point_once(monkeypatch):
+    # x*y/x on the cusp is a member of <F, q> whose cofactor y is 0, not 5,
+    # at the origin: is_regular reads that from the fiber table's row
+    walks = []
+    walk = functions.run_with_splits
+
+    def counted(pt, fn):
+        walks.append(pt)
+        return walk(pt, fn)
+
+    monkeypatch.setattr(functions, "run_with_splits", counted)
+    f = make_function(make_curve(Y**2 - X**3), X * Y, X, [((0, 0), 5)])
+    rep = classify(f)
+    reason = rep.failure_witnesses["regular"]["reason"]
+    assert reason == "cofactor disagrees with the assigned value"
+    assert len(walks) == len(f.bad_points)
+    assert rep.fibers is f.fibers()
+
+
+def _two_walk_is_regular(f):
+    """Reference: is_regular as it was before it read the fiber table, with
+    its own run_with_splits walk testing h(pt) = value at every assigned
+    bad point."""
+    wit = monic_in_t_witness(f.graph_gb())
+    if wit is None or wit.degree_in("t") != 1:
+        gb = buchberger(PolyIdeal([f.curve.F, f.q]), LEX)
+        return False, {"reason": "not in <F, q>", "normal_form": normal_form(f.p, gb)}
+    h = MPoly.var("t") - wit
+    hgrid = [row.coeffs for row in y_rows(h)]
+    for pt, val in zip(f.bad_points, f.assigned):
+        if val is None:
+            continue
+        def fn(refined, _of=pt.field, _v=val):
+            hval = refined.field.at_gens(hgrid)
+            return is_zero_or_split(hval - _of.transfer(_v, refined.field))
+
+        for refined, ok in run_with_splits(pt, fn):
+            if refined.is_real and not ok:
+                return False, {
+                    "reason": "cofactor disagrees with the assigned value",
+                    "point": refined,
+                    "cofactor": h,
+                }
+    return True, {"witness": h}
+
+
+def test_is_regular_reading_fiber_rows_equals_the_two_walk_route():
+    # members p = q*h of <F, q> on the first tower-split and fuzz-shared
+    # jobs, with 0 at every real bad point: h regular, disagreeing, and at
+    # bad points that split
+    from test_curves import _bench_workloads
+
+    outcomes = Counter()
+    for workload in ("tower-split", "fuzz-shared"):
+        for job in _bench_workloads().generate(workload, 2024, 120):
+            curve = make_curve(parse_poly(job["curve"]))
+            q = parse_poly(job["denominator"])
+            zeros = [(i, 0) for i, pt in enumerate(bad_locus(curve, q)) if pt.is_real]
+            for h in (Y, X + 1, Y**2 - 3, q * Y):
+                f, g = (make_function(curve, q * h, q, zeros) for _ in range(2))
+                want_ok, want = _two_walk_is_regular(f)
+                got_ok, got = is_regular(g)
+                assert (got_ok, _stringify(got)) == (want_ok, _stringify(want)), (job, h)
+                outcomes[got_ok] += 1
+                outcomes["split"] += len(g.fibers()) > len(g.bad_points)
+    assert outcomes[True] and outcomes[False] and outcomes["split"]
 
 
 def test_is_integral_certificates():
@@ -533,6 +605,12 @@ def _fraction_horner(coeffs, box):
     return lo, hi
 
 
+def _refine_interval(u, box, width):
+    """box refined to at most width around its root of the rational
+    polynomial u, on the integer kernel: zsquarefree, then zrefine."""
+    return IsolatingInterval(*zrefine(zsquarefree(to_zpoly(u)[0]), box.low, box.high, width))
+
+
 def _reference_ratio(p, q, xs, lo, hi, u):
     """(enclosure of p/q or None, refinements made): the box shrinks to a
     quarter of its width until q's enclosure leaves 0, at most 12 times;
@@ -545,7 +623,7 @@ def _reference_ratio(p, q, xs, lo, hi, u):
             p_lo, p_hi = _fraction_horner(pc, box)
             products = [a * b for a in (p_lo, p_hi) for b in (1 / q_hi, 1 / q_lo)]
             return (min(products), max(products)), step
-        box = refine_interval(u, box, box.width() / 4)
+        box = _refine_interval(u, box, box.width() / 4)
     return None, 12
 
 
@@ -572,7 +650,7 @@ def test_enclose_ratio_equals_the_fraction_interval_horner_quotient(data):
     assume(roots)
     ival = data.draw(st.sampled_from(roots))
     if data.draw(st.booleans()):
-        ival = refine_interval(u, ival, Fraction(1, data.draw(st.integers(1, 64))))
+        ival = _refine_interval(u, ival, Fraction(1, data.draw(st.integers(1, 64))))
     p = _xy_poly(data.draw)
     if data.draw(st.booleans()):
         # vanishes at the interval's midpoint, so q's first enclosure

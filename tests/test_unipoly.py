@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from curveclass._zpoly import zsign_at
+from curveclass._zpoly import zrefine, zsign_at, zsquarefree
 from curveclass.errors import DegenerateInputError, PreconditionError
 from curveclass.unipoly import (
     IsolatingInterval,
@@ -12,7 +12,6 @@ from curveclass.unipoly import (
     isolate_real_roots,
     nonzero_gcd,
     rational_roots,
-    refine_interval,
     squarefree_part,
     sturm_count,
     to_zpoly,
@@ -153,10 +152,10 @@ def test_conjugation_parity_invariant():
 def test_refine_and_sign():
     p = X(-2, 0, 1)
     iv = [i for i in isolate_real_roots(p) if i.high > 0][-1]
-    iv = refine_interval(p, iv, Fraction(1, 10**9))
+    z = to_zpoly(p)[0]
+    iv = IsolatingInterval(*zrefine(zsquarefree(z), iv.low, iv.high, Fraction(1, 10**9)))
     assert iv.width() <= Fraction(1, 10**9)
     assert Fraction(14, 10) < iv.mid() < Fraction(15, 10)
-    z = to_zpoly(p)[0]
     assert zsign_at(z, iv.low) < 0 < zsign_at(z, iv.high)
 
 
@@ -196,14 +195,6 @@ def test_zero_polynomial_is_a_degenerate_input_for_every_root_query():
     for query in (rational_roots, isolate_real_roots, sturm_count, squarefree_part):
         with pytest.raises(DegenerateInputError):
             query(T())
-
-
-def test_refine_interval_of_a_scaled_square_matches_its_squarefree_part():
-    p = X(-2, 0, 1)
-    sq = (p * p).scale(Fraction(3, 2))
-    for iv in isolate_real_roots(sq):
-        width = Fraction(1, 10**6)
-        assert refine_interval(sq, iv, width) == refine_interval(p, iv, width)
 
 
 # -- rational squarefree parts on the integer kernel, against the Euclid ----
@@ -291,15 +282,11 @@ def test_only_irrational_coefficients_take_the_tower_euclid(monkeypatch):
     assert len(calls) == 1
 
 
-_HALF = Fraction(1, 2)
-
-
 @pytest.mark.parametrize("query", [
     sturm_count,
     isolate_real_roots,
     rational_roots,
-    lambda a: refine_interval(a, IsolatingInterval(Fraction(-2), Fraction(2)), _HALF),
-], ids=["sturm_count", "isolate_real_roots", "rational_roots", "refine_interval"])
+], ids=["sturm_count", "isolate_real_roots", "rational_roots"])
 def test_rational_root_functions_refuse_zero_and_tower_polynomials(query):
     # the library's errors, not AttributeError or ValueError from the kernel
     with pytest.raises(DegenerateInputError):
