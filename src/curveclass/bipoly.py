@@ -1,7 +1,7 @@
 """Bivariate helpers: polynomials in Q[x, y] viewed as y-polynomials with
-Z[x] coefficients, the integer y-rows of to_y_dense.  YSubresultants and
-the row helpers take and return rows; the MPoly entry points build each
-operand's rows once, and from_y_dense turns rows back into an MPoly.
+Z[x] coefficients, the integer y-rows of to_y_dense.  Every function here
+takes and returns rows, except the two conversions: to_y_dense builds the
+rows of an MPoly, and from_y_dense turns rows back into one.
 
 Resultants pack each Z[x] coefficient into one integer (Kronecker
 substitution at a power of two wide enough that the result unpacks
@@ -13,26 +13,25 @@ regular subresultant is the gcd over Q(x).
 """
 
 import math
-from fractions import Fraction
 
 from . import _zpoly as zp
 from .errors import InternalError, PreconditionError
 from .mpoly import MPoly, var_index
-from .unipoly import UPoly
 
 _XI = var_index("x")
 _YI = var_index("y")
 
 
-def _y_grid(p: MPoly, zero):
-    """Dense rows over y of p's coefficients along x, gaps filled with zero."""
+def _y_grid(p: MPoly):
+    """Dense rows over y of p's rational coefficients along x, gaps filled
+    with int 0."""
     if p.degree_in("s") > 0 or p.degree_in("t") > 0:
         raise PreconditionError("expected a polynomial in x, y only")
     if p.is_zero():
         return []
     dy = max(e[_YI] for e in p.terms)
     dx = max(e[_XI] for e in p.terms)
-    rows = [[zero] * (dx + 1) for _ in range(dy + 1)]
+    rows = [[0] * (dx + 1) for _ in range(dy + 1)]
     for e, c in p.terms.items():
         rows[e[_YI]][e[_XI]] = c
     return rows
@@ -41,19 +40,19 @@ def _y_grid(p: MPoly, zero):
 def to_y_dense(p: MPoly):
     """MPoly in x, y  ->  dense list over y of Z[x] coefficient lists
     (a common rational denominator is dropped; roots and ideals survive)."""
-    rows = _y_grid(p, 0)
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    rows = _y_grid(p)
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
     # the grid's int 0 gaps have a numerator and a denominator too
     return [zp.ztrim([c.numerator * (den // c.denominator) for c in r]) for r in rows]
 
 
-def y_rows(p: MPoly):
-    """MPoly in x, y  ->  dense list over y of UPolys in x over Q, exact
-    (the rational twin of to_y_dense); from_y_dense inverts it on the
-    rows' coefficients."""
-    return [UPoly("x", r) for r in _y_grid(p, Fraction(0))]
+def rows_at(rows, x0):
+    """The fiber at the rational x0 = n/d of the polynomial whose integer
+    y-rows are rows: d**D * p(n/d, y) in Z[y], D the x-degree of p, trimmed;
+    it keeps the roots of p(x0, y)."""
+    n, d = x0.numerator, x0.denominator
+    dx = max(map(len, rows)) - 1
+    return zp.ztrim([zp.zeval_frac(row, n, d) * d ** (dx + 1 - len(row)) for row in rows])
 
 
 def deriv_y(rows):
@@ -117,38 +116,37 @@ def y_primitive(rows, content=None):
     return rows
 
 
-def bivariate_gcd(p: MPoly, q: MPoly) -> MPoly:
-    """gcd of two polynomials of Q[x, y], primitive over Z with positive
-    leading coefficient; constant 1 when coprime.  Its Z[x] content is the
-    gcd of the operands' contents; its y-part is the primitive part of the
-    gcd over Q(x): the last nonzero regular subresultant when the sequence
-    ends in a vanishing remainder (Ducos, JPAA 145, 2000), 1 otherwise."""
-    if p.is_zero():
-        return q
-    if q.is_zero():
-        return p
-    a, b = to_y_dense(p), to_y_dense(q)
+def bivariate_gcd(a, b):
+    """gcd of two polynomials of Q[x, y] given by their integer y-rows, as
+    rows, primitive over Z with positive leading coefficient; [[1]] when
+    coprime, the other operand when one is 0.  Its Z[x] content is the gcd
+    of the operands' contents; its y-part the primitive part of the gcd
+    over Q(x): the last nonzero regular subresultant when the sequence ends
+    in a vanishing remainder (Ducos, JPAA 145, 2000), 1 otherwise."""
+    if not a:
+        return b
+    if not b:
+        return a
     cg = zp.zgcd(y_content(a), y_content(b))
     sres = YSubresultants(a, b)
     gy = sres.rows(len(sres.degrees) - 2) if sres.degrees[-1] < 0 else [[1]]
-    out = [zp.zmul(row, cg) for row in y_primitive(gy)]
-    return from_y_dense(out)
+    return [zp.zmul(row, cg) for row in y_primitive(gy)]
 
 
 # ---------------------------------------------------------------------------
 # resultant: subresultant PRS on Kronecker-packed rows
 # ---------------------------------------------------------------------------
 
-def resultant_y(p: MPoly, q: MPoly) -> UPoly:
-    """Res_y of the to_y_dense rows of p and q, exactly, as a polynomial in
-    x: Res_y(p, q) up to the positive factor of the dropped denominators.
+def resultant_y(a, b):
+    """Res_y of the polynomials whose integer y-rows are a and b, exactly,
+    as an integer polynomial in x.
 
     Each row is packed at X = 2**W into one integer and the resultant of the
     packed polynomials is Res evaluated at X.  Each Sylvester row has
     1-norm |a|_1 or |b|_1 and |det|_1 is at most the product of the row
     1-norms, so every coefficient of Res lies below 2**(W-2) and its
     balanced base-X digits are unique."""
-    return YSubresultants(to_y_dense(p), to_y_dense(q)).resultant()
+    return YSubresultants(a, b).resultant()
 
 
 class YSubresultants:
@@ -182,8 +180,8 @@ class YSubresultants:
     def _unpack(self, c):
         return zp._unpack(c, self._width, self._count)
 
-    def resultant(self) -> UPoly:
-        return UPoly.from_ints("x", self._unpack(self._pairs[-1][1]))
+    def resultant(self):
+        return self._unpack(self._pairs[-1][1])
 
     def principal(self, i):
         return self._unpack(self._pairs[i][1])
@@ -197,37 +195,36 @@ def _norm1_bits(rows):
     return sum(abs(c) for r in rows for c in r).bit_length()
 
 
-def bivariate_divexact_y(p: MPoly, g: MPoly) -> MPoly:
-    """Exact quotient p / g of polynomials in Q[x, y] (long division in y;
-    each leading-coefficient division is exact in Q[x] by Gauss)."""
-    a, b = y_rows(p), y_rows(g)
+def bivariate_divexact_y(a, b):
+    """The rows of the exact quotient a / b in Z[x][y] of two polynomials
+    given by their integer y-rows (long division in y, each leading
+    coefficient divided exactly in Z[x]); InternalError when b does not
+    divide a there.  For a primitive b that divides a over Q(x), Gauss's
+    lemma puts the quotient in Z[x][y]."""
+    a = list(a)
     db = len(b) - 1
-    quot = [UPoly("x", ()) for _ in range(len(a) - db)]
-    while a and len(a) - 1 >= db:
-        while a and a[-1].is_zero():
-            a.pop()
-        if not a or len(a) - 1 < db:
-            break
-        q, r = a[-1].divmod(b[-1])
-        if r:
-            raise InternalError("inexact bivariate division")
-        k = len(a) - 1 - db
-        quot[k] = q
-        for i in range(db + 1):
-            a[k + i] = a[k + i] - q * b[i]
-        a.pop()
+    quot = [[] for _ in range(len(a) - db)]
+    try:
+        for k in range(len(a) - 1 - db, -1, -1):
+            if a[k + db]:
+                quot[k] = q = zp.zdivexact(a[k + db], b[-1])
+                for i in range(db + 1):
+                    a[k + i] = zp.zsub(a[k + i], zp.zmul(q, b[i]))
+    except ValueError:
+        raise InternalError("inexact bivariate division") from None
     if any(a):
         raise InternalError("inexact bivariate division")
-    return from_y_dense([q.coeffs for q in quot])
+    return quot
 
 
-def squarefree_part_y(p: MPoly) -> MPoly:
-    """Squarefree part of p with respect to y (same distinct y-roots over
-    the function field Q(x))."""
-    d = p.deriv("y")
-    if d.is_zero():
-        return p
-    g = bivariate_gcd(p, d)
-    if g.is_constant():
-        return p
-    return bivariate_divexact_y(p, g)
+def squarefree_part_y(rows):
+    """The rows of p / gcd(p, p_y), p given by its integer y-rows: the same
+    distinct y-roots over the function field Q(x), all simple; the gcd
+    holds the primitive part of p's Z[x] content, so that goes too."""
+    d = deriv_y(rows)
+    if not d:
+        return rows
+    g = bivariate_gcd(rows, d)
+    if g == [[1]]:
+        return rows
+    return bivariate_divexact_y(rows, g)

@@ -17,8 +17,8 @@ import math
 from fractions import Fraction
 
 from . import _zpoly as zp
-from .bipoly import (YSubresultants, bivariate_gcd, deriv_x, deriv_y, from_y_dense, to_y_dense,
-                     y_content, y_primitive)
+from .bipoly import (YSubresultants, bivariate_gcd, deriv_x, deriv_y, from_y_dense, rows_at,
+                     to_y_dense, y_content, y_primitive)
 from .errors import (
     CurveError,
     DegenerateInputError,
@@ -55,7 +55,6 @@ from .unipoly import (
     nonzero_gcd,
     rational_roots,
     squarefree_part,
-    sturm_count,
     to_zpoly,
     upoly_gcd,
 )
@@ -189,8 +188,8 @@ def run_with_splits(point: BadPoint, fn):
 
 def _split_candidates(z):
     """Split an integer candidate polynomial into rational roots plus
-    pairwise-coprime squarefree monic chunks over Q, via Yun multiplicity
-    classes and verified rational-root extraction (no factorization)."""
+    pairwise-coprime squarefree chunks, primitive in Z[x], via Yun classes
+    and verified rational-root extraction (no factorization)."""
     roots = []
     chunks = []
     for _, factor in zp.zyun(z):
@@ -200,7 +199,7 @@ def _split_candidates(z):
         for r in fr:  # exact in Z[x]: den*x - num is primitive (Gauss)
             rest = zp.zdivexact(rest, [-r.numerator, r.denominator])
         if zp.zdeg(rest) >= 1:
-            chunks.append(UPoly.from_ints("x", rest).monic())
+            chunks.append(rest)
     return sorted(set(roots)), chunks
 
 
@@ -225,21 +224,22 @@ def solve_xy_system(grids, sres=None):
     if not live:
         raise DegenerateInputError("empty system is not zero-dimensional")
     withy = [rows for rows in live if len(rows) >= 2]
-    xonly = [UPoly.from_ints("x", rows[0]) for rows in live if len(rows) == 1]
+    xonly = [rows[0] for rows in live if len(rows) == 1]
 
     if len(withy) >= 2:
         sres = sres or YSubresultants(withy[0], withy[1])
         r = sres.resultant()
-        if r.is_zero():
+        if not r:
             raise DegenerateInputError("polynomials share a component")
         xonly.insert(0, r)
-    cand = nonzero_gcd(xonly)
-    if cand is None:
+    # the x-only polynomials as the rows of one polynomial: its content is their gcd
+    cand = y_content(xonly)
+    if not cand:
         raise DegenerateInputError("system is not zero-dimensional in x")
-    if cand.degree == 0:
+    if zp.zdeg(cand) == 0:
         return []
 
-    roots, chunks = _split_candidates(to_zpoly(cand)[0])
+    roots, chunks = _split_candidates(cand)
     out = []
     for r in roots:
         out.extend(_points_at_rational_x(r, withy))
@@ -253,13 +253,10 @@ def _points_at_rational_x(x0, grids):
     """Solutions over a rational x-coordinate x0 = n/d, from the integer
     y-rows of the system's polynomials: split the rational
     y-roots into their own degree-1 classes, keep the rest as one class.
-    Each fiber is d**D * p(n/d, y), D the x-degree of p, so it stays in
-    Z[y] and keeps the roots of p(x0, y)."""
-    n, d = x0.numerator, x0.denominator
+    Each fiber is rows_at(rows, x0), in Z[y]."""
     g = None
     for rows in grids:
-        dx = max(map(len, rows)) - 1
-        fiber = zp.ztrim([zp.zeval_frac(row, n, d) * d ** (dx + 1 - len(row)) for row in rows])
+        fiber = rows_at(rows, x0)
         if not fiber:
             continue  # a zero fiber imposes no constraint at this x
         g = fiber if g is None else zp.zgcd(g, fiber)
@@ -281,11 +278,11 @@ def _points_at_rational_x(x0, grids):
     return out
 
 
-def _points_at_chunk(chunk: UPoly, grids, sres):
-    """Solutions over a coprime chunk of irrational x-coordinates, from the
-    integer y-rows of the system's polynomials of positive y-degree; dynamic
-    evaluation splits the chunk when the fiber structure varies.  sres holds
-    the subresultants of grids[0] and grids[1] (None for fewer than two)."""
+def _points_at_chunk(chunk, grids, sres):
+    """Solutions over a coprime chunk in Z[x] of irrational x-coordinates,
+    from the integer y-rows of the system's polynomials of positive y-degree;
+    dynamic evaluation splits the chunk when the fiber structure varies.  sres
+    holds the subresultants of grids[0] and grids[1] (None for fewer than two)."""
 
     def classes_over(fld):
         first = None if sres is None else _first_pair_gcd(fld, sres)
@@ -303,7 +300,7 @@ def _points_at_chunk(chunk: UPoly, grids, sres):
         m2 = squarefree_part(g)
         return _finish_point_classes(extend_field(fld, "y", list(m2.coeffs)))
 
-    return _on_branches(field_from_qpoly("x", chunk), classes_over)
+    return _on_branches(field_from_qpoly("x", UPoly.from_ints("x", chunk)), classes_over)
 
 
 def _first_pair_gcd(fld: NumberField, sres):
@@ -441,9 +438,8 @@ def make_curve(F: MPoly) -> PlaneCurve:
     sres = YSubresultants(rows, deriv_y(rows)) if len(rows) >= 3 else None
     # the chain ends in S = 0 (degree -1) exactly when the resultant is 0
     if zp.zdeg(zp.zsquarefree(c)) < zp.zdeg(c) or (sres and sres.degrees[-1] < 0):
-        g = bivariate_gcd(F, F.deriv("x"))
-        g = bivariate_gcd(g, F.deriv("y")) if not g.is_constant() else g
-        raise CurveError("curve polynomial has a repeated factor", witness=g)
+        g = bivariate_gcd(bivariate_gcd(rows, deriv_x(rows)), deriv_y(rows))
+        raise CurveError("curve polynomial has a repeated factor", witness=from_y_dense(g))
     return PlaneCurve(P, sres, rows, c)
 
 
@@ -477,12 +473,13 @@ def bad_locus(curve: PlaneCurve, q: MPoly):
     if q.is_constant():
         return []
     if curve._bad is None or curve._bad[0] != q:
+        qrows = to_y_dense(q)
         try:
-            points = solve_xy_system([curve._zrows, to_y_dense(q)])
+            points = solve_xy_system([curve._zrows, qrows])
         except DegenerateInputError:
+            g = from_y_dense(bivariate_gcd(curve._zrows, qrows))
             raise ZeroDivisorDenominatorError(
-                "denominator vanishes on a curve component", component=bivariate_gcd(curve.F, q)
-            ) from None
+                "denominator vanishes on a curve component", component=g) from None
         curve._bad = (q, points)
     return [BadPoint(pt.field, [e.clone_for(pt.field) for e in pt.embeddings])
             for pt in curve._bad[1]]
@@ -530,13 +527,14 @@ def _linear_y_factors(rows):
             out.append(MPoly.var("y"))
             rows = rows[1:]
             continue
-        u = zp.ztrim([zp.zeval_int(row, x1) for row in rows])
+        u = rows_at(rows, x1)
         cands = [r for r in zp.zrational_roots(u) if r] if zp.zdeg(u) >= 1 else []
         if not cands:
             break
         dx = max(map(len, rows)) - 1
         roots, chunks = _split_candidates(rows[0])
-        pieces = [UPoly("x", [-r, Fraction(1)]) for r in roots] + chunks
+        pieces = [UPoly("x", [-r, Fraction(1)]) for r in roots]
+        pieces += [UPoly.from_ints("x", ch) for ch in chunks]
         one = UPoly("x", [Fraction(1)])
         shapes = [one]
         for piece in pieces[:4]:
@@ -562,7 +560,7 @@ def _first_linear_factor(rows, shapes, cands, x1):
     is first tested at the integer probes _PROBES, on the rows evaluated
     there once.  Only survivors are divided, so the first divisor found is
     the one division alone would find."""
-    fibers = [[zp.zeval_int(row, xj) for row in rows] for xj in _PROBES]
+    fibers = [rows_at(rows, xj) for xj in _PROBES]
     for shape in shapes:
         mval = shape.eval(x1)
         if not mval:
@@ -666,11 +664,11 @@ def certify_realness(curve: PlaneCurve, budget=64) -> RealnessReport:
             factors.append((from_upoly(UPoly("x", [-r, Fraction(1)])), "certified",
                             f"real vertical line x = {r}"))
         for ch in chunks:
-            if sturm_count(ch) == ch.degree:
-                factors.append((from_upoly(ch), "certified", "all vertical lines real"))
+            line = from_upoly(UPoly.from_ints("x", ch).monic())
+            if zp.sturm_count(zp.sturm_chain(ch)) == zp.zdeg(ch):
+                factors.append((line, "certified", "all vertical lines real"))
             else:
-                factors.append((from_upoly(ch), "unverified",
-                                "vertical chunk with non-real roots"))
+                factors.append((line, "unverified", "vertical chunk with non-real roots"))
         rows = y_primitive(rows, content)
     if len(rows) >= 2:
         linear, rows = _linear_y_factors(rows)
@@ -692,7 +690,7 @@ def _certify_block(rows, budget):
     irreducible = _irreducible_lite(rows)
     B = from_y_dense(rows)
     for x0 in _sample_xs(budget):
-        z = zp.ztrim([zp.zeval_int(row, x0) for row in rows])
+        z = rows_at(rows, x0)
         if zp.zdeg(z) != dy:
             continue
         # the chain is a remainder sequence of z and z', so its last member

@@ -12,10 +12,11 @@ relation for t, a regular cofactor, and per-point fiber reports; every
 failure carries a witness.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import from_y_dense, resultant_y, squarefree_part_y, y_primitive, y_rows
+from .bipoly import _y_grid, resultant_y, rows_at, squarefree_part_y, y_primitive
 from .curves import BadPoint, PlaneCurve, bad_locus, run_with_splits, specialize_x
 from .errors import (
     AssignmentError,
@@ -49,7 +50,6 @@ from .unipoly import (
     nonzero_gcd,
     rational_roots,
     squarefree_part,
-    to_zpoly,
     upoly_gcd,  # not called here; bench/test_bench.py reads it from this module
 )
 
@@ -161,9 +161,9 @@ def _exact_rational(value, what):
 
 def _value_at(p: MPoly, fld):
     """p(x, y) at the point whose tower is fld: eval_at(p, fld.gen(0),
-    fld.gen(1)), computed as the reduction of p's y-rows modulo the level
-    polynomials (NumberField.at_gens)."""
-    return fld.at_gens([row.coeffs for row in y_rows(p)])
+    fld.gen(1)), computed as the reduction of p's rational y-grid modulo the
+    level polynomials (NumberField.at_gens)."""
+    return fld.at_gens(_y_grid(p))
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +539,10 @@ def _probe_at_embedding(f, pt, assigned, emb):
         window_sq = 4 * delta
         for side in (-1, 1):
             xs = x0 + side * delta
-            u = specialize_x(f.curve.F, xs)
-            if u.degree < 1:
+            u = rows_at(f.curve._zrows, xs)
+            if zp.zdeg(u) < 1:
                 continue
-            zu = zp.zsquarefree(to_zpoly(u)[0])  # taken once per u
+            zu = zp.zsquarefree(u)  # taken once per u
             kept = []
             for lo, hi in zp.zisolate_squarefree(zu):
                 lo, hi = zp.zrefine(zu, lo, hi, delta * delta)
@@ -618,30 +618,28 @@ def _resultant_certificate(f: CurveFunction):
     """The monic integral relation in resultant shape: Res_y(F, q t - p),
     content-stripped and made squarefree, when that output is monic in t.
     Its coefficients stay in Q[x], which reads better than a tail-reduced
-    basis element.  (t is packed into x by a Kronecker substitution so the
-    Z[x] resultant kernel applies.)"""
-    F, p, q = f.curve.F, f.p, f.q
-    t = MPoly.var("t")
-    B = q * t - p
-    dyF, dyB = F.degree_in("y"), B.degree_in("y")
+    basis element.  It runs on integer y-rows, t packed into x as x^K by a
+    Kronecker substitution so that the Z[x] resultant kernel applies."""
+    F, p, q = f.curve._zrows, f.p, f.q
+    dyF, dyB = len(F) - 1, max(p.degree_in("y"), q.degree_in("y"))
     if dyF <= 0 or dyB < 0:
         return None
-    K = F.degree_in("x") * max(dyB, 1) + (B.degree_in("x") + 1) * dyF + 2
-    packed = MPoly({(0, 0, e[2] + K * e[1], e[3]): c for e, c in B.terms.items()})
-    R = resultant_y(F, packed)
-    if R.is_zero():
+    dxB = max(p.degree_in("x"), q.degree_in("x"))
+    K = (max(map(len, F)) - 1) * max(dyB, 1) + (dxB + 1) * dyF + 2
+    # exponents are (s, t, x, y); p and q over one denominator
+    den = math.lcm(*(c.denominator for r in (p, q) for c in r.terms.values()))
+    B = [[0] * (K + dxB + 1) for _ in range(dyB + 1)]
+    for r, shift, scale in ((p, 0, -den), (q, K, den)):
+        for e, c in r.terms.items():
+            B[e[3]][e[2] + shift] = (c * scale).numerator
+    R = resultant_y(F, [zp.ztrim(row) for row in B])
+    if not R:
         return None
     # unpack x^(a + K b) -> t^b x^a as rows over t, carried in y for the
     # bivariate kernels; strip the Z[x] content and any repeated factor
-    ints = [c.numerator for c in R.coeffs]  # R comes from integer rows
-    rows = [zp.ztrim(ints[b:b + K]) for b in range(0, len(ints), K)]
-    sf = squarefree_part_y(from_y_dense(y_primitive(rows)))
-    P = MPoly({(e[0], e[3], e[2], 0): c for e, c in sf.terms.items()})
-    dt = P.degree_in("t")
-    lead = {e: c for e, c in P.terms.items() if e[1] == dt}
-    if len(lead) != 1:
-        return None
-    (le, lc), = lead.items()
-    if le[2] != 0 or le[3] != 0:
+    sf = squarefree_part_y(y_primitive([zp.ztrim(R[b:b + K]) for b in range(0, len(R), K)]))
+    if len(sf[-1]) != 1:
         return None  # leading t-coefficient is not constant: not monic
-    return P * (1 / lc)
+    lc = sf[-1][0]
+    return MPoly({(0, j, i, 0): Fraction(c, lc)
+                  for j, row in enumerate(sf) for i, c in enumerate(row)})

@@ -56,6 +56,7 @@ class UPoly:
         return hash((self.var, self.coeffs))
 
     def __add__(self, other):
+        other = other if isinstance(other, UPoly) else UPoly(self.var, [other])
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -65,6 +66,7 @@ class UPoly:
         return UPoly(self.var, out)
 
     def __sub__(self, other):
+        other = other if isinstance(other, UPoly) else UPoly(self.var, [other])
         out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             out[i] = out[i] - c

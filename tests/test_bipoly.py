@@ -1,34 +1,61 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
+from curveclass import _zpoly as zp
 from curveclass.bipoly import (
     bivariate_divexact_y,
     bivariate_gcd,
+    deriv_y,
     from_y_dense,
     resultant_y,
-    y_rows,
+    squarefree_part_y,
+    to_y_dense,
 )
+from curveclass.errors import InternalError
 from curveclass.mpoly import MPoly
 from curveclass.parsing import parse_poly
-from curveclass.unipoly import rational_roots, squarefree_part
+from curveclass.unipoly import UPoly
 
 X, Y = MPoly.var("x"), MPoly.var("y")
 
 
+def y_rows(p: MPoly):
+    """Oracle: p in x, y as exact rows over y of UPolys in x over Q, the
+    rational twin of to_y_dense that the library kept before every bipoly
+    function moved onto integer rows."""
+    if p.is_zero():
+        return []
+    grid = [[Fraction(0)] * (p.degree_in("x") + 1) for _ in range(p.degree_in("y") + 1)]
+    for e, c in p.terms.items():
+        grid[e[3]][e[2]] = c
+    return [UPoly("x", row) for row in grid]
+
+
+def _resultant(p, q):
+    return resultant_y(to_y_dense(p), to_y_dense(q))
+
+
+def _gcd(p, q):
+    return from_y_dense(bivariate_gcd(to_y_dense(p), to_y_dense(q)))
+
+
 def test_resultant_simple_intersection():
     # Res_y(y - x^2, y - 1) vanishes exactly where x^2 = 1
-    r = resultant_y(Y - X**2, Y - 1)
-    assert set(rational_roots(r)) == {Fraction(-1), Fraction(1)}
+    r = _resultant(Y - X**2, Y - 1)
+    assert set(zp.zrational_roots(r)) == {Fraction(-1), Fraction(1)}
 
 
 def test_resultant_discriminant_of_cusp():
     # Res_y(y^2 - x^3, 2y) ~ x^3
-    r = resultant_y(Y**2 - X**3, 2 * Y)
-    assert rational_roots(r) == [Fraction(0)]
-    assert squarefree_part(r).degree == 1
+    r = _resultant(Y**2 - X**3, 2 * Y)
+    assert zp.zrational_roots(r) == [Fraction(0)]
+    assert zp.zdeg(zp.zsquarefree(r)) == 1
 
 
 def test_resultant_matches_root_products_numerically():
@@ -45,7 +72,7 @@ def test_resultant_matches_root_products_numerically():
             return p + Y ** (dy + 1)  # force the y-degree, monic
 
         a, b = rand_poly(1), rand_poly(0)
-        r = resultant_y(a, b)
+        r = _resultant(a, b)
         # oracle: at a rational sample x0, the resultant of the specialized
         # univariate polynomials must vanish iff they share a root
         for x0 in (Fraction(0), Fraction(1), Fraction(-2)):
@@ -55,34 +82,36 @@ def test_resultant_matches_root_products_numerically():
             if sb[1]:
                 root = -sb[0] / sb[1]
                 val = sa[0] + sa[1] * root + sa[2] * root * root
-                rv = sum(c * x0 ** i for i, c in enumerate(r.coeffs))
+                rv = sum(c * x0 ** i for i, c in enumerate(r))
                 assert (val == 0) == (rv == 0)
 
 
 def test_bivariate_gcd_common_factor():
     f = (Y - X**2) * (Y**2 + X + 1)
     g = (Y - X**2) * (Y + 3)
-    got = bivariate_gcd(f, g)
+    got = _gcd(f, g)
     assert got in (Y - X**2, -(Y - X**2))
 
 
 def test_bivariate_gcd_coprime():
-    got = bivariate_gcd(Y**2 - X**3, X)
-    assert got.is_constant()
+    assert bivariate_gcd(to_y_dense(Y**2 - X**3), to_y_dense(X)) == [[1]]
 
 
 def test_bivariate_gcd_detects_vertical_component():
     f = X * (Y - 1)
-    got = bivariate_gcd(f, X)
+    got = _gcd(f, X)
     assert got == X
 
 
 def test_bivariate_divexact_y_keeps_rational_factors():
-    # the quotient is exact in Q[x, y]: no content of p or g is dropped
-    got = bivariate_divexact_y(parse_poly("1/2*x*y + 1/2*x"), parse_poly("y + 1"))
-    assert got == parse_poly("1/2*x")
-    got = bivariate_divexact_y(parse_poly("y^2 - x^2"), parse_poly("1/3*y - 1/3*x"))
-    assert got == parse_poly("3*x + 3*y")
+    # the quotient is exact in Z[x][y]: no content of either operand is
+    # dropped, and a content of the divisor that the dividend lacks makes
+    # the division inexact
+    a = to_y_dense(parse_poly("2*x*y + 2*x"))
+    assert bivariate_divexact_y(a, to_y_dense(parse_poly("y + 1"))) == [[0, 2]]
+    assert bivariate_divexact_y(a, [[2], [2]]) == [[0, 1]]
+    with pytest.raises(InternalError):  # (y^2 - x^2) / (3y - 3x) = (y + x) / 3
+        bivariate_divexact_y(to_y_dense(parse_poly("y^2 - x^2")), [[0, -3], [3]])
 
 
 _xy_monos = [(i, j) for i in range(4) for j in range(4)]
@@ -95,18 +124,20 @@ _xy_polys = st.dictionaries(st.sampled_from(_xy_monos), _xy_coeffs, max_size=6).
 @settings(deadline=None)
 @given(_xy_polys)
 def test_y_rows_round_trip(p):
-    rows = y_rows(p)
-    assert from_y_dense([r.coeffs for r in rows]) == p
-    assert all(r.var == "x" for r in rows)
+    # the integer y-rows are p times the least common denominator of its
+    # coefficients, each row trimmed
+    rows = to_y_dense(p)
+    den = 1
+    for c in p.terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    assert from_y_dense(rows) == p * den
+    assert all(type(c) is int for r in rows for c in r)
+    assert all(not r or r[-1] for r in rows)
     assert not rows or rows[-1]  # the top row is the leading y-coefficient
+    assert [list(r.coeffs) for r in y_rows(p * den)] == [[Fraction(c) for c in r] for r in rows]
 
 
 # -- the subresultant resultant, against the Sylvester/Bareiss determinant --
-import pytest  # noqa: E402
-
-from curveclass import _zpoly as zp  # noqa: E402
-from curveclass.bipoly import to_y_dense  # noqa: E402
-from curveclass.unipoly import UPoly  # noqa: E402
 
 
 def _bareiss(mat):
@@ -161,7 +192,7 @@ def _sylvester_resultant(a, b):
 
 
 def _reference_resultant_y(p, q):
-    return UPoly.from_ints("x", _sylvester_resultant(to_y_dense(p), to_y_dense(q)))
+    return _sylvester_resultant(to_y_dense(p), to_y_dense(q))
 
 
 @st.composite
@@ -185,7 +216,7 @@ _rationals = st.fractions(min_value=-50, max_value=50, max_denominator=2**20)
 @given(data=st.data())
 def test_resultant_y_equals_the_sylvester_determinant(coeff, data):
     p, q = data.draw(_y_poly(coeff)), data.draw(_y_poly(coeff))
-    assert resultant_y(p, q) == _reference_resultant_y(p, q)
+    assert _resultant(p, q) == _reference_resultant_y(p, q)
 
 
 _SINGULAR = parse_poly("(y^4 + x^5)*(y^2 - (x^2 + 1)^2*(x - 3)^3)")
@@ -210,14 +241,14 @@ _SINGULAR = parse_poly("(y^4 + x^5)*(y^2 - (x^2 + 1)^2*(x - 3)^3)")
 ])
 def test_resultant_y_fixed_cases(p, q):
     want = _reference_resultant_y(p, q)
-    assert resultant_y(p, q) == want
+    assert _resultant(p, q) == want
     # Res(q, p) = (-1)**(deg p * deg q) Res(p, q)
     flip = (p.degree_in("y") * q.degree_in("y")) % 2
-    assert resultant_y(q, p) == (-want if flip else want)
+    assert _resultant(q, p) == (zp.zneg(want) if flip else want)
 
 
 def test_resultant_y_of_a_shared_factor_is_zero():
-    assert resultant_y(parse_poly("(y - x)*(y + 1)"), parse_poly("(y - x)*(y^2 + x)")).is_zero()
+    assert _resultant(parse_poly("(y - x)*(y + 1)"), parse_poly("(y - x)*(y^2 + x)")) == []
 
 
 _zpolys = st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=9).map(zp.ztrim).filter(bool)
@@ -293,7 +324,7 @@ def test_subresultants_y_are_the_sylvester_minors(data):
         return
     s = YSubresultants(to_y_dense(p), to_y_dense(q))
     _check_subresultants(to_y_dense(p), to_y_dense(q), (s.degrees, s.principal, s.rows))
-    assert s.resultant() == resultant_y(p, q)
+    assert s.resultant() == _resultant(p, q)
 
 
 @pytest.mark.parametrize("p, q", [
@@ -358,13 +389,12 @@ def _reference_prem_y(a, b):
     return _trim_y(r)
 
 
-def _reference_bivariate_gcd(p, q):
-    """Reference: the gcd by a primitive PRS in y over Z[x]."""
-    if p.is_zero():
-        return q
-    if q.is_zero():
-        return p
-    a, b = to_y_dense(p), to_y_dense(q)
+def _reference_bivariate_gcd(a, b):
+    """Reference: the gcd of two rows lists by a primitive PRS in y over Z[x]."""
+    if not a:
+        return b
+    if not b:
+        return a
     cg = zp.zgcd(y_content(a), y_content(b))
     pa, pb = y_primitive(a), y_primitive(b)
     if len(pa) < len(pb):
@@ -377,7 +407,7 @@ def _reference_bivariate_gcd(p, q):
         pa, pb = pb, y_primitive(r)
     else:
         gy = [[1]] if pb else pa
-    return from_y_dense([zp.zmul(row, cg) for row in y_primitive(gy)])
+    return [zp.zmul(row, cg) for row in y_primitive(gy)]
 
 
 from curveclass.bipoly import _trim_y, y_content, y_primitive  # noqa: E402
@@ -408,18 +438,18 @@ def test_bivariate_gcd_equals_the_primitive_prs(coeff, data):
         g = g * data.draw(_gcd_operand(coeff).filter(lambda f: f.degree_in("y") >= 1))
     if shared in ("x-factor", "both"):
         g = g * data.draw(st.sampled_from(_X_FACTORS))
-    p = data.draw(_gcd_operand(coeff)) * g
-    q = data.draw(_gcd_operand(coeff)) * g
-    got = bivariate_gcd(p, q)
-    assert got == _reference_bivariate_gcd(p, q)
-    if p.is_zero() or q.is_zero():
+    a = to_y_dense(data.draw(_gcd_operand(coeff)) * g)
+    b = to_y_dense(data.draw(_gcd_operand(coeff)) * g)
+    got = bivariate_gcd(a, b)
+    assert got == _reference_bivariate_gcd(a, b)
+    if not a or not b:
         return
-    # primitive over Z, positive leading coefficient, and a common divisor
-    rows = to_y_dense(got)
-    assert zp.zcontent([c for r in rows for c in r]) == 1 and rows[-1][-1] > 0
-    assert not bivariate_divexact_y(p, got).is_zero() and not bivariate_divexact_y(q, got).is_zero()
+    # primitive over Z, positive leading coefficient, and a common divisor:
+    # exact in Z[x][y], since the divisor is primitive (Gauss)
+    assert zp.zcontent([c for r in got for c in r]) == 1 and got[-1][-1] > 0
+    assert bivariate_divexact_y(a, got) and bivariate_divexact_y(b, got)
     if not g.is_constant():
-        assert not got.is_constant()
+        assert got != [[1]]
 
 
 @pytest.mark.parametrize("p, q, want", [
@@ -431,16 +461,62 @@ def test_bivariate_gcd_equals_the_primitive_prs(coeff, data):
     (parse_poly("y - x"), MPoly(), "y - x"),
 ])
 def test_bivariate_gcd_fixed_cases(p, q, want):
-    got = bivariate_gcd(p, q)
-    assert got == parse_poly(want) == _reference_bivariate_gcd(p, q)
+    a, b = to_y_dense(p), to_y_dense(q)
+    got = bivariate_gcd(a, b)
+    assert from_y_dense(got) == parse_poly(want)
+    assert got == _reference_bivariate_gcd(a, b)
 
 
 def test_bivariate_gcd_builds_each_operands_rows_once(monkeypatch):
-    from curveclass import bipoly
+    # the gcd that names a shared component takes the curve's rows and the
+    # rows of q that the locus solve was given: no operand's rows are
+    # built twice
+    from curveclass import bipoly, curves
+    from curveclass.errors import ZeroDivisorDenominatorError
 
+    curve = curves.make_curve(parse_poly("(y - x)*(y^2 + x)"))
     calls = []
     to_y_dense = bipoly.to_y_dense
-    monkeypatch.setattr(bipoly, "to_y_dense", lambda p: calls.append(p) or to_y_dense(p))
-    p, q = parse_poly("(y - x)*(y^2 + x)"), parse_poly("(y - x)*(x*y - 3)")
-    assert bivariate_gcd(p, q) == parse_poly("y - x")
-    assert calls == [p, q]
+    for module in (bipoly, curves):
+        monkeypatch.setattr(module, "to_y_dense", lambda p: calls.append(p) or to_y_dense(p))
+    q = parse_poly("(y - x)*(x*y - 3)")
+    with pytest.raises(ZeroDivisorDenominatorError) as exc:
+        curves.bad_locus(curve, q)
+    assert exc.value.component == parse_poly("y - x")
+    assert calls == [q]
+
+
+# -- exact division and squarefree parts on integer rows ----------------------
+_int_operand = _gcd_operand(st.integers(-9, 9)).filter(bool)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_int_operand, _int_operand)
+def test_divexact_y_recovers_a_cofactor_of_a_primitive_divisor(A, B):
+    B = B.primitive()
+    a, b = to_y_dense(A), to_y_dense(B)
+    assert bivariate_divexact_y(to_y_dense(A * B), b) == a
+    if B.degree_in("y") >= 1:  # A*B + 1 leaves the remainder 1 modulo B
+        with pytest.raises(InternalError):
+            bivariate_divexact_y(to_y_dense(A * B + 1), b)
+    if zp.zcontent([c for r in a for c in r]) % 2:  # an odd content: 2B does not divide A*B
+        with pytest.raises(InternalError):
+            bivariate_divexact_y(to_y_dense(A * B), [zp.zscale(r, 2) for r in b])
+
+
+@pytest.mark.parametrize("p, want", [
+    # the primitive part of the Z[x] content goes with the repeated y-factors;
+    # an integer content and the sign stay
+    ("3*(x^2 - 2)*(y - x)^2*(y^2 + x)", "3*(y - x)*(y^2 + x)"),
+    ("(x - 1)^2*(2*y + x)^3", "2*y + x"),
+    ("-(x^2 + 1)*y^2*(y - 1)", "-y*(y - 1)"),
+    ("2*(x - 3)*(y^2 - x)", "2*(y^2 - x)"),
+    ("(x*y - 1)^2*(y + x)^3*(x^2 - 2)^2", "(x*y - 1)*(y + x)"),
+    ("y^2 - x", "y^2 - x"),
+    ("(x - 1)^2", "(x - 1)^2"),
+])
+def test_squarefree_part_y_strips_content_and_repeated_factors(p, want):
+    got = squarefree_part_y(to_y_dense(parse_poly(p)))
+    assert got == to_y_dense(parse_poly(want))
+    if len(got) >= 2:
+        assert bivariate_gcd(got, deriv_y(got)) == [[1]]

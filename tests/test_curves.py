@@ -674,7 +674,7 @@ _A_FACTORS = ("x-1", "x-2", "x^2+1", "x^2-2", "x^2+4", "x^2+x+1", "x^2-3", "2*x-
 def _divide_by_upoly(F, g):
     """Reference: F / (y - g(x)) by synthetic division over Q, on the
     rational y-rows of F (UPolys in x); None if not divisible."""
-    from curveclass.bipoly import y_rows
+    from test_bipoly import y_rows
 
     rows = y_rows(F)
     dy = len(rows) - 1
@@ -1023,11 +1023,11 @@ from curveclass.bipoly import bivariate_gcd  # noqa: E402
 
 
 def _two_gcd_witness(F):
-    """The repeated part gcd(F, F_x, F_y) of the two-gcd route, None when
-    it is constant."""
-    g = bivariate_gcd(F, F.deriv("x"))
-    g = bivariate_gcd(g, F.deriv("y")) if not g.is_constant() else g
-    return None if g.is_constant() else g
+    """The repeated part gcd(F, F_x, F_y) of the two-gcd route, on the rows
+    of F and of its two derivatives, None when it is constant."""
+    g = bivariate_gcd(to_y_dense(F), to_y_dense(F.deriv("x")))
+    g = bivariate_gcd(g, to_y_dense(F.deriv("y"))) if g != [[1]] else g
+    return None if g == [[1]] else from_y_dense(g)
 
 
 def _curves_of_kind(kind, rng):
@@ -1137,12 +1137,20 @@ def _count_calls(monkeypatch, name, modules):
 
 
 def test_a_singular_job_builds_the_integer_rows_once(monkeypatch):
-    from curveclass import bipoly, curves, functions, jobs
+    from curveclass import bipoly, curves, jobs, unipoly
 
     dense = _count_calls(monkeypatch, "to_y_dense", (bipoly, curves))
-    rational = _count_calls(monkeypatch, "y_rows", (bipoly, functions))
+    gcds = []
+    upoly_gcd = unipoly.upoly_gcd
+    monkeypatch.setattr(unipoly, "upoly_gcd", lambda a, b: gcds.append(a.var) or upoly_gcd(a, b))
     # two linear factors, one non-monic, and a block; three rational
     # singular points
     doc = jobs.run_singular("(y - x^2)*(2*y - x)*(y^2 - x^3 - x)")
-    assert len(dense) == 1 and rational == []
+    assert len(dense) == 1
     assert doc.data["caveats"] == [] and len(doc.data["singular_points"]) == 3
+    # the node's F_x is in Q[x]: its gcd with the resultant is taken over Z,
+    # so no x-candidate reaches the gcd over Q (the fibers over irrational
+    # x-coordinates still take tower gcds in y)
+    doc = jobs.run_singular("y^2 - x^2*(x + 1)")
+    assert len(dense) == 2 and len(doc.data["singular_points"]) == 1
+    assert "y" in gcds and "x" not in gcds

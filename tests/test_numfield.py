@@ -705,7 +705,7 @@ def test_sign_refinement_that_never_converges_is_an_internal_error(monkeypatch):
 # specialize_x and specialize_to_t stay generic, so at a tower's generators
 # they are still the Horner route that the reduction replaced
 from curveclass.curves import specialize_x  # noqa: E402
-from curveclass.bipoly import y_rows  # noqa: E402
+from test_bipoly import y_rows  # noqa: E402
 from curveclass.functions import _value_at  # noqa: E402
 from curveclass.mpoly import MPoly, specialize_to_t, var_index  # noqa: E402
 

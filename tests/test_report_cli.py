@@ -280,6 +280,26 @@ def test_cli_check_morphism_human(tmp_path):
     assert "witness at (0, 0)" in r.stdout
 
 
+def test_cli_check_morphism_on_a_curve_with_a_constant_term(tmp_path):
+    # F(u(t), v(t)) adds F's constant term, a bare rational, to a polynomial in t
+    job = tmp_path / "m.json"
+    job.write_text(json.dumps({"curve": "y - x - 1", "map": ["t", "t + 1"]}))
+    r = _run_cli(["check-morphism", "--input", str(job)])
+    assert r.returncode == 0, r.stderr
+    assert "finite       yes" in r.stdout
+    assert "constant on real fibers  yes" in r.stdout
+
+
+def test_a_map_off_a_curve_with_a_constant_term_is_a_precondition_error():
+    from curveclass.curves import make_curve, make_parametrization
+    from curveclass.errors import PreconditionError
+    from curveclass.parsing import parse_poly, parse_upoly
+
+    curve = make_curve(parse_poly("y^2 - x^3 - 1"))
+    with pytest.raises(PreconditionError, match="does not land"):
+        make_parametrization(curve, parse_upoly("t", "t"), parse_upoly("t^3", "t"))
+
+
 def test_cli_broken_hierarchy_is_internal_error_under_optimize(tmp_path):
     # y/x on the node is not regular; forcing is_regular to say yes breaks
     # the chain regular => k_plus, which must still be caught under -O

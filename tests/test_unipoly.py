@@ -159,6 +159,12 @@ def test_refine_and_sign():
     assert zsign_at(z, iv.low) < 0 < zsign_at(z, iv.high)
 
 
+def test_a_scalar_adds_and_subtracts_as_a_constant_polynomial():
+    p = T(1, 2, 3)
+    assert p + Fraction(1, 2) == UPoly("t", [Fraction(3, 2), 2, 3])
+    assert p - 1 == T(0, 2, 3) and T(1) - 1 == T() and T() + 0 == T()
+
+
 def test_nonzero_gcd_of_only_zeros_is_none():
     assert nonzero_gcd([T(), T()]) is None
     assert nonzero_gcd(iter(())) is None
