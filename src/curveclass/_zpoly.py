@@ -8,11 +8,12 @@ oracles of the test suite.
 Multiplication and exact division switch to Kronecker substitution (pack
 the coefficients into one big integer, use CPython's fast bignum ops,
 unpack balanced digits) once operands are large enough; big-degree gcds go
-through a verified evaluation bound (divide-and-check) with a primitive
-remainder sequence as the fallback; the verified path hands back the
-cofactors it divided out, so Yun's decomposition and the squarefree part
-divide only after the fallback.  Resultants and the regular subresultants
-come from one subresultant remainder sequence.  Sturm chains stay on
+through a verified evaluation bound (divide-and-check) with the
+subresultant remainder sequence as the fallback; the verified path hands
+back the cofactors it divided out, so Yun's decomposition and the
+squarefree part divide only after the fallback.  Resultants, the regular
+subresultants and that fallback gcd come from one subresultant remainder
+sequence.  Sturm chains stay on
 primitive-part pseudo-remainders so sign sequences are preserved.  Every
 remainder sequence takes its pseudo-remainders from one pseudo-division,
 zpdivmod.  Rational roots come from p-adic lifting of the roots modulo one
@@ -203,7 +204,7 @@ def zsign_at(a, x):
 
 # ---------------------------------------------------------------------------
 # pseudo-division, resultant, and gcd: verified evaluation for large
-# inputs, primitive PRS fallback
+# inputs, subresultant fallback
 # ---------------------------------------------------------------------------
 
 def zpdivmod(a, b):
@@ -270,14 +271,6 @@ def zsubresultants(a, b):
     return chain
 
 
-def _gcd_prs(a, b):
-    """Primitive-PRS gcd of primitive inputs (subresultant-free, adequate
-    at the sizes that reach this fallback)."""
-    while b:
-        a, b = b, zprimitive(zpdivmod(a, b)[1])
-    return zprimitive(a)
-
-
 def _mignotte_bits(a):
     """Bit bound on coefficients of any monic-content divisor of a."""
     return len(a) + _max_bits(a) + len(a).bit_length() + 2
@@ -319,8 +312,11 @@ def _zgcd_parts(a, b):
                 return g, zdivexact(a, g, quot_bits=qb), zdivexact(b, g, quot_bits=qb)
             except ValueError:
                 continue
-    g = _gcd_prs(a, b)
-    return (g, a, b) if g == [1] else (g, None, None)
+    # the subresultant sequence: the last nonzero member is the gcd up to content
+    chain = zsubresultants(a, b)
+    if chain[-1][0]:
+        return [1], a, b
+    return zprimitive(chain[-2][0]), None, None
 
 
 def _zcofactors(a, b, bits):

@@ -198,23 +198,21 @@ def _norm1_bits(rows):
 def bivariate_divexact_y(a, b):
     """The rows of the exact quotient a / b in Z[x][y] of two polynomials
     given by their integer y-rows (long division in y, each leading
-    coefficient divided exactly in Z[x]); InternalError when b does not
-    divide a there.  For a primitive b that divides a over Q(x), Gauss's
-    lemma puts the quotient in Z[x][y]."""
+    coefficient divided exactly in Z[x]); None when b does not divide a
+    there.  For a primitive b that divides a over Q(x), Gauss's lemma puts
+    the quotient in Z[x][y]."""
     a = list(a)
     db = len(b) - 1
     quot = [[] for _ in range(len(a) - db)]
-    try:
-        for k in range(len(a) - 1 - db, -1, -1):
-            if a[k + db]:
+    for k in range(len(a) - 1 - db, -1, -1):
+        if a[k + db]:
+            try:
                 quot[k] = q = zp.zdivexact(a[k + db], b[-1])
-                for i in range(db + 1):
-                    a[k + i] = zp.zsub(a[k + i], zp.zmul(q, b[i]))
-    except ValueError:
-        raise InternalError("inexact bivariate division") from None
-    if any(a):
-        raise InternalError("inexact bivariate division")
-    return quot
+            except ValueError:
+                return None
+            for i in range(db + 1):
+                a[k + i] = zp.zsub(a[k + i], zp.zmul(q, b[i]))
+    return None if any(a) else quot
 
 
 def squarefree_part_y(rows):
@@ -227,4 +225,7 @@ def squarefree_part_y(rows):
     g = bivariate_gcd(rows, d)
     if g == [[1]]:
         return rows
-    return bivariate_divexact_y(rows, g)
+    q = bivariate_divexact_y(rows, g)
+    if q is None:
+        raise InternalError("inexact bivariate division")
+    return q

@@ -8,8 +8,8 @@ chunks by squarefree multiplicity classes and rational-root extraction
 of the first two polynomials is read off their subresultants when the
 chunk's roots all agree on its degree; otherwise, and for the remaining
 polynomials, it is computed with dynamic evaluation, so reducible chunks
-split lazily when arithmetic forces them to (_on_branches retries on each
-branch).  Each class carries its certified real embeddings.
+split lazily when arithmetic forces them to (run_with_splits retries on
+each branch).  Each class carries its certified real embeddings.
 """
 
 import itertools
@@ -17,8 +17,8 @@ import math
 from fractions import Fraction
 
 from . import _zpoly as zp
-from .bipoly import (YSubresultants, bivariate_gcd, deriv_x, deriv_y, from_y_dense, rows_at,
-                     to_y_dense, y_content, y_primitive)
+from .bipoly import (YSubresultants, bivariate_divexact_y, bivariate_gcd, deriv_x, deriv_y,
+                     from_y_dense, rows_at, to_y_dense, y_content, y_primitive)
 from .errors import (
     CurveError,
     DegenerateInputError,
@@ -284,7 +284,8 @@ def _points_at_chunk(chunk, grids, sres):
     dynamic evaluation splits the chunk when the fiber structure varies.  sres
     holds the subresultants of grids[0] and grids[1] (None for fewer than two)."""
 
-    def classes_over(fld):
+    def classes_over(branch):
+        fld = branch.field
         first = None if sres is None else _first_pair_gcd(fld, sres)
         # a positive multiple of p(alpha, y), each y-coefficient reduced
         # modulo the chunk: the gcd and its monic squarefree part are the same
@@ -300,7 +301,8 @@ def _points_at_chunk(chunk, grids, sres):
         m2 = squarefree_part(g)
         return _finish_point_classes(extend_field(fld, "y", list(m2.coeffs)))
 
-    return _on_branches(field_from_qpoly("x", UPoly.from_ints("x", chunk)), classes_over)
+    start = BadPoint(field_from_qpoly("x", UPoly.from_ints("x", chunk)), [])
+    return [pt for _, pts in run_with_splits(start, classes_over) for pt in pts]
 
 
 def _first_pair_gcd(fld: NumberField, sres):
@@ -339,23 +341,9 @@ def _unit_mod(a, m):
 
 def _finish_point_classes(fld2: NumberField):
     """Attach certified embeddings, branching on any split surfaced while
-    isolating real roots."""
-    return _on_branches(fld2, lambda f2: [BadPoint(f2, _embeddings_for(f2))])
-
-
-def _on_branches(fld: NumberField, fn):
-    """Concatenation of fn(branch) over the branches of fld: on SplitEvent
-    the branch is split at the event's level and fn retried on each piece,
-    last piece first.  fn returns a list."""
-    work = [fld]
-    out = []
-    while work:
-        branch = work.pop()
-        try:
-            out.extend(fn(branch))
-        except SplitEvent as ev:
-            work.extend(branch.split_level(ev.level, ev.factor_rep))
-    return out
+    isolating real roots; each branch isolates its own."""
+    branches = run_with_splits(BadPoint(fld2, []), lambda b: _embeddings_for(b.field))
+    return [BadPoint(b.field, embs) for b, embs in branches]
 
 
 def _embeddings_for(field: NumberField):
@@ -489,31 +477,11 @@ def bad_locus(curve: PlaneCurve, q: MPoly):
 # realness certification (semi-decision)
 # ---------------------------------------------------------------------------
 
-def _divide_out_linear_y(rows, g: UPoly):
-    """The integer y-rows of F / (y - g(x)), for F in Z[x, y] given by its
-    rows and g in Q[x]; None if not divisible.
-
-    Synthetic division in y by y - G/d (G in Z[x], d > 0 the least common
-    denominator, so d*y - G is primitive).  When y - g divides F, Gauss's
-    lemma makes the quotient integral, so every carry q_k * G / d is an
-    integer row: a carry that is not proves that y - g does not divide."""
-    G, d = to_zpoly(g)
-    quot = [None] * (len(rows) - 1)
-    carry = []
-    for k in range(len(rows) - 1, 0, -1):
-        quot[k - 1] = zp.zadd(rows[k], carry)
-        carry = zp.zmul(quot[k - 1], G)
-        if any(c % d for c in carry):
-            return None
-        carry = [c // d for c in carry]
-    return None if zp.zadd(rows[0], carry) else quot
-
-
 def _linear_y_factors(rows):
     """Split off factors y - g(x) of the primitive F whose integer y-rows
     are rows, found by a bounded rational-root style search (divisor shapes
     come from the partial split of F(x, 0)); incomplete by design.  Returns
-    the factors (MPolys) and the rows of what is left.
+    the factors (MPolys) and the rows of what is left, primitive.
 
     A factor y - c * shape(x) has c * shape(3) among the rational roots of
     F(3, y), so those candidates are found first; without a nonzero one no
@@ -552,9 +520,11 @@ _PROBES = (4, -2, 5)
 
 
 def _first_linear_factor(rows, shapes, cands, x1):
-    """The first (g, rows of F / (y - g)) with g = (root / shape(x1)) * shape
-    in Q[x], in shape-then-candidate order, F given by its integer y-rows;
-    None when no candidate divides.
+    """The first (g, rows of F / (d*y - G)) with g = G/d = (root / shape(x1))
+    * shape in Q[x], G in Z[x] and d > 0 the least common denominator, in
+    shape-then-candidate order, F given by its integer y-rows; None when no
+    candidate divides.  d*y - G is primitive, so for a primitive F the
+    quotient is primitive too (Gauss).
 
     When y - g divides F, F(x_j, g(x_j)) = 0 at every x_j, so a candidate
     is first tested at the integer probes _PROBES, on the rows evaluated
@@ -572,7 +542,8 @@ def _first_linear_factor(rows, shapes, cands, x1):
             if any(zp.zsign_at(fib, k * s) for fib, s in zip(fibers, svals)):
                 continue
             g_poly = shape.scale(k)
-            q = _divide_out_linear_y(rows, g_poly)
+            G, d = to_zpoly(g_poly)
+            q = bivariate_divexact_y(rows, [zp.zneg(G), [d]])
             if q is not None:
                 return g_poly, q
     return None

@@ -549,8 +549,11 @@ def _probe_at_embedding(f, pt, assigned, emb):
                 mid = (lo + hi) / 2
                 if (mid - y0) * (mid - y0) <= window_sq:
                     kept.append((lo, hi))
+            if kept:  # p and q at x = xs, once for every kept root
+                pc, qc = ([(c.numerator, c.numerator, c.denominator)
+                           for c in specialize_x(r, Fraction(xs)).coeffs] for r in (f.p, f.q))
             for rank, (lo, hi) in enumerate(kept):
-                enc = _enclose_ratio(f.p, f.q, xs, lo, hi, zu)
+                enc = _enclose_ratio(pc, qc, lo, hi, zu)
                 if enc is None:
                     continue
                 e_lo, e_hi = enc
@@ -578,13 +581,13 @@ def _probe_at_embedding(f, pt, assigned, emb):
     return {"outcome": "inconclusive", "detail": "no branch resolved at final step"}
 
 
-def _enclose_ratio(p: MPoly, q: MPoly, xs, ylo, yhi, zu):
+def _enclose_ratio(pc, qc, ylo, yhi, zu):
     """Enclosure (lo, hi) of p/q at x = xs over the isolating interval
-    (ylo, yhi) of a root of zu, an integer squarefree polynomial in y; the
-    interval shrinks to a quarter of its width until q's enclosure excludes
-    0, and None if 12 rounds do not get there."""
-    pc, qc = ([(c.numerator, c.numerator, c.denominator)
-               for c in specialize_x(r, Fraction(xs)).coeffs] for r in (p, q))
+    (ylo, yhi) of a root of zu, an integer squarefree polynomial in y, from
+    the y-coefficients of p(xs, y) and q(xs, y) as point enclosures
+    (num, num, den) for _zhorner; the interval shrinks to a quarter of its
+    width until q's enclosure excludes 0, and None if 12 rounds do not get
+    there."""
     ybox = IsolatingInterval(ylo, yhi)
     for _ in range(12):
         qlo, qhi, qden = _zhorner(qc, ybox)

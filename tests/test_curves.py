@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from curveclass.curves import (
-    _divide_out_linear_y,
     bad_locus,
     certify_realness,
     fiber_constancy_check,
@@ -12,11 +11,12 @@ from curveclass.curves import (
     singular_locus,
     solve_xy_system,
 )
-from curveclass.bipoly import from_y_dense, to_y_dense
+from curveclass.bipoly import bivariate_divexact_y, from_y_dense, to_y_dense
 from curveclass.errors import CurveError, PreconditionError, ZeroDivisorDenominatorError
 from curveclass.mpoly import MPoly, eval_at, from_upoly
 from curveclass.parsing import format_poly, format_upoly, parse_poly, parse_upoly
 from curveclass.unipoly import UPoly
+from test_bipoly import y_rows  # first imported within a @given test, its @given would nest
 
 X, Y = MPoly.var("x"), MPoly.var("y")
 T = lambda *cs: UPoly.from_ints("t", cs)  # noqa: E731
@@ -276,6 +276,72 @@ def test_solve_xy_system_rejects_a_shared_line_on_a_split_off_branch(monkeypatch
     assert [format_upoly(m) for m in splits] == ["x^4 - 5*x^2 + 6"]
 
 
+def _on_branches(fld, fn):
+    """Reference: the split-and-retry worklist the locus solve used before it
+    split through run_with_splits, kept as it was: a worklist over fields,
+    on SplitEvent the branch split at the event's level and fn retried on
+    each piece, last piece first."""
+    from curveclass.numfield import SplitEvent
+
+    work = [fld]
+    out = []
+    while work:
+        branch = work.pop()
+        try:
+            out.extend(fn(branch))
+        except SplitEvent as ev:
+            work.extend(branch.split_level(ev.level, ev.factor_rep))
+    return out
+
+
+# bad loci whose solve splits a chunk of irrational x-coordinates
+_SPLITTING_LOCI = [
+    ("(y-1)*(y^2-x) - (x^2-3)*(x^2+1)", "(x-1)*(y-1) + (x^2+1)*(y^2-2)"),
+    ("(y-x^2+1)*y - (x^2-5)*(x^2-5)", "(x^2+1)*y + (x^2-5)*(y^2-x)"),
+    ("(y-1)*(y-1) - (x-1)*(x^2-5)", "(x^2-3)*(y-1) + (x^2-5)*(y^2-x)"),
+    ("(y-x^2+1)*(y-x) - (x^2-2)*(x^2-2)", "(x^2-3)*(y-x^2+1) + (x^2-2)*(y-x^2+1)"),
+    ("(y+x)*y - (x^2-5)*(x^2+1)", "(x-1)*(y+x) + (x^2-5)*(y^2-2)"),
+]
+
+
+@pytest.mark.parametrize("F, q", _SPLITTING_LOCI)
+def test_locus_splits_through_run_with_splits_as_through_the_worklist(monkeypatch, F, q):
+    # the locus solve hands run_with_splits a point without embeddings and
+    # reads only its field; the worklist route runs fn on the same fields,
+    # in another order that the solve's sort undoes
+    from curveclass import curves
+    from curveclass.numfield import NumberField
+    from curveclass.parsing import format_point
+
+    def located():
+        points = bad_locus(make_curve(parse_poly(F)), parse_poly(q))
+        return [(format_point(pt), [[(e.interval(i).low, e.interval(i).high) for i in (0, 1)]
+                                    for e in pt.embeddings]) for pt in points]
+
+    splits = []
+    split_level = NumberField.split_level
+
+    def counted(fld, level, factor):
+        splits.append(level)
+        return split_level(fld, level, factor)
+
+    monkeypatch.setattr(NumberField, "split_level", counted)
+    got = located()
+    assert splits
+
+    def worklist(point, fn):
+        def on_branch(fld):
+            branch = curves.BadPoint(fld, [])
+            return [(branch, fn(branch))]
+
+        return _on_branches(point.field, on_branch)
+
+    monkeypatch.setattr(curves, "run_with_splits", worklist)
+    del splits[:]
+    assert located() == got
+    assert splits
+
+
 def test_bad_locus_constant_denominator_is_empty():
     assert bad_locus(cusp(), MPoly.const(7)) == []
 
@@ -484,17 +550,42 @@ def test_certify_realness_never_certifies_empty_real_locus():
         assert not rep.certified
 
 
-def test_divide_out_linear_y_is_exact_or_none():
+def _linear_rows(g):
+    """The integer y-rows of d*y - G, for g = G/d in Q[x] (d > 0 the least
+    common denominator): the primitive divisor the linear-factor search
+    divides by."""
+    from curveclass import _zpoly as zp
+    from curveclass.unipoly import to_zpoly
+
+    G, d = to_zpoly(g)
+    return [zp.zneg(G), [d]]
+
+
+def test_division_by_a_linear_factor_is_exact_or_none():
     F = parse_poly("x*y^2 - 1/2*y + x^3 - 7")
     for g in ("0", "x^2 - 1/3", "5", "1/2*x"):  # the last is the non-monic 2y - x
-        gx = parse_upoly(g, "x")
-        linear = Y - from_upoly(gx)
-        rows = to_y_dense(F * linear)
-        assert from_y_dense(_divide_out_linear_y(rows, gx)) * linear == from_y_dense(rows)
+        linear = _linear_rows(parse_upoly(g, "x"))
+        rows = to_y_dense(F * from_y_dense(linear))
+        assert from_y_dense(bivariate_divexact_y(rows, linear)) == from_y_dense(to_y_dense(F))
     # y - x does not divide F * (y - x^2)
-    assert _divide_out_linear_y(to_y_dense(F * (Y - X**2)), parse_upoly("x", "x")) is None
-    # nor y - 1/2 y: a carry 1/2 rounded to an integer would leave remainder 0
-    assert _divide_out_linear_y(to_y_dense(Y), parse_upoly("1/2", "x")) is None
+    y_minus_x = _linear_rows(parse_upoly("x", "x"))
+    assert bivariate_divexact_y(to_y_dense(F * (Y - X**2)), y_minus_x) is None
+    # nor does 2y - 1 divide y: a quotient 1/2 rounded to an integer would leave remainder 0
+    assert bivariate_divexact_y(to_y_dense(Y), _linear_rows(parse_upoly("1/2", "x"))) is None
+
+
+def test_a_non_monic_linear_factor_leaves_a_primitive_block():
+    # F / (y - x/2) is 2 * (y^4 - x*y^2 - 1) over Z; dividing by 2y - x
+    # leaves the primitive block, which the biquadratic test certifies
+    from curveclass import jobs
+
+    rep = certify_realness(make_curve(parse_poly("(2*y - x)*(y^4 - x*y^2 - 1)")))
+    assert [(format_poly(f), status, note) for f, status, note in rep.factors] == [
+        ("-1/2*x + y", "certified", "graph of a polynomial function"),
+        ("y^4 - x*y^2 - 1", "certified", "irreducible with a nonsingular real point over x = 0"),
+    ]
+    assert rep.certified
+    assert jobs.run_singular("(2*y - x)*(y^4 - x*y^2 - 1)", 64).data["caveats"] == []
 
 
 @pytest.mark.parametrize(
@@ -634,7 +725,7 @@ def _first_linear_factor_by_division(rows, shapes, cands, x1):
             continue
         for root in cands:
             g_poly = shape.scale(root / mval)
-            q = curves._divide_out_linear_y(rows, g_poly)
+            q = curves.bivariate_divexact_y(rows, _linear_rows(g_poly))
             if q is not None:
                 return g_poly, q
     return None
@@ -642,15 +733,16 @@ def _first_linear_factor_by_division(rows, shapes, cands, x1):
 
 @contextmanager
 def _counting_divisions():
+    """The divisors of every division the linear-factor search makes."""
     from curveclass import curves
 
     calls = []
-    divide = curves._divide_out_linear_y
-    curves._divide_out_linear_y = lambda rows, g: calls.append(g) or divide(rows, g)
+    divide = curves.bivariate_divexact_y
+    curves.bivariate_divexact_y = lambda rows, b: calls.append(b) or divide(rows, b)
     try:
         yield calls
     finally:
-        curves._divide_out_linear_y = divide
+        curves.bivariate_divexact_y = divide
 
 
 def test_a_candidate_passing_x_3_is_rejected_at_a_probe():
@@ -665,7 +757,7 @@ def test_a_candidate_passing_x_3_is_rejected_at_a_probe():
     with _counting_divisions() as divided:
         want = _first_linear_factor_by_division(to_y_dense(F), shapes, cands, Fraction(3))
     assert got == want == (x * x, to_y_dense(Y**2 + 1))
-    assert probed == [x * x] and len(divided) == 3
+    assert probed == [_linear_rows(x * x)] and len(divided) == 3
 
 
 _A_FACTORS = ("x-1", "x-2", "x^2+1", "x^2-2", "x^2+4", "x^2+x+1", "x^2-3", "2*x-1/3")
@@ -674,8 +766,6 @@ _A_FACTORS = ("x-1", "x-2", "x^2+1", "x^2-2", "x^2+4", "x^2+x+1", "x^2-3", "2*x-
 def _divide_by_upoly(F, g):
     """Reference: F / (y - g(x)) by synthetic division over Q, on the
     rational y-rows of F (UPolys in x); None if not divisible."""
-    from test_bipoly import y_rows
-
     rows = y_rows(F)
     dy = len(rows) - 1
     quot = [None] * dy
@@ -716,10 +806,18 @@ def _division_case(draw):
 @settings(deadline=None, max_examples=200)
 @given(case=_division_case())
 def test_integer_linear_division_matches_division_over_q(case):
+    # dividing by the primitive d*y - G instead of y - G/d keeps F's
+    # content: the quotient of a primitive F is primitive
+    from curveclass import _zpoly as zp
+
     rows, g = case
     want = _divide_by_upoly(from_y_dense(rows), g)
-    got = _divide_out_linear_y(rows, g)
-    assert got == (None if want is None else to_y_dense(want))
+    got = bivariate_divexact_y(rows, _linear_rows(g))
+    if want is None:
+        assert got is None
+    else:
+        assert from_y_dense(got) == want * Fraction(1, _linear_rows(g)[1][0])
+        assert zp.zcontent(sum(got, [])) == zp.zcontent(sum(rows, []))
 
 
 @st.composite

@@ -436,6 +436,30 @@ def test_probe_never_violates_kr_members():
         assert out["outcome"] != "violated" or classify(f).verdicts["k_r_plus"] == "no"
 
 
+def test_probe_specializes_p_and_q_once_per_sample_x(monkeypatch):
+    # p and q are specialized at a sample x once, not once per kept root
+    # there: 84 calls on the probed demo corpus, where that made 144
+    from curveclass import demo
+
+    per_probe = []
+    probe = functions._probe_at_embedding
+    specialize = functions.specialize_x
+
+    def probed(*args):
+        per_probe.append([])
+        return probe(*args)
+
+    def counted(r, xs):
+        per_probe[-1].append((format_poly(r), xs))
+        return specialize(r, xs)
+
+    monkeypatch.setattr(functions, "_probe_at_embedding", probed)
+    monkeypatch.setattr(functions, "specialize_x", counted)
+    assert all(passed for _, _, passed, _ in demo.run_demo(probe=True))
+    assert sum(map(len, per_probe)) == 84
+    assert all(len(calls) == len(set(calls)) for calls in per_probe)
+
+
 def test_pole_on_a_line_is_not_integral():
     # the x-axis with f = 1/x: the saturated ideal <y, x t - 1> : x^oo has
     # no monic relation for t (empty fiber over x = 0)
@@ -627,6 +651,13 @@ def _reference_ratio(p, q, xs, lo, hi, u):
     return None, 12
 
 
+def _point_coeffs(p, q, xs):
+    """The y-coefficients of p(xs, y) and q(xs, y) as the point enclosures
+    (num, num, den) that _enclose_ratio takes."""
+    return ([(c.numerator, c.numerator, c.denominator) for c in specialize_x(r, xs).coeffs]
+            for r in (p, q))
+
+
 _ENCLOSE_CURVES = ("y^2 - x", "y^2 - x^3 - x^2", "y^3 - x*y + 1", "y^2 + x^2 - 4")
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -660,7 +691,7 @@ def test_enclose_ratio_equals_the_fraction_interval_horner_quotient(data):
         q = _xy_poly(data.draw)
     want, _ = _reference_ratio(p, q, xs, ival.low, ival.high, u)
     zu = zsquarefree(to_zpoly(u)[0])
-    assert functions._enclose_ratio(p, q, xs, ival.low, ival.high, zu) == want
+    assert functions._enclose_ratio(*_point_coeffs(p, q, xs), ival.low, ival.high, zu) == want
 
 
 def test_enclose_ratio_refines_until_q_leaves_zero():
@@ -674,9 +705,9 @@ def test_enclose_ratio_refines_until_q_leaves_zero():
     want, steps = _reference_ratio(p, q, xs, ival.low, ival.high, u)
     assert want is not None and steps > 0
     zu = zsquarefree(to_zpoly(u)[0])
-    assert functions._enclose_ratio(p, q, xs, ival.low, ival.high, zu) == want
+    assert functions._enclose_ratio(*_point_coeffs(p, q, xs), ival.low, ival.high, zu) == want
     assert _reference_ratio(p, curve, xs, ival.low, ival.high, u) == (None, 12)
-    assert functions._enclose_ratio(p, curve, xs, ival.low, ival.high, zu) is None
+    assert functions._enclose_ratio(*_point_coeffs(p, curve, xs), ival.low, ival.high, zu) is None
 
 
 def test_probe_never_flags_a_real_closure_member():

@@ -366,3 +366,23 @@ def test_gcd_hands_back_cofactors_only_where_it_divided():
     assert _zgcd_parts(a, b) == (poly_from_roots([2, 3]), None, None)
     assert _zgcd_parts(a, [5, 1]) == ([1], a, [5, 1])
     assert _zgcd_parts(a, []) == (a, [1], [])
+
+
+def _gcd_by_primitive_prs(a, b):
+    """Reference: the primitive remainder sequence the fallback ran before
+    it moved onto the subresultant sequence, for primitive a and b."""
+    while b:
+        a, b = b, zprimitive(zpdivmod(a, b)[1])
+    return zprimitive(a)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_zfactor, st.data())
+def test_fallback_gcd_matches_the_primitive_prs(common, data):
+    # at most 12 coefficients, the fallback's range, around a planted factor
+    room = 13 - len(common)
+    cofactor = st.lists(st.integers(-9, 9), min_size=1, max_size=room).map(ztrim).filter(bool)
+    a = zprimitive(zmul(common, data.draw(cofactor)))
+    b = zprimitive(zmul(common, data.draw(cofactor)))
+    assert len(a) <= 12 and len(b) <= 12
+    assert zgcd(a, b) == _gcd_by_primitive_prs(a, b)
