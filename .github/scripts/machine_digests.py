@@ -50,7 +50,10 @@ SQUARES = ("(y + 1)^2", "(x - 2)^2", "(x^2 - 2)^2", "(y - x)^2")
 # curves whose realness takes every route of certify_realness: a non-monic
 # linear factor, y | F, rational and irrational vertical lines (real and
 # not), y-degree 2 blocks and biquadratic blocks, certified at some budget
-# or at none, irreducible or split through y^2 or a product of quadratics
+# or at none, irreducible or split through y^2 or a product of quadratics;
+# reducible blocks that certify at no sample or only at a late one, a
+# curve whose linear-factor search stops at F(4, y), and factors y - g
+# with g(4) = 0, the only rational root of F(4, y) in the second
 REALNESS_CURVES = (
     "(2*y - x)*(y^4 - x*y^2 + 1)",
     "y*(y^2 - x)",
@@ -71,6 +74,11 @@ REALNESS_CURVES = (
     "y^4 - (x^2 - 2)*y^2 + 1",
     "(y^2 - x)*(y^2 + x^2 + 1)",
     "(y^4 + x^3)*(y^2 - (x - 2)*(x^2 + x + 1))",
+    "(y^4 + x^2)*(y^2 - (x - 1)*(x - 2))",
+    "(y^2 - x + 3)*(y^2 - x + 5)",
+    "y^2 - x^2*(x + 1)",
+    "(y - x + 4)*(y^2 - x)",
+    "(y - x + 4)*(y^2 - x + 1)",
 )
 REALNESS_BUDGETS = (0, 1, 2, 16, 64, 399)
 

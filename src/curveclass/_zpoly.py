@@ -440,24 +440,50 @@ def zprimitive_pos(a):
     return [c // g for c in a]
 
 
-def sturm_chain(a):
-    """Sturm chain of a squarefree primitive polynomial.
+def sturm_members(a):
+    """The members of sturm_chain(a), one at a time, a first.
 
     Pseudo-remainders with the multiplier forced positive, then positive
     content divided out, so the chain has the exact sign behaviour of the
     classical rational Sturm sequence.
     """
-    chain = [a]
-    b = zprimitive_pos(zderiv(a))
+    yield a
+    prev, b = a, zprimitive_pos(zderiv(a))
     while b:
-        chain.append(b)
-        prev = chain[-2]
+        yield b
         r = zpdivmod(prev, b)[1]
         # zpdivmod multiplied prev by lc(b)**(delta+1); flip if that factor < 0
         if b[-1] < 0 and (zdeg(prev) - zdeg(b) + 1) % 2 == 1:
             r = zneg(r)
-        b = zprimitive_pos(zneg(r))
-    return chain
+        prev, b = b, zprimitive_pos(zneg(r))
+
+
+def sturm_chain(a):
+    """Sturm chain of a squarefree primitive polynomial (sturm_members)."""
+    return list(sturm_members(a))
+
+
+def zall_real_simple(a):
+    """True when the nonzero a of degree n has n distinct real roots.
+
+    For a with a positive lead, that holds exactly when its Sturm chain has
+    one member of each degree n, n - 1, ..., 0 and every lead is positive:
+    V(-inf) - V(+inf) = n needs n + 1 members and V(+inf) = 0.  The chain
+    is built member by member and abandoned at the first that breaks this.
+    An even a(y) = p(y^2) is decided on p, of half the degree.
+    """
+    a = zprimitive(a)
+    if len(a) > 2 and not any(a[1::2]):
+        # the roots of p(y^2) are real and simple exactly when p's are
+        # simple and positive; p's real roots are all positive exactly when
+        # its coefficients alternate in sign (Descartes)
+        p = a[::2]
+        return all(c * d < 0 for c, d in zip(p, p[1:])) and zall_real_simple(p)
+    n = zdeg(a)
+    for k, q in enumerate(sturm_members(a)):
+        if zdeg(q) != n - k or q[-1] < 0:
+            return False
+    return k == n
 
 
 class SturmSigns:

@@ -485,7 +485,10 @@ def _linear_y_factors(rows):
 
     A factor y - c * shape(x) has c * shape(3) among the rational roots of
     F(3, y), so those candidates are found first; without a nonzero one no
-    division can be tried, and no shape is built.
+    division can be tried, and no shape is built.  A factor y - g(x) also
+    puts g(4) among the rational roots of F(4, y), which is not zero since
+    F is y-primitive; without any root there (0 counts) the search stops
+    before the shapes too.
     """
     out = []
     x1 = 3
@@ -497,7 +500,7 @@ def _linear_y_factors(rows):
             continue
         u = rows_at(rows, x1)
         cands = [r for r in zp.zrational_roots(u) if r] if zp.zdeg(u) >= 1 else []
-        if not cands:
+        if not cands or not zp.zrational_roots(rows_at(rows, 4)):
             break
         dx = max(map(len, rows)) - 1
         roots, chunks = _split_candidates(rows[0])
@@ -656,7 +659,12 @@ def _certify_block(rows, budget):
     sample x0 whose fiber B(x0, y) is squarefree of full degree and either
     has all its roots real, or has a real root while B is certified
     irreducible (that root is a nonsingular real point on the only
-    component).  Returns (B, status, note)."""
+    component).  Returns (B, status, note).
+
+    Without an irreducibility certificate only the first kind can certify,
+    so each sample is tested by zall_real_simple, whose Sturm chain stops at
+    the first member that rules it out; an irreducible block counts its
+    roots on the full chain."""
     dy = len(rows) - 1
     irreducible = _irreducible_lite(rows)
     B = from_y_dense(rows)
@@ -664,17 +672,21 @@ def _certify_block(rows, budget):
         z = rows_at(rows, x0)
         if zp.zdeg(z) != dy:
             continue
-        # the chain is a remainder sequence of z and z', so its last member
-        # is gcd(z, z') up to a constant
-        chain = zp.sturm_chain(zp.zprimitive(z))
-        if zp.zdeg(chain[-1]) != 0:
-            continue  # non-squarefree sample: skip
-        n_real = zp.sturm_count(chain)
-        if n_real == dy:
+        if irreducible:
+            # the chain is a remainder sequence of z and z', so its last
+            # member is gcd(z, z') up to a constant
+            chain = zp.sturm_chain(zp.zprimitive(z))
+            if zp.zdeg(chain[-1]) != 0:
+                continue  # non-squarefree sample: skip
+            n_real = zp.sturm_count(chain)
+            if 1 <= n_real < dy:
+                return (B, "certified",
+                        f"irreducible with a nonsingular real point over x = {x0}")
+            real_simple = n_real == dy
+        else:
+            real_simple = zp.zall_real_simple(z)
+        if real_simple:
             return (B, "certified", f"all {dy} branches real and simple over x = {x0}")
-        if n_real >= 1 and irreducible:
-            return (B, "certified",
-                    f"irreducible with a nonsingular real point over x = {x0}")
     return (B, "unverified", "no certificate within budget")
 
 

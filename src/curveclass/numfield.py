@@ -285,12 +285,13 @@ def _zinv(F, a):
 class NumberField:
     """Tower of monic squarefree extensions over Q; depth 0, 1 or 2."""
 
-    __slots__ = ("levels", "_mp", "_zlevels")
+    __slots__ = ("levels", "_mp", "_zlevels", "_label")
 
     def __init__(self, levels=()):
         self.levels = tuple((str(v), tuple(m)) for v, m in levels)
         self._mp = tuple(m for _, m in self.levels)
         self._zlevels = None  # zlevels(), built on first use; not part of ==
+        self._label = None  # parsing.format_point's label, built on first use; not part of ==
         for k, m in enumerate(self._mp):
             if len(m) < 2:
                 raise ValueError("level polynomial must be nonconstant")

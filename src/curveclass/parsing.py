@@ -263,10 +263,14 @@ def _rep_to_mpoly(rep, names) -> MPoly:
 
 def format_point(pt) -> str:
     """Canonical label of a point class: exact coordinates when rational,
-    the triangular system otherwise."""
+    the triangular system otherwise, which depends on the field alone and
+    is kept on it."""
     if pt.is_rational():
         x0, y0 = pt.coords()
         return f"({_coeff_str(x0)}, {_coeff_str(y0)})"
-    m1 = format_upoly(pt.m1())
-    m2 = format_poly(_rep_to_mpoly(pt.field._mp[1], ["x", "y"]))
-    return f"{{{m1} = 0, {m2} = 0}}"
+    field = pt.field
+    if field._label is None:
+        m1 = format_upoly(pt.m1())
+        m2 = format_poly(_rep_to_mpoly(field._mp[1], ["x", "y"]))
+        field._label = f"{{{m1} = 0, {m2} = 0}}"
+    return field._label

@@ -657,8 +657,11 @@ def _certify_block_by_specialize_x(B, budget):
         (Y**4 + X**3) * (Y**2 - (X - 2) * (X**2 + X + 1)),
         (Y**4 + X**5) * (Y**2 * Fraction(1, 6) - (X**2 - 3) * (X - 1) ** 3 * Fraction(3, 4)),
         X * Y**2 + Y - 1,  # the fiber over x = 0 drops in degree
+        # reducible, no irreducibility certificate: all four branches first
+        # real at x = 6, the twelfth sample
+        (Y**2 - X + 3) * (Y**2 - X + 5),
     ],
-    ids=["y2-a", "y4xk-y2-a", "rational", "lc-vanishes"],
+    ids=["y2-a", "y4xk-y2-a", "rational", "lc-vanishes", "reducible-late"],
 )
 def test_integer_realness_samples_match_specialize_x(monkeypatch, F, budget):
     from curveclass import curves
@@ -675,6 +678,16 @@ def test_integer_realness_samples_match_specialize_x(monkeypatch, F, budget):
     monkeypatch.setattr(curves, "_certify_block", compared)
     certify_realness(make_curve(F), budget=budget)
     assert blocks
+
+
+def test_reducible_block_certifies_first_at_a_late_sample():
+    from curveclass import curves
+
+    rows = to_y_dense((Y**2 - X + 3) * (Y**2 - X + 5))
+    assert curves._irreducible_lite(rows) is None
+    assert curves._certify_block(rows, 2)[1:] == ("unverified", "no certificate within budget")
+    assert curves._certify_block(rows, 16)[1:] == (
+        "certified", "all 4 branches real and simple over x = 6")
 
 
 # True and False are ints to isinstance; [1] is an unhashable cache key
@@ -851,6 +864,75 @@ def test_probed_linear_factor_search_matches_division_alone(F):
     finally:
         curves._first_linear_factor = probe
     assert got == want
+
+
+def _linear_y_factors_ungated(rows):
+    """Reference: the linear-factor search without the F(4, y) gate, which
+    builds the shapes whenever F(3, y) has a nonzero rational root."""
+    from curveclass import _zpoly as zp
+    from curveclass import curves
+
+    out = []
+    x1 = 3
+    while len(rows) >= 2:
+        if not rows[0]:
+            out.append(MPoly.var("y"))
+            rows = rows[1:]
+            continue
+        u = curves.rows_at(rows, x1)
+        cands = [r for r in zp.zrational_roots(u) if r] if zp.zdeg(u) >= 1 else []
+        if not cands:
+            break
+        dx = max(map(len, rows)) - 1
+        roots, chunks = curves._split_candidates(rows[0])
+        pieces = [UPoly("x", [-r, Fraction(1)]) for r in roots]
+        pieces += [UPoly.from_ints("x", ch) for ch in chunks]
+        one = UPoly("x", [Fraction(1)])
+        shapes = [one]
+        for piece in pieces[:4]:
+            squares = [one, piece, piece * piece]
+            shapes = [s * pk for s in shapes for pk in squares if s.degree + pk.degree <= dx]
+        factor = curves._first_linear_factor(rows, shapes, cands, x1)
+        if factor is None:
+            break
+        g_poly, rows = factor
+        out.append(MPoly.var("y") - from_upoly(g_poly))
+    return out, rows
+
+
+@settings(deadline=None, max_examples=60)
+@given(F=_realness_curve())
+def test_gated_linear_factor_search_matches_the_ungated_one(F):
+    from curveclass import curves
+
+    assert curves._linear_y_factors(to_y_dense(F)) == _linear_y_factors_ungated(to_y_dense(F))
+
+
+@pytest.mark.parametrize(
+    "F, factors, searched",
+    [
+        # F(3, y) has the roots -6 and 6, F(4, y) = y^2 - 80 none: the gate
+        # stops the search before any shape is built
+        (Y**2 - X**2 * (X + 1), [], False),
+        ((Y - X**2) * (Y**2 + X**2 * (X + 1)), [Y - X**2], True),
+        # g(4) = 0: the gate must count the root 0 of F(4, y), which is its
+        # only rational root in the second curve
+        ((Y - X + 4) * (Y**2 - X), [Y - X + 4], True),
+        ((Y - X + 4) * (Y**2 - X + 1), [Y - X + 4], True),
+    ],
+    ids=["node", "parabola-times-positive", "g4-zero", "g4-zero-only-root"],
+)
+def test_gated_linear_factor_search_on_named_curves(monkeypatch, F, factors, searched):
+    from curveclass import curves
+
+    want = _linear_y_factors_ungated(to_y_dense(F))
+    splits = []
+    split = curves._split_candidates
+    monkeypatch.setattr(curves, "_split_candidates", lambda z: splits.append(z) or split(z))
+    got = curves._linear_y_factors(to_y_dense(F))
+    assert got == want
+    assert got[0] == factors
+    assert bool(splits) == searched
 
 
 @st.composite

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from curveclass._zpoly import (
     sturm_chain,
     sturm_count,
+    sturm_members,
+    zall_real_simple,
+    zdeg,
     zdivexact,
     zgcd,
     zisolate,
@@ -104,13 +107,62 @@ def test_yun_decomposition():
 
 
 def test_sturm_counts():
-    chain = sturm_chain([1, 0, 1])  # x^2 + 1
+    chain = sturm_chain([1, 0, 1])  # y^2 + 1
     assert sturm_count(chain) == 0
     chain = sturm_chain([-2, 0, 1])  # x^2 - 2
     assert sturm_count(chain) == 2
     chain = sturm_chain([0, -1, 1])  # x^2 - x, roots {0, 1}
     assert sturm_count(chain, Fraction(-1, 2), Fraction(2)) == 2
     assert sturm_count(chain, Fraction(1, 2), Fraction(2)) == 1
+
+
+@st.composite
+def _real_simple_case(draw):
+    """A nonzero integer polynomial of degree 1-8: either random
+    coefficients, many of them zero, or a product of integer roots (some
+    repeated) and a random factor; sometimes one of degree 1-4 taken at
+    y^2, so that it is even; its lead is sometimes negative."""
+    even = draw(st.booleans())
+    top = 4 if even else 8
+    if draw(st.booleans()):
+        n = draw(st.integers(1, top))
+        a = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5]), min_size=n, max_size=n))
+        a.append(draw(st.sampled_from([1, 2, 3])))
+    else:
+        roots = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=min(6, top)))
+        rest = draw(st.lists(st.integers(-3, 3), max_size=top - len(roots)))
+        a = zmul(poly_from_roots(roots), rest + [1])
+    if even:
+        a = [v for c in a for v in (c, 0)][:-1]
+    return [-c for c in a] if draw(st.booleans()) else a
+
+
+@settings(deadline=None, max_examples=300)
+@given(_real_simple_case())
+def test_early_exit_all_real_matches_the_full_chain(a):
+    chain = sturm_chain(zprimitive(a))
+    squarefree = zdeg(chain[-1]) == 0
+    assert zall_real_simple(a) == (squarefree and sturm_count(chain) == zdeg(a))
+
+
+def test_early_exit_all_real_on_named_cases():
+    assert zall_real_simple([-6, 11, -6, 1])  # (y - 1)(y - 2)(y - 3)
+    assert zall_real_simple([6, -11, 6, -1])  # the same, lead negative
+    assert not zall_real_simple([1, 0, 1])  # y^2 + 1
+    assert not zall_real_simple([0, 0, 1])  # y^2, a double root
+    assert zall_real_simple([2, 0, -3, 0, 1])  # (y^2 - 1)(y^2 - 2), even
+    assert not zall_real_simple([-3, 0, 0, 0, 1])  # y^4 - 3: two real roots of four
+    assert zall_real_simple([7])  # degree 0: no roots, all of them real
+    assert zall_real_simple([4, 0, -5, 0, 1])  # (y^2 - 1)(y^2 - 4)
+    assert not zall_real_simple([-4, 0, -3, 0, 1])  # (y^2 + 1)(y^2 - 4)
+    assert not zall_real_simple([0, 0, -1, 0, 1])  # y^2 (y^2 - 1): 0 is double
+
+
+@settings(deadline=None, max_examples=100)
+@given(_real_simple_case())
+def test_sturm_chain_lists_its_members(a):
+    a = zprimitive(zsquarefree(a))
+    assert sturm_chain(a) == list(sturm_members(a))
 
 
 def test_isolation_counts_and_certifies():
