@@ -85,7 +85,8 @@ REALNESS_BUDGETS = (0, 1, 2, 16, 64, 399)
 # fuzz-shared jobs (seed 2024) whose extensions present_morphism_line
 # presents, and its check-morphism jobs (curve, u, v, function): the node
 # y^2 = x^2*(x + 1), the cusp y^2 = x^3 and y^3 = x^2 by their
-# parametrizations
+# parametrizations, and the node y^2 = x^2*(x + 2), whose fiber over (0, 0)
+# has the irrational roots t = +-sqrt(2), so its witness is a fiber polynomial
 PRESENT_JOBS = 60
 MORPHISMS = (
     ("y^2 - x^3 - x^2", "t^2 - 1", "t^3 - t", "t"),
@@ -93,6 +94,7 @@ MORPHISMS = (
     ("y^2 - x^3", "t^2", "t^3", "t"),
     ("y^2 - x^3", "t^2", "t^3", "t^2"),
     ("y^3 - x^2", "t^3", "t^2", "t"),
+    ("y^2 - x^2*(x + 2)", "t^2 - 2", "t^3 - 2*t", "t"),
 )
 
 # tower-split and fuzz-shared jobs (seed 2024, each) whose functions

@@ -110,7 +110,7 @@ def cmd_fibers(args):
 
 
 def cmd_present(args):
-    _job_runner(run_present, args)
+    _run_jobs(lambda item: run_present(JobSpec.from_dict(item)), args)
 
 
 def cmd_check_morphism(args):
@@ -152,37 +152,33 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
+    def add(name, fn, summary, jobs=True, budget=True, probe=True):
+        """A subcommand with only the flags fn reads."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
+        if jobs:
             p.add_argument("--input", required=True, help="job file (JSON), or - for stdin")
         p.add_argument("--format", choices=("human", "machine"), default="human")
-        # unset unless given: a job's own fields (default 64 and off) apply
-        p.add_argument("--realness-budget", type=_budget, default=None)
-        probe = p.add_mutually_exclusive_group()
-        probe.add_argument("--probe", dest="probe", action="store_true")
-        probe.add_argument("--no-probe", dest="probe", action="store_false")
-        p.set_defaults(probe=None)
-        p.add_argument("--batch", action="store_true", help="input is a JSON array of jobs")
+        if budget:
+            # unset unless given: a job's own field (default 64) applies
+            p.add_argument("--realness-budget", type=_budget, default=None)
+        if probe:
+            # unset unless given: a job's own field (default off) applies
+            flag = p.add_mutually_exclusive_group()
+            flag.add_argument("--probe", dest="probe", action="store_true")
+            flag.add_argument("--no-probe", dest="probe", action="store_false")
+            p.set_defaults(probe=None)
+        if jobs:
+            p.add_argument("--batch", action="store_true", help="input is a JSON array of jobs")
 
-    p = sub.add_parser("classify", help="full verdict hierarchy with certificates")
-    common(p)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("fibers", help="fiber table over the bad locus")
-    common(p)
-    p.set_defaults(fn=cmd_fibers)
-
-    p = sub.add_parser("present", help="presentation of the glued variety R[X][f]")
-    common(p)
-    p.set_defaults(fn=cmd_present)
-
-    p = sub.add_parser("check-morphism", help="fiber constancy over a parametrization")
-    common(p)
-    p.set_defaults(fn=cmd_check_morphism)
-
-    p = sub.add_parser("demo", help="replay the built-in corpus against its table")
-    common(p, needs_input=False)
-    p.set_defaults(fn=cmd_demo)
+    add("classify", cmd_classify, "full verdict hierarchy with certificates")
+    add("fibers", cmd_fibers, "fiber table over the bad locus")
+    add("present", cmd_present, "presentation of the glued variety R[X][f]",
+        budget=False, probe=False)
+    add("check-morphism", cmd_check_morphism, "fiber constancy over a parametrization",
+        budget=False, probe=False)
+    add("demo", cmd_demo, "replay the built-in corpus against its table",
+        jobs=False, budget=False)
     return ap
 
 

@@ -488,7 +488,8 @@ def _linear_y_factors(rows):
     division can be tried, and no shape is built.  A factor y - g(x) also
     puts g(4) among the rational roots of F(4, y), which is not zero since
     F is y-primitive; without any root there (0 counts) the search stops
-    before the shapes too.
+    before the shapes too.  Otherwise F(4, y) is the first probe fiber of
+    _first_linear_factor, which takes it as it is.
     """
     out = []
     x1 = 3
@@ -500,7 +501,10 @@ def _linear_y_factors(rows):
             continue
         u = rows_at(rows, x1)
         cands = [r for r in zp.zrational_roots(u) if r] if zp.zdeg(u) >= 1 else []
-        if not cands or not zp.zrational_roots(rows_at(rows, 4)):
+        if not cands:
+            break
+        fiber = rows_at(rows, _PROBES[0])
+        if not zp.zrational_roots(fiber):
             break
         dx = max(map(len, rows)) - 1
         roots, chunks = _split_candidates(rows[0])
@@ -511,7 +515,7 @@ def _linear_y_factors(rows):
         for piece in pieces[:4]:
             squares = [one, piece, piece * piece]
             shapes = [s * pk for s in shapes for pk in squares if s.degree + pk.degree <= dx]
-        factor = _first_linear_factor(rows, shapes, cands, x1)
+        factor = _first_linear_factor(rows, shapes, cands, x1, fiber)
         if factor is None:
             break
         g_poly, rows = factor
@@ -522,7 +526,7 @@ def _linear_y_factors(rows):
 _PROBES = (4, -2, 5)
 
 
-def _first_linear_factor(rows, shapes, cands, x1):
+def _first_linear_factor(rows, shapes, cands, x1, fiber):
     """The first (g, rows of F / (d*y - G)) with g = G/d = (root / shape(x1))
     * shape in Q[x], G in Z[x] and d > 0 the least common denominator, in
     shape-then-candidate order, F given by its integer y-rows; None when no
@@ -531,9 +535,10 @@ def _first_linear_factor(rows, shapes, cands, x1):
 
     When y - g divides F, F(x_j, g(x_j)) = 0 at every x_j, so a candidate
     is first tested at the integer probes _PROBES, on the rows evaluated
-    there once.  Only survivors are divided, so the first divisor found is
-    the one division alone would find."""
-    fibers = [rows_at(rows, xj) for xj in _PROBES]
+    there once; fiber is F(_PROBES[0], y), which the caller has.  Only
+    survivors are divided, so the first divisor found is the one division
+    alone would find."""
+    fibers = [fiber] + [rows_at(rows, xj) for xj in _PROBES[1:]]
     for shape in shapes:
         mval = shape.eval(x1)
         if not mval:

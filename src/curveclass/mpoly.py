@@ -1,13 +1,15 @@
 """Multivariate polynomials over Q in the fixed universe {s, t, x, y},
-monomial orders, Buchberger's algorithm, normal forms, elimination and
-saturation.
+the lex order s > t > x > y, Buchberger's algorithm, normal forms,
+elimination and saturation.
 
 s is reserved for the 1 - s*q saturation trick; t carries graph/fiber
 variables; x, y are the plane coordinates.  MPoly coefficients are in Q.
-Buchberger and normal forms run on one fraction-free kernel: primitive
-integer polynomials over packed monomials, reduced by lc(g)*r - c*m*g with
+Lex is the one monomial order: saturation, elimination and the monic-in-t
+witness all read lex bases.  Buchberger and normal forms run on one
+fraction-free kernel: primitive integer polynomials over packed lex
+monomials, each its own exponent fields, reduced by lc(g)*r - c*m*g with
 contents removed.  Buchberger takes S-pairs by sugar (Giovini et al.,
-ISSAC 1991), which on lex elimination orders reduces fewer pairs than
+ISSAC 1991), which on lex elimination reduces fewer pairs than
 smallest-lcm selection.  A GroebnerBasis is stored as its kernel rows: Q
 appears only where its .basis or a remainder is read.  Every step is
 exact (no modular shortcuts, no floating point): exactness is the product.
@@ -230,90 +232,49 @@ class MPoly:
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# the monomial order
 # ---------------------------------------------------------------------------
 
 # Inside the Groebner kernel a monomial is one int holding NVARS exponent
-# fields of _FIELD_BITS bits; the top bit of each field is a guard that stays
-# clear.  Exponents entering the kernel are below _EXP_LIMIT, so the sums
-# that reduction forms stay far from the guards.
+# fields of _FIELD_BITS bits, s in the top one; the top bit of each field is
+# a guard that stays clear.  Exponents entering the kernel are below
+# _EXP_LIMIT, so the sums that reduction forms stay far from the guards.
 _FIELD_BITS = 32
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 _EXP_LIMIT = 1 << 16
-_DEG_SHIFT = _FIELD_BITS * NVARS
-_LOW = (1 << _DEG_SHIFT) - 1
+_SHIFTS = tuple(_FIELD_BITS * (NVARS - 1 - i) for i in range(NVARS))
 _GUARDS = sum(1 << (_FIELD_BITS * (i + 1) - 1) for i in range(NVARS))
 
 
 class MonomialOrder:
-    """Total order on exponent tuples; bigger key = bigger monomial.
+    """The lex order s > t > x > y on exponent tuples, the one order every
+    basis is built in; bigger key = bigger monomial.
 
-    pack() is the kernel's encoding: int comparison of packed monomials is
-    this order, and pack(a + b) == pack(a) + pack(b), so multiplying
-    monomials is adding ints.  lex puts s in the top field; grevlex puts the
-    degree above negated fields with y on top (smaller last exponents win
-    degree ties); grlex puts the degree above the lex fields."""
+    pack() is the kernel's encoding, and a packed monomial is its own
+    exponent fields: int comparison of packed monomials is lex, and
+    pack(a + b) == pack(a) + pack(b), so multiplying monomials is adding
+    ints."""
 
-    __slots__ = ("name", "_shifts", "_graded", "_negated")
-
-    def __init__(self, name):
-        if name not in ("lex", "grevlex", "grlex"):
-            raise ValueError(name)
-        self.name = name
-        self._graded = name != "lex"
-        self._negated = name == "grevlex"
-        self._shifts = tuple(
-            _FIELD_BITS * (i if self._negated else NVARS - 1 - i) for i in range(NVARS)
-        )
+    __slots__ = ()
+    name = "lex"
 
     def key(self, exps):
-        if self.name == "lex":
-            return exps
-        if self.name == "grevlex":
-            return (sum(exps), tuple(-e for e in reversed(exps)))
-        return (sum(exps), exps)
+        return exps
 
     def pack(self, exps):
         k = 0
-        for e, shift in zip(exps, self._shifts):
+        for e, shift in zip(exps, _SHIFTS):
             k |= e << shift
-        if self._negated:
-            k = -k
-        if self._graded:
-            k += sum(exps) << _DEG_SHIFT
-        return k
-
-    def fields(self, k):
-        """The exponent fields of a packed monomial as a nonnegative int."""
-        return (-k if self._negated else k) & _LOW
-
-    def pack_fields(self, f):
-        """The packed monomial whose exponent fields are f (fields()
-        inverted).  Since 2^_FIELD_BITS = 1 modulo _FIELD_MASK, f modulo
-        _FIELD_MASK is the sum of the fields, which is the degree while the
-        fields stay below the guards."""
-        k = -f if self._negated else f
-        if self._graded:
-            k += (f % _FIELD_MASK) << _DEG_SHIFT
         return k
 
     def unpack(self, k):
-        f = self.fields(k)
-        return tuple((f >> shift) & _FIELD_MASK for shift in self._shifts)
+        return tuple((k >> shift) & _FIELD_MASK for shift in _SHIFTS)
 
     def __repr__(self):
         return f"MonomialOrder({self.name})"
 
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.name == other.name
 
-    def __hash__(self):
-        return hash(self.name)
-
-
-LEX = MonomialOrder("lex")
-GREVLEX = MonomialOrder("grevlex")
-GRLEX = MonomialOrder("grlex")
+LEX = MonomialOrder()
 
 
 def leading_term(p: MPoly, order: MonomialOrder):
@@ -330,13 +291,13 @@ def _elcm(e1, e2):
 
 
 def _field_divides(fa, fb):
-    """Monomial with exponent fields fa divides the one with fields fb."""
+    """The monomial packed as fa divides the one packed as fb."""
     return ((fb | _GUARDS) - fa) & _GUARDS == _GUARDS
 
 
 def _field_lcm(fa, fb):
-    """Exponent fields of the lcm of the monomials with fields fa and fb,
-    the fieldwise max: a field's guard survives (fa | _GUARDS) - fb exactly
+    """The packed lcm of the monomials packed as fa and fb, the fieldwise
+    max: a field's guard survives (fa | _GUARDS) - fb exactly
     when fa's field is at least fb's; each surviving guard g becomes the
     mask g - g >> (_FIELD_BITS - 1) of its field's value bits, and the
     masked fields come from fa, the others from fb."""
@@ -385,19 +346,19 @@ def _primitive(terms):
 
 class _Kernel:
     """Primitive integer polynomials in packed monomials, each with its
-    leading monomial, exponent fields, leading coefficient and tail stored
-    once, and full reduction by them.
+    leading monomial, leading coefficient and tail stored once, and full
+    reduction by them.
 
     Elements are only appended, and a replacement keeps its leading
     monomial, so the first element whose leading monomial divides a given
     monomial never changes once found: reduce() memoises it per packed
     monomial in first, or ~n when none of the first n elements divides."""
 
-    __slots__ = ("order", "leads", "fields", "lcs", "tails", "first")
+    __slots__ = ("order", "leads", "lcs", "tails", "first")
 
     def __init__(self, order, rows=()):
         self.order = order
-        self.leads, self.fields, self.lcs, self.tails = [], [], [], []
+        self.leads, self.lcs, self.tails = [], [], []
         self.first = {}
         for terms in rows:
             self.add(terms)
@@ -409,15 +370,14 @@ class _Kernel:
         """Append terms (packed monomial -> int), or replace element i by
         terms with the same leading monomial."""
         lead = max(terms)
-        row = (lead, self.order.fields(lead), terms[lead],
-               [(k, c) for k, c in terms.items() if k != lead])
+        row = (lead, terms[lead], [(k, c) for k, c in terms.items() if k != lead])
         if i is None:
             i = len(self.leads)
-            for column in (self.leads, self.fields, self.lcs, self.tails):
+            for column in (self.leads, self.lcs, self.tails):
                 column.append(None)
         elif lead != self.leads[i]:
             raise InternalError(f"replacing kernel element {i} would change its leading monomial")
-        self.leads[i], self.fields[i], self.lcs[i], self.tails[i] = row
+        self.leads[i], self.lcs[i], self.tails[i] = row
 
     def terms(self, i):
         return {self.leads[i]: self.lcs[i], **dict(self.tails[i])}
@@ -432,9 +392,8 @@ class _Kernel:
         met again is only tested against the elements appended since its
         last scan), and with d = gcd(c, lc)
         the step is cur := (lc/d) * cur - (c/d) * m * element."""
-        leads, fields, lcs, tails = self.leads, self.fields, self.lcs, self.tails
-        first, n = self.first, len(fields)
-        negated = self.order._negated
+        leads, lcs, tails = self.leads, self.lcs, self.tails
+        first, n = self.first, len(leads)
         heap = [-k for k in cur]
         heapify(heap)
         rem = {}
@@ -446,9 +405,9 @@ class _Kernel:
                 continue
             i = first.get(k)
             if i is None or i < 0:
-                f = (-k if negated else k) & _LOW
+                g = k | _GUARDS
                 for i in range(0 if i is None else ~i, n):
-                    if ((f | _GUARDS) - fields[i]) & _GUARDS == _GUARDS:
+                    if (g - leads[i]) & _GUARDS == _GUARDS:
                         break
                 else:
                     i = ~n
@@ -604,12 +563,12 @@ def buchberger(ideal, order: MonomialOrder) -> GroebnerBasis:
     kb = _Kernel(order)
     sugars = []  # per kernel element
     active = []  # the elements that still form pairs
-    pairs = []  # heap of (sugar, packed lcm, i, j, lcm fields) with i < j
+    pairs = []  # heap of (sugar, packed lcm, i, j) with i < j
     for g in gens:
         pairs = _update(kb, _to_kernel(g, order)[0], max(map(sum, g.terms)),
                         sugars, active, pairs)
     while pairs:
-        sugar, l, i, j, _ = heappop(pairs)
+        sugar, l, i, j = heappop(pairs)
         lci, lcj = kb.lcs[i], kb.lcs[j]
         d = math.gcd(lci, lcj)
         ai, aj = lcj // d, lci // d
@@ -636,39 +595,37 @@ def _update(kb, terms, sugar, sugars, active, pairs):
     Of the new pairs (g, h), g active, one is kept when no other new pair's
     lcm divides its lcm, counting the pairs after it and those already kept
     (criteria M and F: one pair survives of several with equal lcm); the
-    kept pairs whose leading monomials are disjoint (lcm == fields sum)
-    then go (product criterion).  An old pair (g1, g2) goes when lm(h)
-    divides its lcm and its lcm differs from those of (g1, h) and (g2, h)
+    kept pairs whose leading monomials are disjoint (lcm == lead sum) then
+    go (product criterion).  An old pair (g1, g2) goes when lm(h) divides
+    its lcm and its lcm differs from those of (g1, h) and (g2, h)
     (criterion B).  The active elements whose leading monomial lm(h) divides
     stop forming pairs; they stay in kb as reducers."""
     h = len(kb)
     kb.add(terms)
     sugars.append(sugar)
-    fields = kb.fields
-    fh = fields[h]
-    new = [(_field_lcm(fields[g], fh), g) for g in active]
+    leads = kb.leads
+    lh = leads[h]
+    new = [(_field_lcm(leads[g], lh), g) for g in active]
     kept = []
-    for n, (lf, g) in enumerate(new):
-        if lf == fields[g] + fh or not (
-            any(_field_divides(other, lf) for other, _ in new[n + 1:])
-            or any(_field_divides(other, lf) for other, _ in kept)
+    for n, (l, g) in enumerate(new):
+        if l == leads[g] + lh or not (
+            any(_field_divides(other, l) for other, _ in new[n + 1:])
+            or any(_field_divides(other, l) for other, _ in kept)
         ):
-            kept.append((lf, g))
-    pack = kb.order.pack_fields
+            kept.append((l, g))
     pairs = [
         p for p in pairs
-        if not _field_divides(fh, p[4])
-        or _field_lcm(fields[p[2]], fh) == p[4]
-        or _field_lcm(fields[p[3]], fh) == p[4]
+        if not _field_divides(lh, p[1])
+        or _field_lcm(leads[p[2]], lh) == p[1]
+        or _field_lcm(leads[p[3]], lh) == p[1]
     ]
     # a pair's sugar: max over its elements of sugar + deg(lcm) - deg(lead),
-    # every degree read from exponent fields as f % _FIELD_MASK
-    dh = sugar - fh % _FIELD_MASK
-    pairs.extend((max(sugars[g] - fields[g] % _FIELD_MASK, dh) + lf % _FIELD_MASK,
-                  pack(lf), g, h, lf)
-                 for lf, g in kept if lf != fields[g] + fh)
+    # every degree read from a packed monomial k as k % _FIELD_MASK
+    dh = sugar - lh % _FIELD_MASK
+    pairs.extend((max(sugars[g] - leads[g] % _FIELD_MASK, dh) + l % _FIELD_MASK, l, g, h)
+                 for l, g in kept if l != leads[g] + lh)
     heapify(pairs)
-    active[:] = [g for g in active if not _field_divides(fh, fields[g])]
+    active[:] = [g for g in active if not _field_divides(lh, leads[g])]
     active.append(h)
     return pairs
 
@@ -676,12 +633,12 @@ def _update(kb, terms, sugar, sugars, active, pairs):
 def _reduced_basis(kb, rows):
     """The unique reduced basis, sorted by leading term, from the kernel
     elements rows, which form a Groebner basis."""
-    order, fields, leads = kb.order, kb.fields, kb.leads
+    order, leads = kb.order, kb.leads
     # drop elements whose leading monomial is divisible by another's
     keep = [
         i for i in rows
         if not any(
-            j != i and _field_divides(fields[j], fields[i]) and (leads[j] != leads[i] or j < i)
+            j != i and _field_divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i)
             for j in rows
         )
     ]
@@ -706,11 +663,9 @@ def _reduced_basis(kb, rows):
 def eliminate(gb: GroebnerBasis, keep) -> PolyIdeal:
     """Generators of ideal(gb) intersected with Q[keep].
 
-    Requires a lex basis whose eliminated variables all precede the kept
-    ones in the s > t > x > y precedence.
+    Requires the basis's eliminated variables all to precede the kept ones
+    in the s > t > x > y precedence.
     """
-    if gb.order != LEX:
-        raise PreconditionError("elimination needs a lex basis")
     keep = set(keep)
     dropped = [v for v in VARS if v not in keep]
     used = set()
@@ -752,9 +707,7 @@ def saturate(ideal: PolyIdeal, q: MPoly) -> PolyIdeal:
 def monic_in_t_witness(gb: GroebnerBasis):
     """The minimal-degree basis element whose lex leading monomial is a pure
     power of t, i.e. a monic integral relation for t over Q[x, y]; None when
-    t is not integral.  Expects a lex basis not involving s."""
-    if gb.order != LEX:
-        raise PreconditionError("witness needs a lex basis")
+    t is not integral.  Expects a basis not involving s."""
     leads = [LEX.unpack(k) for k in gb.kernel.leads]
     if any(e[0] for e in leads):  # an element with s leads with it in lex
         raise PreconditionError("basis must not involve s")

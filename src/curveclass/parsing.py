@@ -15,7 +15,7 @@ monomial, '^' exponents; the output re-parses to an equal polynomial.
 from fractions import Fraction
 
 from .errors import ParseError
-from .mpoly import GRLEX, MPoly, VARS, _ZERO_EXPS, _add_into, _mul, _neg, _pow, var_index
+from .mpoly import MPoly, VARS, _ZERO_EXPS, _add_into, _mul, _neg, _pow, var_index
 from .unipoly import UPoly
 
 
@@ -197,7 +197,7 @@ def format_poly(p: MPoly) -> str:
     """Canonical string: graded-lex descending terms, explicit coefficients."""
     if p.is_zero():
         return "0"
-    items = sorted(p.terms.items(), key=lambda ec: GRLEX.key(ec[0]), reverse=True)
+    items = sorted(p.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
     pieces = []
     for idx, (e, c) in enumerate(items):
         mono = _monomial_str(e)

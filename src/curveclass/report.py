@@ -13,7 +13,6 @@ from .curves import BadPoint
 from .mpoly import MPoly
 from .numfield import NFElement
 from .parsing import _nf_to_mpoly, format_point, format_poly, format_value
-from .unipoly import UPoly
 
 
 class ReportDocument:
@@ -181,10 +180,6 @@ def _stringify(obj):
         return format_point(obj)
     if isinstance(obj, MPoly):
         return format_poly(obj)
-    if isinstance(obj, UPoly):
-        return _tower_poly_str(obj)
-    if isinstance(obj, NFElement):
-        return format_value(obj)
     if isinstance(obj, Fraction):
         return format_value(obj)
     if isinstance(obj, (str, int, bool)) or obj is None:

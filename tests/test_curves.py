@@ -727,9 +727,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
-def _first_linear_factor_by_division(rows, shapes, cands, x1):
+def _first_linear_factor_by_division(rows, shapes, cands, x1, fiber):
     """Reference: the search without probes, dividing every (shape,
-    candidate) pair in shape-then-candidate order."""
+    candidate) pair in shape-then-candidate order; fiber is not read."""
     from curveclass import curves
 
     for shape in shapes:
@@ -766,9 +766,10 @@ def test_a_candidate_passing_x_3_is_rejected_at_a_probe():
     shapes, cands = [one, x, x * x], [Fraction(9)]
     # g = 9 and g = 3x pass x = 3 (F(3, 9) = 0) and fail at x = 4; g = x^2 divides
     with _counting_divisions() as probed:
-        got = curves._first_linear_factor(to_y_dense(F), shapes, cands, Fraction(3))
+        fiber = curves.rows_at(to_y_dense(F), 4)
+        got = curves._first_linear_factor(to_y_dense(F), shapes, cands, Fraction(3), fiber)
     with _counting_divisions() as divided:
-        want = _first_linear_factor_by_division(to_y_dense(F), shapes, cands, Fraction(3))
+        want = _first_linear_factor_by_division(to_y_dense(F), shapes, cands, Fraction(3), fiber)
     assert got == want == (x * x, to_y_dense(Y**2 + 1))
     assert probed == [_linear_rows(x * x)] and len(divided) == 3
 
@@ -892,7 +893,7 @@ def _linear_y_factors_ungated(rows):
         for piece in pieces[:4]:
             squares = [one, piece, piece * piece]
             shapes = [s * pk for s in shapes for pk in squares if s.degree + pk.degree <= dx]
-        factor = curves._first_linear_factor(rows, shapes, cands, x1)
+        factor = curves._first_linear_factor(rows, shapes, cands, x1, curves.rows_at(rows, 4))
         if factor is None:
             break
         g_poly, rows = factor
@@ -933,6 +934,24 @@ def test_gated_linear_factor_search_on_named_curves(monkeypatch, F, factors, sea
     assert got == want
     assert got[0] == factors
     assert bool(splits) == searched
+
+
+@pytest.mark.parametrize(
+    "F, searches",
+    [(Y**2 - X**2 * (X + 1), 0), ((Y - X**2) * (Y**2 + X**2 * (X + 1)), 1),
+     ((Y - X + 4) * (Y**2 - X), 1)],
+    ids=["node", "parabola-times-positive", "g4-zero"],
+)
+def test_the_linear_factor_search_evaluates_F_at_4_once(monkeypatch, F, searches):
+    # the gate's F(4, y) is the search's first probe fiber, not made again
+    from curveclass import curves
+
+    points, calls = [], []
+    rows_at, search = curves.rows_at, curves._first_linear_factor
+    monkeypatch.setattr(curves, "rows_at", lambda rows, x0: points.append(x0) or rows_at(rows, x0))
+    monkeypatch.setattr(curves, "_first_linear_factor", lambda *a: calls.append(a) or search(*a))
+    curves._linear_y_factors(to_y_dense(F))
+    assert len(calls) == searches and points.count(4) == 1
 
 
 @st.composite

@@ -280,6 +280,15 @@ def test_cli_check_morphism_human(tmp_path):
     assert "witness at (0, 0)" in r.stdout
 
 
+def test_check_morphism_witness_whose_fiber_has_irrational_roots():
+    # over the node (0, 0) of y^2 = x^2*(x + 2) the fiber is t = +-sqrt(2),
+    # with no rational value to list, so the witness is its fiber polynomial
+    doc = run_check_morphism(MorphismJob("y^2 - x^2*(x + 2)", "t^2 - 2", "t^3 - 2*t", "t"))
+    assert doc.data["constant_on_real_fibers"] is False
+    assert doc.data["witnesses"] == [{"point": "(0, 0)", "fiber_poly": "t^2 - 2"}]
+    assert "witness at (0, 0): fiber t^2 - 2" in emit(doc, "human")
+
+
 def test_cli_check_morphism_on_a_curve_with_a_constant_term(tmp_path):
     # F(u(t), v(t)) adds F's constant term, a bare rational, to a polynomial in t
     job = tmp_path / "m.json"
@@ -529,6 +538,24 @@ def test_cli_realness_budget_takes_ascii_digits_only(tmp_path):
     for digit in ("\uff13", "\u0663"):
         r = _run_cli(["classify", "--input", str(path), "--realness-budget", digit])
         assert r.returncode == 2 and "--realness-budget" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("present", "--realness-budget=3"), ("present", "--probe"), ("present", "--no-probe"),
+     ("check-morphism", "--realness-budget=3"), ("check-morphism", "--probe"),
+     ("check-morphism", "--no-probe"), ("demo", "--realness-budget=0"), ("demo", "--batch")],
+)
+def test_cli_refuses_a_flag_its_subcommand_does_not_read(command, flag, capsys):
+    # present and check-morphism read no budget and run no probe, and demo
+    # replays its own corpus: each such flag is a usage error
+    from curveclass import cli
+
+    inputs = [] if command == "demo" else ["--input", "-"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *inputs, flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budget", [-0.5, False, float("inf"), float("nan"), "2.7", None])
