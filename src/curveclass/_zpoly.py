@@ -26,7 +26,7 @@ signs of a chain per point, so each is computed once.
 """
 
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt
+from math import comb, gcd as int_gcd, isqrt
 
 _KRONECKER_CUTOFF = 24  # schoolbook below this many coefficient products
 
@@ -195,8 +195,8 @@ def zeval_frac(a, num, den):
 
 
 def zsign_at(a, x):
-    """Sign of a at the rational point x (x a Fraction or int)."""
-    x = Fraction(x)
+    """Sign of a at the rational point x (x a Fraction or int, read
+    through its numerator and denominator: no Fraction is built)."""
     # the denominator is positive, so its power keeps the sign
     acc = zeval_frac(a, x.numerator, x.denominator)
     return (acc > 0) - (acc < 0)
@@ -297,18 +297,23 @@ def _zgcd_parts(a, b):
     if zdeg(b) == 0:
         return [1], a, b
     if len(a) > 12:
-        # verified evaluation: pick xi so large that a reconstructed common
-        # divisor passing both exact divisions must be the full gcd
+        # heuristic gcd (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
+        # 1989): at xi = 2**width >= 2 * min(|a|_inf, |b|_inf) + 2, the
+        # balanced digits of gcd(a(xi), b(xi)), if they pack back to it
+        # exactly, have a primitive part that is the gcd as soon as it
+        # divides both a and b.  The smallest such xi first, then the
+        # Mignotte-guarded widths, which rarely miss
+        small = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
         guard = max(_mignotte_bits(a), _mignotte_bits(b)) + len(a).bit_length() + 4
-        for attempt in range(5):
-            width = guard + attempt * 32
+        qb = max(_max_bits(a), _max_bits(b)) + guard
+        for width in (small, guard, guard + 32, guard + 64, guard + 96, guard + 128):
             xi = 1 << width
             g_int = int_gcd(zeval_int(a, xi), zeval_int(b, xi))
-            g = zprimitive(_unpack(g_int, width, zdeg(b) + 1))
-            if not g:
+            digits = _unpack(g_int, width, zdeg(b) + 1)
+            if not digits or _pack(digits, width) != g_int:
                 continue
+            g = zprimitive(digits)
             try:
-                qb = max(_max_bits(a), _max_bits(b)) + guard
                 return g, zdivexact(a, g, quot_bits=qb), zdivexact(b, g, quot_bits=qb)
             except ValueError:
                 continue
@@ -348,9 +353,26 @@ def zsquarefree(a):
 def zyun(a):
     """Yun squarefree decomposition: list of (multiplicity, factor) with
     a = content * prod(factor ** multiplicity); factors primitive,
-    squarefree, pairwise coprime, nonconstant.  Each step's divisions are
-    the cofactors of its gcd."""
+    squarefree, pairwise coprime, nonconstant, multiplicities ascending.
+    Each step's divisions are the cofactors of its gcd.
+
+    A factor x**v is split off first and x joins the class of multiplicity
+    v afterwards (x is coprime to the rest): the decomposition is unique,
+    and Yun would otherwise run v gcd steps to reach it."""
     a = zprimitive(a)
+    v = next(i for i, c in enumerate(a) if c) if a else 0
+    out = _yun_unit_x(a[v:])
+    if v:
+        i = next((k for k, (m, _) in enumerate(out) if m >= v), len(out))
+        if i < len(out) and out[i][0] == v:
+            out[i] = (v, zmul(out[i][1], [0, 1]))
+        else:
+            out.insert(i, (v, [0, 1]))
+    return out
+
+
+def _yun_unit_x(a):
+    """zyun of a primitive a with a(0) != 0."""
     if zdeg(a) <= 0:
         return []
     qb = _mignotte_bits(a)
@@ -470,7 +492,10 @@ def zall_real_simple(a):
     one member of each degree n, n - 1, ..., 0 and every lead is positive:
     V(-inf) - V(+inf) = n needs n + 1 members and V(+inf) = 0.  The chain
     is built member by member and abandoned at the first that breaks this.
-    An even a(y) = p(y^2) is decided on p, of half the degree.
+    An even a(y) = p(y^2) is decided on p, of half the degree.  Before any
+    chain, Newton's inequalities (Hardy, Littlewood and Polya,
+    Inequalities, 2.22), which every real-rooted a satisfies, are tested
+    on integers: a_k^2 C(n, k-1) C(n, k+1) >= a_(k-1) a_(k+1) C(n, k)^2.
     """
     a = zprimitive(a)
     if len(a) > 2 and not any(a[1::2]):
@@ -480,6 +505,10 @@ def zall_real_simple(a):
         p = a[::2]
         return all(c * d < 0 for c, d in zip(p, p[1:])) and zall_real_simple(p)
     n = zdeg(a)
+    binom = [comb(n, k) for k in range(n + 1)]
+    for k in range(1, n):
+        if a[k] * a[k] * binom[k - 1] * binom[k + 1] < a[k - 1] * a[k + 1] * binom[k] ** 2:
+            return False
     for k, q in enumerate(sturm_members(a)):
         if zdeg(q) != n - k or q[-1] < 0:
             return False

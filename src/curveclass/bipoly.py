@@ -161,9 +161,12 @@ class YSubresultants:
     to -1 (S = 0) when a and b share a factor;
     principal(i) is s_j in Z[x] and rows(i) the y-rows of S_j over Z[x],
     for j = degrees[i].  lead is the leading y-coefficient of the rows the
-    sequence starts from: those of larger y-degree, a's on a tie."""
+    sequence starts from: those of larger y-degree, a's on a tie.  Each
+    principal(i) and rows(i) is unpacked once per instance, since every
+    chunk of a locus solve reads the same chain, and kept as tuples: every
+    call hands out fresh lists."""
 
-    __slots__ = ("lead", "degrees", "_pairs", "_width", "_count")
+    __slots__ = ("lead", "degrees", "_pairs", "_width", "_count", "_principal", "_rows")
 
     def __init__(self, a, b):
         m, n = len(a) - 1, len(b) - 1
@@ -176,6 +179,8 @@ class YSubresultants:
         self._count = n * (max(map(len, a)) - 1) + m * (max(map(len, b)) - 1) + 1
         self.lead = (a if m >= n else b)[-1]
         self.degrees = [len(r) - 1 for r, _ in self._pairs]
+        self._principal = {}  # i -> s_j as a tuple
+        self._rows = {}  # i -> the rows of S_j as tuples
 
     def _unpack(self, c):
         return zp._unpack(c, self._width, self._count)
@@ -184,11 +189,17 @@ class YSubresultants:
         return self._unpack(self._pairs[-1][1])
 
     def principal(self, i):
-        return self._unpack(self._pairs[i][1])
+        s = self._principal.get(i)
+        if s is None:
+            s = self._principal[i] = tuple(self._unpack(self._pairs[i][1]))
+        return list(s)
 
     def rows(self, i):
-        r, s = self._pairs[i]
-        return [self._unpack(c * s // r[-1]) for c in r]
+        rows = self._rows.get(i)
+        if rows is None:
+            r, s = self._pairs[i]
+            rows = self._rows[i] = tuple(tuple(self._unpack(c * s // r[-1])) for c in r)
+        return [list(row) for row in rows]
 
 
 def _norm1_bits(rows):

@@ -77,21 +77,24 @@ def _run_jobs(run, args):
 
 
 def _job_runner(runner, args):
-    """Run jobs from the input; --realness-budget and --probe, when given,
-    override the job file's fields."""
+    """Run jobs from the input; --realness-budget, when given, overrides
+    the job file's field."""
     def run(item):
         job = JobSpec.from_dict(item)
         if args.realness_budget is not None:
             job.realness_budget = args.realness_budget
-        if args.probe is not None:
-            job.probe = args.probe
         return runner(job)
 
     _run_jobs(run, args)
 
 
 def cmd_classify(args):
-    _job_runner(run_classify, args)
+    def runner(job):
+        if args.probe is not None:  # --probe/--no-probe, when given
+            job.probe = args.probe
+        return run_classify(job)
+
+    _job_runner(runner, args)
 
 
 def cmd_fibers(args):
@@ -172,7 +175,7 @@ def build_parser():
             p.add_argument("--batch", action="store_true", help="input is a JSON array of jobs")
 
     add("classify", cmd_classify, "full verdict hierarchy with certificates")
-    add("fibers", cmd_fibers, "fiber table over the bad locus")
+    add("fibers", cmd_fibers, "fiber table over the bad locus", probe=False)
     add("present", cmd_present, "presentation of the glued variety R[X][f]",
         budget=False, probe=False)
     add("check-morphism", cmd_check_morphism, "fiber constancy over a parametrization",

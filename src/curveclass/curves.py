@@ -240,20 +240,22 @@ def solve_xy_system(grids, sres=None):
         return []
 
     roots, chunks = _split_candidates(cand)
+    isolated = {}  # this solve's level-0 polynomials -> their real roots
     out = []
     for r in roots:
-        out.extend(_points_at_rational_x(r, withy))
+        out.extend(_points_at_rational_x(r, withy, isolated))
     for chunk in chunks:
-        out.extend(_points_at_chunk(chunk, withy, sres))
+        out.extend(_points_at_chunk(chunk, withy, sres, isolated))
     out.sort(key=BadPoint.sort_key)
     return out
 
 
-def _points_at_rational_x(x0, grids):
+def _points_at_rational_x(x0, grids, isolated):
     """Solutions over a rational x-coordinate x0 = n/d, from the integer
     y-rows of the system's polynomials: split the rational
     y-roots into their own degree-1 classes, keep the rest as one class.
-    Each fiber is rows_at(rows, x0), in Z[y]."""
+    Each fiber is rows_at(rows, x0), in Z[y]; isolated is the solve's memo
+    of _embeddings_for."""
     g = None
     for rows in grids:
         fiber = rows_at(rows, x0)
@@ -269,20 +271,21 @@ def _points_at_rational_x(x0, grids):
     out = []
     rest = zp.zsquarefree(g)
     for y0 in zp.zsf_rational_roots(rest):
-        out.extend(_finish_point_classes(rational_point_field("x", "y", x0, y0)))
+        out.extend(_finish_point_classes(rational_point_field("x", "y", x0, y0), isolated))
         rest = zp.zdivexact(rest, [-y0.numerator, y0.denominator])  # exact (Gauss)
     if zp.zdeg(rest) >= 1:
         base = field_from_qpoly("x", UPoly("x", [-x0, Fraction(1)]))
         m2 = [base.from_fraction(Fraction(c, rest[-1])) for c in rest]
-        out.extend(_finish_point_classes(extend_field(base, "y", m2)))
+        out.extend(_finish_point_classes(extend_field(base, "y", m2), isolated))
     return out
 
 
-def _points_at_chunk(chunk, grids, sres):
+def _points_at_chunk(chunk, grids, sres, isolated):
     """Solutions over a coprime chunk in Z[x] of irrational x-coordinates,
     from the integer y-rows of the system's polynomials of positive y-degree;
     dynamic evaluation splits the chunk when the fiber structure varies.  sres
-    holds the subresultants of grids[0] and grids[1] (None for fewer than two)."""
+    holds the subresultants of grids[0] and grids[1] (None for fewer than two);
+    isolated is the solve's memo of _embeddings_for."""
 
     def classes_over(branch):
         fld = branch.field
@@ -299,7 +302,7 @@ def _points_at_chunk(chunk, grids, sres):
         if g.degree == 0:
             return []
         m2 = squarefree_part(g)
-        return _finish_point_classes(extend_field(fld, "y", list(m2.coeffs)))
+        return _finish_point_classes(extend_field(fld, "y", list(m2.coeffs)), isolated)
 
     start = BadPoint(field_from_qpoly("x", UPoly.from_ints("x", chunk)), [])
     return [pt for _, pts in run_with_splits(start, classes_over) for pt in pts]
@@ -339,14 +342,14 @@ def _unit_mod(a, m):
     return bool(a) and zp.zdeg(zp.zgcd(m, a)) == 0
 
 
-def _finish_point_classes(fld2: NumberField):
+def _finish_point_classes(fld2: NumberField, isolated):
     """Attach certified embeddings, branching on any split surfaced while
     isolating real roots; each branch isolates its own."""
-    branches = run_with_splits(BadPoint(fld2, []), lambda b: _embeddings_for(b.field))
+    branches = run_with_splits(BadPoint(fld2, []), lambda b: _embeddings_for(b.field, isolated))
     return [BadPoint(b.field, embs) for b, embs in branches]
 
 
-def _embeddings_for(field: NumberField):
+def _embeddings_for(field: NumberField, isolated=None):
     """Certified real embeddings of a depth-2 tower, sorted by position.
 
     When m2 lies in Q[y], its real roots are the same over every real root
@@ -355,11 +358,26 @@ def _embeddings_for(field: NumberField):
     tower route's: the Cauchy bound is the same, any Sturm chain gives the
     same counts, and rational coefficients never refine the base.  Otherwise
     m2's tower chain is built at the first real root of m1 (building it can
-    split the tower) and isolated at each."""
-    base_roots = zp.zisolate(field.zminpoly0())
+    split the tower) and isolated at each.
+
+    m1, and m2 when it lies in Q[y], are squarefree and primitive in
+    integer form by construction, so each is isolated as it is.  isolated,
+    a dict a locus solve passes to all its calls, keeps the intervals per
+    integer polynomial (tuples, which refinement replaces and never
+    changes), so a solve isolates each once: x over x = 0 and y over y = 0,
+    say, are one polynomial."""
+    isolated = {} if isolated is None else isolated
+
+    def real_roots(sf):
+        key = tuple(sf)
+        if key not in isolated:
+            isolated[key] = zp.zisolate_squarefree(sf)
+        return isolated[key]
+
+    base_roots = real_roots(field.zminpoly0())
     zm2 = field.zlevels()[1]
     if base_roots and all(len(row) <= 1 for row in zm2):
-        fiber = zp.zisolate([row[0] if row else 0 for row in zm2])
+        fiber = real_roots([row[0] if row else 0 for row in zm2])
         return [RealEmbedding(field, [b, f]) for b in base_roots for f in fiber]
     base = field.sub_field(1)
     chain = None

@@ -157,10 +157,9 @@ def is_rational_poly(p: UPoly) -> bool:
 
 def to_zpoly(p: UPoly):
     """Clear denominators: returns (integer coefficient list, denominator)."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(c * den) for c in p.coeffs], den
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    # integer arithmetic on each numerator: no Fraction product is built
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
 
 
 # ---------------------------------------------------------------------------

@@ -1072,8 +1072,8 @@ def _captured_fields(jobs_per_seed=60):
     fields = []
     embeddings_for = curves._embeddings_for
 
-    def recorded(field):
-        embs = embeddings_for(field)
+    def recorded(field, *memo):
+        embs = embeddings_for(field, *memo)
         fields.append(field)
         return embs
 
@@ -1353,3 +1353,65 @@ def test_a_singular_job_builds_the_integer_rows_once(monkeypatch):
     doc = jobs.run_singular("y^2 - x^2*(x + 1)")
     assert len(dense) == 2 and len(doc.data["singular_points"]) == 1
     assert "y" in gcds and "x" not in gcds
+
+
+# -- one singular-locus solve: each isolation and each unpack once ------------
+
+# a (y^4 + x^k)(y^2 - a(x)) curve of the singular-stress tail
+_TAIL_CURVE = "(y^4 + x^3)*(y^2 - (x-1)^2*(x^2+4)^3)"
+
+
+def test_a_locus_solve_isolates_each_polynomial_once(monkeypatch):
+    from curveclass import _zpoly, curves
+
+    isolated, fields = [], []
+    isolate = _zpoly.zisolate_squarefree
+    monkeypatch.setattr(_zpoly, "zisolate_squarefree",
+                        lambda sf: isolated.append(tuple(sf)) or isolate(sf))
+    embeddings_for = curves._embeddings_for
+    monkeypatch.setattr(curves, "_embeddings_for",
+                        lambda f, memo: fields.append(f) or embeddings_for(f, memo))
+    points = singular_locus(make_curve(parse_poly(_TAIL_CURVE)))
+    assert len(points) == 4
+    assert {tuple(f.zminpoly0()) for f in fields} <= set(isolated)
+    assert len(isolated) == len(set(isolated))
+    # over x = 0 the fiber is y = 0: one integer polynomial, isolated once
+    # for both levels
+    origin = [f for f in fields if f.zlevels() == ([0, 1], [[], [1]])]
+    assert origin and isolated.count((0, 1)) == 1
+    # the same intervals as a call that keeps nothing
+    monkeypatch.undo()
+    assert _intervals(points) == [_emb_intervals(curves._embeddings_for(pt.field))
+                                  for pt in points]
+
+
+def test_a_locus_solve_unpacks_each_subresultant_once(monkeypatch):
+    from curveclass.bipoly import YSubresultants
+
+    reads, unpacked = [], []
+    for name in ("principal", "rows"):
+        method = getattr(YSubresultants, name)
+        monkeypatch.setattr(YSubresultants, name,
+                            lambda self, i, m=method, n=name: reads.append((n, i)) or m(self, i))
+    unpack = YSubresultants._unpack
+    monkeypatch.setattr(YSubresultants, "_unpack",
+                        lambda self, c: unpacked.append(c) or unpack(self, c))
+    curve = make_curve(parse_poly(_TAIL_CURVE))
+    singular_locus(curve)
+    assert len(reads) > len(set(reads))  # every chunk reads the chain again
+    # the resultant, each principal coefficient read and each coefficient
+    # of each S_j read, once
+    degrees = curve._fy_chain.degrees
+    assert len(unpacked) == 1 + sum(1 if n == "principal" else degrees[i] + 1
+                                    for n, i in set(reads))
+
+
+def test_subresultant_rows_and_principals_are_fresh_lists():
+    sres = make_curve(parse_poly(_TAIL_CURVE))._fy_chain
+    for i in range(len(sres.degrees)):
+        rows, s = sres.rows(i), sres.principal(i)
+        want = ([list(r) for r in rows], list(s))
+        rows[0].append(7)
+        rows.append([1])
+        s.append(7)
+        assert (sres.rows(i), sres.principal(i)) == want

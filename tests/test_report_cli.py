@@ -232,8 +232,8 @@ def test_cli_fibers_subcommand(tmp_path):
 
 
 def test_cli_fibers_never_runs_the_probe(tmp_path, monkeypatch, capsys):
-    # the fibers document has no probe section, so --probe and a job's
-    # "probe": true must not pay for the probe
+    # the fibers document has no probe section, so a job's "probe": true
+    # must not pay for the probe (--probe/--no-probe are usage errors there)
     from curveclass import cli, functions, jobs
 
     def refuse(f):
@@ -248,12 +248,12 @@ def test_cli_fibers_never_runs_the_probe(tmp_path, monkeypatch, capsys):
         "assignments": [{"point": ["0", "0"], "value": "0"}],
     }
     outputs = []
-    for job_probe, flags in ((False, ["--no-probe"]), (False, ["--probe"]), (True, [])):
+    for job_probe in (False, True):
         job = tmp_path / "job.json"
         job.write_text(json.dumps({**spec, "probe": job_probe}))
-        assert cli.main(["fibers", "--input", str(job), "--format", "machine", *flags]) == 0
+        assert cli.main(["fibers", "--input", str(job), "--format", "machine"]) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] and outputs.count(outputs[0]) == 3
+    assert outputs[0] and outputs.count(outputs[0]) == 2
 
 
 def test_cli_demo_passes():
@@ -544,11 +544,13 @@ def test_cli_realness_budget_takes_ascii_digits_only(tmp_path):
     "command, flag",
     [("present", "--realness-budget=3"), ("present", "--probe"), ("present", "--no-probe"),
      ("check-morphism", "--realness-budget=3"), ("check-morphism", "--probe"),
-     ("check-morphism", "--no-probe"), ("demo", "--realness-budget=0"), ("demo", "--batch")],
+     ("check-morphism", "--no-probe"), ("demo", "--realness-budget=0"), ("demo", "--batch"),
+     ("fibers", "--probe"), ("fibers", "--no-probe")],
 )
 def test_cli_refuses_a_flag_its_subcommand_does_not_read(command, flag, capsys):
-    # present and check-morphism read no budget and run no probe, and demo
-    # replays its own corpus: each such flag is a usage error
+    # present and check-morphism read no budget and run no probe, fibers
+    # runs no probe, and demo replays its own corpus: each such flag is a
+    # usage error
     from curveclass import cli
 
     inputs = [] if command == "demo" else ["--input", "-"]

@@ -250,7 +250,7 @@ def test_pseudo_division_identity(a, b):
 
 
 # -- rational roots: p-adic lifting against Sturm isolation and bisection ---
-from math import floor  # noqa: E402
+from math import comb, floor, gcd as int_gcd  # noqa: E402
 
 from curveclass._zpoly import _zsigns, zneg, zroot_bound, zsf_rational_roots  # noqa: E402
 
@@ -438,3 +438,150 @@ def test_fallback_gcd_matches_the_primitive_prs(common, data):
     b = zprimitive(zmul(common, data.draw(cofactor)))
     assert len(a) <= 12 and len(b) <= 12
     assert zgcd(a, b) == _gcd_by_primitive_prs(a, b)
+
+
+# -- Yun past x^v, the heuristic-gcd point and the Newton filter --
+from curveclass._zpoly import _pack, _unpack, zeval_int, zsubresultants  # noqa: E402
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.tuples(_zfactor.filter(lambda f: f[0] != 0), st.integers(1, 4)), max_size=3),
+    st.integers(1, 9),
+    st.integers(-12, 12).filter(bool),
+)
+def test_yun_splits_off_x_power_like_the_division_route(factors, v, unit):
+    # x**v times factors prime to x: v merges into a class of the others
+    # or stands alone, below, between or above them
+    a = [0] * v + [unit]
+    for f, e in factors:
+        for _ in range(e):
+            a = zmul(a, f)
+    assert zyun(a) == _yun_by_division(a)
+
+
+def test_yun_x_power_named_cases():
+    x = [0, 1]
+    p, q = [-2, 0, 1], [3, 1]  # x^2 - 2, x + 3
+    for v, others, want in [
+        (3, [], [(3, x)]),  # x^3 alone
+        (2, [(p, 2)], [(2, zmul(x, p))]),  # v equals the other class: one merged class
+        (2, [(p, 1), (q, 2)], [(1, p), (2, zmul(x, q))]),
+        (12, [(p, 1), (q, 3)], [(1, p), (3, q), (12, x)]),  # v above every other
+        (1, [(q, 4)], [(1, x), (4, q)]),  # v below every other
+        (2, [(p, 1), (q, 3)], [(1, p), (2, x), (3, q)]),  # v between two classes
+    ]:
+        a = [0] * v + [-5]
+        for f, e in others:
+            for _ in range(e):
+                a = zmul(a, f)
+        assert zyun(a) == want == _yun_by_division(a)
+
+
+def _gcd_by_subresultants(a, b):
+    """Reference: the last nonzero member of the subresultant sequence."""
+    chain = zsubresultants(a, b)
+    return [1] if chain[-1][0] else zprimitive(chain[-2][0])
+
+
+def _x_minus_1(n):
+    return [-1] + [0] * (n - 1) + [1]
+
+
+def _cyclotomic_105():
+    """Phi_105 by Moebius: (x^105 - 1)(x^3 - 1)(x^5 - 1)(x^7 - 1) over
+    (x^35 - 1)(x^21 - 1)(x^15 - 1)(x - 1); it has a coefficient -2."""
+    num, den = [1], [1]
+    for n in (105, 3, 5, 7):
+        num = zmul(num, _x_minus_1(n))
+    for n in (35, 21, 15, 1):
+        den = zmul(den, _x_minus_1(n))
+    return zdivexact(num, den)
+
+
+def test_heuristic_gcd_point_falls_back_when_it_must():
+    phi = _cyclotomic_105()
+    assert min(phi) == -2
+    a = _x_minus_1(105)
+    # Phi_105 divides x^105 - 1, whose coefficients are all +-1: the small
+    # point xi = 4 (2 * 1 + 2) reconstructs it at once
+    g, qa, qb = _zgcd_parts(a, phi)
+    assert g == phi == _gcd_by_subresultants(a, phi) and qb == [1] and zmul(g, qa) == a
+    # times x + 3, whose value 7 at xi = 4 divides (x^105 - 1)(4) / Phi_105(4):
+    # the integer gcd is 7 Phi_105(4), whose digits do not pack back to it,
+    # so a larger point decides
+    b = zmul(phi, [3, 1])
+    assert zeval_int(a, 4) // zeval_int(phi, 4) % 7 == 0
+    g_small = int_gcd(zeval_int(a, 4), zeval_int(b, 4))
+    assert _pack(_unpack(g_small, 2, len(b)), 2) != g_small
+    g, qa, qb = _zgcd_parts(a, b)
+    assert g == phi == _gcd_by_subresultants(a, b)
+    assert zmul(g, qa) == a and zmul(g, qb) == b
+
+
+_big_factor = st.lists(st.integers(-40, 40), min_size=2, max_size=8).map(ztrim).filter(
+    lambda f: len(f) >= 2
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_big_factor, st.lists(_big_factor, min_size=1, max_size=4),
+       st.lists(_big_factor, min_size=1, max_size=4), st.integers(1, 3))
+def test_gcd_parts_match_the_subresultant_gcd(common, fa, fb, power):
+    # products past 12 coefficients, so the evaluation points run first
+    a, b = [1], [1]
+    for _ in range(power):
+        a, b = zmul(a, common), zmul(b, common)
+    for f in fa:
+        a = zmul(a, f)
+    for f in fb:
+        b = zmul(b, f)
+    a, b = zprimitive(a), zprimitive(b)
+    g, qa, qb = _zgcd_parts(a, b)
+    assert g == _gcd_by_subresultants(a, b)
+    if qa is not None:
+        assert zmul(g, qa) == a and zmul(g, qb) == b
+
+
+def _newton_holds(a):
+    n = zdeg(a)
+    return all(a[k] ** 2 * comb(n, k - 1) * comb(n, k + 1) >= a[k - 1] * a[k + 1] * comb(n, k) ** 2
+               for k in range(1, n))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sets(st.fractions(-6, 6, max_denominator=5), min_size=1, max_size=9),
+       st.integers(-4, 4).filter(bool))
+def test_newton_never_rejects_distinct_real_roots(roots, unit):
+    a = [unit]
+    for r in roots:
+        a = zmul(a, [-r.numerator, r.denominator])
+    assert _newton_holds(a)
+    assert zall_real_simple(a)
+
+
+def test_newton_rejects_without_a_sturm_chain(monkeypatch):
+    from curveclass import _zpoly
+
+    built = []
+    members = _zpoly.sturm_members
+    monkeypatch.setattr(_zpoly, "sturm_members", lambda a: built.append(a) or members(a))
+    # y^3 + y + 1: a_2 = 0, so at k = 2 the left side is 0 and the right
+    # a_1 a_3 C(3,2)^2 = 9; Newton rules it out, and y^2 + 1 alike
+    for a in ([1, 1, 0, 1], [1, 0, 1], [5, -1, 3, 0, 1]):
+        assert not _newton_holds(a)
+        assert not zall_real_simple(a)
+    assert built == []
+    # y^3 - 3y + 3 passes Newton but has one real root: the chain decides
+    a = [3, -3, 0, 1]
+    assert _newton_holds(a) and not zall_real_simple(a) and built
+
+
+@settings(deadline=None, max_examples=300)
+@given(_real_simple_case())
+def test_newton_filter_agrees_with_the_full_chain(a):
+    chain = sturm_chain(zprimitive(a))
+    full = zdeg(chain[-1]) == 0 and sturm_count(chain) == zdeg(a)
+    if full:
+        assert _newton_holds(zprimitive(a))
+    assert zall_real_simple(a) == full
