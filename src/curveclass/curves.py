@@ -26,9 +26,7 @@ from .errors import (
     ZeroDivisorDenominatorError,
 )
 from .mpoly import (
-    LEX,
     MPoly,
-    PolyIdeal,
     buchberger,
     eliminate,
     from_upoly,
@@ -55,7 +53,6 @@ from .unipoly import (
     nonzero_gcd,
     rational_roots,
     squarefree_part,
-    to_zpoly,
     upoly_gcd,
 )
 
@@ -156,7 +153,8 @@ def _owner_test(branch_field, level):
     """emb -> does the branch's level polynomial own the root that emb
     isolates at that level; the Sturm chain is built once per branch."""
     if level == 0:
-        chain = zp.sturm_chain(zp.zsquarefree(branch_field.zminpoly0()))
+        # the integer level form is squarefree and primitive by construction
+        chain = zp.sturm_chain(branch_field.zlevels()[0])
 
         def owns(emb):
             return zp.sturm_count(chain, *emb.interval(0)) == 1
@@ -320,7 +318,7 @@ def _first_pair_gcd(fld: NumberField, sres):
     chunk where it must.  Otherwise every s_j is a unit or zero
     modulo the chunk, the remainder degrees are the same at every root, the
     tower Euclid would not split, and its monic gcd is this one."""
-    m = fld.zminpoly0()
+    m = fld.zlevels()[0]
     if not _unit_mod(sres.lead, m):
         return None
     k = None
@@ -374,8 +372,8 @@ def _embeddings_for(field: NumberField, isolated=None):
             isolated[key] = zp.zisolate_squarefree(sf)
         return isolated[key]
 
-    base_roots = real_roots(field.zminpoly0())
-    zm2 = field.zlevels()[1]
+    zm1, zm2 = field.zlevels()
+    base_roots = real_roots(zm1)
     if base_roots and all(len(row) <= 1 for row in zm2):
         fiber = real_roots([row[0] if row else 0 for row in zm2])
         return [RealEmbedding(field, [b, f]) for b in base_roots for f in fiber]
@@ -526,18 +524,17 @@ def _linear_y_factors(rows):
             break
         dx = max(map(len, rows)) - 1
         roots, chunks = _split_candidates(rows[0])
-        pieces = [UPoly("x", [-r, Fraction(1)]) for r in roots]
-        pieces += [UPoly.from_ints("x", ch) for ch in chunks]
-        one = UPoly("x", [Fraction(1)])
-        shapes = [one]
+        pieces = [[-r.numerator, r.denominator] for r in roots] + chunks
+        shapes = [[1]]
         for piece in pieces[:4]:
-            squares = [one, piece, piece * piece]
-            shapes = [s * pk for s in shapes for pk in squares if s.degree + pk.degree <= dx]
+            squares = [[1], piece, zp.zmul(piece, piece)]
+            shapes = [zp.zmul(s, pk) for s in shapes for pk in squares
+                      if len(s) + len(pk) - 2 <= dx]
         factor = _first_linear_factor(rows, shapes, cands, x1, fiber)
         if factor is None:
             break
-        g_poly, rows = factor
-        out.append(MPoly.var("y") - from_upoly(g_poly))
+        G, d, rows = factor
+        out.append(from_y_dense([zp.zneg(G), [d]]) * Fraction(1, d))
     return out, rows
 
 
@@ -545,33 +542,32 @@ _PROBES = (4, -2, 5)
 
 
 def _first_linear_factor(rows, shapes, cands, x1, fiber):
-    """The first (g, rows of F / (d*y - G)) with g = G/d = (root / shape(x1))
-    * shape in Q[x], G in Z[x] and d > 0 the least common denominator, in
-    shape-then-candidate order, F given by its integer y-rows; None when no
-    candidate divides.  d*y - G is primitive, so for a primitive F the
-    quotient is primitive too (Gauss).
+    """The first (G, d, rows of F / (d*y - G)) with G/d = k * shape,
+    k = root / shape(x1) = n/d in lowest terms and G = n * shape, in
+    shape-then-candidate order, F given by its integer y-rows and each shape
+    primitive in Z[x]; None when no candidate divides.  d*y - G is then
+    primitive (Gauss), so for a primitive F the quotient is primitive too,
+    and k * shape does not change when a shape is scaled.
 
-    When y - g divides F, F(x_j, g(x_j)) = 0 at every x_j, so a candidate
+    When d*y - G divides F, F(x_j, G(x_j)/d) = 0 at every x_j, so a candidate
     is first tested at the integer probes _PROBES, on the rows evaluated
     there once; fiber is F(_PROBES[0], y), which the caller has.  Only
     survivors are divided, so the first divisor found is the one division
     alone would find."""
     fibers = [fiber] + [rows_at(rows, xj) for xj in _PROBES[1:]]
     for shape in shapes:
-        mval = shape.eval(x1)
+        mval = zp.zeval_int(shape, x1)
         if not mval:
             continue
-        zs, den = to_zpoly(shape)
-        svals = [Fraction(zp.zeval_int(zs, xj), den) for xj in _PROBES]
+        svals = [zp.zeval_int(shape, xj) for xj in _PROBES]
         for root in cands:
             k = root / mval
             if any(zp.zsign_at(fib, k * s) for fib, s in zip(fibers, svals)):
                 continue
-            g_poly = shape.scale(k)
-            G, d = to_zpoly(g_poly)
+            G, d = zp.zscale(shape, k.numerator), k.denominator
             q = bivariate_divexact_y(rows, [zp.zneg(G), [d]])
             if q is not None:
-                return g_poly, q
+                return G, d, q
     return None
 
 
@@ -658,10 +654,9 @@ def certify_realness(curve: PlaneCurve, budget=64) -> RealnessReport:
         # vertical-line components x = root
         roots, chunks = _split_candidates(content)
         for r in roots:
-            factors.append((from_upoly(UPoly("x", [-r, Fraction(1)])), "certified",
-                            f"real vertical line x = {r}"))
+            factors.append((MPoly.var("x") - r, "certified", f"real vertical line x = {r}"))
         for ch in chunks:
-            line = from_upoly(UPoly.from_ints("x", ch).monic())
+            line = from_y_dense([ch]) * Fraction(1, ch[-1])
             if zp.sturm_count(zp.sturm_chain(ch)) == zp.zdeg(ch):
                 factors.append((line, "certified", "all vertical lines real"))
             else:
@@ -764,16 +759,14 @@ def fiber_constancy_check(pi: PresentedMorphism, p: UPoly):
     u, v = pi.u, pi.v
     if u.degree <= 0 and v.degree <= 0:
         raise PreconditionError("morphism is not finite (constant map)")
-    x, y, t = MPoly.var("x"), MPoly.var("y"), MPoly.var("t")
-    map_ideal = PolyIdeal([x - from_upoly(u), y - from_upoly(v)])
-    gb = buchberger(map_ideal, LEX)
+    graph = [MPoly.var("x") - from_upoly(u), MPoly.var("y") - from_upoly(v)]
+    gb = buchberger(graph)
     wit = monic_in_t_witness(gb)
     if wit is None:
         raise PreconditionError("morphism is not finite")
 
     U, V = _difference_quotient(u), _difference_quotient(v)
-    downstairs = PolyIdeal([U, V, x - from_upoly(u), y - from_upoly(v)])
-    gb2 = buchberger(downstairs, LEX)
+    gb2 = buchberger([U, V, *graph])
     try:
         locus_gens = eliminate(gb2, {"x", "y"})
         locus = solve_xy_system([to_y_dense(g) for g in locus_gens])

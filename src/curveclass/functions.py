@@ -25,12 +25,11 @@ from .errors import (
     PreconditionError,
 )
 from .mpoly import (
-    LEX,
     MPoly,
     PolyIdeal,
     buchberger,
     eliminate,
-    ideals_equal,
+    leading_term,
     monic_in_t_witness,
     normal_form,
     saturate_gb,
@@ -260,7 +259,7 @@ def is_regular(f: CurveFunction):
     the singleton h(pt) and a row's matches_assigned is h(pt) = value."""
     wit = monic_in_t_witness(f.graph_gb())
     if wit is None or wit.degree_in("t") != 1:
-        gb = buchberger(PolyIdeal([f.curve.F, f.q]), LEX)
+        gb = buchberger([f.curve.F, f.q])
         return False, {"reason": "not in <F, q>", "normal_form": normal_form(f.p, gb)}
     h = MPoly.var("t") - wit
     for rep in f.fibers():
@@ -454,8 +453,11 @@ def present_extension(f: CurveFunction) -> Presentation:
     if not ok:
         raise NotIntegralError("function is not integral; no finite presentation")
     gb = f.graph_gb()
-    elim = eliminate(gb, {"x", "y"})
-    birational = ideals_equal(elim, PolyIdeal([f.curve.F]))
+    # the x, y part of a reduced lex basis is the reduced basis of the
+    # elimination ideal, and reduced bases are unique: that ideal is <F>
+    # exactly when its basis is F made monic
+    F = f.curve.F
+    birational = eliminate(gb, {"x", "y"}).generators == (F * (1 / leading_term(F)[1]),)
     return Presentation(
         generators=("x", "y", "t"),
         relations=gb.basis,

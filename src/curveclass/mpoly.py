@@ -246,39 +246,28 @@ _SHIFTS = tuple(_FIELD_BITS * (NVARS - 1 - i) for i in range(NVARS))
 _GUARDS = sum(1 << (_FIELD_BITS * (i + 1) - 1) for i in range(NVARS))
 
 
-class MonomialOrder:
-    """The lex order s > t > x > y on exponent tuples, the one order every
-    basis is built in; bigger key = bigger monomial.
-
-    pack() is the kernel's encoding, and a packed monomial is its own
-    exponent fields: int comparison of packed monomials is lex, and
-    pack(a + b) == pack(a) + pack(b), so multiplying monomials is adding
-    ints."""
-
-    __slots__ = ()
-    name = "lex"
-
-    def key(self, exps):
-        return exps
-
-    def pack(self, exps):
-        k = 0
-        for e, shift in zip(exps, _SHIFTS):
-            k |= e << shift
-        return k
-
-    def unpack(self, k):
-        return tuple((k >> shift) & _FIELD_MASK for shift in _SHIFTS)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.name})"
+def _pack(exps):
+    """The kernel's encoding of an exponent tuple.  A packed monomial is its
+    own exponent fields: int comparison of packed monomials is lex
+    (s > t > x > y), and _pack(a + b) == _pack(a) + _pack(b), so multiplying
+    monomials is adding ints."""
+    k = 0
+    for e, shift in zip(exps, _SHIFTS):
+        k |= e << shift
+    return k
 
 
-LEX = MonomialOrder()
+def _unpack(k):
+    return tuple((k >> shift) & _FIELD_MASK for shift in _SHIFTS)
 
 
-def leading_term(p: MPoly, order: MonomialOrder):
-    e = max(p.terms, key=order.key)
+# the one monomial order, which GroebnerBasis takes as its first argument:
+# exponent tuples compare in it as tuples, packed monomials as ints
+LEX = "lex"
+
+
+def leading_term(p: MPoly):
+    e = max(p.terms)
     return e, p.terms[e]
 
 
@@ -314,25 +303,23 @@ def _field_lcm(fa, fb):
 # one hard lex input, 73 once the content was gone).
 _SWELL_BITS = 256
 
-def _to_kernel(p: MPoly, order):
+def _to_kernel(p: MPoly):
     """(terms, scale): terms maps packed monomials to the integer
     coefficients of scale * p, primitive with a positive leading
     coefficient; scale is a Fraction."""
     den = math.lcm(*(c.denominator for c in p.terms.values()))
-    pack = order.pack
     terms = {}
     for e, c in p.terms.items():
         if max(e) >= _EXP_LIMIT:
             raise PreconditionError(f"exponent {max(e)} is too large for a Groebner basis")
-        terms[pack(e)] = c.numerator * (den // c.denominator)
+        terms[_pack(e)] = c.numerator * (den // c.denominator)
     terms, content = _primitive(terms)
     return terms, Fraction(den, content)
 
 
-def _to_mpoly(terms, order, factor=1):
+def _to_mpoly(terms, factor=1):
     """factor * (packed integer terms) as an MPoly over Q."""
-    unpack = order.unpack
-    return MPoly._raw({unpack(k): Fraction(c) * factor for k, c in terms.items()})
+    return MPoly._raw({_unpack(k): Fraction(c) * factor for k, c in terms.items()})
 
 
 def _primitive(terms):
@@ -354,10 +341,9 @@ class _Kernel:
     monomial never changes once found: reduce() memoises it per packed
     monomial in first, or ~n when none of the first n elements divides."""
 
-    __slots__ = ("order", "leads", "lcs", "tails", "first")
+    __slots__ = ("leads", "lcs", "tails", "first")
 
-    def __init__(self, order, rows=()):
-        self.order = order
+    def __init__(self, rows=()):
         self.leads, self.lcs, self.tails = [], [], []
         self.first = {}
         for terms in rows:
@@ -474,26 +460,29 @@ class GroebnerBasis:
     """A Groebner basis held as the kernel that reduces by it: primitive
     integer rows with positive leading coefficients, in basis order.  basis,
     the elements over Q, is built on first read: each row made monic, unless
-    the basis was made from polynomials, which it keeps."""
+    the basis was made from polynomials, which it keeps.  order must be
+    LEX, the one order there is."""
 
-    __slots__ = ("order", "kernel", "_basis", "_grids")
+    __slots__ = ("kernel", "_basis", "_grids")
 
     def __init__(self, order, basis):
-        self.order, self._basis, self._grids = order, tuple(basis), None
-        self.kernel = _Kernel(order, [_to_kernel(g, order)[0] for g in self._basis])
+        if order != LEX:
+            raise PreconditionError(f"lex is the only monomial order, not {order!r}")
+        self._basis, self._grids = tuple(basis), None
+        self.kernel = _Kernel([_to_kernel(g)[0] for g in self._basis])
 
     @classmethod
-    def _of_rows(cls, order, rows):
+    def _of_rows(cls, rows):
         """Internal: rows already primitive, leading coefficients positive."""
-        self = cls(order, ())
-        self.kernel, self._basis = _Kernel(order, rows), None
+        self = cls(LEX, ())
+        self.kernel, self._basis = _Kernel(rows), None
         return self
 
     @property
     def basis(self):
         if self._basis is None:
             kb = self.kernel
-            self._basis = tuple(_to_mpoly(kb.terms(i), self.order, Fraction(1, lc))
+            self._basis = tuple(_to_mpoly(kb.terms(i), Fraction(1, lc))
                                 for i, lc in enumerate(kb.lcs))
         return self._basis
 
@@ -505,7 +494,7 @@ class GroebnerBasis:
             out = [[] for _ in self.kernel.lcs]
             for i, grids in enumerate(out):
                 for k, c in self.kernel.terms(i).items():
-                    s, t, x, y = self.order.unpack(k)
+                    s, t, x, y = _unpack(k)
                     if s:
                         raise PreconditionError("basis must not involve s")
                     grids += [[] for _ in range(t + 1 - len(grids))]
@@ -522,7 +511,7 @@ class GroebnerBasis:
         return len(self.kernel)
 
     def __repr__(self):
-        return f"GroebnerBasis({self.order.name}, {len(self)} elements)"
+        return f"GroebnerBasis({LEX}, {len(self)} elements)"
 
 
 def normal_form(p: MPoly, gb: GroebnerBasis):
@@ -533,39 +522,38 @@ def normal_form(p: MPoly, gb: GroebnerBasis):
     Z on gb.kernel; the remainder is returned exactly over Q."""
     if not p:
         return MPoly()
-    order = gb.order
-    cur, ps = _to_kernel(p, order)
+    cur, ps = _to_kernel(p)
     scale, rem = gb.kernel.reduce(cur)
     # rem is the remainder of scale * ps * p
-    return _to_mpoly(rem, order, 1 / (scale * ps))
+    return _to_mpoly(rem, 1 / (scale * ps))
 
 
-def spoly(f, g, order):
-    ef, cf = leading_term(f, order)
-    eg, cg = leading_term(g, order)
+def spoly(f, g):
+    ef, cf = leading_term(f)
+    eg, cg = leading_term(g)
     l = _elcm(ef, eg)
     out = _mul(f.terms, {_ediv(l, ef): 1 / cf})
     _add_into(out, _mul(g.terms, {_ediv(l, eg): 1 / cg}), -1)
     return MPoly._raw(out)
 
 
-def buchberger(ideal, order: MonomialOrder) -> GroebnerBasis:
-    """Reduced Groebner basis: sugar selection (Giovini, Mora, Niesi,
-    Robbiano and Traverso, "One sugar cube, please", ISSAC 1991; lowest
-    sugar first, then smallest lcm, then lowest index) and Gebauer-Moeller
-    pair updates (_update).  An input's sugar is its total degree, and an
+def buchberger(ideal) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal that the polynomials in ideal (a
+    PolyIdeal or any iterable) generate: sugar selection (Giovini, Mora,
+    Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC 1991;
+    lowest sugar first, then smallest lcm, then lowest index) and
+    Gebauer-Moeller pair updates (_update).  An input's sugar is its total degree, and an
     element added from a pair keeps that pair's sugar."""
-    gens = list(ideal.generators if isinstance(ideal, PolyIdeal) else ideal)
-    gens = [g for g in gens if g]
+    gens = [g for g in ideal if g]
     if not gens:
         raise PreconditionError("no nonzero generators")
 
-    kb = _Kernel(order)
+    kb = _Kernel()
     sugars = []  # per kernel element
     active = []  # the elements that still form pairs
     pairs = []  # heap of (sugar, packed lcm, i, j) with i < j
     for g in gens:
-        pairs = _update(kb, _to_kernel(g, order)[0], max(map(sum, g.terms)),
+        pairs = _update(kb, _to_kernel(g)[0], max(map(sum, g.terms)),
                         sugars, active, pairs)
     while pairs:
         sugar, l, i, j = heappop(pairs)
@@ -633,7 +621,7 @@ def _update(kb, terms, sugar, sugars, active, pairs):
 def _reduced_basis(kb, rows):
     """The unique reduced basis, sorted by leading term, from the kernel
     elements rows, which form a Groebner basis."""
-    order, leads = kb.order, kb.leads
+    leads = kb.leads
     # drop elements whose leading monomial is divisible by another's
     keep = [
         i for i in rows
@@ -642,7 +630,7 @@ def _reduced_basis(kb, rows):
             for j in rows
         )
     ]
-    red = _Kernel(order, [kb.terms(i) for i in keep])
+    red = _Kernel([kb.terms(i) for i in keep])
     # reduce each tail by the others; a leading monomial divides no smaller
     # monomial, so no element ever acts on its own tail
     for i in range(len(red)):
@@ -653,7 +641,7 @@ def _reduced_basis(kb, rows):
         rem[red.leads[i]] = num * red.lcs[i]
         red.add(_primitive(rem)[0], i)
     rows = sorted(range(len(red)), key=red.leads.__getitem__)
-    return GroebnerBasis._of_rows(order, [red.terms(i) for i in rows])
+    return GroebnerBasis._of_rows([red.terms(i) for i in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -694,10 +682,10 @@ def saturate_gb(ideal: PolyIdeal, q: MPoly) -> GroebnerBasis:
     if q.degree_in("s") > 0:
         raise PreconditionError("saturating polynomial must not involve s")
     helper = MPoly.const(1) - MPoly.var("s") * q
-    kb = buchberger(PolyIdeal(list(ideal.generators) + [helper]), LEX).kernel
-    s1 = LEX.pack((1, 0, 0, 0))  # s is the top lex field: an s-free lead, an s-free row
+    kb = buchberger([*ideal.generators, helper]).kernel
+    s1 = _pack((1, 0, 0, 0))  # s is the top lex field: an s-free lead, an s-free row
     kept = [kb.terms(i) for i, lead in enumerate(kb.leads) if lead < s1]
-    return GroebnerBasis._of_rows(LEX, kept or [{0: 1}])
+    return GroebnerBasis._of_rows(kept or [{0: 1}])
 
 
 def saturate(ideal: PolyIdeal, q: MPoly) -> PolyIdeal:
@@ -708,7 +696,7 @@ def monic_in_t_witness(gb: GroebnerBasis):
     """The minimal-degree basis element whose lex leading monomial is a pure
     power of t, i.e. a monic integral relation for t over Q[x, y]; None when
     t is not integral.  Expects a basis not involving s."""
-    leads = [LEX.unpack(k) for k in gb.kernel.leads]
+    leads = [_unpack(k) for k in gb.kernel.leads]
     if any(e[0] for e in leads):  # an element with s leads with it in lex
         raise PreconditionError("basis must not involve s")
     pure = [(e[1], i) for i, e in enumerate(leads) if e[1] and not e[2] and not e[3]]
@@ -717,8 +705,8 @@ def monic_in_t_witness(gb: GroebnerBasis):
 
 def ideals_equal(a: PolyIdeal, b: PolyIdeal) -> bool:
     """Mutual containment via lex normal forms."""
-    gba = buchberger(a, LEX)
-    gbb = buchberger(b, LEX)
+    gba = buchberger(a)
+    gbb = buchberger(b)
     return all(not normal_form(g, gba) for g in b.generators) and all(
         not normal_form(g, gbb) for g in a.generators
     )
@@ -797,12 +785,11 @@ def lift_membership(p: MPoly, gb: GroebnerBasis):
     5.1) by the first basis element whose leading monomial divides the
     leading term; on a Groebner basis a nonzero member's leading term is
     always divisible, so p is not a member once no element divides it."""
-    key = gb.order.key
-    leads = [leading_term(g, gb.order) for g in gb.basis]
+    leads = [leading_term(g) for g in gb.basis]
     quots = [{} for _ in leads]
     cur = dict(p.terms)
     while cur:
-        e = max(cur, key=key)
+        e = max(cur)
         for i, (le, lc) in enumerate(leads):
             if all(a <= b for a, b in zip(le, e)):
                 break

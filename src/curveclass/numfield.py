@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from . import _zpoly as zp
 from .errors import InternalError
-from .unipoly import IsolatingInterval, UPoly, to_zpoly
+from .unipoly import IsolatingInterval, UPoly
 
 
 class SplitEvent(Exception):
@@ -330,16 +330,11 @@ class NumberField:
         a list of integer lists (coefficients in the level-0 variable) at
         level 1."""
         if self._zlevels is None:
-            forms = [to_zpoly(self.minpoly(0))[0]] if self.depth else []
+            forms = [_zclear(self._mp[0], 1)[0]] if self.depth else []
             if self.depth > 1:
                 forms.append(_zclear(self._mp[1], 2)[0])
             self._zlevels = tuple(forms)
         return self._zlevels
-
-    def zminpoly0(self):
-        """The level-0 polynomial with denominators cleared (integer list,
-        low degree first)."""
-        return self.zlevels()[0]
 
     def zero(self):
         return NFElement(self, _rzero(self.depth))
@@ -564,7 +559,7 @@ class RealEmbedding:
         """Halve the level-k isolating interval."""
         lo, hi = self.intervals[k]
         if k == 0:
-            lo, hi = zp.zrefine(self.field.zminpoly0(), lo, hi, (hi - lo) / 2)
+            lo, hi = zp.zrefine(self.field.zlevels()[0], lo, hi, (hi - lo) / 2)
         else:  # bisect on the sign of m2(alpha, x) at this embedding
             signs = _tower_signs([self.field.minpoly(1)], self)
             lo, hi = signs.refine(lo, hi, (hi - lo) / 2)

@@ -728,8 +728,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 
 def _first_linear_factor_by_division(rows, shapes, cands, x1, fiber):
-    """Reference: the search without probes, dividing every (shape,
-    candidate) pair in shape-then-candidate order; fiber is not read."""
+    """Reference: the search over Q[x] without probes, dividing every
+    (shape, candidate) pair in shape-then-candidate order, shapes UPolys;
+    returns (g, quotient rows) or None; fiber is not read."""
     from curveclass import curves
 
     for shape in shapes:
@@ -742,6 +743,19 @@ def _first_linear_factor_by_division(rows, shapes, cands, x1, fiber):
             if q is not None:
                 return g_poly, q
     return None
+
+
+def _upoly_shapes(shapes):
+    return [UPoly.from_ints("x", s) for s in shapes]
+
+
+def _over_q(found):
+    """curves._first_linear_factor's (G, d, rows) as the reference's
+    (G/d in Q[x], rows); None stays None."""
+    if found is None:
+        return None
+    G, d, rows = found
+    return UPoly.from_ints("x", G).scale(Fraction(1, d)), rows
 
 
 @contextmanager
@@ -762,16 +776,17 @@ def test_a_candidate_passing_x_3_is_rejected_at_a_probe():
     from curveclass import curves
 
     F = (Y - X**2) * (Y**2 + 1)  # F(3, y) has the one rational root 9
-    one, x = UPoly.from_ints("x", [1]), UPoly.from_ints("x", [0, 1])
-    shapes, cands = [one, x, x * x], [Fraction(9)]
+    shapes, cands = [[1], [0, 1], [0, 0, 1]], [Fraction(9)]
     # g = 9 and g = 3x pass x = 3 (F(3, 9) = 0) and fail at x = 4; g = x^2 divides
     with _counting_divisions() as probed:
         fiber = curves.rows_at(to_y_dense(F), 4)
-        got = curves._first_linear_factor(to_y_dense(F), shapes, cands, Fraction(3), fiber)
+        got = curves._first_linear_factor(to_y_dense(F), shapes, cands, 3, fiber)
     with _counting_divisions() as divided:
-        want = _first_linear_factor_by_division(to_y_dense(F), shapes, cands, Fraction(3), fiber)
-    assert got == want == (x * x, to_y_dense(Y**2 + 1))
-    assert probed == [_linear_rows(x * x)] and len(divided) == 3
+        want = _first_linear_factor_by_division(to_y_dense(F), _upoly_shapes(shapes), cands, 3,
+                                                fiber)
+    x2 = UPoly.from_ints("x", [0, 0, 1])
+    assert _over_q(got) == want == (x2, to_y_dense(Y**2 + 1))
+    assert probed == [_linear_rows(x2)] and len(divided) == 3
 
 
 _A_FACTORS = ("x-1", "x-2", "x^2+1", "x^2-2", "x^2+4", "x^2+x+1", "x^2-3", "2*x-1/3")
@@ -855,21 +870,26 @@ def _realness_curve(draw):
 @settings(deadline=None, max_examples=60)
 @given(F=_realness_curve())
 def test_probed_linear_factor_search_matches_division_alone(F):
+    # every search the integer route makes, on its own integer shapes,
+    # against division over Q by the same shapes as UPolys
     from curveclass import curves
 
-    got = curves._linear_y_factors(to_y_dense(F))
+    calls = []
     probe = curves._first_linear_factor
-    curves._first_linear_factor = _first_linear_factor_by_division
+    curves._first_linear_factor = lambda *a: calls.append(a) or probe(*a)
     try:
-        want = curves._linear_y_factors(to_y_dense(F))
+        curves._linear_y_factors(to_y_dense(F))
     finally:
         curves._first_linear_factor = probe
-    assert got == want
+    for rows, shapes, cands, x1, fiber in calls:
+        want = _first_linear_factor_by_division(rows, _upoly_shapes(shapes), cands, x1, fiber)
+        assert _over_q(probe(rows, shapes, cands, x1, fiber)) == want
 
 
 def _linear_y_factors_ungated(rows):
-    """Reference: the linear-factor search without the F(4, y) gate, which
-    builds the shapes whenever F(3, y) has a nonzero rational root."""
+    """Reference: the linear-factor search over Q[x], with UPoly shapes,
+    division alone and without the F(4, y) gate, which builds the shapes
+    whenever F(3, y) has a nonzero rational root."""
     from curveclass import _zpoly as zp
     from curveclass import curves
 
@@ -893,7 +913,7 @@ def _linear_y_factors_ungated(rows):
         for piece in pieces[:4]:
             squares = [one, piece, piece * piece]
             shapes = [s * pk for s in shapes for pk in squares if s.degree + pk.degree <= dx]
-        factor = curves._first_linear_factor(rows, shapes, cands, x1, curves.rows_at(rows, 4))
+        factor = _first_linear_factor_by_division(rows, shapes, cands, x1, None)
         if factor is None:
             break
         g_poly, rows = factor
@@ -987,7 +1007,7 @@ def _embeddings_per_root(field):
 
     base = field.sub_field(1)
     embs = []
-    for lo, hi in zp.zisolate(field.zminpoly0()):
+    for lo, hi in zp.zisolate(field.zlevels()[0]):
         base_emb = RealEmbedding(base, [(lo, hi)])
         for blo, bhi in isolate_tower_roots(tower_sturm_chain(field.minpoly(1)), base_emb):
             embs.append(RealEmbedding(field, [(lo, hi), (blo, bhi)]))
@@ -1373,7 +1393,7 @@ def test_a_locus_solve_isolates_each_polynomial_once(monkeypatch):
                         lambda f, memo: fields.append(f) or embeddings_for(f, memo))
     points = singular_locus(make_curve(parse_poly(_TAIL_CURVE)))
     assert len(points) == 4
-    assert {tuple(f.zminpoly0()) for f in fields} <= set(isolated)
+    assert {tuple(f.zlevels()[0]) for f in fields} <= set(isolated)
     assert len(isolated) == len(set(isolated))
     # over x = 0 the fiber is y = 0: one integer polynomial, isolated once
     # for both levels

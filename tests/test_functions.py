@@ -31,6 +31,7 @@ from curveclass.mpoly import (
     MPoly,
     PolyIdeal,
     buchberger,
+    eliminate,
     ideals_equal,
     monic_in_t_witness,
     normal_form,
@@ -219,7 +220,7 @@ def _two_walk_is_regular(f):
     bad point."""
     wit = monic_in_t_witness(f.graph_gb())
     if wit is None or wit.degree_in("t") != 1:
-        gb = buchberger(PolyIdeal([f.curve.F, f.q]), LEX)
+        gb = buchberger(PolyIdeal([f.curve.F, f.q]))
         return False, {"reason": "not in <F, q>", "normal_form": normal_form(f.p, gb)}
     h = MPoly.var("t") - wit
     hgrid = [row.coeffs for row in y_rows(h)]
@@ -607,7 +608,7 @@ def test_regular_witness_agrees_with_membership_in_F_q(curve_text, p, q):
     except CurveClassError:
         assume(False)
     ok, detail = is_regular(f)
-    nf = normal_form(p, buchberger(PolyIdeal([f.curve.F, q]), LEX))
+    nf = normal_form(p, buchberger(PolyIdeal([f.curve.F, q])))
     if nf:
         assert not ok and detail == {"reason": "not in <F, q>", "normal_form": nf}
         return
@@ -615,6 +616,71 @@ def test_regular_witness_agrees_with_membership_in_F_q(curve_text, p, q):
     by_F = GroebnerBasis(LEX, [f.curve.F])
     assert not normal_form(p - h * q, by_F)
     assert normal_form(h, by_F) == h
+
+
+# -- birationality off the graph basis, against equality of ideals ----------
+
+def _birational_by_ideal_equality(f):
+    """Reference: the elimination ideal of the graph basis equals <F>, by
+    mutual containment on two fresh bases."""
+    return ideals_equal(eliminate(f.graph_gb(), {"x", "y"}), PolyIdeal([f.curve.F]))
+
+
+@pytest.mark.parametrize("build", [cusp_f, example2_f])
+def test_presented_birationality_agrees_with_ideal_equality(build):
+    f = build()
+    assert present_extension(f).birational is _birational_by_ideal_equality(f) is True
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(_WORKED_CURVES), _c6_poly, _c6_den)
+def test_presented_birationality_agrees_with_ideal_equality_on_c6_jobs(curve_text, p, q):
+    try:
+        f = _zero_valued(curve_text, p, q)
+        pres = present_extension(f)
+    except CurveClassError:
+        return  # rejected, or not integral: nothing is presented
+    assert pres.birational is _birational_by_ideal_equality(f)
+
+
+# -- two library routes to one fact: check-morphism against classify --------
+# On a rational curve parametrized by t = y/x, the function g(y/x) is
+# integral; its fiber over a real singular point is the set of values of g
+# at the parameters over it, so it is a complex singleton exactly when g is
+# constant on that parameter fiber.
+
+_PARAMETRIZED = [
+    ("y^2 - x^3", "t^2", "t^3"),  # the cusp: one parameter, 0
+    ("y^2 - x^2*(x+1)", "t^2 - 1", "t^3 - t"),  # the node: parameters +-1
+    ("y^2 - x^2*(x-1)", "t^2 + 1", "t^3 + t"),  # the acnode: parameters +-i
+    ("y^2 - x^2*(x+2)", "t^2 - 2", "t^3 - 2*t"),  # parameters +-sqrt(2)
+]
+_FUNCTIONS_OF_T = ["t", "t^2", "t^3 - t", "2*t^2 + t"]
+# g constant on the parameter fiber: always at the cusp, and elsewhere for
+# the even t^2, and for t^3 - t at the node, where it is 0 at both
+_CONSTANT = {
+    (0, 0): True, (0, 1): True, (0, 2): True, (0, 3): True,
+    (1, 1): True, (1, 2): True, (2, 1): True, (3, 1): True,
+}
+
+
+@pytest.mark.parametrize("k", range(len(_PARAMETRIZED)))
+@pytest.mark.parametrize("j", range(len(_FUNCTIONS_OF_T)))
+def test_fiber_constancy_agrees_with_singleton_real_fibers(k, j):
+    from curveclass.curves import fiber_constancy_check, make_parametrization
+    from curveclass.parsing import parse_upoly
+
+    curve_text, u, v = _PARAMETRIZED[k]
+    g = parse_upoly(_FUNCTIONS_OF_T[j], "t")
+    curve = make_curve(parse_poly(curve_text))
+    pi = make_parametrization(curve, parse_upoly(u, "t"), parse_upoly(v, "t"))
+    by_morphism = fiber_constancy_check(pi, g)["constant_on_real_fibers"]
+    # f = g(y/x) = sum(g_i * y^i * x^(d - i)) / x^d
+    d = max(g.degree, 1)
+    p = sum((c * Y**i * X ** (d - i) for i, c in enumerate(g.coeffs)), MPoly())
+    rows = classify(_zero_valued(curve_text, p, X**d)).fibers
+    by_fibers = all(r.distinct_complex == 1 for r in rows if r.point.is_real)
+    assert by_morphism == by_fibers == _CONSTANT.get((k, j), False)
 
 
 # -- the probe's enclosure of p/q, against a Fraction interval Horner -------

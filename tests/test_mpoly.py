@@ -33,10 +33,12 @@ from curveclass.mpoly import (
     _field_divides,
     _field_lcm,
     _Kernel,
+    _pack,
     _primitive,
     _reduced_basis,
     _to_kernel,
     _to_mpoly,
+    _unpack,
 )
 from curveclass.unipoly import UPoly
 
@@ -52,12 +54,12 @@ def cusp_graph_gb():
 
 
 def test_buchberger_already_a_basis():
-    gb = buchberger(PolyIdeal([X, Y]), LEX)
+    gb = buchberger(PolyIdeal([X, Y]))
     assert set(gb.basis) == {X, Y}
 
 
 def test_buchberger_substitution():
-    gb = buchberger(PolyIdeal([Y - X**2, T - Y]), LEX)
+    gb = buchberger(PolyIdeal([Y - X**2, T - Y]))
     assert T - X**2 in set(gb.basis) or not normal_form(T - X**2, gb)
 
 
@@ -80,16 +82,16 @@ def test_cusp_saturation_contains_certificate():
 
 
 def test_normal_form_examples():
-    gb = buchberger(PolyIdeal([X]), LEX)
+    gb = buchberger(PolyIdeal([X]))
     assert not normal_form(X**2, gb)
-    gb2 = buchberger(PolyIdeal([Y**2 - X**3, X]), LEX)
+    gb2 = buchberger(PolyIdeal([Y**2 - X**3, X]))
     # reduced basis is {x, y^2}
     assert normal_form(Y, gb2) == Y
     assert not normal_form(X * Y, gb2)
 
 
 def test_eliminate_examples():
-    gb = buchberger(PolyIdeal([T - X**2, T - Y]), LEX)
+    gb = buchberger(PolyIdeal([T - X**2, T - Y]))
     elim = eliminate(gb, {"x", "y"})
     assert ideals_equal(elim, PolyIdeal([Y - X**2]))
 
@@ -97,7 +99,7 @@ def test_eliminate_examples():
     elim2 = eliminate(gb2, {"x", "y"})
     assert ideals_equal(elim2, PolyIdeal([cusp()]))
 
-    gb3 = buchberger(PolyIdeal([S * X - 1, Y]), LEX)
+    gb3 = buchberger(PolyIdeal([S * X - 1, Y]))
     elim3 = eliminate(gb3, {"x", "y"})
     assert ideals_equal(elim3, PolyIdeal([Y]))
 
@@ -135,8 +137,8 @@ def test_a_basis_made_from_polynomials_keeps_them():
     F = 3 * Y**2 - Fraction(1, 2) * X**3 + X
     gb = GroebnerBasis(LEX, [F])
     assert gb.basis == (F,) and len(gb) == 1
-    assert gb.kernel.terms(0) == _to_kernel(F, LEX)[0]
-    by_buchberger = buchberger(PolyIdeal([F]), LEX)
+    assert gb.kernel.terms(0) == _to_kernel(F)[0]
+    by_buchberger = buchberger(PolyIdeal([F]))
     assert by_buchberger.basis == (F * -2,)  # lex leads with x^3
     for p in (X * Y**3, Y**2 + T, F * (X - T), X**4 * Y - Fraction(2, 7), MPoly()):
         assert normal_form(p, gb) == normal_form(p, by_buchberger)
@@ -148,13 +150,13 @@ def test_basis_is_its_monic_kernel_rows_built_once():
     assert gb.basis is gb.basis and len(gb) == len(gb.basis)
     for i, g in enumerate(gb.basis):
         lc = gb.kernel.lcs[i]
-        assert lc > 0 and leading_term(g, LEX)[1] == 1
-        assert g * lc == _to_mpoly(gb.kernel.terms(i), LEX)
+        assert lc > 0 and leading_term(g)[1] == 1
+        assert g * lc == _to_mpoly(gb.kernel.terms(i))
     assert gb.t_grids() is gb.t_grids()
 
 
 def test_saturation_keeps_the_s_free_rows():
-    full = buchberger(PolyIdeal([cusp(), X * T - Y, 1 - S * X]), LEX)
+    full = buchberger(PolyIdeal([cusp(), X * T - Y, 1 - S * X]))
     kept = [g for g in full.basis if g.degree_in("s") == 0]
     assert len(kept) < len(full.basis)
     assert list(cusp_graph_gb().basis) == kept
@@ -168,6 +170,21 @@ def test_witness_and_grids_refuse_a_basis_with_s():
         monic_in_t_witness(gb)
     with pytest.raises(PreconditionError):
         gb.t_grids()
+
+
+def test_groebner_basis_takes_lex_only():
+    assert GroebnerBasis(LEX, [X]).basis == (X,)
+    for order in ("grevlex", None, "LEX"):
+        with pytest.raises(PreconditionError):
+            GroebnerBasis(order, [X])
+
+
+def test_buchberger_takes_any_iterable_of_polynomials():
+    gens = [cusp(), X * T - Y, MPoly()]
+    want = buchberger(PolyIdeal(gens)).basis
+    assert buchberger(gens).basis == buchberger(iter(gens)).basis == want
+    with pytest.raises(PreconditionError):
+        buchberger([MPoly()])
 
 
 def test_basis_independent_of_generator_permutation():
@@ -186,10 +203,10 @@ def test_basis_independent_of_generator_permutation():
                 gens.append(p)
         if not gens:
             continue
-        gb1 = buchberger(PolyIdeal(gens), LEX)
+        gb1 = buchberger(PolyIdeal(gens))
         shuffled = gens[:]
         rng.shuffle(shuffled)
-        gb2 = buchberger(PolyIdeal(shuffled), LEX)
+        gb2 = buchberger(PolyIdeal(shuffled))
         assert gb1.basis == gb2.basis
 
 
@@ -198,10 +215,10 @@ def test_confluence_shuffled_divisor_choice():
     gb = cusp_graph_gb()
 
     def shuffled_normal_form(p, gb, rng):
-        lead = [leading_term(g, gb.order) for g in gb.basis]
+        lead = [leading_term(g) for g in gb.basis]
         rem = MPoly()
         while p:
-            e, c = leading_term(p, gb.order)
+            e, c = leading_term(p)
             choices = [i for i, (le, _) in enumerate(lead) if all(a <= b for a, b in zip(le, e))]
             if choices:
                 i = rng.choice(choices)
@@ -235,7 +252,7 @@ def test_redundant_generators_do_not_change_elimination():
 
 
 def test_lift_membership_gives_cofactors():
-    gb = buchberger(PolyIdeal([cusp(), X]), LEX)
+    gb = buchberger(PolyIdeal([cusp(), X]))
     cof = lift_membership(X * Y, gb)
     assert cof is not None and len(cof) == len(gb.basis)
     rebuilt = sum((c * g for c, g in zip(cof, gb.basis)), MPoly())
@@ -269,8 +286,8 @@ def _divides(e1, e2):
 @settings(deadline=None)
 @given(_ideals)
 def test_kernel_basis_is_reduced_and_complete(gens):
-    gb = buchberger(PolyIdeal(gens), LEX)
-    leads = [leading_term(g, LEX) for g in gb.basis]
+    gb = buchberger(PolyIdeal(gens))
+    leads = [leading_term(g) for g in gb.basis]
     assert all(c == 1 for _, c in leads)
     for i, (ei, _) in enumerate(leads):
         for j, (ej, _) in enumerate(leads):
@@ -282,13 +299,13 @@ def test_kernel_basis_is_reduced_and_complete(gens):
         assert not normal_form(g, gb)
     for i, f in enumerate(gb.basis):
         for g in gb.basis[i + 1:]:
-            assert not normal_form(spoly(f, g, LEX), gb)
+            assert not normal_form(spoly(f, g), gb)
 
 
 @settings(deadline=None)
 @given(_ideals, st.lists(_polys, min_size=3, max_size=3), _polys)
 def test_lift_membership_quotients_are_exact(gens, cofactors, p):
-    gb = buchberger(PolyIdeal(gens), LEX)
+    gb = buchberger(PolyIdeal(gens))
     member = sum((r * g for r, g in zip(cofactors, gens)), MPoly())
     quots = lift_membership(member, gb)
     assert quots is not None and len(quots) == len(gb.basis)
@@ -347,19 +364,19 @@ def test_negative_powers_are_refused():
 def _reference_buchberger(ideal):
     """Reference: every pair queued, the product and chain criteria checked
     when a pair is popped, the same kernel and the same reduced basis."""
-    kb = _Kernel(LEX)
+    kb = _Kernel()
     exps = []  # leading exponent tuple per element
 
     def push(terms):
         kb.add(terms)
-        exps.append(LEX.unpack(kb.leads[-1]))
+        exps.append(_unpack(kb.leads[-1]))
 
     for g in ideal:
-        push(_to_kernel(g, LEX)[0])
+        push(_to_kernel(g)[0])
     heap = []
 
     def add_pair(i, j):
-        heappush(heap, (LEX.pack(_elcm(exps[i], exps[j])), i, j))
+        heappush(heap, (_pack(_elcm(exps[i], exps[j])), i, j))
 
     for i in range(len(kb)):
         for j in range(i + 1, len(kb)):
@@ -403,14 +420,14 @@ def _basis_terms(gb):
 @settings(deadline=None)
 @given(_ideals)
 def test_pair_updates_give_the_reference_basis(gens):
-    got = buchberger(PolyIdeal(gens), LEX)
+    got = buchberger(PolyIdeal(gens))
     assert _basis_terms(got) == _basis_terms(_reference_buchberger(PolyIdeal(gens)))
 
 
 def test_pair_updates_give_the_reference_basis_on_the_cusp_saturation():
     helper = MPoly.const(1) - S * X
     ideal = PolyIdeal([cusp(), X * T - Y, helper])
-    assert _basis_terms(buchberger(ideal, LEX)) == _basis_terms(_reference_buchberger(ideal))
+    assert _basis_terms(buchberger(ideal)) == _basis_terms(_reference_buchberger(ideal))
 
 
 def test_field_lcm_is_the_packed_exponent_max():
@@ -423,9 +440,9 @@ def test_field_lcm_is_the_packed_exponent_max():
                   for _ in range(4))
         b = tuple(rng.choice(edges) if rng.random() < 0.2 else rng.randrange(_EXP_LIMIT)
                   for _ in range(4))
-        pa, pb = LEX.pack(a), LEX.pack(b)
-        assert LEX.unpack(pa) == a and (pa < pb) == (a < b) and (pa == pb) == (a == b)
-        assert _field_lcm(pa, pb) == LEX.pack(_elcm(a, b))
+        pa, pb = _pack(a), _pack(b)
+        assert _unpack(pa) == a and (pa < pb) == (a < b) and (pa == pb) == (a == b)
+        assert _field_lcm(pa, pb) == _pack(_elcm(a, b))
         assert _field_divides(pa, pb) == all(x <= y for x, y in zip(a, b))
 
 
@@ -433,29 +450,29 @@ def test_first_divisor_memo_sees_elements_appended_later():
     # y^2 + 3y first meets only x, which divides neither term; y - 1,
     # appended after, divides both, so the memoised "no divisor among the
     # first one" must be rescanned from there
-    kb = _Kernel(LEX)
-    kb.add(_to_kernel(X, LEX)[0])
-    cur = _to_kernel(Y**2 + 3 * Y, LEX)[0]
+    kb = _Kernel()
+    kb.add(_to_kernel(X)[0])
+    cur = _to_kernel(Y**2 + 3 * Y)[0]
     assert kb.reduce(dict(cur)) == (1, cur)
-    y2 = LEX.pack((0, 0, 0, 2))
+    y2 = _pack((0, 0, 0, 2))
     assert kb.first[y2] == ~1
-    kb.add(_to_kernel(Y - 1, LEX)[0])
-    fresh = _Kernel(LEX)
+    kb.add(_to_kernel(Y - 1)[0])
+    fresh = _Kernel()
     for g in (X, Y - 1):
-        fresh.add(_to_kernel(g, LEX)[0])
+        fresh.add(_to_kernel(g)[0])
     got = kb.reduce(dict(cur))
     assert got == fresh.reduce(dict(cur))
-    assert got == (1, {LEX.pack((0, 0, 0, 0)): 4})
+    assert got == (1, {_pack((0, 0, 0, 0)): 4})
     assert kb.first[y2] == 1
 
 
 def test_kernel_replacement_must_keep_the_leading_monomial():
-    kb = _Kernel(LEX)
-    kb.add(_to_kernel(X + Y, LEX)[0])
-    kb.add(_to_kernel(X + 2, LEX)[0], 0)  # same leading monomial: accepted
-    assert kb.terms(0) == _to_kernel(X + 2, LEX)[0]
+    kb = _Kernel()
+    kb.add(_to_kernel(X + Y)[0])
+    kb.add(_to_kernel(X + 2)[0], 0)  # same leading monomial: accepted
+    assert kb.terms(0) == _to_kernel(X + 2)[0]
     with pytest.raises(InternalError):
-        kb.add(_to_kernel(Y + 1, LEX)[0], 0)
+        kb.add(_to_kernel(Y + 1)[0], 0)
 
 
 # ---------------------------------------------------------------------------

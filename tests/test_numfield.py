@@ -28,7 +28,7 @@ X = lambda *cs: UPoly.from_ints("x", cs)  # noqa: E731
 def level0_real_embeddings(field):
     """Embeddings of a depth-1 tower, one per real root of its level-0
     polynomial, ascending."""
-    return [RealEmbedding(field, [(lo, hi)]) for lo, hi in zisolate(field.zminpoly0())]
+    return [RealEmbedding(field, [(lo, hi)]) for lo, hi in zisolate(field.zlevels()[0])]
 
 
 def gaussian():
@@ -397,19 +397,16 @@ def test_level0_refinement_builds_the_integer_m1_once_per_field(monkeypatch):
     from curveclass import numfield
 
     calls = []
-    to_zpoly = numfield.to_zpoly
-
-    def counting(p):
-        calls.append(p)
-        return to_zpoly(p)
-
-    monkeypatch.setattr(numfield, "to_zpoly", counting)
+    zclear = numfield._zclear
+    monkeypatch.setattr(numfield, "_zclear",
+                        lambda rep, depth: calls.append(rep) or zclear(rep, depth))
     F = sqrt2_field()
     emb = RealEmbedding(F, [(1, 2)])
     for _ in range(6):
         emb.refine(0)
     assert emb.interval(0).width() == Fraction(1, 64)
-    assert len(calls) == 1
+    # zlevels clears m1 once; refinement clears nothing else
+    assert len(calls) == 1 and calls[0] is F._mp[0]
     # the cached polynomial is not part of the field's identity
     assert F == sqrt2_field() and hash(F) == hash(sqrt2_field())
 
@@ -560,20 +557,17 @@ def test_integer_level_forms_are_built_once_per_field(monkeypatch):
     a = base.gen(0)
     F = extend_field(base, "b", [-a / 5, base.from_fraction(Fraction(1, 2)), base.one()])
     calls = []
-    to_zpoly = numfield.to_zpoly
-
-    def counting(p):
-        calls.append(p)
-        return to_zpoly(p)
-
-    monkeypatch.setattr(numfield, "to_zpoly", counting)
+    zclear = numfield._zclear
+    monkeypatch.setattr(numfield, "_zclear",
+                        lambda rep, depth: calls.append(rep) or zclear(rep, depth))
     b = F.gen(1)
     x = F.gen(0) + b
     for _ in range(4):
         x = x * x + b
     assert x.inverse() * x == F.one()
     forms = F.zlevels()
-    assert len(calls) == 1
+    # each level polynomial is cleared once, however much arithmetic runs
+    assert [k for rep in calls for k, m in enumerate(F._mp) if rep is m] == [0, 1]
     # c_k * m_k: the leading entry is the least common denominator
     assert forms == ([-2, 0, 3], [[0, -2], [5], [10]])
     assert F.zlevels() is forms
