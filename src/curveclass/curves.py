@@ -40,7 +40,6 @@ from .numfield import (
     RealEmbedding,
     SplitEvent,
     extend_field,
-    field_from_qpoly,
     isolate_tower_roots,
     nf_sign,
     rational_point_field,
@@ -118,8 +117,11 @@ class BadPoint:
         if self.is_rational():
             x0, y0 = self.coords()
             return (0, x0, y0, ())
-        m1c = tuple(Fraction(c) for c in self.field._mp[0])
-        return (1, len(m1c), Fraction(0), (m1c, self.field._mp[1]))
+        # the order compares the monic level polynomials' rational coefficients
+        m1, m2 = self.field.zlevels()
+        m1c = tuple(Fraction(c, m1[-1]) for c in m1)
+        m2c = tuple(tuple(Fraction(c, m2[-1][0]) for c in row) for row in m2)
+        return (1, len(m1c), Fraction(0), (m1c, m2c))
 
     def split(self, level, factor_rep):
         """Dynamic-evaluation split: replace this class by its branches,
@@ -271,10 +273,10 @@ def _points_at_rational_x(x0, grids, isolated):
     for y0 in zp.zsf_rational_roots(rest):
         out.extend(_finish_point_classes(rational_point_field("x", "y", x0, y0), isolated))
         rest = zp.zdivexact(rest, [-y0.numerator, y0.denominator])  # exact (Gauss)
-    if zp.zdeg(rest) >= 1:
-        base = field_from_qpoly("x", UPoly("x", [-x0, Fraction(1)]))
-        m2 = [base.from_fraction(Fraction(c, rest[-1])) for c in rest]
-        out.extend(_finish_point_classes(extend_field(base, "y", m2), isolated))
+    if zp.zdeg(rest) >= 1:  # rest is primitive with a positive lead: its own level form
+        fld = NumberField([("x", (-x0.numerator, x0.denominator)),
+                           ("y", tuple((c,) if c else () for c in rest))])
+        out.extend(_finish_point_classes(fld, isolated))
     return out
 
 
@@ -302,7 +304,7 @@ def _points_at_chunk(chunk, grids, sres, isolated):
         m2 = squarefree_part(g)
         return _finish_point_classes(extend_field(fld, "y", list(m2.coeffs)), isolated)
 
-    start = BadPoint(field_from_qpoly("x", UPoly.from_ints("x", chunk)), [])
+    start = BadPoint(NumberField([("x", tuple(chunk))]), [])
     return [pt for _, pts in run_with_splits(start, classes_over) for pt in pts]
 
 

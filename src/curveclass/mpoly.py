@@ -703,15 +703,6 @@ def monic_in_t_witness(gb: GroebnerBasis):
     return gb.basis[min(pure)[1]] if pure else None
 
 
-def ideals_equal(a: PolyIdeal, b: PolyIdeal) -> bool:
-    """Mutual containment via lex normal forms."""
-    gba = buchberger(a)
-    gbb = buchberger(b)
-    return all(not normal_form(g, gba) for g in b.generators) and all(
-        not normal_form(g, gbb) for g in a.generators
-    )
-
-
 # ---------------------------------------------------------------------------
 # conversions and specialization
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Algebraic extension towers of depth <= 2 with dynamic evaluation.
+"""Algebraic extension towers of depth 1 or 2 with dynamic evaluation.
 
 A NumberField is a chain  Q -> Q[a]/(m1(a)) -> Q[a][b]/(m2(a, b))  whose
 level polynomials are monic and squarefree over their base but are allowed
@@ -19,24 +19,28 @@ counting, isolation and level-1 refinement for tower polynomials feed
 these signs to the sign table of the integer kernel (_zpoly.SturmSigns),
 so over Z and over a tower they are one implementation.
 
-Element representations are nested tuples, trimmed of trailing zeros and
-reduced modulo every level: depth 0 is a Fraction, depth k >= 1 is a tuple
-of depth-(k-1) reps.  These Fraction reps are the boundary: NFElement.rep,
-the level polynomials and SplitEvent.factor_rep keep them.  Inside, tower
-products and reductions run on an integer kernel: each operand is cleared
-to integer numerators over one denominator, multiplied by one integer
-convolution, pseudo-reduced by the integer forms c_k * m_k of the level
-polynomials (built once per field, NumberField.zlevels), and rebuilt as a
-Fraction rep once.  A rational scalar scales the coefficients instead of
-entering a product.  A polynomial in x, y is specialized at a tower point
-(the generators of its levels) the same way: its coefficient grid is
-reduced modulo the level forms once (NumberField.at_gens), with no Horner
-over tower elements.  Inversion at depth 1 runs on integers too: an extended
-pseudo-remainder sequence against the integer level form.  At depth 2 the
-extended Euclid runs on Fraction reps, with its products in the kernel and
-its leading-coefficient inversions on the depth-1 integer path.
+Everything inside runs on integers.  A field stores each level polynomial
+m_k only as its integer form c_k * m_k, c_k the least positive integer
+clearing its denominators (NumberField.zlevels): a tuple of ints at level
+0, a tuple of such tuples (coefficients in the level-0 variable) at level
+1.  An element's rep is (nums, den): integer numerators over one positive
+denominator, nested like the level forms (a trimmed tuple of ints at depth
+1, a trimmed tuple of trimmed tuples at depth 2), reduced modulo every
+level and in lowest terms (no prime divides den and every numerator), so
+each element has one rep and == and hash compare reps.  Zero is ((), 1).
+A product is one integer convolution, pseudo-reduced by the level forms
+(_zreduce) and brought to lowest terms once (_rnorm); a rational scalar
+scales the numerators instead of entering a product.  A polynomial in x, y
+is specialized at a tower point (the generators of its levels) the same
+way: its coefficient grid is reduced modulo the level forms once
+(NumberField.at_gens), with no Horner over tower elements.  Inversion at
+depth 1 is an extended pseudo-remainder sequence against the level form;
+at depth 2 the extended Euclid runs on UPolys over the base tower, whose
+coefficient inversions take the depth-1 path.  Fractions appear only at
+the edges: minpoly, from_fraction, as_fraction and the enclosures.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -48,8 +52,9 @@ from .unipoly import IsolatingInterval, UPoly
 class SplitEvent(Exception):
     """A zero divisor revealed a factor of a level polynomial.
 
-    level: index of the tower level whose minimal polynomial splits;
-    factor_rep: monic dense rep of the factor over that level's base.
+    level: index of the tower level whose polynomial splits;
+    factor_rep: the integer form of the monic factor over that level's base,
+    stored like that level's form (NumberField.zlevels).
     """
 
     def __init__(self, level, factor_rep):
@@ -59,112 +64,126 @@ class SplitEvent(Exception):
 
 
 # ---------------------------------------------------------------------------
-# raw rep arithmetic; `F` is the ambient tower and `depth` the rep's own
-# depth: a depth-k rep lives in the first k levels of F, so one tower serves
-# the products of its elements and of their coefficients
+# rep arithmetic; `F` is the ambient tower and `depth` the rep's own depth:
+# a depth-k rep lives in the first k levels of F, so one tower serves the
+# products of its elements and of their coefficients
 # ---------------------------------------------------------------------------
 
-def _rzero(depth):
-    return Fraction(0) if depth == 0 else ()
+_ZERO = ((), 1)
 
 
-def _rone(depth):
-    return Fraction(1) if depth == 0 else (_rone(depth - 1),)
+def _rnorm(nums, den, depth):
+    """The canonical rep of nums / den, den != 0, nums nested to depth:
+    trimmed tuples over a positive denominator, in lowest terms."""
+    if depth == 1:
+        nums = zp.ztrim(nums)
+        if not nums:
+            return _ZERO
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g == 1:
+            return tuple(nums), den
+        return tuple(n // g for n in nums), den // g
+    rows = [zp.ztrim(row) for row in nums]
+    while rows and not rows[-1]:
+        rows.pop()
+    if not rows:
+        return _ZERO
+    g = math.gcd(den, *itertools.chain.from_iterable(rows))
+    if den < 0:
+        g = -g
+    return tuple(tuple(n // g for n in row) for row in rows), den // g
 
 
-def _is_rzero(rep, depth):
-    return rep == 0 if depth == 0 else rep == ()
-
-
-def _rtrim(seq, depth):
-    n = len(seq)
-    while n and _is_rzero(seq[n - 1], depth - 1):
-        n -= 1
-    return tuple(seq[:n])
+def _nscale(nums, k, depth):
+    """Numerators nested to depth, times the integer k."""
+    if depth == 1:
+        return [n * k for n in nums]
+    return [[n * k for n in row] for row in nums]
 
 
 def _radd(a, b, depth):
-    if depth == 0:
-        return a + b
-    out = list(a) + [_rzero(depth - 1)] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = _radd(out[i], c, depth - 1)
-    return _rtrim(out, depth)
+    (na, da), (nb, db) = a, b
+    if not na:
+        return b
+    if not nb:
+        return a
+    if da != db:
+        g = math.gcd(da, db)
+        na, nb, da = _nscale(na, db // g, depth), _nscale(nb, da // g, depth), da // g * db
+    if depth == 1:
+        return _rnorm(zp.zadd(na, nb), da, 1)
+    return _rnorm([zp.zadd(ra, rb) for ra, rb in itertools.zip_longest(na, nb, fillvalue=())],
+                  da, 2)
 
 
 def _rneg(a, depth):
-    if depth == 0:
-        return -a
-    return tuple(_rneg(c, depth - 1) for c in a)
-
-
-def _rsub(a, b, depth):
-    return _radd(a, _rneg(b, depth), depth)
+    nums, den = a
+    if depth == 1:
+        return tuple(-n for n in nums), den
+    return tuple(tuple(-n for n in row) for row in nums), den
 
 
 def _rscalar(a, k, depth):
-    """Rep a times the rational k, coefficient by coefficient."""
-    if not k:
-        return _rzero(depth)
-    if depth == 0:
-        return a * k
-    return tuple(_rscalar(c, k, depth - 1) for c in a)
+    """Rep a times the rational k (an int or a Fraction)."""
+    if not k or not a[0]:
+        return _ZERO
+    return _rnorm(_nscale(a[0], k.numerator, depth), a[1] * k.denominator, depth)
 
 
 def _rmul(F, a, b, depth):
-    """Fully reduced product of two depth-`depth` reps, computed on integer
-    numerators: one convolution, one reduction, one rebuild."""
-    if depth == 0:
-        return a * b
-    if not a or not b:
-        return ()
-    (za, da), (zb, db) = _zclear(a, depth), _zclear(b, depth)
+    """Fully reduced product of two depth-`depth` reps: one convolution of
+    the numerators, then _rmod."""
+    (na, da), (nb, db) = a, b
+    if not na or not nb:
+        return _ZERO
     if depth == 1:
-        prod = zp.zmul(za, zb)
+        prod = zp.zmul(na, nb)
     else:
-        prod = [[] for _ in range(len(za) + len(zb) - 1)]
-        for i, ca in enumerate(za):
+        prod = [[] for _ in range(len(na) + len(nb) - 1)]
+        for i, ca in enumerate(na):
             if ca:
-                for j, cb in enumerate(zb):
+                for j, cb in enumerate(nb):
                     if cb:
                         prod[i + j] = zp.zadd(prod[i + j], zp.zmul(ca, cb))
-    nums, scale = _zreduce(F, prod, depth)
-    return _zrep(nums, da * db * scale, depth)
+    return _rmod(F, prod, da * db, depth)
 
 
-def _rscale(F, a, k, depth):
-    """Multiply a depth-`depth` rep by a depth-(depth-1) coefficient."""
-    return _rtrim([_rmul(F, c, k, depth - 1) for c in a], depth)
-
-
-def _rmod(F, a, depth):
-    """The reduced rep of a: every level of its depth reduced modulo the
-    level polynomials of F, whatever the degrees of a's coefficients."""
-    nums, den = _zclear(a, depth)
+def _rmod(F, nums, den, depth):
+    """The rep of nums / den reduced modulo the level forms of F, whatever
+    the degrees of the numerators."""
     nums, scale = _zreduce(F, nums, depth)
-    return _zrep(nums, den * scale, depth)
+    return _rnorm(nums, den * scale, depth)
+
+
+def _split(rows, den):
+    """The depth-1 reps of the coefficients rows[i] / den over the top
+    variable."""
+    return [_rnorm(row, den, 1) for row in rows]
+
+
+def _join(reps):
+    """Depth-1 reps as one depth-2 rep (rows, den) over their least common
+    denominator; the inverse of _split.  For the coefficients of a monic
+    polynomial, rows is its integer form and den its leading entry."""
+    den = math.lcm(*(d for _, d in reps))
+    return tuple(nums if d == den else tuple(n * (den // d) for n in nums)
+                 for nums, d in reps), den
 
 
 # -- the integer kernel under _rmul and _rmod --------------------------------
-# A depth-1 rep is cleared to a list of integer numerators over one positive
-# denominator, a depth-2 rep to a list (over the top variable) of such lists
-# over one denominator.  Level k is reduced by its integer form c_k * m_k
-# (NumberField.zlevels), whose leading entry is the positive integer c_k.
+# Level k is reduced by its integer form c_k * m_k (NumberField.zlevels),
+# whose leading entry is the positive integer c_k.
 
-def _zclear(rep, depth):
-    """(nums, den) with rep = nums / den, den > 0, nested like the rep."""
+def _zclear(grid, depth):
+    """(nums, den) with grid = nums / den, den > 0, nested like the grid of
+    rational coefficients (ints or Fractions)."""
     if depth == 1:
-        den = math.lcm(*(c.denominator for c in rep))
-        return [c.numerator * (den // c.denominator) for c in rep], den
-    den = math.lcm(*(c.denominator for row in rep for c in row))
-    return [[c.numerator * (den // c.denominator) for c in row] for row in rep], den
-
-
-def _zrep(nums, den, depth):
-    """The trimmed Fraction rep of nums / den; inverse of _zclear."""
-    if depth == 1:
-        return tuple(Fraction(n, den) for n in zp.ztrim(nums))
-    return _rtrim([_zrep(row, den, 1) for row in nums], 2)
+        den = math.lcm(*(c.denominator for c in grid))
+        return [c.numerator * (den // c.denominator) for c in grid], den
+    den = math.lcm(*(c.denominator for row in grid for c in row))
+    return [[c.numerator * (den // c.denominator) for c in row] for row in grid], den
 
 
 def _zrem(p, m, steps):
@@ -183,12 +202,11 @@ def _zreduce(F, p, depth):
     forms of F, s > 0.  At depth 2 the top variable is reduced first (its
     form's leading entry is the constant c_2), then every coefficient by
     the level-0 form with one shared power of c_1."""
-    forms = F.zlevels()
-    m1 = forms[0]
+    m1 = F.levels[0][1]
     d1 = len(m1) - 1
     if depth == 1:
         return _zrem(p, m1, max(0, len(p) - d1))
-    m2 = forms[1]
+    m2 = F.levels[1][1]
     d2 = len(m2) - 1
     c2 = m2[-1][0]
     s2 = c2 ** max(0, len(p) - d2)
@@ -211,60 +229,35 @@ def _zreduce(F, p, depth):
     return out, s1 * s2
 
 
-def _rdivmod(F, a, b, depth):
-    """Division of depth-`depth` reps with monic b (no modular reduction of
-    the quotient/remainder beyond coefficient arithmetic)."""
-    a = list(_rtrim(a, depth))
-    db = len(b) - 1
-    q = [_rzero(depth - 1)] * max(0, len(a) - db)
-    while a and len(a) - 1 >= db:
-        top = a[-1]
-        k = len(a) - 1 - db
-        q[k] = top
-        if not _is_rzero(top, depth - 1):
-            for i in range(db):
-                a[k + i] = _rsub(a[k + i], _rmul(F, top, b[i], depth - 1), depth - 1)
-        a = list(_rtrim(a[:-1], depth))
-    return _rtrim(q, depth), tuple(a)
-
-
 def _rinv(F, a, depth):
-    """Inverse of rep a modulo level depth-1 of F; SplitEvent on zero
-    divisors."""
-    if depth == 0:
-        if a == 0:
-            raise ZeroDivisionError("inverting zero")
-        return 1 / a
-    if _is_rzero(a, depth):
+    """Inverse of the depth-`depth` rep a modulo the levels of F; SplitEvent
+    on zero divisors.  Depth 1 runs on integers (_zinv); depth 2 is the
+    extended Euclid over the base tower, on UPolys."""
+    if not a[0]:
         raise ZeroDivisionError("inverting zero tower element")
     if depth == 1:
         return _zinv(F, a)
-    m = F._mp[depth - 1]
-    # extended Euclid with the invariant  r_i == s_i * a  (mod m)
-    r0, s0 = tuple(m), _rzero(depth)
-    r1, s1 = _rtrim(a, depth), (_rone(depth - 1),)
+    # extended Euclid over the base with the invariant  r_i == s_i * a  (mod m2)
+    base, var = F.sub_field(1), F.var(1)
+    r0, s0 = F.minpoly(1), UPoly(var, ())
+    r1, s1 = UPoly(var, [NFElement(base, c) for c in _split(*a)]), UPoly(var, [base.one()])
     while True:
         if not r1:  # r0 is the gcd, monic (r1 was made monic before)
-            if len(r0) - 1 <= 0:
-                raise InternalError("degenerate gcd in tower inversion")
-            raise SplitEvent(depth - 1, r0)
-        lc_inv = _rinv(F, r1[-1], depth - 1)
-        if len(r1) == 1:  # s1 * a == r1, a unit; s1 is reduced, so is this
-            return _rscale(F, s1, lc_inv, depth)
-        r1m = _rscale(F, r1, lc_inv, depth)
-        s1m = _rscale(F, s1, lc_inv, depth)
-        q, rem = _rdivmod(F, r0, r1m, depth)
-        s_next = _rsub(s0, _rmul(F, q, s1m, depth), depth)
-        r0, s0 = r1m, s1m
-        r1, s1 = _rtrim(rem, depth), s_next
+            raise SplitEvent(1, _join([c.rep for c in r0.coeffs])[0])
+        lc_inv = r1.lc().inverse()
+        if r1.degree == 0:  # s1 * a == r1, a unit
+            return _join([c.rep for c in (s1 * lc_inv).coeffs])
+        r1m, s1m = r1 * lc_inv, s1 * lc_inv
+        q, rem = r0.divmod(r1m)  # r1m is monic: divmod inverts 1, which cannot split
+        r0, s0, r1, s1 = r1m, s1m, rem, s0 - q * s1m
 
 
 def _zinv(F, a):
-    """_rinv at depth 1 on integers: the extended pseudo-remainder sequence
-    of the level form M = c * m1 and the numerators A of a, with r_i == s_i * A
-    (mod M) and the common content of (r_i, s_i) divided out each step."""
-    r1, den = _zclear(a, 1)
-    r0, s0, s1 = F.zlevels()[0], [], [1]
+    """_rinv at depth 1: the extended pseudo-remainder sequence of the level
+    form M = c * m1 and the numerators A of a, with r_i == s_i * A (mod M)
+    and the common content of (r_i, s_i) divided out each step."""
+    r1, den = a
+    r0, s0, s1 = F.levels[0][1], [], [1]
     while len(r1) > 1:
         q, r = zp.zpdivmod(r0, r1)
         s = zp.zsub(zp.zscale(s0, r1[-1] ** (len(r0) - len(r1) + 1)), zp.zmul(q, s1))
@@ -273,9 +266,9 @@ def _zinv(F, a):
             r, s = [c // g for c in r], [c // g for c in s]
         r0, s0, r1, s1 = r1, s1, r, s
     if r1:  # s1 * A == c (mod M): the inverse of a = A / den is den * s1 / c
-        return tuple(Fraction(den * c, r1[0]) for c in s1)
+        return _rnorm(zp.zscale(s1, den), r1[0], 1)
     # r0, of degree >= 1, is the gcd of M and A: a zero divisor splits m1
-    raise SplitEvent(0, tuple(Fraction(c, r0[-1]) for c in r0))
+    raise SplitEvent(0, tuple(zp.zprimitive(r0)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,33 +276,35 @@ def _zinv(F, a):
 # ---------------------------------------------------------------------------
 
 class NumberField:
-    """Tower of monic squarefree extensions over Q; depth 0, 1 or 2."""
+    """Tower of one or two monic squarefree extensions over Q, stored as the
+    integer forms of its level polynomials (zlevels)."""
 
-    __slots__ = ("levels", "_mp", "_zlevels", "_label")
+    __slots__ = ("levels", "_label")
 
-    def __init__(self, levels=()):
-        self.levels = tuple((str(v), tuple(m)) for v, m in levels)
-        self._mp = tuple(m for _, m in self.levels)
-        self._zlevels = None  # zlevels(), built on first use; not part of ==
+    def __init__(self, levels):
+        levels = list(levels)
+        if not 1 <= len(levels) <= 2:
+            raise ValueError("a tower has one or two levels")
+        self.levels = tuple((str(v), tuple(m) if k == 0 else tuple(map(tuple, m)))
+                            for k, (v, m) in enumerate(levels))
         self._label = None  # parsing.format_point's label, built on first use; not part of ==
-        for k, m in enumerate(self._mp):
-            if len(m) < 2:
-                raise ValueError("level polynomial must be nonconstant")
-            if not _is_rzero(_rsub(m[-1], _rone(k), k), k):
-                raise ValueError("level polynomial must be monic")
+        for k, (_, m) in enumerate(self.levels):
+            entries = m if k == 0 else [n for row in m for n in row]
+            if (len(m) < 2 or any(type(n) is not int for n in entries)
+                    or (m[-1] if k == 0 else m[-1][0] if len(m[-1]) == 1 else 0) <= 0
+                    or math.gcd(*entries) != 1):
+                raise ValueError(f"level {k} needs a nonconstant primitive integer form"
+                                 " whose lead is a positive integer")
 
     @property
     def depth(self):
         return len(self.levels)
 
     def level_degree(self, k):
-        return len(self._mp[k]) - 1
+        return len(self.levels[k][1]) - 1
 
     def degree(self):
-        d = 1
-        for k in range(self.depth):
-            d *= self.level_degree(k)
-        return d
+        return math.prod(self.level_degree(k) for k in range(self.depth))
 
     def var(self, k):
         return self.levels[k][0]
@@ -318,47 +313,41 @@ class NumberField:
         return NumberField(self.levels[:k])
 
     def minpoly(self, k) -> UPoly:
+        m = self.levels[k][1]
         if k == 0:
-            return UPoly(self.var(0), [Fraction(c) for c in self._mp[0]])
+            return UPoly(self.var(0), [Fraction(c, m[-1]) for c in m])
         base = self.sub_field(k)
-        return UPoly(self.var(k), [NFElement(base, c) for c in self._mp[k]])
+        return UPoly(self.var(k), [NFElement(base, c) for c in _split(m, m[-1][0])])
 
     def zlevels(self):
         """The integer form c_k * m_k of each level polynomial m_k, with c_k
         the least positive integer clearing its denominators (so c_k is its
-        leading entry), built once per field: an integer list at level 0,
-        a list of integer lists (coefficients in the level-0 variable) at
-        level 1."""
-        if self._zlevels is None:
-            forms = [_zclear(self._mp[0], 1)[0]] if self.depth else []
-            if self.depth > 1:
-                forms.append(_zclear(self._mp[1], 2)[0])
-            self._zlevels = tuple(forms)
-        return self._zlevels
+        leading entry): a tuple of ints at level 0, a tuple of such tuples
+        (coefficients in the level-0 variable) at level 1.  The field
+        stores nothing else."""
+        return tuple(m for _, m in self.levels)
 
     def zero(self):
-        return NFElement(self, _rzero(self.depth))
+        return NFElement(self, _ZERO)
 
     def one(self):
-        return NFElement(self, _rone(self.depth))
+        return NFElement(self, ((1,) if self.depth == 1 else ((1,),), 1))
 
     def from_fraction(self, c):
-        rep = Fraction(c)
-        for d in range(1, self.depth + 1):
-            rep = () if _is_rzero(rep, d - 1) else (rep,)
-        return NFElement(self, rep)
+        c = Fraction(c)
+        if not c:
+            return self.zero()
+        nums = (c.numerator,) if self.depth == 1 else ((c.numerator,),)
+        return NFElement(self, (nums, c.denominator))
 
     def gen(self, k):
         """Generator of level k as an element of the full tower."""
-        if self.level_degree(k) == 1:
-            # the generator is determined: m = var + c  =>  var = -c
-            c = _rneg(self._mp[k][0], k)
-            rep = () if _is_rzero(c, k) else (c,)
-        else:
-            rep = (_rzero(k), _rone(k))
-        for _ in range(k + 1, self.depth):
-            rep = (rep,) if rep else ()
-        return NFElement(self, rep)
+        m = self.levels[k][1]
+        if k == 1:  # m = c * var + m0  =>  var = -m0 / c
+            rep = _rnorm([zp.zneg(m[0])], m[1][0], 2) if len(m) == 2 else (((), (1,)), 1)
+            return NFElement(self, rep)
+        nums, den = ([-m[0]], m[1]) if len(m) == 2 else ([0, 1], 1)
+        return NFElement(self, _rnorm(nums if self.depth == 1 else [nums], den, self.depth))
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.levels == other.levels
@@ -368,44 +357,54 @@ class NumberField:
 
     def __repr__(self):
         parts = [f"{v}:deg{len(m) - 1}" for v, m in self.levels]
-        return f"NumberField({', '.join(parts) or 'Q'})"
+        return f"NumberField({', '.join(parts)})"
 
     # -- dynamic evaluation -------------------------------------------------
 
     def split_level(self, level, factor_rep):
-        """Split the level polynomial by a monic factor; returns branch
-        fields, factor branch first."""
-        m = self._mp[level]
-        f = tuple(factor_rep)
-        q, rem = _rdivmod(self, list(m), f, level + 1)
-        if rem:
-            raise ValueError("factor does not divide the level polynomial")
+        """Split the level polynomial by a monic factor, given by its integer
+        form (SplitEvent.factor_rep); returns branch fields, factor branch first.
+        Level 0 divides exactly in Z[x] (Gauss: both forms are primitive),
+        level 1 by UPoly.divmod over the base tower."""
+        m = self.levels[level][1]
+        if level == 0:
+            f = tuple(factor_rep)
+            q = tuple(zp.zdivexact(m, f))  # ValueError when f does not divide m
+        else:
+            f = tuple(tuple(row) for row in factor_rep)
+            base = self.sub_field(1)
+            divisor = UPoly(self.var(1), [NFElement(base, c) for c in _split(f, f[-1][0])])
+            quot, rem = self.minpoly(1).divmod(divisor)
+            if rem:
+                raise ValueError("factor does not divide the level polynomial")
+            q = _join([c.rep for c in quot.coeffs])[0]
         fields = []
         for part in (f, q):
             if len(part) < 2:
                 continue
-            new_levels = [list(lv) for lv in self.levels]
-            new_levels[level][1] = part
+            levels = list(self.levels)
+            levels[level] = (levels[level][0], part)
             if level == 0 and self.depth > 1:
                 # re-reduce the level-1 polynomial's coefficients mod the branch
-                base = NumberField(new_levels[:1])
-                new_levels[1][1] = _rtrim([_rmod(base, c, 1) for c in self._mp[1]], 2)
-            fields.append(NumberField([tuple(lv) for lv in new_levels]))
+                base = NumberField(levels[:1])
+                var, m2 = self.levels[1]
+                levels[1] = (var, _join([_rmod(base, row, m2[-1][0], 1) for row in m2])[0])
+            fields.append(NumberField(levels))
         return fields
 
     def transfer(self, elem, target):
         """Re-reduce an element of this tower into a branch tower."""
-        rep = elem.rep if isinstance(elem, NFElement) else elem
-        return NFElement(target, _rmod(target, rep, target.depth))
+        return NFElement(target, _rmod(target, *elem.rep, target.depth))
 
     def at_gens(self, grid):
         """The value p(gen(0)[, gen(1)]) of the polynomial p whose rational
         coefficients (Fractions or ints) grid holds: a sequence along the
         level-0 variable at depth 1, a sequence along the level-1 variable of
-        such sequences at depth 2.  That value is p reduced modulo the level polynomials, here
-        on the integer kernel; reduced reps are canonical, so the rep is the
-        one Horner at the generators gives, degree-1 levels included."""
-        return NFElement(self, _rmod(self, grid, self.depth))
+        such sequences at depth 2.  That value is p reduced modulo the level
+        polynomials, here on the integer kernel; reps are canonical, so the
+        rep is the one Horner at the generators gives, degree-1 levels
+        included."""
+        return NFElement(self, _rmod(self, *_zclear(grid, self.depth), self.depth))
 
 
 class NFElement:
@@ -418,10 +417,10 @@ class NFElement:
         self.rep = rep
 
     def is_zero(self):
-        return _is_rzero(self.rep, self.field.depth)
+        return not self.rep[0]
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.rep[0])
 
     def _coerce(self, other):
         if isinstance(other, NFElement):
@@ -489,29 +488,24 @@ class NFElement:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
+    def _constant(self):
+        """The numerators of a rational element (a tuple of at most one int);
+        None when the element is not rational."""
+        nums = self.rep[0]
+        if self.field.depth == 2 and nums:
+            if len(nums) > 1:
+                return None
+            nums = nums[0]
+        return nums if len(nums) <= 1 else None
+
     def is_rational(self):
-        rep = self.rep
-        d = self.field.depth
-        while d > 0:
-            if _is_rzero(rep, d):
-                return True
-            if len(rep) > 1:
-                return False
-            rep = rep[0]
-            d -= 1
-        return True
+        return self._constant() is not None
 
     def as_fraction(self):
-        rep = self.rep
-        d = self.field.depth
-        while d > 0:
-            if _is_rzero(rep, d):
-                return Fraction(0)
-            if len(rep) > 1:
-                raise ValueError("element is not rational")
-            rep = rep[0]
-            d -= 1
-        return Fraction(rep)
+        nums = self._constant()
+        if nums is None:
+            raise ValueError("element is not rational")
+        return Fraction(nums[0], self.rep[1]) if nums else Fraction(0)
 
     def __repr__(self):
         return f"NFElement({self.rep!r} over {self.field!r})"
@@ -559,7 +553,7 @@ class RealEmbedding:
         """Halve the level-k isolating interval."""
         lo, hi = self.intervals[k]
         if k == 0:
-            lo, hi = zp.zrefine(self.field.zlevels()[0], lo, hi, (hi - lo) / 2)
+            lo, hi = zp.zrefine(self.field.levels[0][1], lo, hi, (hi - lo) / 2)
         else:  # bisect on the sign of m2(alpha, x) at this embedding
             signs = _tower_signs([self.field.minpoly(1)], self)
             lo, hi = signs.refine(lo, hi, (hi - lo) / 2)
@@ -583,10 +577,16 @@ def _rep_intervals(e: NFElement, emb: RealEmbedding):
 
 def _rep_zival(rep, depth, emb):
     """The enclosure as integers (lo, hi, den), den > 0: _zhorner on the
-    coefficients' enclosures and the level interval."""
-    if depth == 0:
-        return rep.numerator, rep.numerator, rep.denominator
-    return _zhorner([_rep_zival(c, depth - 1, emb) for c in rep], emb.interval(depth - 1))
+    numerators and the level intervals, divided by the rep's denominator
+    once (a positive scale commutes with interval Horner)."""
+    nums, den = rep
+    x0 = emb.interval(0)
+    if depth == 1:
+        lo, hi, d = _zhorner([(n, n, 1) for n in nums], x0)
+    else:
+        rows = [_zhorner([(n, n, 1) for n in row], x0) for row in nums]
+        lo, hi, d = _zhorner(rows, emb.interval(1))
+    return lo, hi, d * den
 
 
 def _zhorner(coeffs, x):
@@ -626,10 +626,7 @@ def nf_sign(e: NFElement, emb: RealEmbedding) -> int:
     InternalError.
     """
     depth = e.field.depth
-    if depth == 0:
-        v = e.as_fraction()
-        return (v > 0) - (v < 0)
-    if _is_rzero(e.rep, depth):
+    if not e.rep[0]:
         return 0
     for round_no in range(_BISECT_CAP):
         sign = _zival_sign(e, emb)
@@ -714,7 +711,8 @@ def _coeff_zival(c, emb: RealEmbedding):
     """_rep_zival of a tower or rational coefficient."""
     if isinstance(c, NFElement):
         return _rep_zival(c.rep, c.field.depth, emb)
-    return _rep_zival(Fraction(c), 0, emb)
+    c = Fraction(c)
+    return c.numerator, c.numerator, c.denominator
 
 
 def isolate_tower_roots(chain, emb: RealEmbedding):
@@ -737,19 +735,23 @@ def isolate_tower_roots(chain, emb: RealEmbedding):
 # ---------------------------------------------------------------------------
 
 def field_from_qpoly(var, p: UPoly) -> NumberField:
-    """Depth-1 tower Q[var]/(p) from a rational polynomial (made monic)."""
-    q = p.monic()
-    return NumberField([(var, tuple(Fraction(c) for c in q.coeffs))])
+    """Depth-1 tower Q[var]/(p) from a nonconstant rational polynomial: its
+    level form is p cleared of denominators, made primitive with a positive
+    lead."""
+    return NumberField([(var, tuple(zp.zprimitive(_zclear(p.coeffs, 1)[0])))])
 
 
 def extend_field(base: NumberField, var, coeffs) -> NumberField:
     """Extend a depth-1 tower by a monic polynomial whose coefficients are
     base elements (NFElement list, low degree first)."""
-    reps = tuple(c.rep if isinstance(c, NFElement) else base.from_fraction(c).rep for c in coeffs)
-    return NumberField(list(base.levels) + [(var, reps)])
+    reps = [c.rep if isinstance(c, NFElement) else base.from_fraction(c).rep for c in coeffs]
+    if reps[-1] != ((1,), 1):
+        raise ValueError("level polynomial must be monic")
+    return NumberField(list(base.levels) + [(var, _join(reps)[0])])
 
 
 def rational_point_field(xvar, yvar, x0, y0) -> NumberField:
     """Degenerate tower for an exact rational point (x0, y0)."""
-    f1 = NumberField([(xvar, (Fraction(-x0), Fraction(1)))])
-    return extend_field(f1, yvar, [f1.from_fraction(-y0), f1.from_fraction(1)])
+    x0, y0 = Fraction(x0), Fraction(y0)
+    m2 = ((-y0.numerator,) if y0 else (), (y0.denominator,))
+    return NumberField([(xvar, (-x0.numerator, x0.denominator)), (yvar, m2)])

@@ -238,26 +238,26 @@ def format_value(v) -> str:
 def _nf_to_mpoly(v) -> MPoly:
     """Tower element as a polynomial in the tower variables x, y."""
     field = v.field
-    return _rep_to_mpoly(v.rep, [field.var(k) for k in range(field.depth)])
+    return _rep_to_mpoly(*v.rep, [field.var(k) for k in range(field.depth)])
 
 
-def _rep_to_mpoly(rep, names) -> MPoly:
-    """Tower rep as a polynomial; names[k] is the variable of level k, the
-    outermost level last."""
+def _rep_to_mpoly(nums, den, names) -> MPoly:
+    """The polynomial nums / den, integer numerators nested like a tower rep;
+    names[k] is the variable of level k, the outermost level last."""
     slots = [VARS.index(name) for name in names]
     terms = {}
 
-    def walk(rep, depth, exps):
+    def walk(nums, depth, exps):
         if depth == 0:
-            if rep:
-                terms[tuple(exps)] = Fraction(rep)
+            if nums:
+                terms[tuple(exps)] = Fraction(nums, den)
             return
-        for k, c in enumerate(rep):
+        for k, c in enumerate(nums):
             e2 = list(exps)
             e2[slots[depth - 1]] += k
             walk(c, depth - 1, e2)
 
-    walk(rep, len(names), [0, 0, 0, 0])
+    walk(nums, len(names), [0, 0, 0, 0])
     return MPoly(terms)
 
 
@@ -271,6 +271,7 @@ def format_point(pt) -> str:
     field = pt.field
     if field._label is None:
         m1 = format_upoly(pt.m1())
-        m2 = format_poly(_rep_to_mpoly(field._mp[1], ["x", "y"]))
+        form = field.zlevels()[1]
+        m2 = format_poly(_rep_to_mpoly(form, form[-1][0], ["x", "y"]))
         field._label = f"{{{m1} = 0, {m2} = 0}}"
     return field._label

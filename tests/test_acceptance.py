@@ -20,8 +20,9 @@ from curveclass.functions import (
     verify_r_subintegral,
 )
 from curveclass.jobs import JobSpec, run_classify, run_singular
-from curveclass.mpoly import MPoly, PolyIdeal, buchberger, ideals_equal, saturate
+from curveclass.mpoly import MPoly, PolyIdeal, buchberger, saturate
 from curveclass.unipoly import UPoly, sturm_count, squarefree_part, to_zpoly
+from test_mpoly import ideals_equal
 
 X, Y, T = MPoly.var("x"), MPoly.var("y"), MPoly.var("t")
 

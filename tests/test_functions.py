@@ -32,7 +32,6 @@ from curveclass.mpoly import (
     PolyIdeal,
     buchberger,
     eliminate,
-    ideals_equal,
     monic_in_t_witness,
     normal_form,
 )
@@ -41,6 +40,7 @@ from curveclass.parsing import format_poly, parse_poly
 from curveclass.report import _stringify, fiber_rows
 from curveclass.unipoly import IsolatingInterval, isolate_real_roots, to_zpoly
 from curveclass._zpoly import zrefine, zsquarefree
+from test_mpoly import ideals_equal
 
 X, Y, T = MPoly.var("x"), MPoly.var("y"), MPoly.var("t")
 
@@ -496,7 +496,7 @@ def test_presentation_echo_reproduces_singleton_pattern():
 
             redone = [rep for _, rep in run_with_splits(pt, fn)]
             originals = [r for r in fiber_table(f)
-                         if r.point.field._mp[0] == pt.field._mp[0]]
+                         if r.point.field.zlevels()[0] == pt.field.zlevels()[0]]
             assert sorted(r.distinct_complex for r in redone) == sorted(
                 r.distinct_complex for r in originals
             )

@@ -18,7 +18,6 @@ from curveclass.mpoly import (
     buchberger,
     eliminate,
     eval_at,
-    ideals_equal,
     leading_term,
     lift_membership,
     monic_in_t_witness,
@@ -43,6 +42,15 @@ from curveclass.mpoly import (
 from curveclass.unipoly import UPoly
 
 S, T, X, Y = (MPoly.var(v) for v in ("s", "t", "x", "y"))
+
+
+def ideals_equal(a: PolyIdeal, b: PolyIdeal) -> bool:
+    """Oracle: mutual containment via lex normal forms."""
+    gba = buchberger(a)
+    gbb = buchberger(b)
+    return all(not normal_form(g, gba) for g in b.generators) and all(
+        not normal_form(g, gbb) for g in a.generators
+    )
 
 
 def cusp():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -56,9 +57,8 @@ def test_zero_divisor_raises_split_with_factor():
     a = F.gen(0)
     with pytest.raises(SplitEvent) as exc:
         (a - 1).inverse()
-    factor = exc.value.factor_rep
     assert exc.value.level == 0
-    assert list(factor) == [Fraction(-1), Fraction(1)]  # a - 1
+    assert exc.value.factor_rep == (-1, 1)  # the integer form of a - 1
     with pytest.raises(SplitEvent):
         (1 - a).inverse()
 
@@ -373,7 +373,7 @@ def test_integer_enclosure_equals_the_fraction_interval_horner(depth, data):
     F = F.sub_field(depth)
     rep = data.draw(_reps[depth])
     emb = RealEmbedding(F, [data.draw(_level_interval()) for _ in range(depth)])
-    got = _rep_intervals(NFElement(F, rep), emb)
+    got = _rep_intervals(NFElement(F, _rep(rep, depth)), emb)
     want = _fraction_enclosure(rep, depth, emb)
     assert got == want
 
@@ -399,15 +399,14 @@ def test_level0_refinement_builds_the_integer_m1_once_per_field(monkeypatch):
     calls = []
     zclear = numfield._zclear
     monkeypatch.setattr(numfield, "_zclear",
-                        lambda rep, depth: calls.append(rep) or zclear(rep, depth))
-    F = sqrt2_field()
+                        lambda grid, depth: calls.append(grid) or zclear(grid, depth))
+    F = sqrt2_field()  # field_from_qpoly clears its rational input once
     emb = RealEmbedding(F, [(1, 2)])
     for _ in range(6):
         emb.refine(0)
     assert emb.interval(0).width() == Fraction(1, 64)
-    # zlevels clears m1 once; refinement clears nothing else
-    assert len(calls) == 1 and calls[0] is F._mp[0]
-    # the cached polynomial is not part of the field's identity
+    # refinement reads the stored integer m1 and clears nothing
+    assert len(calls) == 1 and F.zlevels()[0] is F.levels[0][1] == (-2, 0, 1)
     assert F == sqrt2_field() and hash(F) == hash(sqrt2_field())
 
 
@@ -423,17 +422,82 @@ def test_a_vanishing_leading_coefficient_is_an_internal_error(monkeypatch):
     assert exc.value.code == 10
 
 
-# -- the integer kernel of tower products, against the Fraction loops ------
-from curveclass.numfield import (  # noqa: E402
-    NumberField,
-    _is_rzero,
-    _radd,
-    _rmod,
-    _rmul,
-    _rsub,
-    _rtrim,
-    _rzero,
-)
+# -- Fraction reps: the oracles' representation ------------------------------
+# A Fraction rep is a Fraction at depth 0 and a trimmed tuple of
+# depth-(k-1) Fraction reps at depth k, the representation that the integer
+# reps (nums, den) replaced.  _rep and _frac convert between the two.
+from curveclass.numfield import NumberField, _rmod, _rmul  # noqa: E402
+
+
+def _rep(frac, depth):
+    """The integer rep of a trimmed Fraction rep: its numerators over their
+    least common denominator."""
+    flat = frac if depth == 1 else [c for row in frac for c in row]
+    den = math.lcm(*(Fraction(c).denominator for c in flat))
+    if depth == 1:
+        return tuple(int(c * den) for c in frac), den
+    return tuple(tuple(int(c * den) for c in row) for row in frac), den
+
+
+def _frac(rep, depth):
+    """The Fraction rep of an integer rep; the inverse of _rep."""
+    nums, den = rep
+    if depth == 1:
+        return tuple(Fraction(n, den) for n in nums)
+    return tuple(tuple(Fraction(n, den) for n in row) for row in nums)
+
+
+def _fraction_levels(F):
+    """The monic level polynomials of F as Fraction reps."""
+    m1, *m2 = F.zlevels()
+    return [_frac((m1, m1[-1]), 1)] + [_frac((m, m[-1][0]), 2) for m in m2]
+
+
+def _field(*levels):
+    """The tower of the monic level polynomials given as (var, Fraction rep):
+    the numerators of a monic polynomial's rep are its level form."""
+    return NumberField([(v, _rep(m, k + 1)[0]) for k, (v, m) in enumerate(levels)])
+
+
+def _fconst(k, depth):
+    """The Fraction rep of the rational k."""
+    k = Fraction(k)
+    if not k:
+        return ()
+    return (k,) if depth == 1 else ((k,),)
+
+
+def _is_canonical(rep, depth):
+    """Trimmed tuples of ints over a positive int denominator, in lowest
+    terms."""
+    nums, den = rep
+    rows = (nums,) if depth == 1 else nums
+    return (type(nums) is tuple and (depth == 1 or nums[-1:] != ((),))
+            and all(type(row) is tuple and row[-1:] != (0,) for row in rows)
+            and all(type(n) is int for row in rows for n in row)
+            and type(den) is int and den > 0
+            and math.gcd(den, *(n for row in rows for n in row)) == 1)
+
+
+def _fis_zero(a, depth):
+    return a == 0 if depth == 0 else a == ()
+
+
+def _ftrim(seq, depth):
+    seq = list(seq)
+    while seq and _fis_zero(seq[-1], depth - 1):
+        seq.pop()
+    return tuple(seq)
+
+
+def _fadd(a, b, depth, sign=1):
+    """a + sign * b."""
+    if depth == 0:
+        return a + sign * b
+    zero = Fraction(0) if depth == 1 else ()
+    n = max(len(a), len(b))
+    a, b = list(a) + [zero] * (n - len(a)), list(b) + [zero] * (n - len(b))
+    return _ftrim([_fadd(x, y, depth - 1, sign) for x, y in zip(a, b)], depth)
 
 
 def _fraction_mul(mps, a, b, depth):
@@ -443,30 +507,38 @@ def _fraction_mul(mps, a, b, depth):
         return a * b
     if not a or not b:
         return ()
-    out = [_rzero(depth - 1)] * (len(a) + len(b) - 1)
+    out = [() if depth > 1 else Fraction(0)] * (len(a) + len(b) - 1)
     sub = mps[: depth - 1]
     for i, ca in enumerate(a):
-        if _is_rzero(ca, depth - 1):
+        if _fis_zero(ca, depth - 1):
             continue
         for j, cb in enumerate(b):
-            out[i + j] = _radd(out[i + j], _fraction_mul(sub, ca, cb, depth - 1), depth - 1)
+            out[i + j] = _fadd(out[i + j], _fraction_mul(sub, ca, cb, depth - 1), depth - 1)
     return _fraction_mod(mps, out, depth)
 
 
 def _fraction_mod(mps, a, depth):
-    """Reference reduction of the top variable modulo the monic mps[-1]."""
-    a = list(_rtrim(a, depth))
+    """Reference reduction of the top variable modulo the monic mps[depth - 1]."""
+    a = list(_ftrim(a, depth))
     m = mps[depth - 1]
     dm = len(m) - 1
     sub = mps[: depth - 1]
     while len(a) - 1 >= dm:
         top = a[-1]
         k = len(a) - 1 - dm
-        if not _is_rzero(top, depth - 1):
+        if not _fis_zero(top, depth - 1):
             for i in range(dm):
-                a[k + i] = _rsub(a[k + i], _fraction_mul(sub, top, m[i], depth - 1), depth - 1)
-        a = list(_rtrim(a[:-1], depth))
+                a[k + i] = _fadd(a[k + i], _fraction_mul(sub, top, m[i], depth - 1), depth - 1, -1)
+        a = list(_ftrim(a[:-1], depth))
     return tuple(a)
+
+
+def _fraction_reduce(mps, a, depth):
+    """Reference reduction modulo every level, whatever the degrees of a's
+    coefficients."""
+    if depth == 2:
+        a = _ftrim([_fraction_mod(mps, c, 1) for c in a], 2)
+    return _fraction_mod(mps, a, depth)
 
 
 _kcoeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -496,12 +568,12 @@ def _tower(draw, depth):
     if depth == 2:
         low = draw(st.lists(_reps_below(len(m1) - 1, _kcoeff), min_size=1, max_size=3))
         levels.append(("b", tuple(low) + ((Fraction(1),),)))
-    return NumberField(levels)
+    return _field(*levels)
 
 
 def _element_reps(F, depth, top=None):
-    """Reduced reps of F; `top` allows that many top-level coefficients
-    (more than the level degree gives an unreduced rep)."""
+    """Reduced Fraction reps of F; `top` allows that many top-level
+    coefficients (more than the level degree gives an unreduced rep)."""
     d1 = F.level_degree(0)
     inner = _reps_below(d1, _kcoeff)
     if depth == 1:
@@ -509,22 +581,30 @@ def _element_reps(F, depth, top=None):
     return _reps_below(top or F.level_degree(1), inner)
 
 
+def _grids(F, depth):
+    """Fraction grids whose every level may exceed its level degree."""
+    inner = _reps_below(2 * F.level_degree(0) + 1, _kcoeff)
+    if depth == 1:
+        return inner
+    return _reps_below(2 * F.level_degree(1) + 1, inner)
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 @settings(deadline=None, max_examples=150)
 @given(data=st.data())
 def test_integer_kernel_matches_the_fraction_loops(depth, data):
     F = data.draw(_tower(depth))
-    mps = F._mp
+    mps = _fraction_levels(F)
     top = F.level_degree(depth - 1)
     a, b = (data.draw(_element_reps(F, depth)) for _ in range(2))
-    want = _fraction_mul(mps, a, b, depth)
-    assert _rmul(F, a, b, depth) == want
-    assert (NFElement(F, a) * NFElement(F, b)).rep == want
+    want = _rep(_fraction_mul(mps, a, b, depth), depth)
+    assert _rmul(F, _rep(a, depth), _rep(b, depth), depth) == want
+    assert (NFElement(F, _rep(a, depth)) * NFElement(F, _rep(b, depth))).rep == want
     long = data.draw(_element_reps(F, depth, top=2 * top + 1))
-    assert _rmod(F, long, depth) == _fraction_mod(mps, long, depth)
+    assert _rmod(F, *_rep(long, depth), depth) == _rep(_fraction_mod(mps, long, depth), depth)
     k = data.draw(_kcoeff | st.integers(-5, 5))
-    e = NFElement(F, a)
-    scaled = _fraction_mul(mps, a, F.from_fraction(k).rep, depth)
+    e = NFElement(F, _rep(a, depth))
+    scaled = _rep(_fraction_mul(mps, a, _fconst(k, depth), depth), depth)
     assert (e * k).rep == (k * e).rep == scaled
     if not e:
         return
@@ -535,8 +615,9 @@ def test_integer_kernel_matches_the_fraction_loops(depth, data):
             e.inverse()
         return
     assert inv == e.inverse()
-    assert _fraction_mul(mps, a, inv.rep, depth) == F.one().rep
-    assert (Fraction(3, 7) / e).rep == _fraction_mul(mps, inv.rep, F.from_fraction(Fraction(3, 7)).rep, depth)
+    assert _fraction_mul(mps, a, _frac(inv.rep, depth), depth) == _fconst(1, depth)
+    third = _fraction_mul(mps, _frac(inv.rep, depth), _fconst(Fraction(3, 7), depth), depth)
+    assert (Fraction(3, 7) / e).rep == _rep(third, depth)
 
 
 def test_scalar_products_build_no_tower_element(monkeypatch):
@@ -545,9 +626,9 @@ def test_scalar_products_build_no_tower_element(monkeypatch):
     F = sqrt2_field()
     a = F.gen(0)
     monkeypatch.setattr(numfield.NumberField, "from_fraction", None)
-    assert (a * 3).rep == (3 * a).rep == (Fraction(0), Fraction(3))
-    assert (Fraction(1, 2) * a).rep == (Fraction(0), Fraction(1, 2))
-    assert (1 / a).rep == (Fraction(0), Fraction(1, 2))
+    assert (a * 3).rep == (3 * a).rep == ((0, 3), 1)
+    assert (Fraction(1, 2) * a).rep == ((0, 1), 2)
+    assert (1 / a).rep == ((0, 1), 2)
 
 
 def test_integer_level_forms_are_built_once_per_field(monkeypatch):
@@ -559,47 +640,92 @@ def test_integer_level_forms_are_built_once_per_field(monkeypatch):
     calls = []
     zclear = numfield._zclear
     monkeypatch.setattr(numfield, "_zclear",
-                        lambda rep, depth: calls.append(rep) or zclear(rep, depth))
+                        lambda grid, depth: calls.append(grid) or zclear(grid, depth))
     b = F.gen(1)
     x = F.gen(0) + b
     for _ in range(4):
         x = x * x + b
     assert x.inverse() * x == F.one()
+    # arithmetic clears nothing: the level forms are the field's storage
+    assert calls == []
     forms = F.zlevels()
-    # each level polynomial is cleared once, however much arithmetic runs
-    assert [k for rep in calls for k, m in enumerate(F._mp) if rep is m] == [0, 1]
     # c_k * m_k: the leading entry is the least common denominator
-    assert forms == ([-2, 0, 3], [[0, -2], [5], [10]])
-    assert F.zlevels() is forms
+    assert forms == ((-2, 0, 3), ((0, -2), (5,), (10,)))
+    assert all(form is m for form, (_, m) in zip(forms, F.levels))
     twin = extend_field(base, "b", [-a / 5, base.from_fraction(Fraction(1, 2)), base.one()])
-    assert twin._zlevels is None and F == twin and hash(F) == hash(twin)
+    assert F == twin and hash(F) == hash(twin)
+
+
+def test_a_tower_has_one_or_two_levels_of_primitive_integer_forms():
+    base = sqrt2_field()
+    F2 = extend_field(base, "b", [-base.gen(0), base.zero(), base.one()])
+    # three levels used to be accepted and to crash at the first product
+    with pytest.raises(ValueError):
+        NumberField(list(F2.levels) + [("c", ((), (), (1,)))])
+    with pytest.raises(ValueError):
+        extend_field(F2, "c", [F2.zero(), F2.one()])
+    with pytest.raises(ValueError):
+        NumberField([])
+    for levels in (
+        [("a", (5,))],  # constant
+        [("a", (2, 0, -1))],  # negative lead
+        [("a", (-4, 0, 2))],  # not primitive
+        [("a", (Fraction(-2), 0, 1))],  # not integer
+        [("a", (-2, 0, 1)), ("b", ((0, 1), (2, 1)))],  # lead not a constant
+        [("a", (-2, 0, 1)), ("b", ((2,), (), (4,)))],  # not primitive
+    ):
+        with pytest.raises(ValueError):
+            NumberField(levels)
+    with pytest.raises(ValueError):  # not monic
+        extend_field(base, "b", [base.one(), base.from_fraction(2)])
 
 
 # -- tower inversion on integers, against the Fraction extended Euclid -----
-from curveclass.numfield import _rdivmod, _rinv, _rone, _rscale  # noqa: E402
+from curveclass.numfield import _rinv  # noqa: E402
 
 
-def _fraction_inv(F, a, depth):
-    """Reference inverse: the Fraction extended Euclid that _rinv ran at
-    every depth, with its products in the kernel."""
+def _fscale(mps, a, k, depth):
+    """A depth-`depth` Fraction rep times a depth-(depth-1) one."""
+    return _ftrim([_fraction_mul(mps, c, k, depth - 1) for c in a], depth)
+
+
+def _fdivmod(mps, a, b, depth):
+    """Division of Fraction reps by the monic b over the coefficients."""
+    a = list(_ftrim(a, depth))
+    db = len(b) - 1
+    q = [() if depth > 1 else Fraction(0)] * max(0, len(a) - db)
+    while a and len(a) - 1 >= db:
+        top = a[-1]
+        k = len(a) - 1 - db
+        q[k] = top
+        if not _fis_zero(top, depth - 1):
+            for i in range(db):
+                a[k + i] = _fadd(a[k + i], _fraction_mul(mps, top, b[i], depth - 1), depth - 1, -1)
+        a = list(_ftrim(a[:-1], depth))
+    return _ftrim(q, depth), tuple(a)
+
+
+def _fraction_inv(mps, a, depth):
+    """Reference inverse: the Fraction extended Euclid that the integer
+    inverses replaced, at every depth."""
     if depth == 0:
         return 1 / a
-    m = F._mp[depth - 1]
-    r0, s0 = tuple(m), _rzero(depth)
-    r1, s1 = _rtrim(a, depth), (_rone(depth - 1),)
+    m = mps[depth - 1]
+    r0, s0 = tuple(m), ()
+    r1, s1 = _ftrim(a, depth), (Fraction(1) if depth == 1 else (Fraction(1),),)
     while True:
         if not r1:  # r0 is the monic gcd
             assert len(r0) > 1
             raise SplitEvent(depth - 1, r0)
-        lc_inv = _fraction_inv(F, r1[-1], depth - 1)
+        lc_inv = _fraction_inv(mps, r1[-1], depth - 1)
         if len(r1) == 1:
-            return _rscale(F, s1, lc_inv, depth)
-        r1m = _rscale(F, r1, lc_inv, depth)
-        s1m = _rscale(F, s1, lc_inv, depth)
-        q, rem = _rdivmod(F, r0, r1m, depth)
-        s_next = _rsub(s0, _rmul(F, q, s1m, depth), depth)
+            return _fscale(mps, s1, lc_inv, depth)
+        r1m = _fscale(mps, r1, lc_inv, depth)
+        s1m = _fscale(mps, s1, lc_inv, depth)
+        q, rem = _fdivmod(mps, r0, r1m, depth)
+        s_next = _fadd(s0, _fraction_mul(mps, q, s1m, depth), depth, -1)
         r0, s0 = r1m, s1m
-        r1, s1 = _rtrim(rem, depth), s_next
+        r1, s1 = _ftrim(rem, depth), s_next
 
 
 def _fr(*cs):
@@ -634,15 +760,15 @@ def _inv_tower(draw, depth):
         else:
             low = draw(st.lists(_reps_below(len(m1) - 1, _kcoeff), min_size=1, max_size=3))
             levels.append(("b", tuple(low) + ((Fraction(1),),)))
-    return NumberField(levels)
+    return _field(*levels)
 
 
-def _zero_divisors(F, depth):
-    """Factors of F's reducible levels as depth-`depth` reps."""
-    out = list(_SPLIT0.get(F._mp[0], ()))
+def _zero_divisors(mps, depth):
+    """Factors of the reducible levels mps as depth-`depth` Fraction reps."""
+    out = list(_SPLIT0.get(mps[0], ()))
     if depth == 2:
         out = [(f,) for f in out]
-        if F._mp[1] == (_fr(0, -1), _fr(1, -1), _fr(1)):
+        if mps[1] == (_fr(0, -1), _fr(1, -1), _fr(1)):
             out += [(_fr(0, -1), _fr(1)), (_fr(1), _fr(1))]  # b - a, b + 1
     return out
 
@@ -652,32 +778,87 @@ def _zero_divisors(F, depth):
 @given(data=st.data())
 def test_integer_inverse_matches_the_fraction_euclid(depth, data):
     F = data.draw(_inv_tower(depth))
+    mps = _fraction_levels(F)
     a = data.draw(_element_reps(F, depth).filter(bool))
-    factors = _zero_divisors(F, depth)
+    factors = _zero_divisors(mps, depth)
     if factors and data.draw(st.booleans()):  # a multiple of a factor
-        a = _rmul(F, a, data.draw(st.sampled_from(factors)), depth)
-    if _is_rzero(a, depth):  # a multiple of the cofactor too
+        a = _fraction_mul(mps, a, data.draw(st.sampled_from(factors)), depth)
+    if not a:  # a multiple of the cofactor too
         with pytest.raises(ZeroDivisionError):
-            _rinv(F, a, depth)
+            _rinv(F, _rep(a, depth), depth)
         return
     try:
-        want = _fraction_inv(F, a, depth)
+        want = _fraction_inv(mps, a, depth)
     except SplitEvent as ev:
         with pytest.raises(SplitEvent) as got:
-            _rinv(F, a, depth)
-        assert (got.value.level, got.value.factor_rep) == (ev.level, ev.factor_rep)
+            _rinv(F, _rep(a, depth), depth)
+        # the event carries the integer form of the same monic factor
+        factor = _rep(ev.factor_rep, ev.level + 1)[0]
+        assert (got.value.level, got.value.factor_rep) == (ev.level, factor)
         return
-    assert _rinv(F, a, depth) == want
-    assert _rmul(F, a, want, depth) == _rone(depth)
+    assert _rinv(F, _rep(a, depth), depth) == _rep(want, depth)
+    assert _rmul(F, _rep(a, depth), _rep(want, depth), depth) == _rep(_fconst(1, depth), depth)
 
 
 def test_integer_inverse_splits_like_the_fraction_euclid():
-    F = NumberField([("a", _fr(6, 0, -5, 0, 1))])  # (a^2 - 2)(a^2 - 3)
-    for a, factor in [(_fr(-2, 0, 1), _fr(-2, 0, 1)), (_fr(3, 0, -1), _fr(-3, 0, 1)),
-                      (_fr(-6, 0, 3), _fr(-2, 0, 1)), (_fr(0, -2, 0, 1), _fr(-2, 0, 1))]:
+    F = _field(("a", _fr(6, 0, -5, 0, 1)))  # (a^2 - 2)(a^2 - 3)
+    for a, factor in [(_fr(-2, 0, 1), (-2, 0, 1)), (_fr(3, 0, -1), (-3, 0, 1)),
+                      (_fr(-6, 0, 3), (-2, 0, 1)), (_fr(0, -2, 0, 1), (-2, 0, 1))]:
         with pytest.raises(SplitEvent) as ev:
-            _rinv(F, a, 1)
+            _rinv(F, _rep(a, 1), 1)
         assert (ev.value.level, ev.value.factor_rep) == (0, factor)
+
+
+_OPS = st.sampled_from(["+", "-", "*", "/", "scale", "at_gens", "transfer"])
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_reps_stay_canonical_along_chains_of_operations(depth, data):
+    # every result is the canonical rep of the Fraction oracle's value, so
+    # == and hash agree with the oracle's equality
+    F = data.draw(_inv_tower(depth))
+    mps = _fraction_levels(F)
+    x = data.draw(_element_reps(F, depth))
+    e = NFElement(F, _rep(x, depth))
+    for op in data.draw(st.lists(_OPS, min_size=1, max_size=6)):
+        y = data.draw(_element_reps(F, depth))
+        o = NFElement(F, _rep(y, depth))
+        try:
+            if op == "+":
+                e, x = e + o, _fadd(x, y, depth)
+            elif op == "-":
+                e, x = e - o, _fadd(x, y, depth, -1)
+            elif op == "*":
+                e, x = e * o, _fraction_mul(mps, x, y, depth)
+            elif op == "/" and y:
+                x = _fraction_mul(mps, x, _fraction_inv(mps, y, depth), depth)
+                e = e / o
+            elif op == "scale":
+                k = data.draw(_kcoeff)
+                e, x = k * e, _fraction_mul(mps, x, _fconst(k, depth), depth)
+            elif op == "at_gens":
+                grid = data.draw(_grids(F, depth))
+                e, x = F.at_gens(grid), _fraction_reduce(mps, grid, depth)
+            elif op == "transfer" and mps[0] in _SPLIT0:
+                factor = data.draw(st.sampled_from(_SPLIT0[mps[0]]))
+                branch = data.draw(st.sampled_from(F.split_level(0, _rep(factor, 1)[0])))
+                e, F = F.transfer(e, branch), branch
+                new = _fraction_levels(F)
+                if depth == 2:  # the branch re-reduced the top level's coefficients
+                    assert new[1] == _ftrim([_fraction_mod(new, c, 1) for c in mps[1]], 2)
+                mps = new
+                x = _fraction_reduce(mps, x, depth)
+                o = NFElement(F, _rep(_fraction_reduce(mps, y, depth), depth))
+                y = _frac(o.rep, depth)
+        except SplitEvent:
+            continue
+        assert _is_canonical(e.rep, depth) and e.field == F
+        assert _frac(e.rep, depth) == x
+        twin = NFElement(F, _rep(x, depth))
+        assert e == twin and hash(e) == hash(twin)
+        assert (e == o) == (x == y)
 
 
 def test_sign_refinement_that_never_converges_is_an_internal_error(monkeypatch):
@@ -749,7 +930,7 @@ def test_tower_point_of_a_degree_one_level_is_an_evaluation():
     base = field_from_qpoly("x", UPoly("x", [Fraction(-3, 2), Fraction(1)]))  # x = 3/2
     F = extend_field(base, "y", [base.from_fraction(-2), base.zero(), base.one()])  # y^2 = 2
     p = MPoly({(0, 0, 2, 1): Fraction(1), (0, 0, 1, 0): Fraction(1, 3)})  # x^2 y + x/3
-    assert _value_at(p, F).rep == ((Fraction(1, 2),), (Fraction(9, 4),))
+    assert _value_at(p, F).rep == (((2,), (9,)), 4)  # 1/2 + 9/4 y
     assert _value_at(p, F) == specialize_to_t(p, F.gen(0), F.gen(1))[0]
     R = rational_point_field("x", "y", Fraction(3, 2), Fraction(-5))
     assert _value_at(p, R).as_fraction() == Fraction(9, 4) * -5 + Fraction(1, 2)
