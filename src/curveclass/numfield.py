@@ -36,8 +36,9 @@ way: its coefficient grid is reduced modulo the level forms once
 (NumberField.at_gens), with no Horner over tower elements.  Inversion at
 depth 1 is an extended pseudo-remainder sequence against the level form;
 at depth 2 the extended Euclid runs on UPolys over the base tower, whose
-coefficient inversions take the depth-1 path.  Fractions appear only at
-the edges: minpoly, from_fraction, as_fraction and the enclosures.
+coefficient inversions take the depth-1 path, and makes no remainder monic.
+Fractions appear only at the edges: minpoly, from_fraction, as_fraction and
+the enclosures.
 """
 
 import itertools
@@ -46,7 +47,7 @@ from fractions import Fraction
 
 from . import _zpoly as zp
 from .errors import InternalError
-from .unipoly import IsolatingInterval, UPoly
+from .unipoly import IsolatingInterval, UPoly, remainder_sequence
 
 
 class SplitEvent(Exception):
@@ -242,14 +243,12 @@ def _rinv(F, a, depth):
     r0, s0 = F.minpoly(1), UPoly(var, ())
     r1, s1 = UPoly(var, [NFElement(base, c) for c in _split(*a)]), UPoly(var, [base.one()])
     while True:
-        if not r1:  # r0 is the gcd, monic (r1 was made monic before)
-            raise SplitEvent(1, _join([c.rep for c in r0.coeffs])[0])
-        lc_inv = r1.lc().inverse()
+        if not r1:  # r0 is the gcd; divmod inverted its lead the step before
+            raise SplitEvent(1, _join([c.rep for c in r0.monic().coeffs])[0])
         if r1.degree == 0:  # s1 * a == r1, a unit
-            return _join([c.rep for c in (s1 * lc_inv).coeffs])
-        r1m, s1m = r1 * lc_inv, s1 * lc_inv
-        q, rem = r0.divmod(r1m)  # r1m is monic: divmod inverts 1, which cannot split
-        r0, s0, r1, s1 = r1m, s1m, rem, s0 - q * s1m
+            return _join([c.rep for c in (s1 * r1.lc().inverse()).coeffs])
+        q, rem = r0.divmod(r1)  # inverts lc(r1) first, as the monic Euclid did
+        r0, s0, r1, s1 = r1, s1, rem, s0 - q * s1
 
 
 def _zinv(F, a):
@@ -486,7 +485,7 @@ class NFElement:
         return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        return self.inverse() if other == 1 else self.inverse() * other
 
     def _constant(self):
         """The numerators of a rational element (a tuple of at most one int);
@@ -656,15 +655,9 @@ def _zival_sign(e: NFElement, emb: RealEmbedding) -> int:
 # ---------------------------------------------------------------------------
 
 def tower_sturm_chain(p: UPoly):
-    """Signed remainder chain over the tower field (true remainders;
-    SplitEvents propagate from coefficient inversions)."""
-    chain = [p]
-    d = p.derivative()
-    while d:
-        chain.append(d)
-        _, r = chain[-2].divmod(d)
-        d = -r
-    return chain
+    """Signed remainder chain of p and p' over the tower field (SplitEvents
+    propagate from coefficient inversions)."""
+    return remainder_sequence(p, p.derivative())
 
 
 def tower_sturm_count(p: UPoly, emb: RealEmbedding, lo=None, hi=None) -> int:

@@ -3,8 +3,9 @@
 UPoly is a dense coefficient sequence (lowest degree first) in one named
 variable.  Coefficients are Fractions in the rational case and tower
 elements (numfield.NFElement) otherwise; both support field arithmetic
-through operator overloading, so the generic Euclid below serves tower
-polynomials.  Rational operations (gcd, Sturm counting, real root
+through operator overloading, so one remainder sequence (remainder_sequence),
+making no remainder monic, serves the gcd, squarefree part and Sturm chain
+of tower polynomials.  Rational operations (gcd, Sturm counting, real root
 isolation, deflating a rational root) go through the integer kernel _zpoly,
 and so do squarefree parts of polynomials whose coefficients are all
 rational, tower elements with rational values included.
@@ -102,14 +103,11 @@ class UPoly:
             n >>= 1
         return acc
 
-    def scale(self, k):
-        return UPoly(self.var, [c * k for c in self.coeffs])
-
     def derivative(self):
         return UPoly(self.var, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def monic(self):
-        if not self.coeffs:
+        if not self.coeffs or self.coeffs[-1] == 1:
             return self
         inv = Fraction(1) / self.coeffs[-1]
         return UPoly(self.var, [c * inv for c in self.coeffs])
@@ -124,19 +122,18 @@ class UPoly:
             acc = c if acc is None else acc * x + c
         return acc
 
-    def divmod(self, other):
-        """Synthetic division; coefficient domain must be a field."""
+    def divmod(self, other, inv=None):
+        """Synthetic division over a field.  inv is 1 / lc(other) if the caller
+        has it; else a lead other than 1 is inverted first, whatever the degrees."""
         if not other.coeffs:
             raise ZeroDivisionError("division by zero polynomial")
         r = list(self.coeffs)
         db = other.degree
-        top = len(r) - 1 - db
-        # invert only when a quotient term needs it: over a tower the
-        # inversion can raise SplitEvent
-        inv = Fraction(1) / other.lc() if top >= 0 else None
+        if inv is None and other.lc() != 1:
+            inv = Fraction(1) / other.lc()
         q = []
-        for k in range(top, -1, -1):
-            c = r[k + db] * inv
+        for k in range(len(r) - 1 - db, -1, -1):
+            c = r[k + db] if inv is None else r[k + db] * inv
             q.append(c)
             if c:
                 for i, cb in enumerate(other.coeffs):
@@ -166,23 +163,35 @@ def to_zpoly(p: UPoly):
 # Spec operations
 # ---------------------------------------------------------------------------
 
+def remainder_sequence(a: UPoly, b: UPoly, monic_gcd=False):
+    """[a, b, r_2, ...], r_(i+1) = -(r_(i-1) mod r_i), to the last nonzero
+    remainder (a gcd); none is made monic.  Where a depth-2 tower inversion
+    splits depends on the element inverted: each step inverts lc(r_i), as a
+    Sturm chain does, or with monic_gcd the monic Euclid's lc(r_i) / lc(r_(i-2)),
+    and then the last member comes back monic (for b != 0)."""
+    seq, invs = [a], [None]  # invs[i] = 1 / lc(seq[i]); None for 1, and for a as is
+    while b:
+        inv = invs[-2] if monic_gcd and len(seq) > 1 else None
+        e = b.lc() if inv is None else b.lc() * inv  # the lead tested
+        if e != 1:  # 1 / lc(b) = inv / e
+            inv = Fraction(1) / e if inv is None else Fraction(1) / e * inv
+        seq.append(b)
+        invs.append(inv)
+        b = -seq[-2].divmod(b, inv)[1]
+    if monic_gcd and invs[-1] is not None:
+        seq[-1] = seq[-1] * invs[-1]
+    return seq
+
+
 def upoly_gcd(a: UPoly, b: UPoly) -> UPoly:
     """Monic greatest common divisor over the coefficient field."""
     if a.is_zero() and b.is_zero():
         raise DegenerateInputError("gcd of two zero polynomials")
-    if a.is_zero():
-        return b.monic()
     if b.is_zero():
         return a.monic()
     if is_rational_poly(a) and is_rational_poly(b):
-        za, _ = to_zpoly(a)
-        zb, _ = to_zpoly(b)
-        return UPoly.from_ints(a.var, zp.zgcd(za, zb)).monic()
-    while b:
-        b = b.monic()
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic()
+        return UPoly.from_ints(a.var, zp.zgcd(to_zpoly(a)[0], to_zpoly(b)[0])).monic()
+    return remainder_sequence(a, b, True)[-1]
 
 
 def nonzero_gcd(polys):
@@ -230,8 +239,6 @@ def squarefree_part(a: UPoly) -> UPoly:
         fracs, rebuild = rational
         sf = zp.zsquarefree(to_zpoly(UPoly(a.var, fracs))[0])
         return UPoly(a.var, [rebuild(Fraction(c, sf[-1])) for c in sf])
-    if a.degree == 0:
-        return a.monic()
     g = upoly_gcd(a, a.derivative())
     if g.degree == 0:
         return a.monic()

@@ -608,7 +608,7 @@ def test_qpoly_sqrt_past_the_sign_test(square, root):
     z, den = to_zpoly(parse_upoly(square, "x"))
     got = _zsqrt(zp.zscale(z, den))
     if got is not None:
-        got = format_upoly(UPoly.from_ints("x", got).scale(Fraction(1, den)))
+        got = format_upoly(UPoly.from_ints("x", got) * Fraction(1, den))
     assert got == root
 
 
@@ -737,7 +737,7 @@ def _first_linear_factor_by_division(rows, shapes, cands, x1, fiber):
         if not mval:
             continue
         for root in cands:
-            g_poly = shape.scale(root / mval)
+            g_poly = shape * (root / mval)
             q = curves.bivariate_divexact_y(rows, _linear_rows(g_poly))
             if q is not None:
                 return g_poly, q
@@ -754,7 +754,7 @@ def _over_q(found):
     if found is None:
         return None
     G, d, rows = found
-    return UPoly.from_ints("x", G).scale(Fraction(1, d)), rows
+    return UPoly.from_ints("x", G) * Fraction(1, d), rows
 
 
 @contextmanager
@@ -1359,8 +1359,9 @@ def test_a_singular_job_builds_the_integer_rows_once(monkeypatch):
 
     dense = _count_calls(monkeypatch, "to_y_dense", (bipoly, curves))
     gcds = []
-    upoly_gcd = unipoly.upoly_gcd
-    monkeypatch.setattr(unipoly, "upoly_gcd", lambda a, b: gcds.append(a.var) or upoly_gcd(a, b))
+    sequence = unipoly.remainder_sequence
+    monkeypatch.setattr(unipoly, "remainder_sequence",
+                        lambda a, *args: gcds.append(a.var) or sequence(a, *args))
     # two linear factors, one non-monic, and a block; three rational
     # singular points
     doc = jobs.run_singular("(y - x^2)*(2*y - x)*(y^2 - x^3 - x)")

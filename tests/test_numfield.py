@@ -52,6 +52,26 @@ def test_sqrt2_norm_identity():
     assert (1 + a) * (1 - a) == F.from_fraction(-1)
 
 
+def test_a_lead_of_one_is_neither_inverted_nor_multiplied(monkeypatch):
+    from curveclass import numfield
+
+    F = sqrt2_field()
+    a = F.gen(0)
+    inverses, scalings = [], []
+    rinv, rscalar = numfield._rinv, numfield._rscalar
+    monkeypatch.setattr(numfield, "_rinv", lambda *args: inverses.append(args) or rinv(*args))
+    monkeypatch.setattr(numfield, "_rscalar",
+                        lambda *args: scalings.append(args) or rscalar(*args))
+    p = UPoly("t", [a, F.one()])
+    assert p.monic() is p
+    q, r = UPoly("t", [F.one(), a, F.one()]).divmod(p)
+    assert q * p + r == UPoly("t", [F.one(), a, F.one()])
+    assert inverses == [] and scalings == []
+    # 1 / c is the inverse itself, with no product by 1
+    assert Fraction(1) / (a + 1) == a - 1
+    assert len(inverses) == 1 and scalings == []
+
+
 def test_zero_divisor_raises_split_with_factor():
     F = field_from_qpoly("a", UPoly.from_ints("a", [-1, 0, 1]))  # a^2 - 1, reducible
     a = F.gen(0)

@@ -12,6 +12,7 @@ from curveclass.unipoly import (
     isolate_real_roots,
     nonzero_gcd,
     rational_roots,
+    remainder_sequence,
     squarefree_part,
     sturm_count,
     to_zpoly,
@@ -210,17 +211,23 @@ from hypothesis import strategies as st  # noqa: E402
 from curveclass.numfield import extend_field, field_from_qpoly  # noqa: E402
 
 
+def _monic_euclid_gcd(a, b):
+    """The monic Euclid, the reference for the order in which a tower gcd
+    meets zero divisors: every divisor is made monic before it divides, so
+    each lead is inverted once, in order, and no division inverts anything."""
+    while b:
+        b = b.monic()
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
 def _reference_squarefree_part(a):
     """The generic Euclid route, which squarefree_part keeps for tower
     polynomials: a / gcd(a, a'), the gcd by monic remainders over the
     coefficient field."""
     if a.degree == 0:
         return a.monic()
-    g, b = a, a.derivative()
-    while b:
-        b = b.monic()
-        g, b = b, g.divmod(b)[1]
-    g = g.monic()
+    g = _monic_euclid_gcd(a, a.derivative())
     if g.degree == 0:
         return a.monic()
     q, r = a.divmod(g)
@@ -277,8 +284,9 @@ def test_only_irrational_coefficients_take_the_tower_euclid(monkeypatch):
     field = _tower(1)
     a = field.gen(0)
     calls = []
-    gcd = unipoly.upoly_gcd
-    monkeypatch.setattr(unipoly, "upoly_gcd", lambda p, q: calls.append(p) or gcd(p, q))
+    sequence = unipoly.remainder_sequence
+    monkeypatch.setattr(unipoly, "remainder_sequence",
+                        lambda p, *args: calls.append(p) or sequence(p, *args))
     one, two = field.one(), field.from_fraction(2)
     # (t + 1)^2 with tower coefficients: the integer kernel, no Euclid
     assert squarefree_part(UPoly("t", [one, two, one])) == UPoly("t", [one, one])
@@ -300,3 +308,145 @@ def test_rational_root_functions_refuse_zero_and_tower_polynomials(query):
     sqrt2 = field_from_qpoly("a", X(-2, 0, 1))
     with pytest.raises(PreconditionError):
         query(UPoly("y", [sqrt2.gen(0), sqrt2.one()]))
+
+
+def test_monic_and_division_keep_int_coefficients_exact():
+    # 1 / lc would make floats of these (0.5, 1.0)
+    p = UPoly("x", [2, 4]).monic()
+    assert p.coeffs == (Fraction(1, 2), 1) and all(type(c) is Fraction for c in p.coeffs)
+    q, r = UPoly("x", [1, 2, 3]).divmod(UPoly("x", [1, 2]))
+    assert q.coeffs == (Fraction(1, 4), Fraction(3, 2)) and r.coeffs == (Fraction(3, 4),)
+    assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
+
+
+# -- one remainder sequence over towers, against the monic Euclid ----------
+from curveclass.numfield import NFElement, SplitEvent, _join, _split  # noqa: E402
+
+
+def _monic_extended_inverse(e):
+    """The reference for the depth-2 inverse: the extended Euclid against
+    the level polynomial, every remainder made monic before it divides."""
+    F = e.field
+    base, var = F.sub_field(1), F.var(1)
+    r0, s0 = F.minpoly(1), UPoly(var, [])
+    r1, s1 = UPoly(var, [NFElement(base, c) for c in _split(*e.rep)]), UPoly(var, [base.one()])
+    while True:
+        if not r1:
+            raise SplitEvent(1, _join([c.rep for c in r0.coeffs])[0])
+        lc_inv = r1.lc().inverse()
+        if r1.degree == 0:
+            return NFElement(F, _join([c.rep for c in (s1 * lc_inv).coeffs]))
+        r1, s1 = r1 * lc_inv, s1 * lc_inv
+        q, rem = r0.divmod(r1)
+        r0, s0, r1, s1 = r1, s1, rem, s0 - q * s1
+
+
+def _monic_nonzero_gcd(polys):
+    g = None
+    for u in polys:
+        if u:
+            g = u if g is None else _monic_euclid_gcd(g, u)
+            if g.degree == 0:
+                break
+    return g
+
+
+def _outcome(fn, *args):
+    """fn(*args) as data: ("split", level, factor_rep) when it raises
+    SplitEvent, else the reps of the UPoly or tower element it returns."""
+    try:
+        got = fn(*args)
+    except SplitEvent as ev:
+        return "split", ev.level, ev.factor_rep
+    if isinstance(got, UPoly):
+        return got.var, [c.rep for c in got.coeffs]
+    return got.rep
+
+
+@st.composite
+def _tower_element(draw, F):
+    """A small element of F, often a multiple of a - r for a root r of a
+    reducible level 0, so that it is a zero divisor."""
+    d0 = F.level_degree(0)
+    row = lambda: draw(st.lists(st.integers(-2, 2), max_size=d0))  # noqa: E731
+    e = F.at_gens(row() if F.depth == 1 else [row() for _ in range(F.level_degree(1))])
+    if draw(st.booleans()):
+        e = e * (F.gen(0) - draw(st.integers(-3, 3)))
+    return e
+
+
+@st.composite
+def _split_tower(draw, depth):
+    """Q[a]/(m1) with m1 a product of 2-3 distinct linear factors; at depth 2
+    extended by extend_field with m2 a product of 1-2 factors b - c - k over
+    the base (k distinct integers, so m2 is squarefree) or a random monic
+    quadratic."""
+    m1 = X(1)
+    for r in draw(st.lists(st.integers(-3, 3), min_size=2, max_size=3, unique=True)):
+        m1 = m1 * X(-r, 1)
+    base = field_from_qpoly("a", m1)
+    if depth == 1:
+        return base
+    if draw(st.booleans()):
+        return extend_field(base, "b", [draw(_tower_element(base)), draw(_tower_element(base)),
+                                        base.one()])
+    c, m2 = draw(_tower_element(base)), UPoly("b", [base.one()])
+    for k in draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2, unique=True)):
+        m2 = m2 * UPoly("b", [-c - k, base.one()])
+    return extend_field(base, "b", list(m2.coeffs))
+
+
+@st.composite
+def _tower_poly(draw, F, max_degree=2):
+    return UPoly("t", draw(st.lists(_tower_element(F), max_size=max_degree + 1)))
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_tower_remainder_sequences_split_like_the_monic_euclid(depth, data):
+    # the same result, or a SplitEvent on the same factor of the same level:
+    # every zero divisor is met in the order the monic Euclid meets it
+    F = data.draw(_split_tower(depth))
+    f, g, h = (data.draw(_tower_poly(F)) for _ in range(3))
+    a, b = f * g, f * h
+    if a or b:
+        for p, q in ((a, b), (b, a)):
+            assert _outcome(upoly_gcd, p, q) == _outcome(_monic_euclid_gcd, p, q)
+    for p in (a, b * h):
+        if p:
+            assert _outcome(squarefree_part, p) == _outcome(_reference_squarefree_part, p)
+    polys = [a, g * h, b]
+    if any(polys):  # nonzero_gcd's gcd is one up to a unit
+        assert (_outcome(lambda ps: nonzero_gcd(ps).monic(), polys)
+                == _outcome(lambda ps: _monic_nonzero_gcd(ps).monic(), polys))
+    if depth == 2:
+        e = data.draw(_tower_element(F).filter(bool))
+        assert _outcome(NFElement.inverse, e) == _outcome(_monic_extended_inverse, e)
+
+
+def test_a_gcd_splits_on_the_lead_of_its_second_argument_first():
+    # m1 = (x - 1)(x - 2)(x - 3), deg a < deg b: the monic Euclid inverts
+    # lc(b) = alpha - 2 before lc(a) = alpha - 1, so the split is on x - 2
+    F = field_from_qpoly("x", X(-6, 11, -6, 1))
+    alpha, one = F.gen(0), F.one()
+    a = UPoly("y", [one, alpha - 1])
+    b = UPoly("y", [one, one, alpha - 2])
+    for gcd in (upoly_gcd, _monic_euclid_gcd):
+        assert _outcome(gcd, a, b) == ("split", 0, (-2, 1))
+
+
+def test_a_depth_2_gcd_inverts_the_leads_the_monic_euclid_inverts():
+    # m1 = a(a - 1), m2 = b^2 - 1, gcd(t + a, b t^2 + 1).  The monic Euclid
+    # inverts b, 1, then a + b (t^2 + b mod t + a), whose inverse over the
+    # base meets a - 1.  The sequence's own third member is -(a b + 1) =
+    # -b (a + b), whose inverse meets a first: at depth 2 a unit multiple
+    # can split elsewhere, so a gcd inverts the monic Euclid's leads and
+    # only a Sturm chain inverts the members' own
+    base = field_from_qpoly("a", X(0, -1, 1))
+    F = extend_field(base, "b", [-base.one(), base.zero(), base.one()])
+    p = UPoly("t", [F.gen(0), F.one()])
+    q = UPoly("t", [F.one(), F.zero(), F.gen(1)])
+    for gcd in (upoly_gcd, _monic_euclid_gcd):
+        assert _outcome(gcd, p, q) == ("split", 0, (-1, 1))
+    assert _outcome(remainder_sequence, p, q) == ("split", 0, (0, 1))
