@@ -38,7 +38,6 @@ from .parsing import format_poly, parse_poly
 from .report import emit, parse_machine
 from .unipoly import (
     UPoly,
-    count_distinct_complex_roots,
     isolate_real_roots,
     squarefree_part,
     sturm_count,

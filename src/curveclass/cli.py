@@ -11,6 +11,7 @@ policy for a failing job in a --batch run.
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .demo import run_demo
 from .errors import CurveClassError, JobError
@@ -20,12 +21,12 @@ from .report import ReportDocument, emit
 
 def _read_input(path):
     try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fp:
-            return json.load(fp)
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+        return json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise JobError(f"cannot read input: {exc}")
+    except UnicodeDecodeError as exc:
+        raise JobError(f"input is not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise JobError(f"input is not valid JSON: {exc}")
 

@@ -254,17 +254,12 @@ def _points_at_rational_x(x0, grids, isolated):
     """Solutions over a rational x-coordinate x0 = n/d, from the integer
     y-rows of the system's polynomials: split the rational
     y-roots into their own degree-1 classes, keep the rest as one class.
-    Each fiber is rows_at(rows, x0), in Z[y]; isolated is the solve's memo
-    of _embeddings_for."""
-    g = None
-    for rows in grids:
-        fiber = rows_at(rows, x0)
-        if not fiber:
-            continue  # a zero fiber imposes no constraint at this x
-        g = fiber if g is None else zp.zgcd(g, fiber)
-        if zp.zdeg(g) == 0:
-            break
-    if g is None:
+    Each fiber is rows_at(rows, x0), in Z[y]; their gcd is the y_content
+    of the fibers as rows, as solve_xy_system's gcd of its x-only
+    polynomials (a zero fiber imposes no constraint).  isolated is the
+    solve's memo of _embeddings_for."""
+    g = y_content(rows_at(rows, x0) for rows in grids)
+    if not g:
         raise DegenerateInputError(f"positive-dimensional fiber over x = {x0}")
     if zp.zdeg(g) == 0:
         return []
@@ -659,7 +654,7 @@ def certify_realness(curve: PlaneCurve, budget=64) -> RealnessReport:
             factors.append((MPoly.var("x") - r, "certified", f"real vertical line x = {r}"))
         for ch in chunks:
             line = from_y_dense([ch]) * Fraction(1, ch[-1])
-            if zp.sturm_count(zp.sturm_chain(ch)) == zp.zdeg(ch):
+            if zp.zall_real_simple(ch):
                 factors.append((line, "certified", "all vertical lines real"))
             else:
                 factors.append((line, "unverified", "vertical chunk with non-real roots"))
@@ -822,13 +817,14 @@ def _fiber_constancy_at(pt: BadPoint, u, v, p):
 
 def _fiber_values(pt, m_sf, p_poly):
     """Exact parameter/value pairs when the fiber splits rationally."""
-    if all(c.is_rational() for c in m_sf.coeffs):
-        q = UPoly("t", [c.as_fraction() for c in m_sf.coeffs])
-        roots = rational_roots(q)
-        if len(roots) == m_sf.degree:
-            vals = []
-            for r in roots:
-                val = p_poly.eval(pt.field.from_fraction(r))
-                vals.append((r, val.as_fraction() if val.is_rational() else val))
-            return vals
-    return None
+    try:
+        roots = rational_roots(m_sf)
+    except PreconditionError:  # an irrational coefficient
+        return None
+    if len(roots) != m_sf.degree:
+        return None
+    vals = []
+    for r in roots:
+        val = p_poly.eval(pt.field.from_fraction(r))
+        vals.append((r, val.as_fraction() if val.is_rational() else val))
+    return vals

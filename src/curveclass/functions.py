@@ -317,16 +317,17 @@ def graph_real_closed(f: CurveFunction):
 
 
 def _describe_real_roots(rep: FiberReport):
-    """Exact description of the real fiber roots for witnesses."""
-    sf = rep.fiber_sf
-    if all(c.is_rational() for c in sf.coeffs):
-        q = UPoly("t", [c.as_fraction() for c in sf.coeffs])
-        roots = rational_roots(q)
-        if rep.point.embeddings and rep.real_root_counts:
-            if len(roots) >= max(rep.real_root_counts):
-                return sorted(roots)[: max(rep.real_root_counts)] if len(roots) else []
+    """Exact description of the real fiber roots for witnesses: ascending
+    rational roots when all are rational, else isolating intervals."""
     if rep.chain is None:  # no real embedding, or a fiber without roots
         return []
+    try:
+        roots = rational_roots(rep.fiber_sf)
+    except PreconditionError:  # an irrational coefficient
+        roots = None
+    # with rational coefficients each embedding counts the same real roots
+    if roots is not None and len(roots) == rep.distinct_real:
+        return roots
     return isolate_tower_roots(rep.chain, rep.point.embeddings[0])
 
 

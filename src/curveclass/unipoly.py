@@ -5,10 +5,10 @@ variable.  Coefficients are Fractions in the rational case and tower
 elements (numfield.NFElement) otherwise; both support field arithmetic
 through operator overloading, so one remainder sequence (remainder_sequence),
 making no remainder monic, serves the gcd, squarefree part and Sturm chain
-of tower polynomials.  Rational operations (gcd, Sturm counting, real root
-isolation, deflating a rational root) go through the integer kernel _zpoly,
-and so do squarefree parts of polynomials whose coefficients are all
-rational, tower elements with rational values included.
+of tower polynomials.  One rule decides the rest: coefficients with rational
+values, whether ints, Fractions or tower elements, go through the integer
+kernel _zpoly (_rational_view), for the gcd and the squarefree part alike
+as for Sturm counting, real root isolation and rational roots.
 """
 
 import math
@@ -28,10 +28,6 @@ class UPoly:
             n -= 1
         self.var = var
         self.coeffs = tuple(coeffs[:n])
-
-    @classmethod
-    def from_ints(cls, var, ints):
-        return cls(var, [Fraction(c) for c in ints])
 
     @property
     def degree(self):
@@ -148,15 +144,23 @@ class UPoly:
         return f"UPoly[{terms or '0'}]"
 
 
-def is_rational_poly(p: UPoly) -> bool:
-    return all(isinstance(c, (Fraction, int)) for c in p.coeffs)
-
-
-def to_zpoly(p: UPoly):
-    """Clear denominators: returns (integer coefficient list, denominator)."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
+def _rational_view(p: UPoly):
+    """(z, rebuild) when every coefficient of p has a rational value (an
+    int, a Fraction, or a tower element whose is_rational holds: numfield
+    imports this module), else None; the one test of rational coefficients.
+    z is the integer form, the coefficients times the lcm of their
+    denominators; rebuild maps a Fraction back to p's ring (Fraction itself
+    when no coefficient is a tower element)."""
+    rebuild, fracs = Fraction, []
+    for c in p.coeffs:
+        if not isinstance(c, (Fraction, int)):
+            if not c.is_rational():
+                return None
+            c, rebuild = c.as_fraction(), c.field.from_fraction
+        fracs.append(c)
+    den = math.lcm(*(c.denominator for c in fracs))
     # integer arithmetic on each numerator: no Fraction product is built
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+    return [c.numerator * (den // c.denominator) for c in fracs], rebuild
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +193,11 @@ def upoly_gcd(a: UPoly, b: UPoly) -> UPoly:
         raise DegenerateInputError("gcd of two zero polynomials")
     if b.is_zero():
         return a.monic()
-    if is_rational_poly(a) and is_rational_poly(b):
-        return UPoly.from_ints(a.var, zp.zgcd(to_zpoly(a)[0], to_zpoly(b)[0])).monic()
+    va = _rational_view(a)
+    vb = va and _rational_view(b)
+    if vb:  # over Q no inverse meets a zero divisor, and the monic gcd is unique
+        g, rebuild = zp.zgcd(va[0], vb[0]), va[1] if vb[1] is Fraction else vb[1]
+        return UPoly(a.var, [rebuild(Fraction(c, g[-1])) for c in g])
     return remainder_sequence(a, b, True)[-1]
 
 
@@ -209,36 +216,17 @@ def nonzero_gcd(polys):
     return g
 
 
-def _as_fractions(coeffs):
-    """(Fractions, rebuild) when every coefficient is rational, rebuild
-    mapping a Fraction back to the coefficients' ring; None otherwise.
-    Tower elements are recognised by is_rational (numfield imports this
-    module)."""
-    rebuild = Fraction
-    out = []
-    for c in coeffs:
-        if isinstance(c, (Fraction, int)):
-            out.append(Fraction(c))
-        elif c.is_rational():
-            out.append(c.as_fraction())
-            rebuild = c.field.from_fraction
-        else:
-            return None
-    return out, rebuild
-
-
 def squarefree_part(a: UPoly) -> UPoly:
     """a / gcd(a, a'), monic: same distinct roots, all simple.  Rational
-    coefficients, tower elements with rational values included, go through
-    the integer kernel: the monic squarefree part is unique, and a Euclid
-    over Q meets no zero divisor, so no split is lost."""
+    values go through the integer kernel, as in upoly_gcd: the monic
+    squarefree part is unique, and a Euclid over Q meets no zero divisor,
+    so no split is lost."""
     if a.is_zero():
         raise DegenerateInputError("zero polynomial has no squarefree part")
-    rational = _as_fractions(a.coeffs)
-    if rational is not None:
-        fracs, rebuild = rational
-        sf = zp.zsquarefree(to_zpoly(UPoly(a.var, fracs))[0])
-        return UPoly(a.var, [rebuild(Fraction(c, sf[-1])) for c in sf])
+    view = _rational_view(a)
+    if view is not None:
+        sf = zp.zsquarefree(view[0])
+        return UPoly(a.var, [view[1](Fraction(c, sf[-1])) for c in sf])
     g = upoly_gcd(a, a.derivative())
     if g.degree == 0:
         return a.monic()
@@ -246,12 +234,6 @@ def squarefree_part(a: UPoly) -> UPoly:
     if r:
         raise InternalError("squarefree_part: gcd does not divide the polynomial")
     return q.monic()
-
-
-def count_distinct_complex_roots(a: UPoly) -> int:
-    if a.is_zero():
-        raise DegenerateInputError("zero polynomial")
-    return squarefree_part(a).degree
 
 
 def _deflate_rational_root(zcoeffs, root):
@@ -267,18 +249,19 @@ def _deflate_rational_root(zcoeffs, root):
 
 def _require_rational(a: UPoly, name):
     """The guard of the rational-only root functions: a nonzero polynomial
-    with rational coefficients."""
+    whose coefficients have rational values.  Returns its integer form."""
     if a.is_zero():
         raise DegenerateInputError("zero polynomial")
-    if not is_rational_poly(a):
+    view = _rational_view(a)
+    if view is None:
         raise PreconditionError(f"{name} needs rational coefficients")
+    return view[0]
 
 
 def sturm_count(a: UPoly, lo=None, hi=None) -> int:
     """Distinct real roots of squarefree rational a in the open interval
     (lo, hi); None means the corresponding infinity."""
-    _require_rational(a, "sturm_count")
-    za, _ = to_zpoly(a)
+    za = _require_rational(a, "sturm_count")
     if zp.zdeg(zp.zgcd(za, zp.zderiv(za))) > 0:
         raise PreconditionError("sturm_count needs a squarefree polynomial")
     za = zp.zprimitive(za)
@@ -310,12 +293,9 @@ class IsolatingInterval(NamedTuple):
 def isolate_real_roots(a: UPoly):
     """Disjoint isolating intervals, one per distinct real root of the
     squarefree part of a, ascending and Sturm-certified."""
-    _require_rational(a, "isolate_real_roots")
-    za, _ = to_zpoly(a)
+    za = _require_rational(a, "isolate_real_roots")
     return [IsolatingInterval(lo, hi) for lo, hi in zp.zisolate(za)]
 
 
 def rational_roots(a: UPoly):
-    _require_rational(a, "rational_roots")
-    za, _ = to_zpoly(a)
-    return zp.zrational_roots(za)
+    return zp.zrational_roots(_require_rational(a, "rational_roots"))

@@ -4,6 +4,7 @@ to later calibration.  Criteria 6 and 8 share fiber reports through a
 module-level ledger (8 checks conjugation parity on everything 1-6
 generated)."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -21,8 +22,16 @@ from curveclass.functions import (
 )
 from curveclass.jobs import JobSpec, run_classify, run_singular
 from curveclass.mpoly import MPoly, PolyIdeal, buchberger, saturate
-from curveclass.unipoly import UPoly, sturm_count, squarefree_part, to_zpoly
+from curveclass.unipoly import UPoly, sturm_count, squarefree_part
 from test_mpoly import ideals_equal
+
+
+def _to_zpoly(p):
+    """p's rational coefficients cleared of denominators: (integers, lcm of
+    the denominators)."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+
 
 X, Y, T = MPoly.var("x"), MPoly.var("y"), MPoly.var("t")
 
@@ -260,7 +269,7 @@ def test_criterion_8_kernel_suites():
         if (deg - n_real) % 2:
             n_real += 1 if n_real < deg else -1
         reals = rng.sample([Fraction(k, 2) for k in range(-8, 9)], n_real)
-        p = UPoly.from_ints("x", [1])
+        p = UPoly("x", [Fraction(1)])
         for r in reals:
             p = p * UPoly("x", [-r, Fraction(1)])
         pairs = (deg - n_real) // 2
@@ -273,7 +282,7 @@ def test_criterion_8_kernel_suites():
         got = sturm_count(sf)
         # numeric oracle on the squarefree part: distinct roots are simple
         # and well separated (>= 1/2), so double precision resolves them
-        z, _ = to_zpoly(sf)
+        z, _ = _to_zpoly(sf)
         np_roots = np.roots(np.array(z[::-1], dtype=float))
         numeric = len({round(float(r.real), 3) for r in np_roots if abs(r.imag) < 1e-6})
         if got == len(set(reals)) == numeric:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,21 @@ from curveclass.parsing import format_poly, format_upoly, parse_poly, parse_upol
 from curveclass.unipoly import UPoly
 from test_bipoly import y_rows  # first imported within a @given test, its @given would nest
 
+
+def _from_ints(var, ints):
+    """The UPoly with Fraction coefficients ints (low degree first)."""
+    return UPoly(var, [Fraction(c) for c in ints])
+
+
+def _to_zpoly(p):
+    """p's rational coefficients cleared of denominators: (integers, lcm of
+    the denominators)."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+
+
 X, Y = MPoly.var("x"), MPoly.var("y")
-T = lambda *cs: UPoly.from_ints("t", cs)  # noqa: E731
+T = lambda *cs: _from_ints("t", cs)  # noqa: E731
 
 
 def cusp():
@@ -408,7 +422,7 @@ def _split_prone_point(m1_ints, m2_coeffs):
     from curveclass.curves import BadPoint, _embeddings_for
     from curveclass.numfield import extend_field, field_from_qpoly
 
-    base = field_from_qpoly("x", UPoly.from_ints("x", m1_ints))
+    base = field_from_qpoly("x", _from_ints("x", m1_ints))
     fld = extend_field(base, "y", [c(base.gen(0)) for c in m2_coeffs])
     return BadPoint(fld, _embeddings_for(fld))
 
@@ -554,9 +568,8 @@ def _linear_rows(g):
     common denominator): the primitive divisor the linear-factor search
     divides by."""
     from curveclass import _zpoly as zp
-    from curveclass.unipoly import to_zpoly
 
-    G, d = to_zpoly(g)
+    G, d = _to_zpoly(g)
     return [zp.zneg(G), [d]]
 
 
@@ -603,12 +616,11 @@ def test_qpoly_sqrt_past_the_sign_test(square, root):
     # p = n/d is a square in Q[x] iff n*d is one in Z[x], and sqrt(p) = sqrt(n*d)/d
     from curveclass import _zpoly as zp
     from curveclass.curves import _zsqrt
-    from curveclass.unipoly import to_zpoly
 
-    z, den = to_zpoly(parse_upoly(square, "x"))
+    z, den = _to_zpoly(parse_upoly(square, "x"))
     got = _zsqrt(zp.zscale(z, den))
     if got is not None:
-        got = format_upoly(UPoly.from_ints("x", got) * Fraction(1, den))
+        got = format_upoly(_from_ints("x", got) * Fraction(1, den))
     assert got == root
 
 
@@ -627,7 +639,6 @@ def _certify_block_by_specialize_x(B, budget):
     Fraction terms of B, then cleared of denominators."""
     from curveclass import _zpoly as zp
     from curveclass import curves
-    from curveclass.unipoly import to_zpoly
 
     dy = B.degree_in("y")
     irreducible = curves._irreducible_lite(to_y_dense(B))
@@ -635,7 +646,7 @@ def _certify_block_by_specialize_x(B, budget):
         u = curves.specialize_x(B, Fraction(x0))
         if u.degree != dy or u.degree <= 0:
             continue
-        z = zp.zprimitive(to_zpoly(u)[0])
+        z = zp.zprimitive(_to_zpoly(u)[0])
         if zp.zdeg(zp.zgcd(z, zp.zderiv(z))) != 0:
             continue
         n_real = zp.sturm_count(zp.sturm_chain(z))
@@ -745,7 +756,7 @@ def _first_linear_factor_by_division(rows, shapes, cands, x1, fiber):
 
 
 def _upoly_shapes(shapes):
-    return [UPoly.from_ints("x", s) for s in shapes]
+    return [_from_ints("x", s) for s in shapes]
 
 
 def _over_q(found):
@@ -754,7 +765,7 @@ def _over_q(found):
     if found is None:
         return None
     G, d, rows = found
-    return UPoly.from_ints("x", G) * Fraction(1, d), rows
+    return _from_ints("x", G) * Fraction(1, d), rows
 
 
 @contextmanager
@@ -783,7 +794,7 @@ def test_a_candidate_passing_x_3_is_rejected_at_a_probe():
     with _counting_divisions() as divided:
         want = _first_linear_factor_by_division(to_y_dense(F), _upoly_shapes(shapes), cands, 3,
                                                 fiber)
-    x2 = UPoly.from_ints("x", [0, 0, 1])
+    x2 = _from_ints("x", [0, 0, 1])
     assert _over_q(got) == want == (x2, to_y_dense(Y**2 + 1))
     assert probed == [_linear_rows(x2)] and len(divided) == 3
 
@@ -906,7 +917,7 @@ def _linear_y_factors_ungated(rows):
         dx = max(map(len, rows)) - 1
         roots, chunks = curves._split_candidates(rows[0])
         pieces = [UPoly("x", [-r, Fraction(1)]) for r in roots]
-        pieces += [UPoly.from_ints("x", ch) for ch in chunks]
+        pieces += [_from_ints("x", ch) for ch in chunks]
         one = UPoly("x", [Fraction(1)])
         shapes = [one]
         for piece in pieces[:4]:
@@ -1135,7 +1146,7 @@ def test_rational_fibers_isolated_once_match_the_tower_route(monkeypatch):
         ([1, -3, 0, 1], [1, 0, 10, 0, 1]),  # three real x, no real fiber root
         ([-2, 0, 1], [Fraction(-1, 3), 0, Fraction(1, 2), 1]),
     ]:
-        base = field_from_qpoly("x", UPoly.from_ints("x", m1))
+        base = field_from_qpoly("x", _from_ints("x", m1))
         made.append(extend_field(base, "y", [Fraction(c) for c in m2]))
     fields = _captured_fields()
     rational = [f for f in fields if _m2_is_rational(f)]
@@ -1160,7 +1171,7 @@ def test_rational_fiber_embeddings_are_distinct_objects():
     from curveclass import curves
     from curveclass.numfield import extend_field, field_from_qpoly
 
-    base = field_from_qpoly("x", UPoly.from_ints("x", [1, -3, 0, 1]))
+    base = field_from_qpoly("x", _from_ints("x", [1, -3, 0, 1]))
     fld = extend_field(base, "y", [Fraction(-2), Fraction(0), Fraction(1)])
     embs = curves._embeddings_for(fld)
     assert len(embs) == 6
@@ -1435,3 +1446,80 @@ def test_subresultant_rows_and_principals_are_fresh_lists():
         rows.append([1])
         s.append(7)
         assert (sres.rows(i), sres.principal(i)) == want
+
+
+# -- the fiber gcd over a rational x and the all-real vertical chunks -------
+def _points_by_fiber_loop(points_at):
+    """Reference for _points_at_rational_x: the gcd of the fibers by the
+    loop it ran before y_content took it (a zero fiber skipped, a constant
+    gcd ending it), handed to points_at as the one fiber of a polynomial
+    with constant y-rows."""
+    from curveclass import _zpoly as zp
+    from curveclass.bipoly import rows_at
+    from curveclass.errors import DegenerateInputError
+
+    def reference(x0, grids, isolated):
+        g = None
+        for rows in grids:
+            fiber = rows_at(rows, x0)
+            if not fiber:
+                continue
+            g = fiber if g is None else zp.zgcd(g, fiber)
+            if zp.zdeg(g) == 0:
+                break
+        if g is None:
+            raise DegenerateInputError(f"positive-dimensional fiber over x = {x0}")
+        return points_at(x0, [[[c] for c in g]], isolated)
+
+    return reference
+
+
+@pytest.mark.parametrize("system", [
+    # fibers over x = 1 with integer content: 2y^2 - 2 and 4y - 4
+    ["x - 1", "2*y^2 - 2 + (x - 1)*y", "4*y - 4 + (x - 1)*y^2"],
+    # a zero fiber over x = 1, then y^2 - 1
+    ["(x - 1)*(2*x + 1)", "(x - 1)*(y^3 + 1)", "y^2 - 1 + (x - 1)*(3*y + 2*x + 1)"],
+    # a constant fiber over x = 1: first, with content 2, or last
+    ["x - 1", "2 + (x - 1)*y", "y^2 - 1 + (x - 1)*y^3", "y - 1 + (x - 1)*y^2"],
+    ["x - 1", "y^2 - 1 + (x - 1)*y^3", "y - 1 + (x - 1)*y^2", "5 + (x - 1)*y"],
+    # fibers y^2 - 2 and 3y^2 - 6 over x = 2: one irrational class
+    ["x - 2", "y^2 - 2 + (x - 2)*y^3", "3*y^2 - 6"],
+    # a resultant with rational roots and no x-only polynomial
+    ["y^2 - x", "y - x + 2"],
+    # all fibers zero over x = 1: a positive-dimensional fiber
+    ["x - 1", "(x - 1)*y^2", "(x - 1)*(y + 1)"],
+])
+def test_the_fiber_gcd_over_a_rational_x_is_y_content(monkeypatch, system):
+    from curveclass import curves
+    from curveclass.errors import DegenerateInputError
+    from curveclass.parsing import format_point
+
+    def solved():
+        try:
+            points = _solve([parse_poly(p) for p in system])
+        except DegenerateInputError as exc:
+            return "degenerate", str(exc)
+        return [(format_point(pt), len(pt.embeddings)) for pt in points]
+
+    got = solved()
+    monkeypatch.setattr(curves, "_points_at_rational_x",
+                        _points_by_fiber_loop(curves._points_at_rational_x))
+    assert solved() == got
+
+
+@settings(deadline=None, max_examples=200)
+@given(factors=st.lists(st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+                                  st.sampled_from([1, -1, 2, 3]), st.integers(1, 3)),
+                        min_size=1, max_size=4))
+def test_vertical_chunks_are_all_real_by_zall_real_simple_as_by_the_full_chain(factors):
+    # certify_realness's vertical chunks: squarefree, primitive, coprime
+    # pieces of the curve's Z[x] content
+    from curveclass import _zpoly as zp
+    from curveclass import curves
+
+    z = [1]
+    for low, lead, power in factors:
+        for _ in range(power):
+            z = zp.zmul(z, low + [lead])
+    for ch in curves._split_candidates(z)[1]:
+        assert zp.zall_real_simple(ch) == (zp.sturm_count(zp.sturm_chain(ch)) == zp.zdeg(ch))

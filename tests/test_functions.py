@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -38,9 +39,17 @@ from curveclass.mpoly import (
 from curveclass.numfield import is_zero_or_split
 from curveclass.parsing import format_poly, parse_poly
 from curveclass.report import _stringify, fiber_rows
-from curveclass.unipoly import IsolatingInterval, isolate_real_roots, to_zpoly
+from curveclass.unipoly import IsolatingInterval, UPoly, isolate_real_roots
 from curveclass._zpoly import zrefine, zsquarefree
 from test_mpoly import ideals_equal
+
+
+def _to_zpoly(p):
+    """p's rational coefficients cleared of denominators: (integers, lcm of
+    the denominators)."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+
 
 X, Y, T = MPoly.var("x"), MPoly.var("y"), MPoly.var("t")
 
@@ -698,7 +707,7 @@ def _fraction_horner(coeffs, box):
 def _refine_interval(u, box, width):
     """box refined to at most width around its root of the rational
     polynomial u, on the integer kernel: zsquarefree, then zrefine."""
-    return IsolatingInterval(*zrefine(zsquarefree(to_zpoly(u)[0]), box.low, box.high, width))
+    return IsolatingInterval(*zrefine(zsquarefree(_to_zpoly(u)[0]), box.low, box.high, width))
 
 
 def _reference_ratio(p, q, xs, lo, hi, u):
@@ -756,7 +765,7 @@ def test_enclose_ratio_equals_the_fraction_interval_horner_quotient(data):
     else:
         q = _xy_poly(data.draw)
     want, _ = _reference_ratio(p, q, xs, ival.low, ival.high, u)
-    zu = zsquarefree(to_zpoly(u)[0])
+    zu = zsquarefree(_to_zpoly(u)[0])
     assert functions._enclose_ratio(*_point_coeffs(p, q, xs), ival.low, ival.high, zu) == want
 
 
@@ -770,7 +779,7 @@ def test_enclose_ratio_refines_until_q_leaves_zero():
     q = Y - ival.mid()
     want, steps = _reference_ratio(p, q, xs, ival.low, ival.high, u)
     assert want is not None and steps > 0
-    zu = zsquarefree(to_zpoly(u)[0])
+    zu = zsquarefree(_to_zpoly(u)[0])
     assert functions._enclose_ratio(*_point_coeffs(p, q, xs), ival.low, ival.high, zu) == want
     assert _reference_ratio(p, curve, xs, ival.low, ival.high, u) == (None, 12)
     assert functions._enclose_ratio(*_point_coeffs(p, curve, xs), ival.low, ival.high, zu) is None
@@ -794,7 +803,6 @@ def test_probe_never_flags_a_real_closure_member():
 # -- the resultant certificate on integer rows, against the rational route ----
 from curveclass import _zpoly as zp  # noqa: E402
 from curveclass.bipoly import bivariate_gcd, from_y_dense, resultant_y, to_y_dense, y_primitive  # noqa: E402
-from curveclass.unipoly import UPoly  # noqa: E402
 
 
 def _divexact_over_q(p, g):
@@ -831,7 +839,7 @@ def _rational_resultant_certificate(f):
         return None, False
     K = F.degree_in("x") * max(dyB, 1) + (B.degree_in("x") + 1) * dyF + 2
     packed = MPoly({(0, 0, e[2] + K * e[1], e[3]): c for e, c in B.terms.items()})
-    R = UPoly.from_ints("x", resultant_y(to_y_dense(F), to_y_dense(packed)))
+    R = UPoly("x", [Fraction(c) for c in resultant_y(to_y_dense(F), to_y_dense(packed))])
     if R.is_zero():
         return None, False
     ints = [c.numerator for c in R.coeffs]

@@ -445,6 +445,25 @@ def test_cli_job_values_and_coordinates_may_be_json_integers(tmp_path):
     assert json.loads(r.stdout)["function"]["assignments"] == [{"point": "(0, 0)", "value": "3"}]
 
 
+@pytest.mark.parametrize("via", ["file", "stdin"])
+def test_cli_job_that_is_not_utf8_is_a_job_error(tmp_path, via):
+    # byte 0xff never occurs in UTF-8: both input paths refuse it, where the
+    # file path used to die with a traceback (exit 1) and stdin read it as
+    # the surrogate '\udcff' and failed to parse it (exit 2)
+    data = json.dumps(_GOOD_JOB).encode("utf-8").replace(b"y", b"\xff", 1)
+    path = tmp_path / "job.json"
+    path.write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    source, stdin = (str(path), None) if via == "file" else ("-", data)
+    r = subprocess.run([sys.executable, "-m", "curveclass.cli", "classify", "--input", source],
+                       capture_output=True, input=stdin, cwd=ROOT, env=env)
+    err = r.stderr.decode("utf-8")
+    assert r.returncode == 9, err
+    assert err.startswith("error[9]: input is not UTF-8") and err.count("\n") == 1
+    assert "Traceback" not in err and r.stdout == b""
+
+
 def test_cli_check_morphism_string_map_is_a_job_error(tmp_path):
     # "tt" unpacks into two items but is not the array [u, v]
     path = tmp_path / "m.json"

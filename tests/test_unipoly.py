@@ -8,19 +8,21 @@ from curveclass.errors import DegenerateInputError, PreconditionError
 from curveclass.unipoly import (
     IsolatingInterval,
     UPoly,
-    count_distinct_complex_roots,
     isolate_real_roots,
     nonzero_gcd,
     rational_roots,
     remainder_sequence,
     squarefree_part,
     sturm_count,
-    to_zpoly,
     upoly_gcd,
 )
 
-T = lambda *cs: UPoly.from_ints("t", cs)  # noqa: E731  (low degree first)
-X = lambda *cs: UPoly.from_ints("x", cs)  # noqa: E731
+T = lambda *cs: UPoly("t", [Fraction(c) for c in cs])  # noqa: E731  (low degree first)
+X = lambda *cs: UPoly("x", [Fraction(c) for c in cs])  # noqa: E731
+
+
+def _distinct_roots(a):
+    return squarefree_part(a).degree
 
 
 def test_gcd_shared_linear_factor():
@@ -89,9 +91,9 @@ def test_squarefree_idempotent_fuzz():
 
 
 def test_count_distinct_complex_roots():
-    assert count_distinct_complex_roots(T(0, 0, 1)) == 1  # t^2 at the cusp fiber
-    assert count_distinct_complex_roots(T(0, 1, 0, 1)) == 3  # t^3 + t
-    assert count_distinct_complex_roots(T(-2, 0, 1)) == 2
+    assert _distinct_roots(T(0, 0, 1)) == 1  # t^2 at the cusp fiber
+    assert _distinct_roots(T(0, 1, 0, 1)) == 3  # t^3 + t
+    assert _distinct_roots(T(-2, 0, 1)) == 2
 
 
 def test_sturm_counts_spec_examples():
@@ -147,13 +149,13 @@ def test_conjugation_parity_invariant():
         sf = squarefree_part(a)
         if sf.degree == 0:
             continue
-        assert (count_distinct_complex_roots(a) - sturm_count(sf)) % 2 == 0
+        assert (_distinct_roots(a) - sturm_count(sf)) % 2 == 0
 
 
 def test_refine_and_sign():
     p = X(-2, 0, 1)
     iv = [i for i in isolate_real_roots(p) if i.high > 0][-1]
-    z = to_zpoly(p)[0]
+    z = [-2, 0, 1]  # p in Z[x]
     iv = IsolatingInterval(*zrefine(zsquarefree(z), iv.low, iv.high, Fraction(1, 10**9)))
     assert iv.width() <= Fraction(1, 10**9)
     assert Fraction(14, 10) < iv.mid() < Fraction(15, 10)
@@ -244,12 +246,13 @@ def _tower(depth):
 
 
 @st.composite
-def _rational_products(draw):
-    """A nonzero rational constant times 0-4 random factors of degree 0-2,
-    each to a power 1-3: repeated roots, zero coefficients and degree 0."""
+def _rational_products(draw, max_factors=4):
+    """A nonzero rational constant times 0-max_factors random factors of
+    degree 0-2, each to a power 1-3: repeated roots, zero coefficients and
+    degree 0."""
     num = draw(st.integers(-5, 5).filter(bool))
     a = UPoly("t", [Fraction(num, draw(st.integers(1, 4)))])
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, max_factors))):
         low = draw(st.lists(st.integers(-3, 3), max_size=2))
         lead = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
         a = a * T(*low, lead) ** draw(st.integers(1, 3))
@@ -289,11 +292,22 @@ def test_only_irrational_coefficients_take_the_tower_euclid(monkeypatch):
                         lambda p, *args: calls.append(p) or sequence(p, *args))
     one, two = field.one(), field.from_fraction(2)
     # (t + 1)^2 with tower coefficients: the integer kernel, no Euclid
-    assert squarefree_part(UPoly("t", [one, two, one])) == UPoly("t", [one, one])
+    square = UPoly("t", [one, two, one])
+    assert squarefree_part(square) == UPoly("t", [one, one])
+    # gcd((t + 1)^2, t^2 - 1) likewise, with one operand's coefficients
+    # Fractions or both in the tower, and rebuilt in the tower either way
+    for other in (UPoly("t", [-one, field.zero(), one]), T(-1, 0, 1)):
+        for p, q in ((square, other), (other, square)):
+            got = upoly_gcd(p, q)
+            assert got == UPoly("t", [one, one])
+            assert all(c.field == field for c in got.coeffs)
     assert calls == []
-    # (t + a)^2: the Euclid over the tower
+    # (t + a)^2: the Euclid over the tower, for the squarefree part and for
+    # a gcd with an irrational operand
     assert squarefree_part(UPoly("t", [a * a, 2 * a, one])) == UPoly("t", [a, one])
     assert len(calls) == 1
+    assert upoly_gcd(square, UPoly("t", [a, one])) == UPoly("t", [one])
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("query", [
@@ -450,3 +464,42 @@ def test_a_depth_2_gcd_inverts_the_leads_the_monic_euclid_inverts():
     for gcd in (upoly_gcd, _monic_euclid_gcd):
         assert _outcome(gcd, p, q) == ("split", 0, (-1, 1))
     assert _outcome(remainder_sequence, p, q) == ("split", 0, (0, 1))
+
+
+# -- one rule for rational values: towers with rational coefficients -------
+from curveclass.numfield import rational_point_field  # noqa: E402
+
+
+@st.composite
+def _rational_valued_tower(draw):
+    """A reducible depth-1 tower, a depth-2 tower, or the degenerate tower
+    of a rational point: fields in which a Euclid with irrational
+    coefficients could meet a zero divisor."""
+    kind = draw(st.sampled_from(["depth-1", "depth-2", "point"]))
+    if kind == "point":
+        x0, y0 = (Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) for _ in "xy")
+        return rational_point_field("x", "y", x0, y0)
+    return draw(_split_tower(1 if kind == "depth-1" else 2))
+
+
+@settings(deadline=None, max_examples=150)
+@given(F=_rational_valued_tower(), f=_rational_products(2), g=_rational_products(2),
+       h=_rational_products(2), ends=st.lists(st.fractions(-3, 3, max_denominator=3),
+                                              min_size=2, max_size=2))
+def test_rational_valued_tower_polynomials_take_the_rational_route(F, f, g, h, ends):
+    # the same monic gcd and squarefree part as the Euclid over the tower,
+    # no split, and the root functions answer as on the Fraction twin
+    lift = lambda p: UPoly("t", [F.from_fraction(c) for c in p.coeffs])  # noqa: E731
+    a, b = f * g, f * h
+    for p, q in ((a, b), (b, a)):
+        got = _outcome(upoly_gcd, lift(p), lift(q))
+        assert got[0] != "split" and got == _outcome(_monic_euclid_gcd, lift(p), lift(q))
+    for p in (a, a * h):
+        got = _outcome(squarefree_part, lift(p))
+        assert got[0] != "split" and got == _outcome(_reference_squarefree_part, lift(p))
+        sf = squarefree_part(p)
+        lo, hi = sorted(ends)
+        assert sturm_count(lift(sf), lo, hi) == sturm_count(sf, lo, hi)
+        assert sturm_count(lift(sf)) == sturm_count(sf)
+        assert isolate_real_roots(lift(p)) == isolate_real_roots(p)
+        assert rational_roots(lift(p)) == rational_roots(p)
