@@ -35,8 +35,9 @@ is specialized at a tower point (the generators of its levels) the same
 way: its coefficient grid is reduced modulo the level forms once
 (NumberField.at_gens), with no Horner over tower elements.  Inversion at
 depth 1 is an extended pseudo-remainder sequence against the level form;
-at depth 2 the extended Euclid runs on UPolys over the base tower, whose
-coefficient inversions take the depth-1 path, and makes no remainder monic.
+at depth 2 the extended Euclid runs on lists of depth-1 reps over the base,
+whose coefficient inversions take the depth-1 path, and makes no remainder
+monic.
 Fractions appear only at the edges: minpoly, from_fraction, as_fraction and
 the enclosures.
 """
@@ -71,6 +72,7 @@ class SplitEvent(Exception):
 # ---------------------------------------------------------------------------
 
 _ZERO = ((), 1)
+_ONE = ((1,), 1)  # one at depth 1
 
 
 def _rnorm(nums, den, depth):
@@ -233,22 +235,46 @@ def _zreduce(F, p, depth):
 def _rinv(F, a, depth):
     """Inverse of the depth-`depth` rep a modulo the levels of F; SplitEvent
     on zero divisors.  Depth 1 runs on integers (_zinv); depth 2 is the
-    extended Euclid over the base tower, on UPolys."""
+    extended Euclid over the base tower on lists of depth-1 reps (low degree
+    first), whose coefficient inversions take the depth-1 path."""
     if not a[0]:
         raise ZeroDivisionError("inverting zero tower element")
     if depth == 1:
         return _zinv(F, a)
-    # extended Euclid over the base with the invariant  r_i == s_i * a  (mod m2)
-    base, var = F.sub_field(1), F.var(1)
-    r0, s0 = F.minpoly(1), UPoly(var, ())
-    r1, s1 = UPoly(var, [NFElement(base, c) for c in _split(*a)]), UPoly(var, [base.one()])
-    while True:
-        if not r1:  # r0 is the gcd; divmod inverted its lead the step before
-            raise SplitEvent(1, _join([c.rep for c in r0.monic().coeffs])[0])
-        if r1.degree == 0:  # s1 * a == r1, a unit
-            return _join([c.rep for c in (s1 * r1.lc().inverse()).coeffs])
-        q, rem = r0.divmod(r1)  # inverts lc(r1) first, as the monic Euclid did
-        r0, s0, r1, s1 = r1, s1, rem, s0 - q * s1
+    # invariant r_i == s_i * a (mod m2); no remainder is made monic, and the
+    # base inverts what the monic Euclid inverts, in its order: lc(r1) before
+    # each division unless it is 1, then the constant remainder
+    m2 = F.levels[1][1]
+    r0, s0, r1, s1 = _split(m2, m2[-1][0]), [], _split(*a), [_ONE]
+    while len(r1) > 1:
+        inv = None if r1[-1] == _ONE else _zinv(F, r1[-1])
+        r, s, low = list(r0), list(s0), r1[:-1]
+        for k in range(len(r0) - len(r1), -1, -1):
+            c = r.pop() if inv is None else _rmul(F, r.pop(), inv, 1)
+            if c[0]:
+                _rsubmul(F, r, c, low, k)
+                _rsubmul(F, s, c, s1, k)
+        r0, s0, r1, s1 = r1, s1, _rtrim(r), _rtrim(s)
+    if r1:  # s1 * a == r1, a unit
+        inv = _zinv(F, r1[0])
+        return _join([_rmul(F, c, inv, 1) for c in s1])
+    # r0 is the gcd; its lead was inverted the step before
+    raise SplitEvent(1, _join(r0 if inv is None else [_rmul(F, c, inv, 1) for c in r0])[0])
+
+
+def _rsubmul(F, p, c, q, k):
+    """p -= c * y^k * q in place, for lists p, q of depth-1 reps and the
+    depth-1 rep c."""
+    p.extend([_ZERO] * (k + len(q) - len(p)))
+    for i, b in enumerate(q):
+        if b[0]:
+            p[k + i] = _radd(p[k + i], _rneg(_rmul(F, c, b, 1), 1), 1)
+
+
+def _rtrim(p):
+    while p and not p[-1][0]:
+        p.pop()
+    return p
 
 
 def _zinv(F, a):
@@ -543,7 +569,12 @@ class RealEmbedding:
         self.intervals = [_interval(lo, hi) for lo, hi in intervals]
 
     def clone_for(self, field):
-        return RealEmbedding(field, self.intervals)
+        """The same point on field, a branch of this tower: a fresh list of
+        the intervals, already validated and immutable, so refining either
+        copy leaves the other as it was (refine replaces list entries)."""
+        emb = object.__new__(RealEmbedding)
+        emb.field, emb.intervals = field, list(self.intervals)
+        return emb
 
     def interval(self, k):
         return self.intervals[k]

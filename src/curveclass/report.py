@@ -8,6 +8,7 @@ side of the human output.
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .curves import BadPoint
 from .mpoly import MPoly
@@ -193,10 +194,45 @@ def _stringify(obj):
 
 def emit(doc: ReportDocument, format="human") -> str:
     if format == "machine":
-        return json.dumps(doc.data, indent=2, ensure_ascii=False) + "\n"
+        return _encode(doc.data) + "\n"
     if format == "human":
         return _emit_human(doc)
     raise ValueError(f"unknown format {format!r}")
+
+
+def _encode(obj, pad="\n"):
+    """json.dumps(obj, indent=2, ensure_ascii=False), byte for byte, without
+    json's pure-Python indented encoder: strings quoted by json's own
+    function, floats and unsupported leaves (TypeError) left to json.dumps."""
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{encode_basestring(_key(k))}: {_encode(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in obj]) + pad + "]"
+    if obj is None or obj is True or obj is False:
+        return _CONSTANTS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return json.dumps(obj)
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _key(k):
+    """A dict key as json converts it; TypeError as there."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _encode(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def parse_machine(text) -> ReportDocument:

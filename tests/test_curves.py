@@ -416,6 +416,47 @@ def _intervals(pts):
     return [[[(iv.low, iv.high) for iv in emb.intervals] for emb in pt.embeddings] for pt in pts]
 
 
+def _refine(emb, rounds=6):
+    before = [tuple(iv) for iv in emb.intervals]
+    for _ in range(rounds):
+        for k in range(emb.field.depth):
+            emb.refine(k)
+    assert [tuple(iv) for iv in emb.intervals] != before
+
+
+def test_refining_one_copy_of_an_embedding_moves_no_other():
+    # clone_for shares the validated intervals but not their list, so one
+    # refined copy leaves the curve's kept points, a later bad_locus call
+    # and every sibling copy as they were
+    curve = make_curve(parse_poly("(y^2 - x)*(y - x^2 - 1)"))
+    q = parse_poly("x^2 - 2")
+    first, second = bad_locus(curve, q), bad_locus(curve, q)
+    want = state = _intervals(first)
+    refined = 0
+    for p, pt in enumerate(first):
+        for e, emb in enumerate(pt.embeddings):
+            if emb.field.degree() > 1:
+                _refine(emb)
+                got = _intervals(first)
+                assert [(i, j) for i, row in enumerate(got) for j, ivs in enumerate(row)
+                        if ivs != state[i][j]] == [(p, e)]
+                assert _intervals(curve._bad[1]) == _intervals(second) == want
+                assert _intervals(bad_locus(curve, q)) == want
+                state, refined = got, refined + 1
+    assert refined >= 3
+
+    # the branches of a split, and the point they came from
+    pt = _split_prone_point([-2, 0, 1], [lambda a: a, lambda a: -a, lambda a: -1, lambda a: 1])
+    branches = pt.split(1, ((-1,), (1,)))
+    parent, kids = _intervals([pt]), _intervals(branches)
+    assert [len(b.embeddings) for b in branches] == [2, 2]
+    _refine(branches[0].embeddings[0])
+    assert _intervals([pt]) == parent and _intervals(branches)[1] == kids[1]
+    assert _intervals(branches)[0][1] == kids[0][1]
+    _refine(pt.embeddings[-1])
+    assert _intervals(branches)[1] == kids[1] and _intervals(branches)[0][1] == kids[0][1]
+
+
 def _split_prone_point(m1_ints, m2_coeffs):
     """A bad point over the tower Q[x]/(m1), y-level m2 (coefficients as
     functions of the x generator), with its certified embeddings."""

@@ -661,3 +661,44 @@ def test_machine_output_is_byte_stable_under_job_key_reordering(case):
     if name not in _DEMO_MACHINE:
         _DEMO_MACHINE[name] = _machine_text(_DEMO_JOBS[name])
     assert _machine_text(job) == _DEMO_MACHINE[name]
+
+
+# -- the machine encoder is json.dumps(indent=2, ensure_ascii=False) -------
+from fractions import Fraction  # noqa: E402
+
+from curveclass.report import ReportDocument  # noqa: E402
+
+# text with non-ASCII letters, quotes, backslashes, control characters and
+# lone surrogates (st.characters() draws no surrogate)
+_text = st.text(st.one_of(st.characters(),
+                          st.sampled_from('"\\\x00\x1f\x7f \u00e9\U000103ff\u2028\ud800\udfff')))
+_keys = st.one_of(_text, st.integers(-10**30, 10**30), st.booleans(), st.none(), st.floats())
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10**60, 10**60),
+                    st.floats(allow_nan=True, allow_infinity=True), _text)
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.just(()), st.dictionaries(_keys, inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=_documents)
+def test_machine_emit_is_indented_json_byte_for_byte(data):
+    want = json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    assert emit(ReportDocument(data), "machine") == want
+
+
+@pytest.mark.parametrize("data", [
+    {"a": object()},
+    [1, {2, 3}],
+    Fraction(1, 2),
+    {(1, 2): "tuple key"},
+    {"a": {b"bytes": 1}},
+], ids=["object", "set", "fraction", "tuple-key", "bytes-key"])
+def test_machine_emit_refuses_what_json_refuses(data):
+    with pytest.raises(TypeError):
+        json.dumps(data, indent=2, ensure_ascii=False)
+    with pytest.raises(TypeError):
+        emit(ReportDocument(data), "machine")

@@ -466,6 +466,32 @@ def test_a_depth_2_gcd_inverts_the_leads_the_monic_euclid_inverts():
     assert _outcome(remainder_sequence, p, q) == ("split", 0, (0, 1))
 
 
+def test_a_depth_2_inverse_splits_where_the_monic_euclid_splits():
+    # m1 = a(a - 1), m2 = b^2 - 1, invert a + b: lc 1 is not inverted, the
+    # remainder b^2 - 1 mod (b + a) is a^2 - 1 = a - 1, and inverting that
+    # constant meets the factor a - 1 of m1
+    base = field_from_qpoly("a", X(0, -1, 1))
+    F = extend_field(base, "b", [-base.one(), base.zero(), base.one()])
+    e = F.gen(0) + F.gen(1)
+    for inverse in (NFElement.inverse, _monic_extended_inverse):
+        assert _outcome(inverse, e) == ("split", 0, (-1, 1))
+
+
+def test_a_depth_2_inverse_builds_no_base_field_or_minpoly(monkeypatch):
+    # the depth-2 inverse runs on reps, as the depth-1 one runs on integers
+    from curveclass.numfield import NumberField
+
+    base = field_from_qpoly("a", X(-2, 0, 1))
+    F = extend_field(base, "b", [-base.gen(0), base.zero(), base.one()])
+    e = (F.gen(0) + 1) * F.gen(1) + 1  # an irrational lead to invert first
+    want = _monic_extended_inverse(e)
+    calls = []
+    for name in ("sub_field", "minpoly"):
+        monkeypatch.setattr(NumberField, name, lambda *args, name=name: calls.append(name))
+    assert e.inverse() == want and (e * want).rep == F.one().rep
+    assert calls == []
+
+
 # -- one rule for rational values: towers with rational coefficients -------
 from curveclass.numfield import rational_point_field  # noqa: E402
 
